@@ -41,6 +41,19 @@ def _require_mapping(obj, where: str) -> dict:
         raise ConfigError(f"section '{where}' must be a mapping, got {type(obj).__name__}")
     return obj
 
+
+def _number(value, where: str, cast=float):
+    """cast(value), or a ConfigError naming the key when value is not numeric."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{where}' must be numeric, got {value!r}") from None
+
+
+def _array(value, where: str) -> np.ndarray:
+    return _number(value, where, lambda v: np.asarray(v, dtype=float))
+
+
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -56,12 +69,14 @@ def _scalar_kernel(spec: dict, where: str):
     if ktype == "fractional":
         if "h" not in spec:
             raise ConfigError(f"'{where}' needs key 'h'")
-        return FractionalKernel(float(spec["h"]), scale=float(spec.get("scale", 1.0)))
+        return FractionalKernel(_number(spec["h"], f"{where}.h"),
+                                scale=_number(spec.get("scale", 1.0), f"{where}.scale"))
     if ktype == "exponential":
         if "beta" not in spec:
             raise ConfigError(f"'{where}' needs key 'beta'")
-        return ExponentialKernel(float(spec["beta"]), scale=float(spec.get("scale", 1.0)))
-    return ConstantKernel(float(spec.get("value", 1.0)))
+        return ExponentialKernel(_number(spec["beta"], f"{where}.beta"),
+                                 scale=_number(spec.get("scale", 1.0), f"{where}.scale"))
+    return ConstantKernel(_number(spec.get("value", 1.0), f"{where}.value"))
 
 
 def _matrix_kernel(spec: dict, where: str):
@@ -76,8 +91,8 @@ def _matrix_kernel(spec: dict, where: str):
     if ktype == "constant":
         _check_keys(spec, _KERNEL_KEYS["constant"], where)
         if "matrix" in spec:
-            return ConstantKernel(np.asarray(spec["matrix"], dtype=float))
-        return ConstantKernel(float(spec.get("value", 1.0)))
+            return ConstantKernel(_array(spec["matrix"], f"{where}.matrix"))
+        return ConstantKernel(_number(spec.get("value", 1.0), f"{where}.value"))
     return _scalar_kernel(spec, where)
 
 
@@ -98,13 +113,13 @@ def load_config(path: str) -> SimpleNamespace:
     _check_keys(grid_sec, _GRID_KEYS, "grid")
     if "T" not in grid_sec:
         raise ConfigError("'grid.T' is required")
-    horizon = float(grid_sec["T"])
+    horizon = _number(grid_sec["T"], "grid.T")
     if not math.isfinite(horizon) or horizon <= 0:
         raise ConfigError(f"'grid.T' must be a positive number, got {grid_sec['T']!r}")
     n = grid_sec.get("n")
     if n is None:
         n = int(round(200 * max(1.0, horizon)))
-    n = int(n)
+    n = _number(n, "grid.n", int)
     if n < 2:
         raise ConfigError("'grid.n' must be at least 2")
 
@@ -140,19 +155,19 @@ def load_config(path: str) -> SimpleNamespace:
     mk = _require_mapping(raw.get("markowitz", {}), "markowitz")
     _check_keys(mk, _MARKOWITZ_KEYS, "markowitz")
     m_raw = mk.get("m", 1.05)
-    m_values = [float(v) for v in (m_raw if isinstance(m_raw, list) else [m_raw])]
+    m_values = [_number(v, "markowitz.m") for v in (m_raw if isinstance(m_raw, list) else [m_raw])]
     if not m_values:
         raise ConfigError("'markowitz.m' must be a number or nonempty list")
-    mk_x0 = mk.get("x0")
+    mk_x0 = None if mk.get("x0") is None else _number(mk["x0"], "markowitz.x0")
 
     mc = _require_mapping(raw.get("mc", {}), "mc")
     _check_keys(mc, _MC_KEYS, "mc")
     mc_ns = SimpleNamespace(
-        paths=int(mc.get("paths", 10000)),
-        seed=int(mc.get("seed", 0)),
+        paths=_number(mc.get("paths", 10000), "mc.paths", int),
+        seed=_number(mc.get("seed", 0), "mc.seed", int),
         antithetic=bool(mc.get("antithetic", False)),
-        dump_paths=int(mc.get("dump_paths", 0)),
-        chunk=int(mc.get("chunk", 4096)),
+        dump_paths=_number(mc.get("dump_paths", 0), "mc.dump_paths", int),
+        chunk=_number(mc.get("chunk", 4096), "mc.chunk", int),
     )
     if mc_ns.paths < 2:
         raise ConfigError("'mc.paths' must be at least 2")
@@ -174,19 +189,23 @@ def load_config(path: str) -> SimpleNamespace:
                 f"'sweep.parameter' = {param!r} does not name an existing config key; "
                 f"valid here: {sorted(valid)}"
             )
+        if param == "T":
+            for i, v in enumerate(sw["values"]):
+                _number(v, f"sweep.values[{i}]")
         sweep = SimpleNamespace(parameter=param, values=list(sw["values"]))
 
     chk = _require_mapping(raw.get("check", {}), "check")
     _check_keys(chk, _CHECK_KEYS, "check")
     check_ns = SimpleNamespace(
-        p=float(chk.get("p", 3.0)),
-        a=(None if chk.get("a") is None else float(chk.get("a"))),
-        coarse_n=int(chk.get("coarse_n", 20)),
-        c=float(chk.get("c", 1.0)),
+        p=_number(chk.get("p", 3.0), "check.p"),
+        a=(None if chk.get("a") is None else _number(chk["a"], "check.a")),
+        coarse_n=_number(chk.get("coarse_n", 20), "check.coarse_n", int),
+        c=_number(chk.get("c", 1.0), "check.c"),
     )
 
     out = _require_mapping(raw.get("output", {}), "output")
     _check_keys(out, _OUTPUT_KEYS, "output")
+    model_from_section(model_kind, model_sec)  # model values fail here, before any output
 
     return SimpleNamespace(
         horizon=horizon,
@@ -209,16 +228,15 @@ def build_grid(cfg: SimpleNamespace) -> TimeGrid:
 def _affine_from_section(sec: dict) -> AffineModel:
     kernels = [_scalar_kernel(k, f"affine.kernels[{i}]") for i, k in enumerate(sec["kernels"])]
     d = len(kernels)
-    drift = np.asarray(sec.get("drift", np.zeros((d, d))), dtype=float)
     return AffineModel(
         kernels=tuple(kernels),
-        drift=drift,
-        nu=np.asarray(sec.get("nu", 1.0), dtype=float),
-        rho=np.asarray(sec.get("rho", 0.0), dtype=float),
-        theta=np.asarray(sec["theta"], dtype=float),
-        g0=sec.get("g0", 0.04),
-        rate=float(sec.get("rate", 0.0)),
-        x0=float(sec.get("x0", 1.0)),
+        drift=_array(sec.get("drift", np.zeros((d, d))), "affine.drift"),
+        nu=_array(sec.get("nu", 1.0), "affine.nu"),
+        rho=_array(sec.get("rho", 0.0), "affine.rho"),
+        theta=_array(sec["theta"], "affine.theta"),
+        g0=_array(sec.get("g0", 0.04), "affine.g0"),
+        rate=_number(sec.get("rate", 0.0), "affine.rate"),
+        x0=_number(sec.get("x0", 1.0), "affine.x0"),
     )
 
 
@@ -227,25 +245,24 @@ def _quadratic_from_section(sec: dict) -> QuadraticModel:
         kwargs = {}
         for key in ("hurst", "eta", "leverage", "theta", "y0"):
             if key in sec:
-                val = sec[key]
-                kwargs[key] = tuple(val) if isinstance(val, list) else (float(val), float(val))
-        if "stock_corr" in sec:
-            kwargs["stock_corr"] = float(sec["stock_corr"])
-        if "rate" in sec:
-            kwargs["rate"] = float(sec["rate"])
-        if "x0" in sec:
-            kwargs["x0"] = float(sec["x0"])
+                val = _array(sec[key], f"quadratic.{key}")
+                if val.shape not in ((), (2,)):
+                    raise ConfigError(f"'quadratic.{key}' must be a number or a pair of numbers, got {sec[key]!r}")
+                kwargs[key] = tuple(float(v) for v in np.broadcast_to(val, (2,)))
+        for key in ("stock_corr", "rate", "x0"):
+            if key in sec:
+                kwargs[key] = _number(sec[key], f"quadratic.{key}")
         return two_asset_model(**kwargs)
     kernel = _matrix_kernel(sec["kernel"], "quadratic.kernel")
     return QuadraticModel(
         kernel=kernel,
-        theta=np.asarray(sec["theta"], dtype=float),
-        eta=np.asarray(sec["eta"], dtype=float),
-        corr=np.asarray(sec["corr"], dtype=float),
-        drift=(None if sec.get("drift") is None else np.asarray(sec["drift"], dtype=float)),
-        g0=sec.get("g0", 0.0),
-        rate=float(sec.get("rate", 0.0)),
-        x0=float(sec.get("x0", 1.0)),
+        theta=_array(sec["theta"], "quadratic.theta"),
+        eta=_array(sec["eta"], "quadratic.eta"),
+        corr=_array(sec["corr"], "quadratic.corr"),
+        drift=(None if sec.get("drift") is None else _array(sec["drift"], "quadratic.drift")),
+        g0=_array(sec.get("g0", 0.0), "quadratic.g0"),
+        rate=_number(sec.get("rate", 0.0), "quadratic.rate"),
+        x0=_number(sec.get("x0", 1.0), "quadratic.x0"),
         enforce_psd=bool(sec.get("enforce_psd", True)),
     )
 

@@ -132,7 +132,7 @@ class ExponentialKernel(_ConvolutionScalar):
     def _primitive(self, x):
         if self.beta == 0.0:
             return self.scale * x
-        return self.scale * (1.0 - np.exp(-self.beta * x)) / self.beta
+        return -self.scale * np.expm1(-self.beta * x) / self.beta
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,11 @@ L^2([t,T]) available in closed form,
 
 with Khat the kernel operator K(D - 2 eta C Theta) and SigTilde_t a
 deflated covariance operator.  Everything here is assembled from the cell
-discretization of the kernel, so a single dense solve per node gives
-Psi_t exactly at the discrete level.
+discretization of the kernel.  Moving t back by one node adds a rank-N
+term to the deflating matrix, so one backward sweep of rank-N Woodbury
+updates (the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t)
+gives Psi_t at every node exactly at the discrete level, with only N x N
+factorizations.
 """
 
 import math
@@ -153,7 +156,7 @@ def g0_nodes_quadratic(model: QuadraticModel, grid: TimeGrid) -> np.ndarray:
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
-    """Shared dense factors: folded kernel, deflation inverse, premium maps."""
+    """Shared dense factors: folded kernel, deflation inverse, premium map."""
     n, N = grid.n, model.n_state
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
@@ -163,41 +166,54 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     )
     aeta = _bd_right(a, model.eta, n)
     m1 = _bd_left(model.theta, ir, n)
-    qf = _bd_left(model.theta, ir @ aeta, n)
-    return SimpleNamespace(band=band, a=a, khat=khat, ir=ir, aeta=aeta, m1=m1, qf=qf)
+    return SimpleNamespace(band=band, a=a, khat=khat, ir=ir, aeta=aeta, m1=m1)
 
 
-def _factor_deflating(w: np.ndarray, t: float, rcond_min: float):
-    """Cholesky-factor the symmetric deflating matrix W.
+def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, rcond_min: float = RCOND_MIN):
+    """Backward Riccati recursion; yields (k, Psi_k, lambda_min(S_k)) for k = n, ..., 0.
 
-    W must stay positive definite for the Riccati solution to exist up to
-    the horizon; a failed factorization (or a reciprocal condition below
-    ``rcond_min``) is how finite-time blow-up manifests on the grid.
-    Returns (factor, rcond).
+    Psi_k is the unrestricted (N n, N n) closed form -m1' W_k^{-1} m1 with
+    W_k = Id + 2 sum_{j >= k} q_j M0 q_j', q_j = m1 a_j and a_j block column
+    j of ``disc.aeta``.  Adding one node is a rank-N Woodbury step,
+
+        Psi_k = Psi_{k+1} + 2 B (Id + 2 M0 G)^{-1} M0 B',
+        B = Psi_{k+1} a_k,  G = -a_k' Psi_{k+1} a_k >= 0,
+
+    the exact discrete form of d/dt Psi = 2 Psi SigmaDot Psi.  Since
+    det W_k = prod_{j >= k} det S_j with S_j = Id + 2 G^{1/2} M0 G^{1/2},
+    W_k stays positive definite exactly while every S_j does, so the sweep
+    raises RiccatiBlowUpError at the first node where lambda_min(S_k)
+    falls below ``rcond_min``.  The yielded matrix is updated in place.
+    At k = n there is no S and the margin is reported as inf.
     """
-    if not np.all(np.isfinite(w)):
-        raise RiccatiBlowUpError(
-            f"deflating matrix lost finiteness at t={t:.6g}", time=float(t)
-        )
-    anorm = float(np.abs(w).sum(axis=0).max())
-    try:
-        cf = scipy.linalg.cho_factor(w, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise RiccatiBlowUpError(
-            "operator Riccati solution blows up: deflating matrix loses positive "
-            f"definiteness at t={t:.6g}",
-            time=float(t),
-        ) from exc
-    pocon = scipy.linalg.get_lapack_funcs("pocon", (cf[0],))
-    rcond, info = pocon(cf[0], anorm, uplo="L")
-    rcond = 0.0 if info != 0 else float(rcond)
-    if rcond < rcond_min:
-        raise RiccatiBlowUpError(
-            "operator Riccati solution blows up: deflating matrix is numerically "
-            f"singular at t={t:.6g} (rcond {rcond:.3e})",
-            time=float(t),
-        )
-    return cf, rcond
+    n, N = grid.n, model.n_state
+    m0 = model.m0
+    eye = np.eye(N)
+    nodes = grid.nodes
+    psi = -disc.m1.T @ disc.m1
+    yield n, psi, np.inf
+    for k in range(n - 1, -1, -1):
+        t = float(nodes[k])
+        lo = (k + 1) * N  # a_k vanishes on rows up to node k (Volterra)
+        a = disc.aeta[lo:, k * N : (k + 1) * N]
+        b = psi[:, lo:] @ a
+        g = -a.T @ b[lo:]
+        if not np.all(np.isfinite(g)):
+            raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
+        ev, vec = np.linalg.eigh(0.5 * (g + g.T))
+        root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
+        lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
+        if lam[0] < rcond_min:
+            raise RiccatiBlowUpError(
+                "operator Riccati solution blows up: the deflating matrix loses positive "
+                f"definiteness at t={t:.6g} (lambda_min {lam[0]:.3e})",
+                time=t,
+            )
+        # (Id + 2 M0 G)^{-1} M0 = M0 - 2 M0 G^{1/2} S^{-1} G^{1/2} M0, symmetric
+        v = m0 @ root @ u
+        x = m0 - 2.0 * (v / lam) @ v.T
+        psi += (2.0 * b @ x) @ b.T
+        yield k, psi, float(lam[0])
 
 
 def _cveta_columns(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
@@ -220,6 +236,7 @@ class QuadraticSolution:
     z2_det, premium_profile : the adjustment and the full risk premium
         profile evaluated on the initial (deterministic) curve.
     gamma0 : closed-form Gamma_0.
+    min_rcond : smallest lambda_min(S_k) met by the backward sweep.
     """
 
     def __init__(self, model, grid, phi, phidot, p_path, z2_maps, z2_det,
@@ -242,17 +259,19 @@ class QuadraticSolution:
 def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: float = RCOND_MIN) -> QuadraticSolution:
     """Evaluate the closed-form operator Riccati solution at every node.
 
-    For each node t_k the deflating matrix W_k = Id + 2 Theta SigTilde_k
-    Theta' is factorized once and the action of Psi_k is taken on the
+    One backward sweep (see ``_psi_sweep``) carries Psi_k from the horizon
+    by a rank-N update per node, and the action of Psi_k is taken on the
     columns needed downstream: the kernel columns K(., t_k) eta (giving
     the volatility adjustment Z2 and the phi integrand), the constant
     function (giving the Markovian reduction P), and the initial curve.
+    ``min_rcond`` records the smallest lambda_min(S_k) met on the way,
+    the distance of the deflating matrix from losing definiteness.
 
     Raises
     ------
     RiccatiBlowUpError
-        When W_k loses positive definiteness or becomes numerically
-        singular (reciprocal condition below ``rcond_min``), which is how
+        When some S_k has an eigenvalue below ``rcond_min``, i.e. the
+        deflating matrix W_k loses positive definiteness, which is how
         finite-time blow-up of the Riccati solution manifests on the
         grid; carries the first failing time scanning backwards from the
         horizon.
@@ -263,8 +282,6 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
     rn = rate_nodes(model.rate, grid)
     g0s = g0_nodes_quadratic(model, grid)
     g0_samples = g0s[:n].reshape(n * N)
-    eye_dn = np.eye(d * n)
-    ws = np.zeros((d * n, d * n))
     phidot = np.zeros(n + 1)
     p_path = np.zeros((n + 1, N, N))
     z2_maps = np.zeros((n + 1, n * N, N))
@@ -272,21 +289,18 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
     premium_profile = np.zeros((n + 1, d))
     quad0 = 0.0
     min_rcond = np.inf
-    for k in range(n, -1, -1):
-        if k < n:
-            q = disc.qf[:, k * N : (k + 1) * N]
-            ws += (q @ model.m0) @ q.T
-        w = eye_dn + ws + ws.T
-        cf, rcond = _factor_deflating(w, float(grid.nodes[k]), rcond_min)
-        min_rcond = min(min_rcond, rcond)
+    for k, psi, lam in _psi_sweep(model, grid, disc, rcond_min):
+        min_rcond = min(min_rcond, lam)
         cveta = _cveta_columns(model, grid, k, disc.band)
         ones = np.zeros((n, N, N))
         ones[k:] = np.eye(N)
         rhs = np.concatenate([cveta, ones.reshape(n * N, N)], axis=1)
         if k == 0:
             rhs = np.concatenate([rhs, g0_samples[:, None]], axis=1)
-        act = -disc.m1.T @ scipy.linalg.cho_solve(cf, disc.m1 @ rhs, check_finite=False)
-        act[: k * N] = 0.0
+        # rhs vanishes before node k, so only the tail block of Psi_k acts
+        lo = k * N
+        act = np.zeros_like(rhs)
+        act[lo:] = psi[lo:, lo:] @ rhs[lo:]
         act_cv = act[:, :N]
         act_ones = act[:, N : 2 * N]
         z2_maps[k] = act_cv
@@ -328,23 +342,21 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
                     restrict: bool = True) -> np.ndarray:
     """Dense folded matrix of Psi_{t_k} (identity part included), (Nn, Nn).
 
-    With ``restrict`` (the default) rows and columns before node k are
-    zeroed, so the matrix represents the operator on L^2([t_k, T])
-    embedded in the full grid; without it the raw closed form is returned,
-    which is meaningful on the whole grid only at k = n where the
-    deflating matrix is the identity.
+    Runs the backward recursion of ``_psi_sweep`` from the horizon down to
+    node k.  With ``restrict`` (the default) rows and columns before node k
+    are zeroed, so the matrix represents the operator on L^2([t_k, T])
+    embedded in the full grid; without it the raw closed form
+    -m1' W_k^{-1} m1 is returned, which is meaningful on the whole grid
+    only at k = n where the deflating matrix is the identity.
     """
-    n, N, d = grid.n, model.n_state, model.n_assets
+    n, N = grid.n, model.n_state
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index must lie in [0, {n}]")
     disc = _discretize(model, grid) if disc is None else disc
-    ws = np.zeros((d * n, d * n))
-    for j in range(k, n):
-        q = disc.qf[:, j * N : (j + 1) * N]
-        ws += (q @ model.m0) @ q.T
-    w = np.eye(d * n) + ws + ws.T
-    cf, _ = _factor_deflating(w, float(grid.nodes[k]), RCOND_MIN)
-    full = -disc.m1.T @ scipy.linalg.cho_solve(cf, disc.m1, check_finite=False)
+    for j, psi, _ in _psi_sweep(model, grid, disc):
+        if j == k:
+            break
+    full = psi.copy()
     if restrict:
         full[: k * N] = 0.0
         full[:, : k * N] = 0.0
@@ -388,13 +400,6 @@ def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.nda
     band = band_coefficients(model.kernel, grid) if band is None else band
     cveta = _cveta_columns(model, grid, k, band)
     return -(1.0 / grid.dt) * (cveta @ model.m0) @ cveta.T
-
-
-def lambda_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray = None) -> np.ndarray:
-    """Folded derivative of the undeflated covariance: -K eta U eta' K'."""
-    band = band_coefficients(model.kernel, grid) if band is None else band
-    cveta = _cveta_columns(model, grid, k, band)
-    return -(1.0 / grid.dt) * (cveta @ model.u_mat) @ cveta.T
 
 
 def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> float:
@@ -441,32 +446,6 @@ def correlate_drivers_quadratic(model: QuadraticModel, z: np.ndarray):
     row_sq = np.sum(model.corr * model.corr, axis=1)
     dw = db @ model.corr.T + np.sqrt(np.maximum(1.0 - row_sq, 0.0))[None, None, :] * dperp
     return db, dw
-
-
-def forward_g_quadratic(model: QuadraticModel, grid: TimeGrid, dw: np.ndarray, snapshot_at=None):
-    """Evolve the adjusted forward curve g_t(s) pathwise.
-
-    dw holds state-driver increments of shape (P, n, N).  Slot k of the
-    returned array accumulates exactly the increments of cells j < k, so
-    the final array holds the state path Y(t_k) in slot k; a snapshot at
-    node k holds the curve g_{t_k}(s) in slots s >= k.
-    """
-    P = dw.shape[0]
-    n, N = grid.n, model.n_state
-    if dw.shape != (P, n, N):
-        raise InvalidArgumentError(f"dw must have shape (P, {n}, {N}), got {dw.shape}")
-    band = band_coefficients(model.kernel, grid)
-    dt = grid.dt
-    curve = np.tile(g0_nodes_quadratic(model, grid)[None, :, :], (P, 1, 1))
-    snap = None
-    for j in range(n):
-        if snapshot_at is not None and j == snapshot_at:
-            snap = curve.copy()
-        incr = curve[:, j, :] @ model.drift.T * dt + dw[:, j, :] @ model.eta.T
-        curve[:, j + 1 :, :] += np.einsum("mab,pb->pma", band[: n - j], incr) / dt
-    if snapshot_at is not None and snap is None:
-        snap = curve.copy()
-    return (curve, snap) if snapshot_at is not None else curve
 
 
 def gamma_quadratic(sol: QuadraticSolution, k: int, g_rows: np.ndarray):

@@ -262,3 +262,18 @@ class TestConfigErrors:
         cfg, _ = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg, "--grid-n", "1"]) == 2
         assert "grid-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("T: 0.5", "T: abc", "grid.T"),
+        ("n: 100", "n: many", "grid.n"),
+        ("theta: [[1.0]]", "theta: [[one]]", "quadratic.theta"),
+        ("g0: 1.0", "g0: high", "quadratic.g0"),
+        ("value: 1.0}", "value: x}", "quadratic.kernel.value"),
+        ("m: 1.1", "m: [1.1, up]", "markowitz.m"),
+    ])
+    def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
+        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))
+        assert main(["quadratic-solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists()

@@ -105,6 +105,15 @@ class TestExponentialKernel:
         with pytest.raises(InvalidArgumentError):
             ExponentialKernel(beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [1e-10, 1e-6, 1e-3])
+    def test_small_rate_cell_integrals_exact(self, beta):
+        # int_a^b e^{-beta x} dx = e^{-beta a} (1 - e^{-beta (b - a)}) / beta
+        g = make_grid(1.0, 1000)
+        got = band_coefficients(ExponentialKernel(beta=beta), g)[:, 0, 0]
+        a, b = g.nodes[:-1], g.nodes[1:]
+        want = np.exp(-beta * a) * -np.expm1(-beta * (b - a)) / beta
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
 
 class TestMatrixAndTableKernels:
     def test_constant_volterra_fold(self):

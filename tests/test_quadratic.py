@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vmk import (
     ConstantKernel,
@@ -27,8 +28,10 @@ from vmk import (
     two_asset_model,
     wishart_model,
 )
+from vmk import quadratic
 from vmk.operators import full_matrix, kernel_value, min_sym_eigenvalue
 from vmk.quadratic import (
+    RCOND_MIN,
     boundary_relation_residual,
     gamma_quadratic,
     psi_full_matrix,
@@ -63,6 +66,86 @@ def mixed_model():
         drift=np.array([[-0.5, 0.1], [0.0, -0.3]]),
         g0=0.25,
     )
+
+
+def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
+    """Oracle: Psi_k = -m1' W_k^{-1} m1 with W_k assembled and Cholesky-factored densely.
+
+    W_k = Id + 2 sum_{j >= k} q_j M0 q_j', q_j = m1 a_j.  Returns (Psi_k, rcond)
+    and raises RiccatiBlowUpError when W_k is not numerically positive definite.
+    """
+    n, N, d = grid.n, model.n_state, model.n_assets
+    t = float(grid.nodes[k])
+    q = disc.m1 @ disc.aeta[:, k * N :]
+    w = np.eye(d * n) + 2.0 * q @ np.kron(np.eye(n - k), model.m0) @ q.T
+    try:
+        cf = scipy.linalg.cho_factor(w, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise RiccatiBlowUpError(f"W_k indefinite at t={t}", time=t) from exc
+    pocon = scipy.linalg.get_lapack_funcs("pocon", (cf[0],))
+    rcond, info = pocon(cf[0], float(np.abs(w).sum(axis=0).max()), uplo="L")
+    if info != 0 or rcond < rcond_min:
+        raise RiccatiBlowUpError(f"W_k singular at t={t}", time=t)
+    return -disc.m1.T @ scipy.linalg.cho_solve(cf, disc.m1), float(rcond)
+
+
+def dense_sweep(model, grid, disc, rcond_min=RCOND_MIN):
+    """Drop-in for quadratic._psi_sweep built on the dense oracle."""
+    for k in range(grid.n, -1, -1):
+        yield (k, *dense_psi(model, grid, k, disc, rcond_min))
+
+
+def random_model(rng, N, d):
+    """Model with indefinite M0 (|C_k|^2 > 1/2), nonzero drift and nonzero rate."""
+    comps = [ExponentialKernel(beta=rng.uniform(0.2, 2.0)), FractionalKernel(rng.uniform(0.1, 0.9))]
+    corr = rng.standard_normal((N, d))
+    corr *= rng.uniform(0.75, 0.95, size=(N, 1)) / np.linalg.norm(corr, axis=1, keepdims=True)
+    return QuadraticModel(
+        kernel=DiagonalKernel(comps[:N]) if N > 1 else comps[1],
+        theta=rng.uniform(-0.8, 0.8, size=(d, N)),
+        eta=np.eye(N) + 0.3 * rng.standard_normal((N, N)),
+        corr=corr,
+        drift=-0.5 * np.eye(N) + 0.2 * rng.standard_normal((N, N)),
+        g0=rng.uniform(0.1, 0.5, size=N),
+        rate=0.03,
+        enforce_psd=False,
+    )
+
+
+def rel_err(got, want):
+    scale = np.max(np.abs(want))
+    return float(np.max(np.abs(got - want)) / (scale if scale > 0.0 else 1.0))
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_recursion_matches_dense_route(self, monkeypatch, N, d, seed):
+        m = random_model(np.random.default_rng(100 * N + 10 * d + seed), N, d)
+        assert m.m0_min_eig < 0.0
+        g = make_grid(0.6, 24)
+        disc = quadratic._discretize(m, g)
+        fast = solve_operator_riccati(m, g)
+        fast_psi = {(k, r): psi_full_matrix(m, g, k, disc, restrict=r)
+                    for k in (0, g.n // 2, g.n) for r in (True, False)}
+        monkeypatch.setattr(quadratic, "_psi_sweep", dense_sweep)
+        dense = solve_operator_riccati(m, g)
+        for (k, r), got in fast_psi.items():
+            assert rel_err(got, psi_full_matrix(m, g, k, disc, restrict=r)) <= 1e-10, (k, r)
+        assert fast.gamma0 == pytest.approx(dense.gamma0, rel=1e-10)
+        for name in ("phi", "p_path", "z2_maps", "premium_profile"):
+            assert rel_err(getattr(fast, name), getattr(dense, name)) <= 1e-10, name
+
+    def test_blow_up_time_matches_dense_route(self, monkeypatch):
+        m = TestBlowUp().blow_model()
+        g = make_grid(2.0, 300)
+        with pytest.raises(RiccatiBlowUpError) as fast:
+            solve_operator_riccati(m, g)
+        monkeypatch.setattr(quadratic, "_psi_sweep", dense_sweep)
+        with pytest.raises(RiccatiBlowUpError) as dense:
+            solve_operator_riccati(m, g)
+        assert fast.value.time == dense.value.time
 
 
 class TestScalarOracle:
