@@ -14,7 +14,6 @@ from .affine import (
     mean_reversion_a_bound,
     optimal_control_affine,
     premium_loading,
-    simulate_V,
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
@@ -64,7 +63,6 @@ from .quadratic import (
     optimal_control_quadratic,
     psi_operator,
     sigma_operator,
-    sigma_tilde_operator,
     solve_operator_riccati,
     two_asset_model,
     wishart_model,

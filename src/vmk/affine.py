@@ -26,7 +26,7 @@ from .errors import (
     InvalidArgumentError,
     RiccatiBlowUpError,
 )
-from .grid import TimeGrid
+from .grid import TimeGrid, g0_nodes
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
 
@@ -81,28 +81,6 @@ class AffineModel:
     @property
     def dim(self) -> int:
         return len(self.kernels)
-
-
-def g0_nodes(model: AffineModel, grid: TimeGrid) -> np.ndarray:
-    """Initial forward variance curve sampled at all n+1 nodes, shape (n+1, d)."""
-    d = model.dim
-    g0 = model.g0
-    t = grid.nodes
-    if callable(g0):
-        out = np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), (d,)) for x in t])
-    else:
-        arr = np.asarray(g0, dtype=float)
-        if arr.ndim == 0:
-            out = np.full((grid.n + 1, d), float(arr))
-        elif arr.shape == (d,):
-            out = np.tile(arr, (grid.n + 1, 1))
-        elif arr.shape == (grid.n + 1, d):
-            out = arr.copy()
-        else:
-            raise InvalidArgumentError(
-                f"g0 must be scalar, callable, shape ({d},) or ({grid.n + 1}, {d}); got {arr.shape}"
-            )
-    return out
 
 
 def _band_diag(model: AffineModel, grid: TimeGrid) -> np.ndarray:
@@ -177,7 +155,7 @@ def theta_condition_check_affine(model: AffineModel, grid: TimeGrid, psi: np.nda
     """
     ap = a_of_p(p, np.diag(model.rho))
     lhs = float(np.max(model.theta**2 + (model.nu**2) * np.max(psi**2, axis=0)))
-    g0 = g0_nodes(model, grid)
+    g0 = g0_nodes(model.g0, grid, model.dim)
     return {
         "lhs": lhs,
         "rhs": float(a / ap),
@@ -208,7 +186,7 @@ def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
         i = np.arange(m + 1, n)
         kd4[i, :, i - m - 1, :] = np.diag(c[m]) @ model.drift
     kd = kd4.reshape(n * d, n * d)
-    g0 = g0_nodes(model, grid)[:-1].reshape(n * d)
+    g0 = g0_nodes(model.g0, grid, model.dim)[:-1].reshape(n * d)
     sol = np.linalg.solve(np.eye(n * d) - kd, g0)
     return sol.reshape(n, d)
 
@@ -223,14 +201,12 @@ def correlate_increments(model: AffineModel, z: np.ndarray) -> Tuple[np.ndarray,
     return db, dw
 
 
-def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray, snapshot_at=None):
+def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     """Evolve the forward variance curve pathwise with full truncation.
 
     dw holds variance-driver increments of shape (P, n, d).  The curve slot
-    k accumulates exactly the increments of cells j < k, so the final array
-    holds the spot path V(t_k) in slot k.  If ``snapshot_at`` is a node
-    index, the adjusted forward curve g_t(s) frozen at that node is also
-    returned.
+    k accumulates exactly the increments of cells j < k, so the returned
+    array (P, n+1, d) holds the spot path V(t_k) in slot k.
 
     Negative excursions of the scheme are truncated at zero inside both
     the drift and the diffusion coefficients.
@@ -241,30 +217,12 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
         raise InvalidArgumentError(f"dw must have shape (P, {n}, {d}), got {dw.shape}")
     c = _band_diag(model, grid)
     dt = grid.dt
-    curve = np.tile(g0_nodes(model, grid)[None, :, :], (P, 1, 1))
-    snap = None
+    curve = np.tile(g0_nodes(model.g0, grid, d)[None, :, :], (P, 1, 1))
     for j in range(n):
-        if snapshot_at is not None and j == snapshot_at:
-            snap = curve.copy()
         vplus = np.maximum(curve[:, j, :], 0.0)
         incr = vplus @ model.drift.T * dt + model.nu[None, :] * np.sqrt(vplus) * dw[:, j, :]
         curve[:, j + 1 :, :] += c[None, : n - j, :] / dt * incr[:, None, :]
-    if snapshot_at is not None and snap is None:
-        snap = curve.copy()
-    return (curve, snap) if snapshot_at is not None else curve
-
-
-def simulate_V(model: AffineModel, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
-    """Spot variance paths of shape (P, n+1, d)."""
-    return simulate_forward_variance(model, grid, dw)
-
-
-def forward_g_affine(model: AffineModel, grid: TimeGrid, dw: np.ndarray, t_index: int) -> np.ndarray:
-    """Adjusted forward variance curves g_{t_k}(s) at node index k, (P, n+1, d)."""
-    if not 0 <= t_index <= grid.n:
-        raise InvalidArgumentError(f"t_index must lie in [0, {grid.n}]")
-    _, snap = simulate_forward_variance(model, grid, dw, snapshot_at=t_index)
-    return snap
+    return curve
 
 
 def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: np.ndarray, t_index: int, bound_tol: float = 1e-8):
@@ -298,8 +256,8 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
     return float(gam[0]) if single else gam
 
 
-def premium_loading(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index: int) -> np.ndarray:
-    """theta_i + rho_i nu_i psi^i(T - t_k) at a node index."""
+def premium_loading(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index) -> np.ndarray:
+    """theta_i + rho_i nu_i psi^i(T - t_k) at a node index, or stacked over an index array."""
     return model.theta + model.rho * model.nu * psi[grid.n - t_index]
 
 
@@ -318,7 +276,7 @@ def optimal_control_affine(model: AffineModel, psi: np.ndarray, grid: TimeGrid, 
 
 def gamma0_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray) -> float:
     """Closed-form Gamma_0 from the initial forward curve (deterministic)."""
-    return float(gamma_affine(model, grid, psi, g0_nodes(model, grid), 0))
+    return float(gamma_affine(model, grid, psi, g0_nodes(model.g0, grid, model.dim), 0))
 
 
 class AffineEvaluator:
@@ -329,10 +287,7 @@ class AffineEvaluator:
         self.grid = grid
         self.psi = solve_riccati_volterra(model, grid) if psi is None else psi
         self.n_factors = 2 * model.dim
-        rev = grid.n - np.arange(grid.n)
-        self.loadings = (
-            model.theta[None, :] + (model.rho * model.nu)[None, :] * self.psi[rev]
-        )
+        self.loadings = premium_loading(model, self.psi, grid, np.arange(grid.n))
 
     def premium_paths(self, z: np.ndarray):
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths)."""

@@ -23,14 +23,14 @@ import numpy as np
 from . import config as cfgmod
 from .affine import (
     AffineEvaluator,
-    g0_nodes,
     gamma0_affine,
     mean_reversion_a_bound,
+    premium_loading,
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
 from .errors import ConfigError, ModelAssumptionError, RiccatiBlowUpError, VmkError
-from .grid import make_grid
+from .grid import g0_nodes, make_grid
 from .markowitz import a_of_p, frontier, integrated_rate, value_v, xi_star
 from .montecarlo import run_mc
 from .quadratic import (
@@ -39,7 +39,6 @@ from .quadratic import (
     contraction_report,
     lambda_max_covariance,
     solve_operator_riccati,
-    volatility_matrix,
 )
 
 
@@ -66,36 +65,37 @@ def _write_csv(path: str, header, rows) -> None:
 def _solve(kind: str, model, grid) -> SimpleNamespace:
     if kind == "affine":
         psi = solve_riccati_volterra(model, grid)
-        return SimpleNamespace(kind=kind, psi=psi, solution=None,
-                               gamma0=gamma0_affine(model, grid, psi))
+        return SimpleNamespace(psi=psi, solution=None, gamma0=gamma0_affine(model, grid, psi))
     sol = solve_operator_riccati(model, grid)
-    return SimpleNamespace(kind=kind, psi=None, solution=sol, gamma0=sol.gamma0)
+    return SimpleNamespace(psi=None, solution=sol, gamma0=sol.gamma0)
 
 
 def _premium_profile(kind: str, model, grid, solved):
-    """Deterministic per-asset premium profile on the nodes, (n+1, d)."""
+    """Deterministic per-asset premium profile on the nodes, (n+1, d), and the state rows."""
     if kind == "affine":
-        rev = grid.n - np.arange(grid.n + 1)
-        loadings = model.theta[None, :] + (model.rho * model.nu)[None, :] * solved.psi[rev]
-        curve = g0_nodes(model, grid)
+        loadings = premium_loading(model, solved.psi, grid, np.arange(grid.n + 1))
+        curve = g0_nodes(model.g0, grid, model.dim)
         return loadings * np.sqrt(np.maximum(curve, 0.0)), curve
     return solved.solution.premium_profile, solved.solution.g0s
 
 
-def _positions_profile(kind: str, model, grid, alpha, curve):
-    """Asset positions matching the amount profile; NaN where undefined."""
+def _positions(kind: str, model, states, alpha):
+    """Asset positions for rows of state and amount; NaN where undefined.
+
+    Affine: alpha / sqrt(V+), NaN where V+ = 0.  Quadratic: the solution of
+    sigma(Y)' pi = alpha, NaN where sigma(Y) is numerically singular or the
+    model has no stock loadings.
+    """
     out = np.full_like(alpha, np.nan)
     if kind == "affine":
-        vol = np.sqrt(np.maximum(curve, 0.0))
+        vol = np.sqrt(np.maximum(states, 0.0))
         np.divide(alpha, vol, out=out, where=vol > 0.0)
-        return out
-    if model.loadings is None:
-        return out
-    for k in range(alpha.shape[0]):
-        try:
-            out[k] = asset_positions(model, curve[k], alpha[k])
-        except VmkError:
-            pass
+    elif model.loadings is not None:
+        for k in range(alpha.shape[0]):
+            try:
+                out[k] = asset_positions(model, states[k], alpha[k])
+            except VmkError:
+                pass
     return out
 
 
@@ -104,43 +104,28 @@ def _strategy_rows(kind: str, model, grid, solved, m_value: float, x0: float):
     xi = xi_star(solved.gamma0, x0, m_value, int_r)
     prem, curve = _premium_profile(kind, model, grid, solved)
     alpha = prem * xi
-    pi = _positions_profile(kind, model, grid, alpha, curve)
+    pi = _positions(kind, model, curve, alpha)
     d = alpha.shape[1]
     header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
     rows = [[grid.nodes[k], *alpha[k], *pi[k]] for k in range(grid.n + 1)]
     return header, rows, alpha
 
 
-def _require_kind(cfg, kind: str, sub: str) -> None:
+def _cmd_solve(cfg, out_dir: str, kind: str) -> None:
     if cfg.model_kind != kind:
-        raise ConfigError(f"subcommand '{sub}' needs a '{kind}' model section, "
+        raise ConfigError(f"subcommand '{kind}-solve' needs a '{kind}' model section, "
                           f"config has '{cfg.model_kind}'")
-
-
-def _cmd_affine_solve(cfg, out_dir: str) -> None:
-    _require_kind(cfg, "affine", "affine-solve")
-    kind, model = cfgmod.build_model(cfg)
+    _, model = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     solved = _solve(kind, model, grid)
-    d = model.dim
-    ric_header = ["t"] + [f"psi_{i + 1}" for i in range(d)]
-    ric_rows = [[grid.nodes[k], *solved.psi[k]] for k in range(grid.n + 1)]
-    s_header, s_rows, _ = _strategy_rows(kind, model, grid, solved,
-                                         cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
-    _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_rows)
-    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, s_rows)
-
-
-def _cmd_quadratic_solve(cfg, out_dir: str) -> None:
-    _require_kind(cfg, "quadratic", "quadratic-solve")
-    kind, model = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
-    solved = _solve(kind, model, grid)
-    sol = solved.solution
-    N = model.n_state
-    ric_header = ["t", "phi", "phidot"] + [f"p_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
-    ric_rows = [[grid.nodes[k], sol.phi[k], sol.phidot[k], *sol.p_path[k].ravel()]
-                for k in range(grid.n + 1)]
+    if kind == "affine":
+        ric_header = ["t"] + [f"psi_{i + 1}" for i in range(model.dim)]
+        ric_rows = [[grid.nodes[k], *solved.psi[k]] for k in range(grid.n + 1)]
+    else:
+        sol, N = solved.solution, model.n_state
+        ric_header = ["t", "phi", "phidot"] + [f"p_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
+        ric_rows = [[grid.nodes[k], sol.phi[k], sol.phidot[k], *sol.p_path[k].ravel()]
+                    for k in range(grid.n + 1)]
     s_header, s_rows, _ = _strategy_rows(kind, model, grid, solved,
                                          cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
     _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_rows)
@@ -202,16 +187,7 @@ def _write_paths_csv(path: str, kind: str, model, grid, kept) -> None:
     rows = []
     for p in range(kept.x.shape[0]):
         pi = np.full((n + 1, d), np.nan)
-        if kind == "affine":
-            vol = np.sqrt(np.maximum(kept.state[p, :n], 0.0))
-            np.divide(kept.alpha[p], vol, out=pi[:n], where=vol > 0.0)
-        elif model.loadings is not None:
-            for k in range(n):
-                try:
-                    sigma = volatility_matrix(model, kept.state[p, k])
-                    pi[k] = np.linalg.solve(sigma.T, kept.alpha[p, k])
-                except (VmkError, np.linalg.LinAlgError):
-                    pass
+        pi[:n] = _positions(kind, model, kept.state[p, :n], kept.alpha[p])
         for k in range(n + 1):
             alpha_k = kept.alpha[p, k] if k < n else np.full(d, np.nan)
             rows.append([p, grid.nodes[k], kept.x[p, k], *alpha_k, *pi[k], *kept.state[p, k]])
@@ -325,10 +301,8 @@ def main(argv=None) -> int:
             _cmd_check(cfg)
             return 0
         os.makedirs(cfg.out_dir, exist_ok=True)
-        if args.command == "affine-solve":
-            _cmd_affine_solve(cfg, cfg.out_dir)
-        elif args.command == "quadratic-solve":
-            _cmd_quadratic_solve(cfg, cfg.out_dir)
+        if args.command in ("affine-solve", "quadratic-solve"):
+            _cmd_solve(cfg, cfg.out_dir, args.command.removesuffix("-solve"))
         elif args.command == "frontier":
             _cmd_frontier(cfg, cfg.out_dir)
         elif args.command == "simulate":

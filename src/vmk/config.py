@@ -43,11 +43,14 @@ def _require_mapping(obj, where: str) -> dict:
 
 
 def _number(value, where: str, cast=float):
-    """cast(value), or a ConfigError naming the key when value is not numeric."""
+    """cast(value), or a ConfigError naming the key when the cast fails.
+
+    It fails on non-numeric values and on infinities cast to integers.
+    """
     try:
         return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{where}' must be numeric, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{where}' must be a finite number, got {value!r}") from None
 
 
 def _array(value, where: str) -> np.ndarray:
@@ -116,10 +119,10 @@ def load_config(path: str) -> SimpleNamespace:
     horizon = _number(grid_sec["T"], "grid.T")
     if not math.isfinite(horizon) or horizon <= 0:
         raise ConfigError(f"'grid.T' must be a positive number, got {grid_sec['T']!r}")
-    n = grid_sec.get("n")
-    if n is None:
-        n = int(round(200 * max(1.0, horizon)))
-    n = _number(n, "grid.n", int)
+    if grid_sec.get("n") is None:
+        n = _number(200 * max(1.0, horizon), "grid.n", round)
+    else:
+        n = _number(grid_sec["n"], "grid.n", int)
     if n < 2:
         raise ConfigError("'grid.n' must be at least 2")
 

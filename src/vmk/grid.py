@@ -57,6 +57,26 @@ def make_grid(horizon: float, n: int) -> TimeGrid:
     return TimeGrid(float(horizon), int(n))
 
 
+def g0_nodes(g0, grid: TimeGrid, dim: int) -> np.ndarray:
+    """Initial curve g0 sampled at all n+1 nodes, shape (n+1, dim).
+
+    g0 is a scalar, a callable of time, a (dim,) vector or an (n+1, dim)
+    table of node values.
+    """
+    if callable(g0):
+        return np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), (dim,)) for x in grid.nodes])
+    arr = np.asarray(g0, dtype=float)
+    if arr.ndim == 0:
+        return np.full((grid.n + 1, dim), float(arr))
+    if arr.shape == (dim,):
+        return np.tile(arr, (grid.n + 1, 1))
+    if arr.shape == (grid.n + 1, dim):
+        return arr.copy()
+    raise InvalidArgumentError(
+        f"g0 must be scalar, callable, shape ({dim},) or ({grid.n + 1}, {dim}); got {arr.shape}"
+    )
+
+
 def check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
     if a.n != b.n or not np.isclose(a.horizon, b.horizon, rtol=1e-12, atol=0.0):
         raise GridMismatchError(

@@ -276,18 +276,6 @@ class TableKernel(Kernel):
         return out
 
 
-def kernel_eval(kernel: Kernel, t: float, s: float) -> np.ndarray:
-    """Pointwise K(t, s).  Refuses singular diagonal points."""
-    return kernel.eval_at(t, s)
-
-
-def kernel_cell_integral(kernel: Kernel, t: float, a: float, b: float) -> np.ndarray:
-    """Exact integral of s -> K(t, s) over the cell [a, b]."""
-    if b < a:
-        raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-    return kernel.cell_integral(t, a, b)
-
-
 def band_coefficients(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """Exact lag-cell integrals c[m] = int_{m dt}^{(m+1) dt} kappa, shape (n, N, N)."""
     if not kernel.is_convolution:

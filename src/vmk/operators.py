@@ -206,11 +206,6 @@ def min_sym_eigenvalue(a: IntegralOperator) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
 
-def max_sym_eigenvalue(a: IntegralOperator) -> float:
-    m = full_matrix(a)
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
-
-
 def kernel_value(a: IntegralOperator, i: int, j: int) -> np.ndarray:
     """Cell-averaged kernel block at (t_i, cell_j)."""
     N = a.dim

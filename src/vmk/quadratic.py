@@ -30,6 +30,7 @@ factorizations.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -46,7 +47,7 @@ from .errors import (
     RiccatiBlowUpError,
     SingularVolatilityError,
 )
-from .grid import TimeGrid
+from .grid import TimeGrid, g0_nodes
 from .kernels import Kernel, band_coefficients, first_arg_columns, folded_cells, kernel_l2_norm_sq
 from .markowitz import rate_nodes, tail_rate_integrals
 from .operators import IntegralOperator, _bd_left, _bd_right, kernel_operator, resolvent
@@ -55,6 +56,10 @@ PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 ODE_CAP = 1e6
 COVARIANCE_DIM_CAP = 2400
+PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# Dense (N n)^2 float arrays alive at once: a, khat, Id - khat, Id and ir at
+# the peak of _discretize, plus the sweep's Psi.
+DENSE_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -134,30 +139,20 @@ class QuadraticModel:
         return self.drift - 2.0 * self.eta @ self.corr @ self.theta
 
 
-def g0_nodes_quadratic(model: QuadraticModel, grid: TimeGrid) -> np.ndarray:
-    """Initial curve sampled at all n+1 nodes, shape (n+1, N)."""
-    N = model.n_state
-    g0 = model.g0
-    if callable(g0):
-        out = np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), (N,)) for x in grid.nodes])
-    else:
-        arr = np.asarray(g0, dtype=float)
-        if arr.ndim == 0:
-            out = np.full((grid.n + 1, N), float(arr))
-        elif arr.shape == (N,):
-            out = np.tile(arr, (grid.n + 1, 1))
-        elif arr.shape == (grid.n + 1, N):
-            out = arr.copy()
-        else:
-            raise InvalidArgumentError(
-                f"g0 must be scalar, callable, shape ({N},) or ({grid.n + 1}, {N}); got {arr.shape}"
-            )
-    return out
-
-
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
-    """Shared dense factors: folded kernel, deflation inverse, premium map."""
+    """Shared dense factors: folded kernel, deflation inverse, premium map.
+
+    Raises MemoryCapError before allocating when the dense solve would not
+    fit in physical memory.
+    """
     n, N = grid.n, model.n_state
+    need = DENSE_ARRAYS * 8 * (n * N) ** 2
+    if need > PHYS_MEM_BYTES:
+        raise MemoryCapError(
+            f"the dense quadratic solve needs about {need} bytes at n = {n}, N = {N}, more "
+            f"than the {PHYS_MEM_BYTES} bytes of physical memory; use a coarser grid",
+            limit=PHYS_MEM_BYTES,
+        )
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
     khat = _bd_right(a, model.f_mat, n)
@@ -223,6 +218,7 @@ def _cveta_columns(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarr
     return (cv @ model.eta).reshape(n * N, N)
 
 
+@dataclass(frozen=True)
 class QuadraticSolution:
     """Per-node operator Riccati data assembled by solve_operator_riccati.
 
@@ -237,23 +233,23 @@ class QuadraticSolution:
         profile evaluated on the initial (deterministic) curve.
     gamma0 : closed-form Gamma_0.
     min_rcond : smallest lambda_min(S_k) met by the backward sweep.
+    disc : the shared dense factors of ``_discretize``.
+    g0s : the initial curve at all n+1 nodes.
     """
 
-    def __init__(self, model, grid, phi, phidot, p_path, z2_maps, z2_det,
-                 premium_profile, gamma0, quad0, min_rcond, disc, g0s):
-        self.model = model
-        self.grid = grid
-        self.phi = phi
-        self.phidot = phidot
-        self.p_path = p_path
-        self.z2_maps = z2_maps
-        self.z2_det = z2_det
-        self.premium_profile = premium_profile
-        self.gamma0 = gamma0
-        self.quad0 = quad0
-        self.min_rcond = min_rcond
-        self.disc = disc
-        self.g0s = g0s
+    model: QuadraticModel
+    grid: TimeGrid
+    phi: np.ndarray
+    phidot: np.ndarray
+    p_path: np.ndarray
+    z2_maps: np.ndarray
+    z2_det: np.ndarray
+    premium_profile: np.ndarray
+    gamma0: float
+    quad0: float
+    min_rcond: float
+    disc: SimpleNamespace
+    g0s: np.ndarray
 
 
 def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: float = RCOND_MIN) -> QuadraticSolution:
@@ -280,7 +276,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
     dt = grid.dt
     disc = _discretize(model, grid)
     rn = rate_nodes(model.rate, grid)
-    g0s = g0_nodes_quadratic(model, grid)
+    g0s = g0_nodes(model.g0, grid, N)
     g0_samples = g0s[:n].reshape(n * N)
     phidot = np.zeros(n + 1)
     p_path = np.zeros((n + 1, N, N))
@@ -333,8 +329,9 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
         else:
             raise InternalConsistencyError(msg)
     return QuadraticSolution(
-        model, grid, phi, phidot, p_path, z2_maps, z2_det, premium_profile,
-        gamma0, quad0, min_rcond, disc, g0s,
+        model=model, grid=grid, phi=phi, phidot=phidot, p_path=p_path, z2_maps=z2_maps,
+        z2_det=z2_det, premium_profile=premium_profile, gamma0=gamma0, quad0=quad0,
+        min_rcond=min_rcond, disc=disc, g0s=g0s,
     )
 
 
@@ -386,13 +383,6 @@ def sigma_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: Simp
     ae[:, : k * N] = 0.0
     kern = _bd_right(ae, model.m0, n) @ ae.T
     return kernel_operator(grid, N, kern)
-
-
-def sigma_tilde_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: SimpleNamespace = None) -> IntegralOperator:
-    """(Id - Khat)^{-1} Sigma_{t_k} (Id - Khat)^{-*} as a pure kernel."""
-    disc = _discretize(model, grid) if disc is None else disc
-    sig = sigma_operator(model, grid, k, disc)
-    return kernel_operator(grid, model.n_state, disc.ir @ sig.kernel @ disc.ir.T)
 
 
 def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray = None) -> np.ndarray:
@@ -535,7 +525,7 @@ class QuadraticEvaluator:
         dt = grid.dt
         db, dw = correlate_drivers_quadratic(model, z)
         P = z.shape[0]
-        band = band_coefficients(model.kernel, grid)
+        band = sol.disc.band
         curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
         lam = np.zeros((P, n, d))
         prem = np.zeros((P, n, d))

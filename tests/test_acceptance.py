@@ -34,7 +34,8 @@ from vmk import (
     wishart_model,
     xi_star,
 )
-from vmk.affine import g0_nodes, gamma_affine
+from vmk.affine import gamma_affine
+from vmk.grid import g0_nodes
 from vmk.markowitz import tail_rate_integrals
 from vmk.operators import IntegralOperator, discretize
 from vmk.quadratic import (
@@ -409,7 +410,7 @@ def test_criterion_10_structural_invariants(capsys):
         grid = make_grid(0.5, 80)
         psi = solve_riccati_volterra(model, grid)
         good = bool(np.all(psi[0] == 0.0))
-        curve = g0_nodes(model, grid)
+        curve = g0_nodes(model.g0, grid, model.dim)
         tails = tail_rate_integrals(model.rate, grid)
         for k in range(grid.n + 1):
             gam = gamma_affine(model, grid, psi, curve, k)

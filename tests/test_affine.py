@@ -17,19 +17,18 @@ from vmk import (
     make_grid,
     mean_forward_variance,
     mean_reversion_a_bound,
-    simulate_V,
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
 from vmk.affine import (
     correlate_increments,
-    g0_nodes,
     gamma_affine,
     optimal_control_affine,
     premium_loading,
     riccati_F,
     simulate_forward_variance,
 )
+from vmk.grid import g0_nodes
 from vmk.montecarlo import simulate_drivers
 
 TANH1 = 0.7615941559557649
@@ -142,7 +141,7 @@ class TestForwardVariance:
         )
         grid = make_grid(1.0, 300)
         dw = np.zeros((1, grid.n, 2))
-        v = simulate_V(model, grid, dw)
+        v = simulate_forward_variance(model, grid, dw)
         ev = mean_forward_variance(model, grid)
         np.testing.assert_allclose(v[0, :-1, :], ev, rtol=1e-10, atol=1e-14)
 
@@ -158,20 +157,10 @@ class TestForwardVariance:
         grid = make_grid(1.0, 64)
         z = simulate_drivers(grid, 2, paths=32, seed=5)
         _, dw = correlate_increments(model, z)
-        v = simulate_V(model, grid, dw)
+        v = simulate_forward_variance(model, grid, dw)
         assert np.all(np.isfinite(v))
         # negative excursions exist but never feed the square root
         assert v.min() < 0.0
-
-    def test_snapshot_freezes_forward_curve(self):
-        model = tanh_model()
-        grid = make_grid(1.0, 40)
-        z = simulate_drivers(grid, 2, paths=3, seed=9)
-        _, dw = correlate_increments(model, z)
-        k = 25
-        curve, snap = simulate_forward_variance(model, grid, dw, snapshot_at=k)
-        np.testing.assert_allclose(snap[:, :k, :], curve[:, :k, :], atol=0.0)
-        assert np.any(snap[:, k + 1 :, :] != curve[:, k + 1 :, :])
 
     def test_increment_correlation_structure(self):
         model = AffineModel(
@@ -206,7 +195,7 @@ class TestGammaAndControls:
         model = tanh_model()
         grid = make_grid(1.0, 100)
         psi = solve_riccati_volterra(model, grid)
-        g = g0_nodes(model, grid)
+        g = g0_nodes(model.g0, grid, model.dim)
         assert gamma_affine(model, grid, psi, g, grid.n) == pytest.approx(1.0)
 
     def test_premium_loading_terminal_is_theta(self):

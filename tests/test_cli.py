@@ -4,9 +4,12 @@ import csv
 import math
 import os
 
+import numpy as np
 import pytest
 
+import vmk.quadratic
 from vmk.cli import main
+from vmk.quadratic import two_asset_model, volatility_matrix
 
 AFFINE_CFG = """\
 grid:
@@ -110,6 +113,15 @@ class TestSolveCommands:
         _, rows = read_csv(out / "riccati.csv")
         assert len(rows) == 41
 
+    def test_dense_solve_over_memory_refused(self, tmp_path, capsys, monkeypatch):
+        limit = 100000  # bytes; the n = 100 solve needs 480000
+        monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
+        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
+        assert main(["quadratic-solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(limit) in err
+        assert not (out / "riccati.csv").exists()
+
     def test_preset_short_horizon_end_to_end(self, tmp_path):
         body = """\
 grid:
@@ -188,6 +200,41 @@ class TestSimulate:
         interior = [r for r in rows if float(r[1]) < 1.0]
         for r in interior:
             assert math.isfinite(float(r[3]))
+
+
+    def test_path_positions_match_strategy(self, tmp_path):
+        y0 = (1.0e-14, 0.3)
+        body = """\
+grid:
+  T: 0.5
+  n: 20
+quadratic:
+  preset: two_asset
+  y0: [1.0e-14, 0.3]
+mc:
+  paths: 8
+  dump_paths: 2
+output:
+  directory: "%s"
+"""
+        cfg, out = write_cfg(tmp_path, body)
+        assert main(["quadratic-solve", "--config", cfg]) == 0
+        assert main(["simulate", "--config", cfg]) == 0
+        _, s_rows = read_csv(out / "strategy.csv")
+        header, p_rows = read_csv(out / "paths.csv")
+        assert header[3:] == ["alpha_1", "alpha_2", "pi_1", "pi_2", "Y_1", "Y_2"]
+        strategy_nan = [math.isnan(float(v)) for v in s_rows[0][3:5]]
+        assert any(strategy_nan)
+        model = two_asset_model(y0=y0)
+        for r in p_rows:
+            t = float(r[1])
+            alpha, pi, y = (np.array([float(v) for v in r[i : i + 2]]) for i in (3, 5, 7))
+            if t == 0.0:
+                assert tuple(y) == y0
+                assert [math.isnan(v) for v in pi] == strategy_nan
+            elif t < 0.5:
+                sigma = volatility_matrix(model, y)
+                np.testing.assert_allclose(sigma.T @ pi, alpha, rtol=1e-10, atol=1e-10)
 
 
 class TestSweep:
@@ -270,6 +317,9 @@ class TestConfigErrors:
         ("g0: 1.0", "g0: high", "quadratic.g0"),
         ("value: 1.0}", "value: x}", "quadratic.kernel.value"),
         ("m: 1.1", "m: [1.1, up]", "markowitz.m"),
+        ("n: 100", "n: .inf", "grid.n"),
+        ("T: 0.5\n  n: 100", "T: 1.0e308", "grid.n"),
+        ("output:", "mc:\n  paths: .inf\noutput:", "mc.paths"),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))
