@@ -53,6 +53,16 @@ def _number(value, where: str, cast=float):
         raise ConfigError(f"'{where}' must be a finite number, got {value!r}") from None
 
 
+def _integer(value, where: str, low: int = None) -> int:
+    """int(value), or a ConfigError naming the key; never truncates."""
+    number = _number(value, where, int)
+    if isinstance(value, float) and value != number:
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    if low is not None and number < low:
+        raise ConfigError(f"'{where}' must be at least {low}, got {value!r}")
+    return number
+
+
 def _array(value, where: str) -> np.ndarray:
     return _number(value, where, lambda v: np.asarray(v, dtype=float))
 
@@ -122,9 +132,7 @@ def load_config(path: str) -> SimpleNamespace:
     if grid_sec.get("n") is None:
         n = _number(200 * max(1.0, horizon), "grid.n", round)
     else:
-        n = _number(grid_sec["n"], "grid.n", int)
-    if n < 2:
-        raise ConfigError("'grid.n' must be at least 2")
+        n = _integer(grid_sec["n"], "grid.n", 2)
 
     has_affine = "affine" in raw
     has_quadratic = "quadratic" in raw
@@ -166,14 +174,12 @@ def load_config(path: str) -> SimpleNamespace:
     mc = _require_mapping(raw.get("mc", {}), "mc")
     _check_keys(mc, _MC_KEYS, "mc")
     mc_ns = SimpleNamespace(
-        paths=_number(mc.get("paths", 10000), "mc.paths", int),
-        seed=_number(mc.get("seed", 0), "mc.seed", int),
+        paths=_integer(mc.get("paths", 10000), "mc.paths", 2),
+        seed=_integer(mc.get("seed", 0), "mc.seed"),
         antithetic=bool(mc.get("antithetic", False)),
-        dump_paths=_number(mc.get("dump_paths", 0), "mc.dump_paths", int),
-        chunk=_number(mc.get("chunk", 4096), "mc.chunk", int),
+        dump_paths=_integer(mc.get("dump_paths", 0), "mc.dump_paths", 0),
+        chunk=_integer(mc.get("chunk", 4096), "mc.chunk", 1),
     )
-    if mc_ns.paths < 2:
-        raise ConfigError("'mc.paths' must be at least 2")
 
     sweep = None
     if "sweep" in raw:
@@ -202,7 +208,7 @@ def load_config(path: str) -> SimpleNamespace:
     check_ns = SimpleNamespace(
         p=_number(chk.get("p", 3.0), "check.p"),
         a=(None if chk.get("a") is None else _number(chk["a"], "check.a")),
-        coarse_n=_number(chk.get("coarse_n", 20), "check.coarse_n", int),
+        coarse_n=_integer(chk.get("coarse_n", 20), "check.coarse_n", 2),
         c=_number(chk.get("c", 1.0), "check.c"),
     )
 

@@ -1,11 +1,16 @@
 """Monte Carlo validation layer.
 
 Drivers are generated per path from a counter-based generator keyed by
-(seed, global path index), so results are bit-for-bit reproducible and
-independent of chunking.  Wealth under the optimal feedback control is
-advanced with the exact exponential step of the induced geometric
-dynamics of the discounted gap, so no additional discretization error
-enters beyond the premium evaluation itself.
+(seed, global path index), so reruns are bit-for-bit reproducible and the
+draws do not depend on chunking.  Affine samples are chunk-invariant bit
+for bit as well; quadratic samples agree across chunk sizes only to
+roundoff, because the quadratic premium is one matrix product per chunk
+and BLAS results depend on the row count.
+
+Wealth under the optimal feedback control is advanced with the exact
+exponential step of the induced geometric dynamics of the discounted gap,
+so no additional discretization error enters beyond the premium
+evaluation itself.
 """
 
 import math
@@ -25,20 +30,25 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
 
     Path p draws from its own Philox stream keyed by (seed, start + p);
     with ``antithetic`` consecutive global indices share a stream and the
-    odd one is negated, so estimators stay chunk-invariant either way.
+    odd one is negated, so the draws are chunk-invariant either way.  One
+    generator is re-keyed per path through its state (counter 0, key
+    (seed, stream), empty buffer), which draws exactly what a fresh
+    ``Generator(Philox(key=[seed, stream]))`` would.
     """
     if paths < 1 or n_factors < 1:
         raise InvalidArgumentError("paths and n_factors must be positive")
     out = np.empty((paths, grid.n, n_factors))
-    root = math.sqrt(grid.dt)
+    bitgen = np.random.Philox(key=[seed, start // 2 if antithetic else start])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for p in range(paths):
         idx = start + p
-        stream = idx // 2 if antithetic else idx
-        gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
-        z = gen.standard_normal((grid.n, n_factors))
+        state["state"]["key"][1] = idx // 2 if antithetic else idx
+        bitgen.state = state
+        gen.standard_normal(out=out[p])
         if antithetic and idx % 2 == 1:
-            z = -z
-        out[p] = root * z
+            np.negative(out[p], out=out[p])
+    out *= math.sqrt(grid.dt)
     return out
 
 
@@ -117,7 +127,9 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
     ``evaluator`` provides n_factors and premium_paths(z) -> (dB, lambda,
-    premium, state paths); chunking does not change any draw.  The first
+    premium, state paths).  Chunking does not change any draw; the samples
+    are bit-for-bit chunk-invariant for the affine evaluator and equal to
+    roundoff for the quadratic one (see the module docstring).  The first
     ``keep_paths`` paths are returned in full (wealth, amounts, state) for
     dumping.
     """
@@ -136,7 +148,9 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
         gamma[done : done + m] = gamma_factors(grid, rate, prem)
         if keep_paths > done:
             take = min(keep_paths, done + m) - done
-            piece = SimpleNamespace(x=w.x[:take], alpha=w.alpha[:take], state=state[:take])
+            # copies, so the kept rows do not pin this chunk's full buffers
+            piece = SimpleNamespace(x=w.x[:take].copy(), alpha=w.alpha[:take].copy(),
+                                    state=state[:take].copy())
             kept = piece if kept is None else SimpleNamespace(
                 x=np.concatenate([kept.x, piece.x]),
                 alpha=np.concatenate([kept.alpha, piece.alpha]),

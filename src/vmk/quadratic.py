@@ -27,6 +27,11 @@ term to the deflating matrix, so one backward sweep of rank-N Woodbury
 updates (the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t)
 gives Psi_t at every node exactly at the discrete level, with only N x N
 factorizations.
+
+Because the state is Gaussian, the state at every node and the risk
+premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
+Monte Carlo evaluator assembles that map once per solution from the same
+discretization and evaluates a chunk of paths as one matrix product.
 """
 
 import math
@@ -60,6 +65,10 @@ PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once: a, khat, Id - khat, Id and ir at
 # the peak of _discretize, plus the sweep's Psi.
 DENSE_ARRAYS = 6
+# While _premium_map runs: the solution's 6 (a, khat, ir, aeta, z2_maps, m1)
+# plus 6 at its peak (y, u, C'Z'A, the premium rows and the 2-array map),
+# counted for d <= N.
+MAP_ARRAYS = 12
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,17 @@ class QuadraticModel:
         return self.drift - 2.0 * self.eta @ self.corr @ self.theta
 
 
+def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
+    """Raise MemoryCapError when ``arrays`` dense (N n)^2 floats exceed physical memory."""
+    need = arrays * 8 * (n * N) ** 2
+    if need > PHYS_MEM_BYTES:
+        raise MemoryCapError(
+            f"{what} needs about {need} bytes at n = {n}, N = {N}, more "
+            f"than the {PHYS_MEM_BYTES} bytes of physical memory; use a coarser grid",
+            limit=PHYS_MEM_BYTES,
+        )
+
+
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     """Shared dense factors: folded kernel, deflation inverse, premium map.
 
@@ -146,13 +166,7 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     fit in physical memory.
     """
     n, N = grid.n, model.n_state
-    need = DENSE_ARRAYS * 8 * (n * N) ** 2
-    if need > PHYS_MEM_BYTES:
-        raise MemoryCapError(
-            f"the dense quadratic solve needs about {need} bytes at n = {n}, N = {N}, more "
-            f"than the {PHYS_MEM_BYTES} bytes of physical memory; use a coarser grid",
-            limit=PHYS_MEM_BYTES,
-        )
+    _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
     khat = _bd_right(a, model.f_mat, n)
@@ -505,38 +519,83 @@ def asset_positions(model: QuadraticModel, y: np.ndarray, alpha: np.ndarray) -> 
     return np.linalg.solve(sig.T, np.asarray(alpha, dtype=float))
 
 
+def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
+    """Affine map (c0, L) with [state | premium] = c0 + dW_flat L.
+
+    dW_flat holds the state driver increments of one path as a row of
+    length N n (node-major).  With u = D Y + eta dW/dt the forward curve
+    at step k is g0 + sum_{j<k} A[:, j] u_j, so
+
+        Y_{:n} = R (g0 + A eta dW/dt),  R = (Id - A D)^{-1},
+        Y_n = g0_n + sum_j band[n-j-1] u_j,
+        premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
+
+    with A = ``disc.a`` and Z_k = ``z2_maps[k]``.  Returns c0 of length
+    (n+1) N + n d and L of shape (N n, (n+1) N + n d); the state columns
+    come first, node-major.
+    """
+    n, N, d = grid.n, model.n_state, model.n_assets
+    nN, dt, disc = n * N, grid.dt, sol.disc
+    # Column 0 is the deterministic state, the others its response to dW/dt.
+    # A D is strictly block lower, so -A D is the strictly lower part of the
+    # unit-lower Id - A D and the solve never reads its diagonal.  The
+    # right-hand side is Fortran-ordered so the solve overwrites it in place.
+    y = np.empty((nN, nN + 1), order="F")
+    y[:, 0] = sol.g0s[:n].reshape(nN)
+    np.divide(disc.aeta, dt, out=y[:, 1:])
+    y = scipy.linalg.solve_triangular(-_bd_right(disc.a, model.drift, n), y, lower=True,
+                                      unit_diagonal=True, overwrite_b=True, check_finite=False)
+    u = _bd_left(model.drift, y, n)
+    u[:, 1:] += np.kron(np.eye(n), model.eta / dt)
+    # rows C' Z_k' A, keeping the blocks j < k: the curve at step k has seen u_j, j < k
+    cza = (sol.z2_maps[:n] @ model.corr).transpose(0, 2, 1).reshape(n * d, nN) @ disc.a
+    cza.reshape(n, d, n, N)[...] *= np.tri(n, k=-1)[:, None, :, None]
+    prem = cza @ u
+    prem *= 2.0
+    prem += _bd_left(model.theta, y, n)
+    prem[:, 0] += (sol.z2_det[:n] @ model.corr).reshape(n * d)  # 2 C' Z_k' g0
+    last = disc.band[::-1].transpose(1, 0, 2).reshape(N, nN) @ u
+    last[:, 0] += sol.g0s[n]
+    c0 = np.concatenate([y[:, 0], last[:, 0], prem[:, 0]])
+    return c0, np.concatenate([y[:, 1:], last[:, 1:], prem[:, 1:]]).T
+
+
 class QuadraticEvaluator:
-    """Pathwise market price of risk and risk premium for the MC layer."""
+    """Pathwise market price of risk and risk premium for the MC layer.
+
+    The state is Gaussian, so the state at every node and the premium
+    Theta Y + C' Z2 at every left node are affine in the state driver
+    increments.  The evaluator builds that map once per solution (see
+    ``_premium_map``); each chunk of paths is then one matrix product.
+
+    Raises MemoryCapError before building the map when its dense
+    temporaries on top of the solution's arrays would not fit in physical
+    memory.
+    """
 
     def __init__(self, model: QuadraticModel, grid: TimeGrid, solution: QuadraticSolution = None):
         self.model = model
         self.grid = grid
         self.solution = solve_operator_riccati(model, grid) if solution is None else solution
         self.n_factors = model.n_assets + model.n_state
+        _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n, model.n_state)
+        self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
     def premium_paths(self, z: np.ndarray):
         """Raw increments (P, n, d+N) -> (dB, lambda, premium, state paths).
 
-        Steps the forward curve and reads off lambda = Theta Y and the
-        premium Theta Y + C' Z2 at every left node.
+        Correlates the drivers, applies the premium map in one matrix
+        product and reads lambda = Theta Y off the state at the left nodes.
         """
-        model, grid, sol = self.model, self.grid, self.solution
-        n, N, d = grid.n, model.n_state, model.n_assets
-        dt = grid.dt
+        model, n, N = self.model, self.grid.n, self.model.n_state
         db, dw = correlate_drivers_quadratic(model, z)
         P = z.shape[0]
-        band = sol.disc.band
-        curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
-        lam = np.zeros((P, n, d))
-        prem = np.zeros((P, n, d))
-        for k in range(n):
-            yk = curve[:, k, :]
-            z2 = 2.0 * curve[:, :n, :].reshape(P, n * N) @ sol.z2_maps[k]
-            lam[:, k, :] = yk @ model.theta.T
-            prem[:, k, :] = lam[:, k, :] + z2 @ model.corr
-            incr = yk @ model.drift.T * dt + dw[:, k, :] @ model.eta.T
-            curve[:, k + 1 :, :] += np.einsum("mab,pb->pma", band[: n - k], incr) / dt
-        return db, lam, prem, curve
+        out = dw.reshape(P, n * N) @ self.lmap
+        out += self.c0
+        state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
+        prem = out[:, (n + 1) * N :].reshape(P, n, model.n_assets)
+        lam = state[:, :n] @ model.theta.T
+        return db, lam, prem, state
 
 
 def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, n: int, cap: float = ODE_CAP):

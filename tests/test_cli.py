@@ -201,6 +201,17 @@ class TestSimulate:
         for r in interior:
             assert math.isfinite(float(r[3]))
 
+    def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
+        limit = 700000  # bytes; the n = 100 solve needs 480000, the premium map 960000
+        monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.quadratic, "_premium_map", lambda *a: pytest.fail("map built over the limit"))
+        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG + "mc:\n  paths: 10\n")
+        assert main(["quadratic-solve", "--config", cfg]) == 0
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "premium map" in err and str(limit) in err
+        assert not (out / "mc.csv").exists()
+
 
     def test_path_positions_match_strategy(self, tmp_path):
         y0 = (1.0e-14, 0.3)
@@ -320,6 +331,14 @@ class TestConfigErrors:
         ("n: 100", "n: .inf", "grid.n"),
         ("T: 0.5\n  n: 100", "T: 1.0e308", "grid.n"),
         ("output:", "mc:\n  paths: .inf\noutput:", "mc.paths"),
+        ("n: 100", "n: 100.5", "grid.n"),
+        ("output:", "mc:\n  paths: 4.9\noutput:", "mc.paths"),
+        ("output:", "mc:\n  seed: 0.5\noutput:", "mc.seed"),
+        ("output:", "mc:\n  chunk: 2.5\noutput:", "mc.chunk"),
+        ("output:", "mc:\n  dump_paths: 1.5\noutput:", "mc.dump_paths"),
+        ("output:", "check:\n  coarse_n: 20.5\noutput:", "check.coarse_n"),
+        ("output:", "mc:\n  dump_paths: -3\noutput:", "mc.dump_paths"),
+        ("output:", "mc:\n  chunk: 0\noutput:", "mc.chunk"),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))

@@ -9,7 +9,10 @@ from vmk import (
     AffineEvaluator,
     AffineModel,
     ConstantKernel,
+    FractionalKernel,
     InvalidArgumentError,
+    QuadraticEvaluator,
+    QuadraticModel,
     make_grid,
     mc_stats,
     run_mc,
@@ -62,6 +65,19 @@ class TestDrivers:
         z = simulate_drivers(g, 2, paths=6, seed=1, antithetic=True)
         for i in range(0, 6, 2):
             np.testing.assert_array_equal(z[i + 1], -z[i])
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("start", [0, 1, 6, 13])
+    def test_matches_a_fresh_generator_per_path(self, start, antithetic):
+        g = make_grid(1.0, 16)
+        z = simulate_drivers(g, 3, paths=9, seed=5, antithetic=antithetic, start=start)
+        for p in range(9):
+            idx = start + p
+            gen = np.random.Generator(np.random.Philox(key=[5, idx // 2 if antithetic else idx]))
+            want = math.sqrt(g.dt) * gen.standard_normal((16, 3))
+            if antithetic and idx % 2 == 1:
+                want = -want
+            np.testing.assert_array_equal(z[p], want)
 
     def test_increment_scaling(self):
         g = make_grid(2.0, 32)
@@ -128,6 +144,18 @@ class TestRunMC:
         np.testing.assert_array_equal(a.gamma_samples, b.gamma_samples)
         assert a.wealth.mean == b.wealth.mean
         assert a.gamma.se_mean == b.gamma.se_mean
+
+    def test_quadratic_chunking_agrees_to_roundoff(self):
+        # one matrix product per chunk: BLAS sums depend on the row count
+        model = QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
+                               drift=-0.3, g0=0.3)
+        g = make_grid(0.5, 20)
+        ev = QuadraticEvaluator(model, g)
+        a = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=7, keep_paths=10)
+        b = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=4096, keep_paths=10)
+        np.testing.assert_allclose(a.terminal, b.terminal, rtol=1e-12)
+        np.testing.assert_allclose(a.gamma_samples, b.gamma_samples, rtol=1e-12)
+        np.testing.assert_allclose(a.kept.state, b.kept.state, rtol=1e-12)
 
     def test_kept_paths_cover_requested_prefix(self):
         model = risky_model()

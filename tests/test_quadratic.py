@@ -24,6 +24,7 @@ from vmk import (
     optimal_control_quadratic,
     psi_operator,
     sigma_operator,
+    simulate_drivers,
     solve_operator_riccati,
     two_asset_model,
     wishart_model,
@@ -146,6 +147,50 @@ class TestDenseOracle:
         with pytest.raises(RiccatiBlowUpError) as dense:
             solve_operator_riccati(m, g)
         assert fast.value.time == dense.value.time
+
+
+def stepper_premium_paths(ev, z):
+    """Oracle: the n-step forward-curve stepper that the premium map replaced.
+
+    At step k the curve holds Y_j for j <= k and the forward curve beyond;
+    it reads lambda = Theta Y_k and the premium Theta Y_k + C' Z2_k, then
+    adds the band response to u_k = D Y_k + eta dW_k/dt to later slots.
+    """
+    model, grid, sol = ev.model, ev.grid, ev.solution
+    n, N, d = grid.n, model.n_state, model.n_assets
+    dt = grid.dt
+    db, dw = quadratic.correlate_drivers_quadratic(model, z)
+    P = z.shape[0]
+    band = sol.disc.band
+    curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
+    lam = np.zeros((P, n, d))
+    prem = np.zeros((P, n, d))
+    for k in range(n):
+        yk = curve[:, k, :]
+        z2 = 2.0 * curve[:, :n, :].reshape(P, n * N) @ sol.z2_maps[k]
+        lam[:, k, :] = yk @ model.theta.T
+        prem[:, k, :] = lam[:, k, :] + z2 @ model.corr
+        incr = yk @ model.drift.T * dt + dw[:, k, :] @ model.eta.T
+        curve[:, k + 1 :, :] += np.einsum("mab,pb->pma", band[: n - k], incr) / dt
+    return db, lam, prem, curve
+
+
+class TestPremiumMapOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_map_matches_stepper(self, N, d, seed):
+        m = random_model(np.random.default_rng(200 + 100 * N + 10 * d + seed), N, d)
+        assert m.m0_min_eig < 0.0 and np.any(m.drift != 0.0) and m.rate != 0.0
+        g = make_grid(0.6, 24)
+        ev = quadratic.QuadraticEvaluator(m, g)
+        z = simulate_drivers(g, ev.n_factors, 64, seed)
+        got = ev.premium_paths(z)
+        want = stepper_premium_paths(ev, z)
+        assert got[3].shape == (64, g.n + 1, N)
+        for name, a, b in zip(("db", "lam", "prem", "state"), got, want):
+            assert a.shape == b.shape, name
+            assert rel_err(a, b) <= 1e-10, name
 
 
 class TestScalarOracle:
