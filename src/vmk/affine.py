@@ -31,6 +31,9 @@ from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
 
 RICCATI_CAP = 1e6
+# Slots per block of the forward-variance stepper; keeps one block of the
+# curve in cache while earlier steps are added to it.
+_SLOT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -206,23 +209,53 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
 
     dw holds variance-driver increments of shape (P, n, d).  The curve slot
     k accumulates exactly the increments of cells j < k, so the returned
-    array (P, n+1, d) holds the spot path V(t_k) in slot k.
+    array (P, n+1, d) holds the spot path V(t_k) in slot k:
 
-    Negative excursions of the scheme are truncated at zero inside both
-    the drift and the diffusion coefficients.
+        V_k = g0_k + w_{k-1} u_0 + w_{k-2} u_1 + ... + w_0 u_{k-1},
+        u_j = (D V_j^+) dt + nu sqrt(V_j^+) dW_j,   w = c / dt,
+
+    with c the per-component lag-cell integrals of the kernels.  Negative
+    excursions of the scheme are truncated at zero inside both the drift
+    and the diffusion coefficients; the drift product D V^+ is summed over
+    the columns of D in a fixed order, so no row count changes its value.
+
+    The slots are filled slot-major in blocks of ``_SLOT_BLOCK`` (16): a block
+    first adds the terms of every earlier step j in ascending j, then steps
+    its own slots one by one, adding each new u_j to the rest of the block.
+    Every slot still sums g0_k and then the products w_{k-1-j} u_j in
+    ascending j, so the result does not depend on the block size or on P.
+    The cost is the same P n^2 d / 2 multiply-adds as stepping the whole
+    curve, but each pass touches one block of P B d values instead of the
+    full (P, n+1, d) curve.
     """
     P = dw.shape[0]
     n, d = grid.n, model.dim
     if dw.shape != (P, n, d):
         raise InvalidArgumentError(f"dw must have shape (P, {n}, {d}), got {dw.shape}")
-    c = _band_diag(model, grid)
     dt = grid.dt
-    curve = np.tile(g0_nodes(model.g0, grid, d)[None, :, :], (P, 1, 1))
-    for j in range(n):
-        vplus = np.maximum(curve[:, j, :], 0.0)
-        incr = vplus @ model.drift.T * dt + model.nu[None, :] * np.sqrt(vplus) * dw[:, j, :]
-        curve[:, j + 1 :, :] += c[None, : n - j, :] / dt * incr[:, None, :]
-    return curve
+    w = (_band_diag(model, grid) / dt)[:, :, None]
+    nu = model.nu[:, None]
+    drift = model.drift[:, :, None]
+    # slot-major drivers; step j overwrites dW_j with its increment u_j
+    u = dw.transpose(1, 2, 0).copy()
+    v = np.repeat(g0_nodes(model.g0, grid, d)[:, :, None], P, axis=2)
+    tmp = np.empty((_SLOT_BLOCK, d, P))
+    for k0 in range(0, n + 1, _SLOT_BLOCK):
+        k1 = min(k0 + _SLOT_BLOCK, n + 1)
+        blk = v[k0:k1]
+        t = tmp[: k1 - k0]
+        for j in range(k0):
+            np.multiply(w[k0 - 1 - j : k1 - 1 - j], u[j], out=t)
+            np.add(blk, t, out=blk)
+        for j in range(k0, min(k1, n)):
+            vplus = np.maximum(v[j], 0.0)
+            lin = drift[:, 0] * vplus[0]
+            for i in range(1, d):
+                lin += drift[:, i] * vplus[i]
+            u[j] = lin * dt + nu * np.sqrt(vplus) * u[j]
+            rest = v[j + 1 : k1]
+            rest += w[: k1 - 1 - j] * u[j]
+    return v.transpose(2, 0, 1)
 
 
 def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: np.ndarray, t_index: int, bound_tol: float = 1e-8):
@@ -293,7 +326,9 @@ class AffineEvaluator:
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths)."""
         db, dw = correlate_increments(self.model, z)
         v = simulate_forward_variance(self.model, self.grid, dw)
-        sqv = np.sqrt(np.maximum(v[:, : self.grid.n, :], 0.0))
+        # path-major like the drivers, so the per-path sums downstream do
+        # not depend on the stepper's slot-major layout
+        sqv = np.sqrt(np.maximum(v[:, : self.grid.n, :], 0.0, order="C"))
         lam = self.model.theta[None, None, :] * sqv
         prem = self.loadings[None, :, :] * sqv
         return db, lam, prem, v

@@ -107,7 +107,8 @@ def _strategy_rows(kind: str, model, grid, solved, m_value: float, x0: float):
     pi = _positions(kind, model, curve, alpha)
     d = alpha.shape[1]
     header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
-    rows = [[grid.nodes[k], *alpha[k], *pi[k]] for k in range(grid.n + 1)]
+    nodes = grid.nodes
+    rows = [[nodes[k], *alpha[k], *pi[k]] for k in range(grid.n + 1)]
     return header, rows, alpha
 
 
@@ -118,13 +119,14 @@ def _cmd_solve(cfg, out_dir: str, kind: str) -> None:
     _, model = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     solved = _solve(kind, model, grid)
+    nodes = grid.nodes
     if kind == "affine":
         ric_header = ["t"] + [f"psi_{i + 1}" for i in range(model.dim)]
-        ric_rows = [[grid.nodes[k], *solved.psi[k]] for k in range(grid.n + 1)]
+        ric_rows = [[nodes[k], *solved.psi[k]] for k in range(grid.n + 1)]
     else:
         sol, N = solved.solution, model.n_state
         ric_header = ["t", "phi", "phidot"] + [f"p_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
-        ric_rows = [[grid.nodes[k], sol.phi[k], sol.phidot[k], *sol.p_path[k].ravel()]
+        ric_rows = [[nodes[k], sol.phi[k], sol.phidot[k], *sol.p_path[k].ravel()]
                     for k in range(grid.n + 1)]
     s_header, s_rows, _ = _strategy_rows(kind, model, grid, solved,
                                          cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
@@ -184,13 +186,14 @@ def _write_paths_csv(path: str, kind: str, model, grid, kept) -> None:
               + [f"alpha_{i + 1}" for i in range(d)]
               + [f"pi_{i + 1}" for i in range(d)]
               + [f"Y_{j + 1}" for j in range(n_state)])
+    nodes = grid.nodes
     rows = []
     for p in range(kept.x.shape[0]):
         pi = np.full((n + 1, d), np.nan)
         pi[:n] = _positions(kind, model, kept.state[p, :n], kept.alpha[p])
         for k in range(n + 1):
             alpha_k = kept.alpha[p, k] if k < n else np.full(d, np.nan)
-            rows.append([p, grid.nodes[k], kept.x[p, k], *alpha_k, *pi[k], *kept.state[p, k]])
+            rows.append([p, nodes[k], kept.x[p, k], *alpha_k, *pi[k], *kept.state[p, k]])
     _write_csv(path, header, rows)
 
 
@@ -211,9 +214,10 @@ def _cmd_sweep(cfg, out_dir: str) -> None:
         solved = _solve(cfg.model_kind, model, grid)
         _, _, alpha = _strategy_rows(cfg.model_kind, model, grid, solved,
                                      cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
+        nodes = grid.nodes
         for j in range(alpha.shape[1]):
             for k in range(grid.n + 1):
-                rows.append([param, value, j + 1, grid.nodes[k], alpha[k, j]])
+                rows.append([param, value, j + 1, nodes[k], alpha[k, j]])
     _write_csv(os.path.join(out_dir, "sweep.csv"),
                ["parameter", "value", "asset", "t", "alpha"], rows)
 
@@ -288,9 +292,9 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
-            cfg.mc.seed = args.seed
+            cfg.mc.seed = cfgmod.mc_seed(args.seed, "--seed")
         if args.paths is not None:
-            cfg.mc.paths = args.paths
+            cfg.mc.paths = cfgmod.mc_paths(args.paths, "--paths")
         if args.grid_n is not None:
             if args.grid_n < 2:
                 raise ConfigError("--grid-n must be at least 2")

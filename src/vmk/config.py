@@ -53,14 +53,26 @@ def _number(value, where: str, cast=float):
         raise ConfigError(f"'{where}' must be a finite number, got {value!r}") from None
 
 
-def _integer(value, where: str, low: int = None) -> int:
-    """int(value), or a ConfigError naming the key; never truncates."""
+def _integer(value, where: str, low: int = None, high: int = None) -> int:
+    """int(value) in [low, high], or a ConfigError naming the key; never truncates."""
     number = _number(value, where, int)
     if isinstance(value, float) and value != number:
         raise ConfigError(f"'{where}' must be an integer, got {value!r}")
     if low is not None and number < low:
         raise ConfigError(f"'{where}' must be at least {low}, got {value!r}")
+    if high is not None and number > high:
+        raise ConfigError(f"'{where}' must be at most {high}, got {value!r}")
     return number
+
+
+def mc_paths(value, where: str = "mc.paths") -> int:
+    """Monte Carlo path count, at least 2 (the sample variance needs two)."""
+    return _integer(value, where, 2)
+
+
+def mc_seed(value, where: str = "mc.seed") -> int:
+    """Monte Carlo seed: an integer key that np.random.Philox accepts, [-2^63, 2^64)."""
+    return _integer(value, where, -(2**63), 2**64 - 1)
 
 
 def _array(value, where: str) -> np.ndarray:
@@ -174,8 +186,8 @@ def load_config(path: str) -> SimpleNamespace:
     mc = _require_mapping(raw.get("mc", {}), "mc")
     _check_keys(mc, _MC_KEYS, "mc")
     mc_ns = SimpleNamespace(
-        paths=_integer(mc.get("paths", 10000), "mc.paths", 2),
-        seed=_integer(mc.get("seed", 0), "mc.seed"),
+        paths=mc_paths(mc.get("paths", 10000)),
+        seed=mc_seed(mc.get("seed", 0)),
         antithetic=bool(mc.get("antithetic", False)),
         dump_paths=_integer(mc.get("dump_paths", 0), "mc.dump_paths", 0),
         chunk=_integer(mc.get("chunk", 4096), "mc.chunk", 1),

@@ -333,9 +333,9 @@ def first_arg_columns(kernel: Kernel, grid: TimeGrid, k: int, band=None) -> np.n
         c = band_coefficients(kernel, grid) if band is None else band
         out[k:] = c[: n - k]
     else:
-        tk = grid.nodes[k]
+        nodes = grid.nodes
         for i in range(n):
-            out[i] = kernel.cell_integral_first(grid.nodes[i], grid.nodes[i + 1], tk)
+            out[i] = kernel.cell_integral_first(nodes[i], nodes[i + 1], nodes[k])
     return out.reshape(n * N, N)
 
 

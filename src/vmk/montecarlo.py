@@ -3,9 +3,10 @@
 Drivers are generated per path from a counter-based generator keyed by
 (seed, global path index), so reruns are bit-for-bit reproducible and the
 draws do not depend on chunking.  Affine samples are chunk-invariant bit
-for bit as well; quadratic samples agree across chunk sizes only to
-roundoff, because the quadratic premium is one matrix product per chunk
-and BLAS results depend on the row count.
+for bit as well, for any chunk size and number of factors; quadratic
+samples agree across chunk sizes only to roundoff, because the quadratic
+premium is one matrix product per chunk and BLAS results depend on the
+row count.
 
 Wealth under the optimal feedback control is advanced with the exact
 exponential step of the induced geometric dynamics of the discounted gap,
@@ -33,12 +34,16 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
     odd one is negated, so the draws are chunk-invariant either way.  One
     generator is re-keyed per path through its state (counter 0, key
     (seed, stream), empty buffer), which draws exactly what a fresh
-    ``Generator(Philox(key=[seed, stream]))`` would.
+    ``Generator(Philox(key=[seed, stream]))`` would.  The key is built as
+    uint64 from seed mod 2^64, never through float64, so no seed below 2^64
+    is rounded onto another seed's key; a negative seed names the stream of
+    seed + 2^64.
     """
     if paths < 1 or n_factors < 1:
         raise InvalidArgumentError("paths and n_factors must be positive")
     out = np.empty((paths, grid.n, n_factors))
-    bitgen = np.random.Philox(key=[seed, start // 2 if antithetic else start])
+    key = np.array([seed % 2**64, start // 2 if antithetic else start], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     for p in range(paths):

@@ -21,6 +21,7 @@ from vmk import (
     theta_condition_check_affine,
 )
 from vmk.affine import (
+    _band_diag,
     correlate_increments,
     gamma_affine,
     optimal_control_affine,
@@ -178,6 +179,62 @@ class TestForwardVariance:
         for i, rho in enumerate((-0.6, 0.2)):
             want = rho * z[:, :, i] + math.sqrt(1.0 - rho * rho) * z[:, :, 2 + i]
             np.testing.assert_allclose(dw[:, :, i], want, rtol=1e-15)
+
+
+def stepper_forward_variance(model, grid, dw):
+    """Oracle: the whole-curve stepper that the slot-blocked one replaced.
+
+    Step j adds c/dt times its increment u_j to every later slot of the
+    full (P, n+1, d) curve.
+    """
+    P = dw.shape[0]
+    n, d = grid.n, model.dim
+    c = _band_diag(model, grid)
+    dt = grid.dt
+    curve = np.tile(g0_nodes(model.g0, grid, d)[None, :, :], (P, 1, 1))
+    for j in range(n):
+        vplus = np.maximum(curve[:, j, :], 0.0)
+        incr = vplus @ model.drift.T * dt + model.nu[None, :] * np.sqrt(vplus) * dw[:, j, :]
+        curve[:, j + 1 :, :] += c[None, : n - j, :] / dt * incr[:, None, :]
+    return curve
+
+
+def oracle_case(model, n, paths, seed):
+    grid = make_grid(1.0, n)
+    _, dw = correlate_increments(model, simulate_drivers(grid, 2 * model.dim, paths, seed))
+    return simulate_forward_variance(model, grid, dw), stepper_forward_variance(model, grid, dw)
+
+
+class TestStepperOracle:
+    TRUNCATING = AffineModel(kernels=(FractionalKernel(0.25),), drift=np.array([[-1.0]]),
+                             nu=1.5, rho=-0.5, theta=0.8, g0=0.04)
+    CURVED = AffineModel(kernels=(ExponentialKernel(beta=2.0),), drift=-0.3, nu=0.5,
+                         rho=0.3, theta=0.8, g0=lambda t: 0.1 + 0.05 * t)
+
+    # n on and off the slot-block edge of 16
+    @pytest.mark.parametrize("n", [15, 16, 17, 33])
+    @pytest.mark.parametrize("paths", [1, 5, 64])
+    @pytest.mark.parametrize("which", ["TRUNCATING", "CURVED"])
+    def test_one_factor_bit_identical(self, which, n, paths):
+        got, want = oracle_case(getattr(self, which), n, paths, seed=n + paths)
+        assert got.shape == (paths, n + 1, 1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_oracle_cases_truncate(self):
+        got, _ = oracle_case(self.TRUNCATING, 33, 64, seed=97)
+        assert got.min() < 0.0
+
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_two_factor_to_roundoff(self, n):
+        # the drift product is a fixed-order column sum, not BLAS: last-bit moves
+        model = AffineModel(
+            kernels=(ExponentialKernel(beta=2.0), FractionalKernel(0.75)),
+            drift=np.array([[-1.0, 0.3], [0.2, -0.5]]),
+            nu=[0.2, 0.1], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
+        )
+        got, want = oracle_case(model, n, 64, seed=n)
+        assert want.min() > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestGammaAndControls:

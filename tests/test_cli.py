@@ -339,6 +339,9 @@ class TestConfigErrors:
         ("output:", "check:\n  coarse_n: 20.5\noutput:", "check.coarse_n"),
         ("output:", "mc:\n  dump_paths: -3\noutput:", "mc.dump_paths"),
         ("output:", "mc:\n  chunk: 0\noutput:", "mc.chunk"),
+        ("output:", "mc:\n  seed: 1.0e+30\noutput:", "mc.seed"),
+        ("output:", "mc:\n  seed: 18446744073709551616\noutput:", "mc.seed"),
+        ("output:", "mc:\n  seed: -9223372036854775809\noutput:", "mc.seed"),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))
@@ -346,3 +349,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "error:" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--paths", "-5"),
+        ("--paths", "1"),
+        ("--seed", "18446744073709551616"),
+        ("--seed", "-9223372036854775809"),
+    ])
+    def test_bad_mc_flag_named(self, tmp_path, capsys, flag, value):
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG)
+        assert main(["simulate", "--config", cfg, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["18446744073709551615", "-9223372036854775808"])
+    def test_seed_range_ends_run(self, tmp_path, seed):
+        body = AFFINE_CFG.replace("n: 200", "n: 10")
+        cfg, out = write_cfg(tmp_path, body)
+        assert main(["simulate", "--config", cfg, "--seed", seed, "--paths", "4"]) == 0
+        _, rows = read_csv(out / "mc.csv")
+        assert dict((r[0], r[1]) for r in rows)["seed"] == seed

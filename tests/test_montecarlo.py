@@ -9,6 +9,7 @@ from vmk import (
     AffineEvaluator,
     AffineModel,
     ConstantKernel,
+    ExponentialKernel,
     FractionalKernel,
     InvalidArgumentError,
     QuadraticEvaluator,
@@ -53,6 +54,17 @@ class TestDrivers:
         np.testing.assert_array_equal(a, b)
         c = simulate_drivers(g, 3, paths=8, seed=43)
         assert np.any(a != c)
+
+    def test_large_seeds_key_their_own_streams(self):
+        # seeds past 2^63 must not round through float64 onto other keys
+        g = make_grid(1.0, 4)
+        draws = {s: simulate_drivers(g, 1, paths=2, seed=s)
+                 for s in (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)}
+        seeds = list(draws)
+        for i, a in enumerate(seeds):
+            for b in seeds[i + 1:]:
+                assert np.any(draws[a] != draws[b]), (a, b)
+        np.testing.assert_array_equal(simulate_drivers(g, 1, paths=2, seed=-1), draws[2**64 - 1])
 
     def test_start_offset_addresses_paths_not_draws(self):
         g = make_grid(1.0, 16)
@@ -144,6 +156,20 @@ class TestRunMC:
         np.testing.assert_array_equal(a.gamma_samples, b.gamma_samples)
         assert a.wealth.mean == b.wealth.mean
         assert a.gamma.se_mean == b.gamma.se_mean
+
+    def test_two_factor_one_row_chunks_are_bit_identical(self):
+        # a one-row chunk once took another BLAS route for the drift product
+        model = AffineModel(
+            kernels=(ExponentialKernel(beta=2.0), FractionalKernel(0.75)),
+            drift=np.array([[-1.0, 0.3], [0.2, -0.5]]),
+            nu=[0.4, 0.3], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
+        )
+        ev = AffineEvaluator(model, make_grid(0.5, 20))
+        a = run_mc(ev, paths=777, seed=3, x0=1.0, xi_star_val=1.8, chunk=1, keep_paths=5)
+        b = run_mc(ev, paths=777, seed=3, x0=1.0, xi_star_val=1.8, chunk=4096, keep_paths=5)
+        np.testing.assert_array_equal(a.terminal, b.terminal)
+        np.testing.assert_array_equal(a.gamma_samples, b.gamma_samples)
+        np.testing.assert_array_equal(a.kept.state, b.kept.state)
 
     def test_quadratic_chunking_agrees_to_roundoff(self):
         # one matrix product per chunk: BLAS sums depend on the row count
