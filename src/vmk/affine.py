@@ -27,10 +27,12 @@ from .errors import (
     RiccatiBlowUpError,
 )
 from .grid import TimeGrid, g0_nodes
-from .kernels import Kernel, band_coefficients
+from .kernels import DiagonalKernel, Kernel, band_coefficients, folded_cells
 from .markowitz import a_of_p, tail_rate_integrals
+from .operators import _volterra_solve
 
 RICCATI_CAP = 1e6
+GAMMA_BOUND_TOL = 1e-8
 # Slots per block of the forward-variance stepper; keeps one block of the
 # curve in cache while earlier steps are added to it.
 _SLOT_BLOCK = 16
@@ -112,7 +114,7 @@ def riccati_F(model: AffineModel, psi: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_riccati_volterra(model: AffineModel, grid: TimeGrid, cap: float = RICCATI_CAP) -> np.ndarray:
+def solve_riccati_volterra(model: AffineModel, grid: TimeGrid) -> np.ndarray:
     """Solve psi^i(t) = int_0^t K_i(t-s) F_i(psi(s)) ds on the grid nodes.
 
     Product predictor-corrector scheme: the kernel is integrated exactly
@@ -128,7 +130,7 @@ def solve_riccati_volterra(model: AffineModel, grid: TimeGrid, cap: float = RICC
     Raises
     ------
     RiccatiBlowUpError
-        If |psi| exceeds ``cap`` before the horizon, carrying the first
+        If |psi| exceeds ``RICCATI_CAP`` before the horizon, carrying the first
         grid time at which the cap was crossed.
     """
     n = grid.n
@@ -142,9 +144,9 @@ def solve_riccati_volterra(model: AffineModel, grid: TimeGrid, cap: float = RICC
         fpred = riccati_F(model, pred)
         psi[k] = base + c[0] * 0.5 * (fvals[k - 1] + fpred)
         fvals[k] = riccati_F(model, psi[k])
-        if not np.all(np.isfinite(psi[k])) or np.max(np.abs(psi[k])) > cap:
+        if not np.all(np.isfinite(psi[k])) or np.max(np.abs(psi[k])) > RICCATI_CAP:
             raise RiccatiBlowUpError(
-                f"Riccati-Volterra solution exceeded cap {cap:.1e} at t={grid.nodes[k]:.6g}",
+                f"Riccati-Volterra solution exceeded cap {RICCATI_CAP:.1e} at t={grid.nodes[k]:.6g}",
                 time=float(grid.nodes[k]),
             )
     return psi
@@ -179,19 +181,13 @@ def mean_reversion_a_bound(kappa: float, nu: float) -> float:
 def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
     """Expected variance path solving E V = g0 + (K D) E V, shape (n, d).
 
-    Solved densely against the cell-integral discretization; serves as an
-    independent cross-check of the pathwise scheme's mean.
+    One triangular resolvent solve on the cell-integral discretization;
+    serves as an independent cross-check of the pathwise scheme's mean.
     """
     n, d = grid.n, model.dim
-    c = _band_diag(model, grid)
-    kd4 = np.zeros((n, d, n, d))
-    for m in range(n - 1):
-        i = np.arange(m + 1, n)
-        kd4[i, :, i - m - 1, :] = np.diag(c[m]) @ model.drift
-    kd = kd4.reshape(n * d, n * d)
-    g0 = g0_nodes(model.g0, grid, model.dim)[:-1].reshape(n * d)
-    sol = np.linalg.solve(np.eye(n * d) - kd, g0)
-    return sol.reshape(n, d)
+    a = folded_cells(DiagonalKernel(model.kernels), grid)
+    g0 = g0_nodes(model.g0, grid, d)[:-1].reshape(n * d)
+    return _volterra_solve(a, model.drift, g0, n).reshape(n, d)
 
 
 def correlate_increments(model: AffineModel, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,7 +254,7 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     return v.transpose(2, 0, 1)
 
 
-def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: np.ndarray, t_index: int, bound_tol: float = 1e-8):
+def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: np.ndarray, t_index: int):
     """Exponential functional Gamma_t from psi and forward curves.
 
     g_curve has shape (n+1, d) or (P, n+1, d).  Computes
@@ -266,7 +262,7 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
         Gamma_t = exp(2 int_t^T r + sum_i int_t^T F_i(psi(T-s)) g_t^i(s) ds)
 
     with the left rule on [t, T] and verifies the structural bound
-    0 < Gamma_t <= e^{2 int_t^T r} up to ``bound_tol`` relative slack.
+    0 < Gamma_t <= e^{2 int_t^T r} up to ``GAMMA_BOUND_TOL`` relative slack.
     """
     n = grid.n
     if not 0 <= t_index <= n:
@@ -281,7 +277,7 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
     tail = tail_rate_integrals(model.rate, grid)[t_index]
     gam = np.exp(2.0 * tail + expo)
     hi = np.exp(2.0 * tail)
-    if np.any(gam > hi * (1.0 + bound_tol)) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
+    if np.any(gam > hi * (1.0 + GAMMA_BOUND_TOL)) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
         worst = float(np.max(gam / hi))
         raise InternalConsistencyError(
             f"Gamma violates the (0, e^(2 int r)] bound: max ratio {worst:.6g}"

@@ -22,6 +22,7 @@ from .grid import TimeGrid, check_same_grid
 from .kernels import Kernel, folded_cells
 
 COND_LIMIT = 1e12
+SYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,17 @@ def _bd_right(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     """Blockwise x @ kron(I_n, m) for x of shape (q, m.shape[0] n)."""
     q = x.shape[0]
     return (x.reshape(q, n, m.shape[0]) @ m).reshape(q, n * m.shape[1])
+
+
+def _volterra_solve(a: np.ndarray, m: np.ndarray, rhs: np.ndarray, n: int, trans: bool = False) -> np.ndarray:
+    """(Id - a kron(I_n, m))^{-1} rhs, or (Id - a kron(I_n, m))^{-T} rhs with ``trans``.
+
+    ``a`` is a strictly block lower (Volterra) cell matrix, so Id - a kron(I_n, m)
+    is unit lower triangular: one triangular solve that never reads the diagonal.
+    ``rhs`` may be overwritten (in place when Fortran-ordered); pass a fresh array.
+    """
+    return scipy.linalg.solve_triangular(_bd_right(a, -m, n), rhs, trans="T" if trans else "N", lower=True,
+                                         unit_diagonal=True, overwrite_b=True, check_finite=False)
 
 
 def op_apply(op: IntegralOperator, f: np.ndarray) -> np.ndarray:
@@ -167,10 +179,10 @@ def op_frobenius_sq(a: IntegralOperator) -> float:
     return float(np.sum(a.kernel * a.kernel))
 
 
-def eig_sym(a: IntegralOperator, sym_tol: float = 1e-8) -> Spectrum:
+def eig_sym(a: IntegralOperator) -> Spectrum:
     """Eigendecomposition of a symmetric kernel operator.
 
-    The kernel matrix must be symmetric within ``sym_tol`` relative to its
+    The kernel matrix must be symmetric within ``SYM_TOL`` relative to its
     size; it is explicitly symmetrized before calling the dense solver.
     Eigenfunction samples are normalized in L2, so reconstructing the
     kernel reads sum_k lam_k e_k(t_i) e_k(t_j)^T.
@@ -180,9 +192,9 @@ def eig_sym(a: IntegralOperator, sym_tol: float = 1e-8) -> Spectrum:
     k = a.kernel
     scale = max(1.0, float(np.linalg.norm(k, "fro")))
     asym = float(np.linalg.norm(k - k.T, "fro")) / scale
-    if asym > sym_tol:
+    if asym > SYM_TOL:
         raise InvalidArgumentError(
-            f"kernel is not symmetric: relative asymmetry {asym:.3e} exceeds {sym_tol:.1e}"
+            f"kernel is not symmetric: relative asymmetry {asym:.3e} exceeds {SYM_TOL:.1e}"
         )
     sym = 0.5 * (k + k.T)
     w, v = np.linalg.eigh(sym)

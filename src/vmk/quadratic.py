@@ -42,7 +42,6 @@ from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InternalConsistencyError,
@@ -55,20 +54,19 @@ from .errors import (
 from .grid import TimeGrid, g0_nodes
 from .kernels import Kernel, band_coefficients, first_arg_columns, folded_cells, kernel_l2_norm_sq
 from .markowitz import rate_nodes, tail_rate_integrals
-from .operators import IntegralOperator, _bd_left, _bd_right, kernel_operator, resolvent
+from .operators import IntegralOperator, _bd_left, _bd_right, _volterra_solve, kernel_operator
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 ODE_CAP = 1e6
 COVARIANCE_DIM_CAP = 2400
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-# Dense (N n)^2 float arrays alive at once: a, khat, Id - khat, Id and ir at
-# the peak of _discretize, plus the sweep's Psi.
-DENSE_ARRAYS = 6
-# While _premium_map runs: the solution's 6 (a, khat, ir, aeta, z2_maps, m1)
-# plus 6 at its peak (y, u, C'Z'A, the premium rows and the 2-array map),
-# counted for d <= N.
-MAP_ARRAYS = 12
+# Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
+# peaks: 6.07 in the solve (a, aeta, m1, z2_maps, the sweep's Psi and its
+# rank-N update term) and 10.05 in _premium_map (the solution's 4 plus y, u,
+# C'Z'A, the premium rows and the 2-array map).
+DENSE_ARRAYS = 7
+MAP_ARRAYS = 11
 
 
 @dataclass(frozen=True)
@@ -160,25 +158,22 @@ def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
-    """Shared dense factors: folded kernel, deflation inverse, premium map.
+    """Shared dense factors: lag band, folded kernel a, a kron(I, eta) and m1.
 
-    Raises MemoryCapError before allocating when the dense solve would not
-    fit in physical memory.
+    m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), comes from
+    one transposed triangular solve.  Raises MemoryCapError before allocating
+    when the dense solve would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
     _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
-    khat = _bd_right(a, model.f_mat, n)
-    ir = scipy.linalg.solve_triangular(
-        np.eye(n * N) - khat, np.eye(n * N), lower=True, unit_diagonal=True, check_finite=False
-    )
     aeta = _bd_right(a, model.eta, n)
-    m1 = _bd_left(model.theta, ir, n)
-    return SimpleNamespace(band=band, a=a, khat=khat, ir=ir, aeta=aeta, m1=m1)
+    m1 = _volterra_solve(a, model.f_mat, np.kron(np.eye(n), model.theta).T, n, trans=True).T
+    return SimpleNamespace(band=band, a=a, aeta=aeta, m1=m1)
 
 
-def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, rcond_min: float = RCOND_MIN):
+def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     """Backward Riccati recursion; yields (k, Psi_k, lambda_min(S_k)) for k = n, ..., 0.
 
     Psi_k is the unrestricted (N n, N n) closed form -m1' W_k^{-1} m1 with
@@ -192,7 +187,7 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, rco
     det W_k = prod_{j >= k} det S_j with S_j = Id + 2 G^{1/2} M0 G^{1/2},
     W_k stays positive definite exactly while every S_j does, so the sweep
     raises RiccatiBlowUpError at the first node where lambda_min(S_k)
-    falls below ``rcond_min``.  The yielded matrix is updated in place.
+    falls below ``RCOND_MIN``.  The yielded matrix is updated in place.
     At k = n there is no S and the margin is reported as inf.
     """
     n, N = grid.n, model.n_state
@@ -212,7 +207,7 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, rco
         ev, vec = np.linalg.eigh(0.5 * (g + g.T))
         root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
         lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-        if lam[0] < rcond_min:
+        if lam[0] < RCOND_MIN:
             raise RiccatiBlowUpError(
                 "operator Riccati solution blows up: the deflating matrix loses positive "
                 f"definiteness at t={t:.6g} (lambda_min {lam[0]:.3e})",
@@ -266,7 +261,7 @@ class QuadraticSolution:
     g0s: np.ndarray
 
 
-def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: float = RCOND_MIN) -> QuadraticSolution:
+def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSolution:
     """Evaluate the closed-form operator Riccati solution at every node.
 
     One backward sweep (see ``_psi_sweep``) carries Psi_k from the horizon
@@ -280,7 +275,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
     Raises
     ------
     RiccatiBlowUpError
-        When some S_k has an eigenvalue below ``rcond_min``, i.e. the
+        When some S_k has an eigenvalue below ``RCOND_MIN``, i.e. the
         deflating matrix W_k loses positive definiteness, which is how
         finite-time blow-up of the Riccati solution manifests on the
         grid; carries the first failing time scanning backwards from the
@@ -299,7 +294,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid, rcond_min: flo
     premium_profile = np.zeros((n + 1, d))
     quad0 = 0.0
     min_rcond = np.inf
-    for k, psi, lam in _psi_sweep(model, grid, disc, rcond_min):
+    for k, psi, lam in _psi_sweep(model, grid, disc):
         min_rcond = min(min_rcond, lam)
         cveta = _cveta_columns(model, grid, k, disc.band)
         ones = np.zeros((n, N, N))
@@ -536,15 +531,12 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     nN, dt, disc = n * N, grid.dt, sol.disc
-    # Column 0 is the deterministic state, the others its response to dW/dt.
-    # A D is strictly block lower, so -A D is the strictly lower part of the
-    # unit-lower Id - A D and the solve never reads its diagonal.  The
-    # right-hand side is Fortran-ordered so the solve overwrites it in place.
+    # Column 0 is the deterministic state, the others its response to dW/dt;
+    # the right-hand side is Fortran-ordered so the solve overwrites it in place.
     y = np.empty((nN, nN + 1), order="F")
     y[:, 0] = sol.g0s[:n].reshape(nN)
     np.divide(disc.aeta, dt, out=y[:, 1:])
-    y = scipy.linalg.solve_triangular(-_bd_right(disc.a, model.drift, n), y, lower=True,
-                                      unit_diagonal=True, overwrite_b=True, check_finite=False)
+    y = _volterra_solve(disc.a, model.drift, y, n)
     u = _bd_left(model.drift, y, n)
     u[:, 1:] += np.kron(np.eye(n), model.eta / dt)
     # rows C' Z_k' A, keeping the blocks j < k: the curve at step k has seen u_j, j < k
@@ -598,7 +590,7 @@ class QuadraticEvaluator:
         return db, lam, prem, state
 
 
-def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, n: int, cap: float = ODE_CAP):
+def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, n: int):
     """Backward RK4 integration of the matrix Riccati reduction.
 
     Solves, with F = D - 2 eta C Theta and M0 = U - 2 C C',
@@ -615,7 +607,7 @@ def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, 
     Raises
     ------
     RiccatiBlowUpError
-        When |P| exceeds ``cap`` (tangent-type finite-time blow-up),
+        When |P| exceeds ``ODE_CAP`` (tangent-type finite-time blow-up),
         carrying the first grid time past the singularity.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -659,9 +651,9 @@ def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, 
         k4f = 2.0 * r_fun(t1 - dt) + float(np.trace(p4 @ trmat))
         p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         phi = phi + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > cap:
+        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > ODE_CAP:
             raise RiccatiBlowUpError(
-                f"matrix Riccati solution exceeded cap {cap:.1e} at t={horizon - (step + 1) * dt:.6g}",
+                f"matrix Riccati solution exceeded cap {ODE_CAP:.1e} at t={horizon - (step + 1) * dt:.6g}",
                 time=float(horizon - (step + 1) * dt),
             )
         p_path[n - step - 1] = p
@@ -710,9 +702,9 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float, cap: 
     condition 2 a < 1 / lambda_1 together with the cruder trace-based
     sufficient condition 2 a < 1 / trace.
 
-    A nonzero state drift is folded into the kernel by the resolvent
-    transform K -> K + R * K before assembly, so the centered state is
-    again a plain stochastic convolution.
+    The state drift is folded into the kernel by the resolvent transform
+    K -> K + R * K = (Id - K D)^{-1} K before assembly, so the centered
+    state is again a plain stochastic convolution.
 
     Raises
     ------
@@ -731,9 +723,7 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float, cap: 
     horizon = grid.horizon
     dt = grid.dt
     a_fold = folded_cells(model.kernel, grid)
-    if np.any(model.drift != 0.0):
-        kd = kernel_operator(grid, N, _bd_right(a_fold, model.drift, n))
-        a_fold = a_fold + resolvent(kd).kernel @ a_fold
+    a_fold = _volterra_solve(a_fold, model.drift, a_fold, n)
     ae = _bd_right(a_fold, model.eta, n).reshape(n, N, n, N).transpose(0, 2, 1, 3)
     g = np.einsum("ijab,bc,ljdc->iljad", ae, model.u_mat, ae)
     cs = np.cumsum(g, axis=2)

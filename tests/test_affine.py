@@ -237,6 +237,37 @@ class TestStepperOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def kd4_mean_forward_variance(model, grid):
+    """Oracle: E V = g0 + (K D) E V solved densely against a hand-built block Toeplitz K D."""
+    n, d = grid.n, model.dim
+    c = _band_diag(model, grid)
+    kd4 = np.zeros((n, d, n, d))
+    for m in range(n - 1):
+        i = np.arange(m + 1, n)
+        kd4[i, :, i - m - 1, :] = np.diag(c[m]) @ model.drift
+    kd = kd4.reshape(n * d, n * d)
+    g0 = g0_nodes(model.g0, grid, model.dim)[:-1].reshape(n * d)
+    return np.linalg.solve(np.eye(n * d) - kd, g0).reshape(n, d)
+
+
+class TestMeanCurveOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_dense_toeplitz_solve(self, d, seed):
+        rng = np.random.default_rng(10 * d + seed)
+        kinds = [FractionalKernel(float(rng.uniform(0.1, 0.9))), ExponentialKernel(beta=float(rng.uniform(0.2, 2.0)))]
+        model = AffineModel(
+            kernels=tuple(kinds[(seed + i) % 2] for i in range(d)),
+            drift=-np.diag(rng.uniform(0.2, 1.5, size=d)) + rng.uniform(0.0, 0.3, size=(d, d)) * (1 - np.eye(d)),
+            nu=0.5, rho=-0.5, theta=0.6, g0=rng.uniform(0.05, 0.3, size=d),
+        )
+        grid = make_grid(float(rng.uniform(0.5, 2.0)), int(rng.integers(40, 120)))
+        want = kd4_mean_forward_variance(model, grid)
+        got = mean_forward_variance(model, grid)
+        assert got.shape == (grid.n, d)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestGammaAndControls:
     def test_gamma0_closed_form(self):
         # Gamma_0 = exp(v0 psi(T)) when the kernel is constant and rates vanish

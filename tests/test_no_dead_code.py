@@ -1,8 +1,10 @@
-"""Every top-level name defined in the package is used somewhere.
+"""Every top-level name defined in the package is used somewhere, and every
+name a module imports is used in that module.
 
-A name counts as used when it appears as a whole word in another part of
-``src/vmk`` (the package ``__init__`` and the definition itself excluded),
-in the tests or in the benchmark harness.
+A top-level name counts as used when it appears as a whole word in another
+part of ``src/vmk`` (the package ``__init__`` and the definition itself
+excluded), in the tests or in the benchmark harness.  The package
+``__init__`` is exempt from both checks because it only re-exports.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vmk"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _definitions(tree):
@@ -27,9 +30,8 @@ def _definitions(tree):
 
 
 def test_every_top_level_name_is_referenced():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     others = [p.read_text() for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
-    sources = {p: p.read_text() for p in modules}
+    sources = {p: p.read_text() for p in MODULES}
     unused = []
     for path, text in sources.items():
         lines = text.splitlines()
@@ -40,3 +42,17 @@ def test_every_top_level_name_is_referenced():
             if not any(word.search(t) for t in corpus):
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -9,16 +9,22 @@ from vmk import (
     ExponentialKernel,
     FractionalKernel,
     InvalidArgumentError,
+    QuadraticModel,
     SingularOperatorError,
     TableKernel,
     invert_id_minus,
     kernel_operator,
+    lambda_max_covariance,
     make_grid,
     resolvent,
     star,
 )
+from vmk import quadratic
+from vmk.kernels import folded_cells
 from vmk.operators import (
     IntegralOperator,
+    _bd_right,
+    _volterra_solve,
     adjoint,
     discretize,
     eig_sym,
@@ -54,6 +60,78 @@ def random_instance(rng):
         vals = rng.standard_normal((n, n)) * 0.5
         kern = TableKernel(grid, vals, volterra=bool(rng.integers(0, 2)))
     return discretize(kern, grid)
+
+
+def random_volterra_kernel(rng, kind, N, grid):
+    """Fractional, exponential or tabulated Volterra kernel of dimension N."""
+    if kind == "table":
+        return TableKernel(grid, 0.5 * rng.standard_normal((grid.n, grid.n, N, N)), volterra=True)
+    if kind == "fractional":
+        comps = [FractionalKernel(float(rng.uniform(0.1, 0.9))) for _ in range(N)]
+    else:
+        comps = [ExponentialKernel(beta=float(rng.uniform(0.2, 2.0))) for _ in range(N)]
+    return comps[0] if N == 1 else DiagonalKernel(comps)
+
+
+def lu_resolvent_fold(grid):
+    """Oracle drift fold K -> K + R * K through the LU resolvent of the kernel operator K D."""
+
+    def fold(a, m, rhs, n, trans=False):
+        assert not trans
+        kd = kernel_operator(grid, m.shape[0], _bd_right(a, m, n))
+        return rhs + resolvent(kd).kernel @ rhs
+
+    return fold
+
+
+KINDS = ["fractional", "exponential", "table"]
+
+
+class TestVolterraSolve:
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_solve(self, kind, N, d, trans):
+        rng = np.random.default_rng(KINDS.index(kind) * 100 + 10 * N + d)
+        grid = make_grid(float(rng.uniform(0.5, 1.5)), 16)
+        n = grid.n
+        a = folded_cells(random_volterra_kernel(rng, kind, N, grid), grid)
+        drift = -0.5 * np.eye(N) + 0.3 * rng.standard_normal((N, N))
+        rhs = rng.standard_normal((N * n, d * n))
+        dense = np.eye(N * n) - a @ np.kron(np.eye(n), drift)
+        want = np.linalg.solve(dense.T if trans else dense, rhs)
+        for order in ("C", "F"):
+            got = _volterra_solve(a, drift, np.array(rhs, order=order), n, trans=trans)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_drift_returns_rhs(self):
+        rng = np.random.default_rng(3)
+        grid = make_grid(1.0, 12)
+        a = folded_cells(random_volterra_kernel(rng, "fractional", 2, grid), grid)
+        rhs = rng.standard_normal((24, 5))
+        got = _volterra_solve(a, np.zeros((2, 2)), rhs.copy(), grid.n)
+        assert np.array_equal(got, rhs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_covariance_drift_fold_matches_resolvent_route(self, monkeypatch, kind, N, d):
+        rng = np.random.default_rng(KINDS.index(kind) * 100 + 10 * N + d + 50)
+        grid = make_grid(1.0, 12)
+        model = QuadraticModel(
+            kernel=random_volterra_kernel(rng, kind, N, grid),
+            theta=rng.uniform(-0.8, 0.8, size=(d, N)),
+            eta=np.eye(N) + 0.3 * rng.standard_normal((N, N)),
+            corr=0.4 * rng.uniform(-1.0, 1.0, size=(N, d)) / d,
+            drift=-0.5 * np.eye(N) + 0.2 * rng.standard_normal((N, N)),
+            enforce_psd=False,
+        )
+        got = lambda_max_covariance(model, grid, a=0.1)
+        monkeypatch.setattr(quadratic, "_volterra_solve", lu_resolvent_fold(grid))
+        want = lambda_max_covariance(model, grid, a=0.1)
+        for key in ("lambda1", "trace"):
+            assert abs(got[key] - want[key]) <= 1e-10 * abs(want[key])
 
 
 class TestResolventIdentities:

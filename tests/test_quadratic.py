@@ -1,6 +1,7 @@
 """Quadratic Gaussian-state models and the operator Riccati solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vmk import (
     InvalidArgumentError,
     MemoryCapError,
     ModelAssumptionError,
+    QuadraticEvaluator,
     QuadraticModel,
     RiccatiBlowUpError,
     contraction_report,
@@ -241,14 +243,14 @@ class TestOperatorForms:
 
     def test_terminal_psi_dual_route(self):
         # at the horizon the solution is -(Id - Khat)^{-*} Th'Th (Id - Khat)^{-1}
-        from vmk.operators import adjoint, identity_operator, invert_id_minus, star
+        from vmk.operators import _bd_right, adjoint, identity_operator, invert_id_minus, star
         from vmk.quadratic import _discretize
 
         m = mixed_model()
         g = make_grid(0.8, 30)
         disc = _discretize(m, g)
         khat = __import__("vmk.operators", fromlist=["kernel_operator"]).kernel_operator(
-            g, m.n_state, disc.khat
+            g, m.n_state, _bd_right(disc.a, m.f_mat, g.n)
         )
         binv = invert_id_minus(khat)
         mid = identity_operator(g, m.n_state, coeff=m.theta.T @ m.theta)
@@ -418,6 +420,31 @@ class TestDiagnostics:
         with pytest.raises(MemoryCapError) as exc:
             lambda_max_covariance(m, make_grid(1.0, 10), a=0.1, cap=100)
         assert exc.value.limit == 100
+
+
+class TestMemoryGuard:
+    @staticmethod
+    def one_factor_model():
+        return QuadraticModel(kernel=FractionalKernel(0.3), theta=np.array([[0.6]]), eta=np.eye(1),
+                              corr=np.array([[-0.5]]), drift=np.array([[-0.4]]), g0=0.2)
+
+    @pytest.mark.parametrize("which, n", [("two_asset", 200), ("one_factor", 400)])
+    def test_traced_peaks_within_guard(self, which, n):
+        m = two_asset_model() if which == "two_asset" else self.one_factor_model()
+        g = make_grid(1.0, n)
+        dense = 8 * (n * m.n_state) ** 2
+        tracemalloc.start()
+        try:
+            sol = solve_operator_riccati(m, g)
+            _, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            QuadraticEvaluator(m, g, sol)
+            _, map_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solve_peak <= quadratic.DENSE_ARRAYS * dense
+        assert map_peak <= quadratic.MAP_ARRAYS * dense
+        assert set(vars(sol.disc)) == {"band", "a", "aeta", "m1"}
 
 
 class TestModelConstruction:
