@@ -1,13 +1,17 @@
 """Matrix-valued integration kernels K(t, s) on [0, T]^2.
 
-Every kernel knows how to evaluate itself pointwise and how to integrate
-itself exactly over grid cells in either argument.  Discretizations built
-from these cell integrals therefore carry no quadrature error beyond the
-piecewise-constant approximation of the co-factor.
+Every kernel evaluates itself pointwise and is discretized from one of two
+exact representations it already holds:
 
-Convolution kernels (fractional, exponential, constant Volterra ones and
-diagonals of those) additionally expose exact integrals over lag cells,
-which is what banded fast paths consume.
+- convolution kernels K(t, s) = kappa(t - s) 1_{s <= t} (fractional,
+  exponential, constant Volterra ones and diagonals of those) integrate
+  their lag profile exactly over lag cells, the band that every solver
+  consumes;
+- TableKernel and full-support ConstantKernel are piecewise constant on
+  the grid, so their cell table is the discretization itself.
+
+Discretizations therefore carry no quadrature error beyond the
+piecewise-constant approximation of the co-factor.
 """
 
 from dataclasses import dataclass
@@ -17,25 +21,17 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from .errors import InvalidArgumentError
-from .grid import TimeGrid
+from .grid import TimeGrid, check_same_grid
 
 
 class Kernel:
-    """Abstract base.  Subclasses provide dim, volterra and the integrals."""
+    """Abstract base.  Subclasses provide dim, volterra and their discretization."""
 
     dim = 1
     volterra = True
     is_convolution = False
 
     def eval_at(self, t: float, s: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def cell_integral(self, t: float, a: float, b: float) -> np.ndarray:
-        """Exact integral of s -> K(t, s) over [a, b]."""
-        raise NotImplementedError
-
-    def cell_integral_first(self, a: float, b: float, s: float) -> np.ndarray:
-        """Exact integral of u -> K(u, s) over [a, b]."""
         raise NotImplementedError
 
     def lag_integral(self, a: float, b: float) -> np.ndarray:
@@ -66,20 +62,6 @@ class _ConvolutionScalar(Kernel):
             raise InvalidArgumentError(f"lag interval [{a}, {b}] is not ordered in [0, inf)")
         return np.array([[self._primitive(b) - self._primitive(a)]])
 
-    def cell_integral(self, t, a, b):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        lo = max(t - b, 0.0)
-        hi = max(t - a, 0.0)
-        return np.array([[self._primitive(hi) - self._primitive(lo)]])
-
-    def cell_integral_first(self, a, b, s):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        lo = max(a - s, 0.0)
-        hi = max(b - s, 0.0)
-        return np.array([[self._primitive(hi) - self._primitive(lo)]])
-
 
 @dataclass(frozen=True)
 class FractionalKernel(_ConvolutionScalar):
@@ -87,7 +69,7 @@ class FractionalKernel(_ConvolutionScalar):
 
     h in (0, 1].  For h < 1/2 the kernel is singular on the diagonal but
     stays square integrable; pointwise evaluation at t == s is refused
-    while cell integrals remain finite.
+    while lag integrals remain finite.
     """
 
     h: float
@@ -105,7 +87,7 @@ class FractionalKernel(_ConvolutionScalar):
             if self.h < 0.5:
                 raise InvalidArgumentError(
                     "fractional kernel with h < 1/2 is singular at zero lag; "
-                    "use cell integrals instead of pointwise evaluation"
+                    "use lag integrals instead of pointwise evaluation"
                 )
             return self._norm() if self.h == 0.5 else 0.0
         return self._norm() * x ** (self.h - 0.5)
@@ -160,37 +142,23 @@ class ConstantKernel(Kernel):
             raise InvalidArgumentError(f"lag interval [{a}, {b}] is not ordered in [0, inf)")
         return self.matrix * (b - a)
 
-    def cell_integral(self, t, a, b):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        hi = min(b, t) if self.volterra else b
-        return self.matrix * max(hi - a, 0.0)
-
-    def cell_integral_first(self, a, b, s):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        lo = max(a, s) if self.volterra else a
-        return self.matrix * max(b - lo, 0.0)
-
 
 @dataclass(frozen=True)
 class DiagonalKernel(Kernel):
-    """Diagonal matrix kernel built from scalar component kernels."""
+    """Diagonal matrix kernel built from scalar convolution kernels."""
 
     components: Tuple[Kernel, ...]
+    is_convolution = True
 
     def __post_init__(self):
         comps = tuple(self.components)
         if not comps:
             raise InvalidArgumentError("diagonal kernel needs at least one component")
         for c in comps:
-            if c.dim != 1:
-                raise InvalidArgumentError("diagonal kernel components must be scalar kernels")
-            if not c.volterra:
-                raise InvalidArgumentError("diagonal kernel components must be Volterra kernels")
+            if c.dim != 1 or not c.is_convolution:
+                raise InvalidArgumentError("diagonal kernel components must be scalar convolution kernels")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "dim", len(comps))
-        object.__setattr__(self, "is_convolution", all(c.is_convolution for c in comps))
 
     def _assemble(self, parts):
         out = np.zeros((self.dim, self.dim))
@@ -203,12 +171,6 @@ class DiagonalKernel(Kernel):
 
     def lag_integral(self, a, b):
         return self._assemble([c.lag_integral(a, b) for c in self.components])
-
-    def cell_integral(self, t, a, b):
-        return self._assemble([c.cell_integral(t, a, b) for c in self.components])
-
-    def cell_integral_first(self, a, b, s):
-        return self._assemble([c.cell_integral_first(a, b, s) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -243,38 +205,6 @@ class TableKernel(Kernel):
             return np.zeros((self.dim, self.dim))
         return self.values[self._t_index(t), self._t_index(s)].copy()
 
-    def cell_integral(self, t, a, b):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        dt = self.grid.dt
-        i = self._t_index(t)
-        out = np.zeros((self.dim, self.dim))
-        j0 = max(int(np.floor(a / dt + 1e-12)), 0)
-        j1 = min(int(np.ceil(b / dt - 1e-12)), self.grid.n)
-        for j in range(j0, j1):
-            lo, hi = max(a, j * dt), min(b, (j + 1) * dt)
-            if self.volterra:
-                hi = min(hi, t)
-            if hi > lo:
-                out += self.values[i, j] * (hi - lo)
-        return out
-
-    def cell_integral_first(self, a, b, s):
-        if b < a:
-            raise InvalidArgumentError(f"cell [{a}, {b}] is not ordered")
-        dt = self.grid.dt
-        j = self._t_index(s)
-        out = np.zeros((self.dim, self.dim))
-        i0 = max(int(np.floor(a / dt + 1e-12)), 0)
-        i1 = min(int(np.ceil(b / dt - 1e-12)), self.grid.n)
-        for i in range(i0, i1):
-            lo, hi = max(a, i * dt), min(b, (i + 1) * dt)
-            if self.volterra:
-                lo = max(lo, s)
-            if hi > lo:
-                out += self.values[i, j] * (hi - lo)
-        return out
-
 
 def band_coefficients(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """Exact lag-cell integrals c[m] = int_{m dt}^{(m+1) dt} kappa, shape (n, N, N)."""
@@ -304,8 +234,6 @@ def folded_cells(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     elif isinstance(kernel, ConstantKernel) and not kernel.volterra:
         a4[:, :, :, :] = (grid.dt * kernel.matrix)[None, :, None, :]
     elif isinstance(kernel, TableKernel):
-        from .grid import check_same_grid
-
         check_same_grid(kernel.grid, grid)
         v = kernel.values * grid.dt
         if kernel.volterra:
@@ -314,28 +242,21 @@ def folded_cells(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
         else:
             a4[:] = v.transpose(0, 2, 1, 3)
     else:
-        nodes = grid.nodes
-        for i in range(n):
-            for j in range(n):
-                a4[i, :, j, :] = kernel.cell_integral(nodes[i], nodes[j], nodes[j + 1])
+        raise InvalidArgumentError(f"cannot discretize a {type(kernel).__name__}: it is neither a "
+                                   "convolution kernel nor a cell table")
     return a4.reshape(n * N, n * N)
 
 
-def first_arg_columns(kernel: Kernel, grid: TimeGrid, k: int, band=None) -> np.ndarray:
+def first_arg_columns(band: np.ndarray, k: int) -> np.ndarray:
     """Columns of cell integrals in the first argument at source node t_k.
 
-    Row block i holds the integral of u -> K(u, t_k) over cell i, which is
-    nonzero for i >= k on Volterra kernels.  Shape (N n, N).
+    Row block i holds the integral of u -> K(u, t_k) over cell i, which for
+    a convolution kernel with lag band ``band`` (shape (n, N, N)) is
+    band[i - k] for i >= k and zero for i < k.  Shape (N n, N).
     """
-    n, N, dt = grid.n, kernel.dim, grid.dt
-    out = np.zeros((n, N, N))
-    if kernel.is_convolution:
-        c = band_coefficients(kernel, grid) if band is None else band
-        out[k:] = c[: n - k]
-    else:
-        nodes = grid.nodes
-        for i in range(n):
-            out[i] = kernel.cell_integral_first(nodes[i], nodes[i + 1], nodes[k])
+    n, N = band.shape[0], band.shape[1]
+    out = np.zeros_like(band)
+    out[k:] = band[: n - k]
     return out.reshape(n * N, N)
 
 
@@ -350,10 +271,3 @@ def kernel_l2_norm_sq(kernel: Kernel, grid: TimeGrid) -> float:
     a = folded_cells(kernel, grid)
     return float(np.sum(a * a))
 
-
-def kernel_sup_row_l2(kernel: Kernel, grid: TimeGrid) -> float:
-    """Grid approximation of sup_t int_0^T |K(t, s)|_F^2 ds."""
-    n, N = grid.n, kernel.dim
-    a = folded_cells(kernel, grid).reshape(n, N, n, N)
-    row_sq = np.einsum("iajb,iajb->i", a, a) / grid.dt
-    return float(np.max(row_sq))

@@ -220,10 +220,10 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
         yield k, psi, float(lam[0])
 
 
-def _cveta_columns(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
+def _cveta_columns(model: QuadraticModel, k: int, band: np.ndarray) -> np.ndarray:
     """Columns of s -> K(s, t_k) eta cell integrals, shape (N n, N)."""
-    n, N = grid.n, model.n_state
-    cv = first_arg_columns(model.kernel, grid, k, band=band).reshape(n, N, N)
+    n, N = band.shape[0], model.n_state
+    cv = first_arg_columns(band, k).reshape(n, N, N)
     return (cv @ model.eta).reshape(n * N, N)
 
 
@@ -296,7 +296,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     min_rcond = np.inf
     for k, psi, lam in _psi_sweep(model, grid, disc):
         min_rcond = min(min_rcond, lam)
-        cveta = _cveta_columns(model, grid, k, disc.band)
+        cveta = _cveta_columns(model, k, disc.band)
         ones = np.zeros((n, N, N))
         ones[k:] = np.eye(N)
         rhs = np.concatenate([cveta, ones.reshape(n * N, N)], axis=1)
@@ -394,10 +394,9 @@ def sigma_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: Simp
     return kernel_operator(grid, N, kern)
 
 
-def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray = None) -> np.ndarray:
+def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
     """Folded time derivative of Sigma_t at t_k: -K(., t_k) eta M0 eta' K(., t_k)'."""
-    band = band_coefficients(model.kernel, grid) if band is None else band
-    cveta = _cveta_columns(model, grid, k, band)
+    cveta = _cveta_columns(model, k, band)
     return -(1.0 / grid.dt) * (cveta @ model.m0) @ cveta.T
 
 
@@ -430,7 +429,7 @@ def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f:
     flat = fa.reshape(n * N)
     act = psi_full_matrix(model, grid, k, disc) @ flat
     lhs = act.reshape(n, N)[k]
-    cv = first_arg_columns(model.kernel, grid, k, band=disc.band)
+    cv = first_arg_columns(disc.band, k)
     rhs = -(model.theta.T @ model.theta) @ fa[k] + model.f_mat.T @ (cv.T @ act)
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -107,6 +107,14 @@ class TestSolveCommands:
         assert "error:" in capsys.readouterr().err
         assert not (out / "riccati.csv").exists()
 
+    def test_out_override(self, tmp_path):
+        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
+        other = tmp_path / "elsewhere"
+        assert main(["quadratic-solve", "--config", cfg, "--grid-n", "20", "--out", str(other)]) == 0
+        _, rows = read_csv(other / "riccati.csv")
+        assert len(rows) == 21
+        assert not out.exists()
+
     def test_grid_override(self, tmp_path):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg, "--grid-n", "40"]) == 0
@@ -273,6 +281,27 @@ class TestSweep:
         # larger premia scale the amounts up at the start of the horizon
         assert abs(by_theta["1"][0]) > abs(by_theta["0.5"][0])
 
+    def test_preset_pair_sweep_writes_json_values(self, tmp_path):
+        body = """\
+grid:
+  T: 0.5
+quadratic:
+  preset: two_asset
+  hurst: [0.08, 0.4]
+sweep:
+  parameter: hurst
+  values: [[0.08, 0.4], [0.2, 0.3]]
+output:
+  directory: "%s"
+"""
+        cfg, out = write_cfg(tmp_path, body)
+        assert main(["sweep", "--config", cfg, "--grid-n", "20"]) == 0
+        header, rows = read_csv(out / "sweep.csv")
+        assert header == ["parameter", "value", "asset", "t", "alpha"]
+        assert len(rows) == 2 * 2 * 21
+        assert rows[0][:3] == ["hurst", "[0.08, 0.4]", "1"]
+        assert {r[1] for r in rows} == {"[0.08, 0.4]", "[0.2, 0.3]"}
+
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["sweep", "--config", cfg]) == 2
@@ -315,6 +344,14 @@ class TestConfigErrors:
         cfg, _ = write_cfg(tmp_path, body)
         assert main(["quadratic-solve", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_model_assumption_prints_hint(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace("corr: [[0.0]]", "corr: 1.5"))
+        assert main(["quadratic-solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: correlation rows must satisfy |C_k| <= 1")
+        assert err[1].startswith("hint: check the correlation rows")
+        assert not out.exists()
 
     def test_bad_grid_override(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, QUADRATIC_CFG)

@@ -1,4 +1,4 @@
-"""Time grid construction and kernel cell-integral machinery."""
+"""Time grid construction and kernel discretization."""
 
 import math
 
@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from vmk import (
+    AffineModel,
     ConstantKernel,
     DiagonalKernel,
     ExponentialKernel,
     FractionalKernel,
     GridMismatchError,
     InvalidArgumentError,
+    Kernel,
+    QuadraticModel,
     TableKernel,
     band_coefficients,
     folded_cells,
     kernel_l2_norm_sq,
     make_grid,
+    solve_operator_riccati,
+    solve_riccati_volterra,
 )
 from vmk.grid import check_same_grid
-from vmk.kernels import first_arg_columns, kernel_sup_row_l2
+from vmk.kernels import first_arg_columns
 
 
 class TestTimeGrid:
@@ -69,14 +74,14 @@ class TestFractionalKernel:
     def test_unit_cell_integral(self):
         # int_0^1 x^(-1/4) dx / Gamma(3/4) = (4/3) / Gamma(3/4)
         k = FractionalKernel(0.25)
-        got = k.cell_integral(1.0, 0.0, 1.0)[0, 0]
+        got = k.lag_integral(0.0, 1.0)[0, 0]
         assert got == pytest.approx(1.0880652521310177, rel=1e-13)
 
     def test_singular_diagonal_refused_but_integrable(self):
         k = FractionalKernel(0.25)
         with pytest.raises(InvalidArgumentError):
             k.eval_at(1.0, 1.0)
-        assert np.isfinite(k.cell_integral(1.0, 0.9, 1.0)[0, 0])
+        assert np.isfinite(k.lag_integral(0.0, 0.1)[0, 0])
 
     def test_half_exponent_is_constant(self):
         k = FractionalKernel(0.5, scale=3.0)
@@ -186,7 +191,7 @@ class TestBandCoefficients:
         g = make_grid(1.0, 6)
         c = band_coefficients(k, g)
         for kk in (0, 2, 5):
-            cols = first_arg_columns(k, g, kk).reshape(6, 1, 1)
+            cols = first_arg_columns(c, kk).reshape(6, 1, 1)
             np.testing.assert_allclose(cols[:kk], 0.0)
             np.testing.assert_allclose(cols[kk:], c[: 6 - kk])
 
@@ -212,9 +217,59 @@ class TestL2Norms:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.02
 
-    def test_sup_row_norm_constant_kernel(self):
-        c = 2.0
-        g = make_grid(1.0, 8)
-        k = ConstantKernel(np.array([[c]]))
-        # deepest row integrates c^2 over [0, T - dt]
-        assert kernel_sup_row_l2(k, g) == pytest.approx(c * c * (1.0 - g.dt), rel=1e-13)
+
+class TestConstructorsAndDiscretizationRoutes:
+    def test_diagonal_rejects_table_component(self):
+        g = make_grid(1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="convolution"):
+            DiagonalKernel([FractionalKernel(0.3), TableKernel(g, np.zeros((4, 4)))])
+
+    def test_diagonal_rejects_empty_list(self):
+        with pytest.raises(InvalidArgumentError, match="at least one"):
+            DiagonalKernel([])
+
+    def test_diagonal_rejects_matrix_component(self):
+        with pytest.raises(InvalidArgumentError, match="scalar"):
+            DiagonalKernel([ConstantKernel(np.eye(2))])
+
+    def test_constant_rejects_non_square_matrix(self):
+        with pytest.raises(InvalidArgumentError, match="square"):
+            ConstantKernel(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 3), (4, 4, 2, 3)])
+    def test_table_rejects_bad_shape(self, shape):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            TableKernel(make_grid(1.0, 4), np.zeros(shape))
+
+    def test_fold_rejects_bare_kernel(self):
+        class Opaque(Kernel):
+            pass
+
+        with pytest.raises(InvalidArgumentError, match="Opaque"):
+            folded_cells(Opaque(), make_grid(1.0, 4))
+
+    def test_quadratic_solve_refuses_table_kernel(self):
+        g = make_grid(1.0, 4)
+        model = QuadraticModel(
+            kernel=TableKernel(g, 0.1 * np.tri(4, k=-1)),
+            theta=np.array([[1.0]]),
+            eta=np.array([[1.0]]),
+            corr=np.array([[0.0]]),
+            drift=np.array([[0.0]]),
+            g0=1.0,
+        )
+        with pytest.raises(InvalidArgumentError, match="convolution"):
+            solve_operator_riccati(model, g)
+
+    def test_affine_solve_refuses_table_kernel(self):
+        g = make_grid(1.0, 4)
+        model = AffineModel(
+            kernels=[TableKernel(g, 0.1 * np.tri(4, k=-1))],
+            drift=[[0.0]],
+            nu=0.5,
+            rho=0.0,
+            theta=1.0,
+            g0=0.04,
+        )
+        with pytest.raises(InvalidArgumentError, match="convolution"):
+            solve_riccati_volterra(model, g)
