@@ -31,7 +31,7 @@ _OUTPUT_KEYS = {"directory"}
 _KERNEL_KEYS = {
     "fractional": {"type", "h", "scale"},
     "exponential": {"type", "beta", "scale"},
-    "constant": {"type", "value", "matrix"},
+    "constant": {"type", "value"},
     "diagonal": {"type", "components"},
 }
 
@@ -63,6 +63,14 @@ def _integer(value, where: str, low: int = None, high: int = None) -> int:
     if high is not None and number > high:
         raise ConfigError(f"'{where}' must be at most {high}, got {value!r}")
     return number
+
+
+def _horizon(value, where: str) -> float:
+    """A positive finite horizon, or a ConfigError naming the key."""
+    horizon = _number(value, where)
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ConfigError(f"'{where}' must be a positive number, got {value!r}")
+    return horizon
 
 
 def mc_paths(value, where: str = "mc.paths") -> int:
@@ -113,11 +121,9 @@ def _matrix_kernel(spec: dict, where: str):
         if not isinstance(comps, list) or not comps:
             raise ConfigError(f"'{where}.components' must be a nonempty list")
         return DiagonalKernel([_scalar_kernel(c, f"{where}.components[{i}]") for i, c in enumerate(comps)])
-    if ktype == "constant":
-        _check_keys(spec, _KERNEL_KEYS["constant"], where)
-        if "matrix" in spec:
-            return ConstantKernel(_array(spec["matrix"], f"{where}.matrix"))
-        return ConstantKernel(_number(spec.get("value", 1.0), f"{where}.value"))
+    if ktype == "constant" and "matrix" in spec:
+        _check_keys(spec, _KERNEL_KEYS["constant"] | {"matrix"}, where)
+        return ConstantKernel(_array(spec["matrix"], f"{where}.matrix"))
     return _scalar_kernel(spec, where)
 
 
@@ -138,9 +144,7 @@ def load_config(path: str) -> SimpleNamespace:
     _check_keys(grid_sec, _GRID_KEYS, "grid")
     if "T" not in grid_sec:
         raise ConfigError("'grid.T' is required")
-    horizon = _number(grid_sec["T"], "grid.T")
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ConfigError(f"'grid.T' must be a positive number, got {grid_sec['T']!r}")
+    horizon = _horizon(grid_sec["T"], "grid.T")
     if grid_sec.get("n") is None:
         n = _number(200 * max(1.0, horizon), "grid.n", round)
     else:
@@ -210,9 +214,6 @@ def load_config(path: str) -> SimpleNamespace:
                 f"'sweep.parameter' = {param!r} does not name an existing config key; "
                 f"valid here: {sorted(valid)}"
             )
-        if param == "T":
-            for i, v in enumerate(sw["values"]):
-                _number(v, f"sweep.values[{i}]")
         sweep = SimpleNamespace(parameter=param, values=list(sw["values"]))
 
     chk = _require_mapping(raw.get("check", {}), "check")
@@ -227,6 +228,14 @@ def load_config(path: str) -> SimpleNamespace:
     out = _require_mapping(raw.get("output", {}), "output")
     _check_keys(out, _OUTPUT_KEYS, "output")
     model_from_section(model_kind, model_sec)  # model values fail here, before any output
+    for i, v in enumerate(sweep.values if sweep else []):
+        if sweep.parameter == "T":
+            _horizon(v, f"sweep.values[{i}]")
+        else:
+            try:
+                model_from_section(model_kind, {**model_sec, sweep.parameter: v})
+            except ConfigError as exc:
+                raise ConfigError(f"'sweep.values[{i}]': {exc}") from None
 
     return SimpleNamespace(
         horizon=horizon,

@@ -119,7 +119,7 @@ class ExponentialKernel(_ConvolutionScalar):
 
 @dataclass(frozen=True)
 class ConstantKernel(Kernel):
-    """K(t, s) = M, optionally restricted to s <= t (Volterra)."""
+    """K(t, s) = M, optionally zero for s > t (Volterra)."""
 
     matrix: np.ndarray
     volterra: bool = True

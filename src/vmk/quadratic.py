@@ -59,12 +59,11 @@ from .operators import IntegralOperator, _bd_left, _bd_right, _volterra_solve, k
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 ODE_CAP = 1e6
-COVARIANCE_DIM_CAP = 2400
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
 # peaks: 6.07 in the solve (a, aeta, m1, z2_maps, the sweep's Psi and its
-# rank-N update term) and 10.05 in _premium_map (the solution's 4 plus y, u,
-# C'Z'A, the premium rows and the 2-array map).
+# rank-N update term), 4.05 in lambda_max_covariance and 10.05 in _premium_map
+# (the solution's 4 plus y, u, C'Z'A, the premium rows and the 2-array map).
 DENSE_ARRAYS = 7
 MAP_ARRAYS = 11
 
@@ -176,7 +175,7 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
 def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     """Backward Riccati recursion; yields (k, Psi_k, lambda_min(S_k)) for k = n, ..., 0.
 
-    Psi_k is the unrestricted (N n, N n) closed form -m1' W_k^{-1} m1 with
+    Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
     W_k = Id + 2 sum_{j >= k} q_j M0 q_j', q_j = m1 a_j and a_j block column
     j of ``disc.aeta``.  Adding one node is a rank-N Woodbury step,
 
@@ -344,16 +343,12 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     )
 
 
-def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None,
-                    restrict: bool = True) -> np.ndarray:
+def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> np.ndarray:
     """Dense folded matrix of Psi_{t_k} (identity part included), (Nn, Nn).
 
     Runs the backward recursion of ``_psi_sweep`` from the horizon down to
-    node k.  With ``restrict`` (the default) rows and columns before node k
-    are zeroed, so the matrix represents the operator on L^2([t_k, T])
-    embedded in the full grid; without it the raw closed form
-    -m1' W_k^{-1} m1 is returned, which is meaningful on the whole grid
-    only at k = n where the deflating matrix is the identity.
+    node k and zeroes the rows and columns before node k, so the matrix
+    represents the operator on L^2([t_k, T]) embedded in the full grid.
     """
     n, N = grid.n, model.n_state
     if not 0 <= k <= n:
@@ -363,9 +358,8 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
         if j == k:
             break
     full = psi.copy()
-    if restrict:
-        full[: k * N] = 0.0
-        full[:, : k * N] = 0.0
+    full[: k * N] = 0.0
+    full[:, : k * N] = 0.0
     return full
 
 
@@ -692,65 +686,40 @@ def contraction_report(model: QuadraticModel, grid: TimeGrid, c: float = 1.0) ->
     }
 
 
-def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float, cap: int = COVARIANCE_DIM_CAP) -> dict:
+def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> dict:
     """Spectral check for exponential moments of the quadratic functional.
 
-    Assembles the covariance operator of the centered pair process
-    Z(s, u) = (Y_s / T, g_s(u)) on the product grid, an operator on
-    L^2([0,T]^2; R^{2N}), eigendecomposes it and reports the sharp
-    condition 2 a < 1 / lambda_1 together with the cruder trace-based
-    sufficient condition 2 a < 1 / trace.
+    The covariance operator of the centered pair process
+    Z(s, u) = (Y_s / T, g_s(u)) on L^2([0,T]^2; R^{2N}) is dt M (I_n kron U) M'
+    with M the linear map from the N n driver increments to Z, a matrix of
+    dimension 2 N n^2.  It shares its nonzero spectrum with the N n Gram
+    matrix of B = A kron(I_n, U^{1/2}), where A is the folded kernel times
+    eta: block (j, j') of B'B is weighted by dt (n / T^2 + n - 1 - max(j, j')),
+    n / T^2 for the Y_s / T rows repeated over u and n - 1 - max(j, j') for
+    the nodes s past both cells.  The report carries the sharp condition
+    2 a < 1 / lambda_1 and the cruder trace-based sufficient condition
+    2 a < 1 / trace; ``dim`` is the operator's dimension 2 N n^2.
 
     The state drift is folded into the kernel by the resolvent transform
-    K -> K + R * K = (Id - K D)^{-1} K before assembly, so the centered
-    state is again a plain stochastic convolution.
-
-    Raises
-    ------
-    MemoryCapError
-        When the operator dimension 2 N n^2 exceeds ``cap``; rerun on a
-        coarser grid (the spectrum converges quickly in n).
+    K -> K + R * K = (Id - K D)^{-1} K first, so the centered state is
+    again a plain stochastic convolution.  Raises MemoryCapError before
+    allocating when the dense Gram matrix would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
-    dim = 2 * N * n * n
-    if dim > cap:
-        raise MemoryCapError(
-            f"covariance operator dimension 2 N n^2 = {dim} exceeds the cap {cap}; "
-            "use a coarser grid for this diagnostic",
-            limit=cap,
-        )
-    horizon = grid.horizon
-    dt = grid.dt
+    _check_dense_memory("the covariance spectrum", DENSE_ARRAYS, n, N)
+    horizon, dt = grid.horizon, grid.dt
     a_fold = folded_cells(model.kernel, grid)
-    a_fold = _volterra_solve(a_fold, model.drift, a_fold, n)
-    ae = _bd_right(a_fold, model.eta, n).reshape(n, N, n, N).transpose(0, 2, 1, 3)
-    g = np.einsum("ijab,bc,ljdc->iljad", ae, model.u_mat, ae)
-    cs = np.cumsum(g, axis=2)
-    ics = np.concatenate([np.zeros((n, n, 1, N, N)), cs], axis=2)
-    idx = np.arange(n)
-    mins = np.minimum(idx[:, None], idx[None, :])
-    t11 = ics[idx[:, None], idx[None, :], mins]
-    t12 = ics[idx[:, None, None], idx[None, None, :], np.minimum(idx[:, None, None], idx[None, :, None])]
-    t22 = ics[idx[None, None, :, None], idx[None, None, None, :], np.minimum(idx[:, None, None, None], idx[None, :, None, None])]
-    half = N * n * n
-    b11 = np.broadcast_to(
-        t11.transpose(0, 2, 1, 3)[:, None, :, :, None, :], (n, n, N, n, n, N)
-    ).reshape(half, half)
-    b12 = np.broadcast_to(
-        t12.transpose(0, 3, 1, 2, 4)[:, None, :, :, :, :], (n, n, N, n, n, N)
-    ).reshape(half, half)
-    b22 = t22.transpose(0, 2, 4, 1, 3, 5).reshape(half, half)
-    top = np.concatenate([b11 / horizon**2, b12 / horizon], axis=1)
-    bot = np.concatenate([b12.T / horizon, b22], axis=1)
-    folded = np.concatenate([top, bot], axis=0) * dt
-    folded = 0.5 * (folded + folded.T)
-    trace = float(np.trace(folded))
-    pos_diag = ics[idx, idx]
-    term1 = (1.0 / horizon) * float(np.einsum("iaa->", pos_diag[idx, idx]))
-    term2 = dt * float(np.einsum("jiaa->", pos_diag[:, :n]))
-    eigs = np.linalg.eigvalsh(folded)
-    lam1 = float(max(eigs[-1], 0.0))
-    check = term1 + term2
+    ev, vec = np.linalg.eigh(model.u_mat)
+    root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
+    b = _bd_right(_volterra_solve(a_fold, model.drift, a_fold, n), model.eta @ root, n)
+    weight = dt * (n / horizon**2 + n - 1 - np.maximum.outer(np.arange(n), np.arange(n)))
+    gram = b.T @ b
+    gram.reshape(n, N, n, N)[...] *= weight[:, None, :, None]
+    trace = float(np.trace(gram))
+    # split form: per-cell variances tr(A_ij U A_ij') = |B_ij|_F^2 with the diagonal weights
+    b4 = b.reshape(n, N, n, N)
+    check = float(np.einsum("iajb,iajb->j", b4, b4) @ np.diag(weight))
+    lam1 = float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
     scale = max(1.0, abs(trace))
     if abs(trace - check) > 1e-8 * scale:
         raise InternalConsistencyError(
@@ -762,7 +731,7 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float, cap: 
         "lambda1": lam1,
         "trace": trace,
         "a": float(a),
-        "dim": dim,
+        "dim": 2 * N * n * n,
         "sharp_ok": bool(sharp),
         "sufficient_ok": bool(sufficient),
     }

@@ -302,6 +302,18 @@ output:
         assert rows[0][:3] == ["hurst", "[0.08, 0.4]", "1"]
         assert {r[1] for r in rows} == {"[0.08, 0.4]", "[0.2, 0.3]"}
 
+    @pytest.mark.parametrize("param, values, key", [
+        ("theta", "[0.5, abc]", "'sweep.values[1]': 'affine.theta'"),
+        ("T", "[0.5, -1.0]", "sweep.values[1]"),
+    ])
+    def test_bad_sweep_value_fails_before_output(self, tmp_path, capsys, param, values, key):
+        body = AFFINE_CFG + f"sweep:\n  parameter: {param}\n  values: {values}\n"
+        cfg, out = write_cfg(tmp_path, body)
+        assert main(["sweep", "--config", cfg, "--grid-n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists()
+
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["sweep", "--config", cfg]) == 2
@@ -320,6 +332,14 @@ class TestCheck:
         assert "contraction.kappa_hat:" in text
         assert "covariance.lambda1:" in text
         assert "a_of_p(p=3):" in text
+
+    def test_covariance_spectrum_on_fine_coarse_grid(self, tmp_path, capsys):
+        # 2 N n^2 = 3600 at coarse_n = 30: the operator is never assembled
+        body = 'grid:\n  T: 0.5\n  n: 40\nquadratic:\n  preset: two_asset\ncheck:\n  coarse_n: 30\noutput:\n  directory: "%s"\n'
+        cfg, _ = write_cfg(tmp_path, body)
+        assert main(["check", "--config", cfg]) == 0
+        text = capsys.readouterr().out
+        assert "covariance.dim: 3600" in text.splitlines()
 
     def test_affine_report(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, AFFINE_CFG)

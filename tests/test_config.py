@@ -54,8 +54,18 @@ def test_spec_matches_library_kernel(tmp_path, spec, kernel):
     ("{type: gaussian}", "quadratic.kernel.type"),
     ("{type: diagonal, components: []}", "quadratic.kernel.components"),
     ("{type: diagonal, components: [{type: exponential}]}", "quadratic.kernel.components[0]"),
+    ("{type: diagonal, components: [{type: constant, matrix: [[5.0]]}]}",
+     "['matrix'] in section 'quadratic.kernel.components[0]'"),
 ])
 def test_bad_spec_names_key(tmp_path, spec, key):
     with pytest.raises(ConfigError) as info:
         load_kernel(tmp_path, spec, 1)
     assert key in str(info.value)
+
+
+def test_affine_scalar_kernel_refuses_matrix(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("grid:\n  T: 1.0\n  n: 8\naffine:\n  kernels: [{type: constant, matrix: [[5.0]]}]\n  theta: 1.0\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert "['matrix'] in section 'affine.kernels[0]'" in str(info.value)

@@ -21,7 +21,6 @@ from vmk import (
     kernel_l2_norm_sq,
     make_grid,
     solve_operator_riccati,
-    solve_riccati_volterra,
 )
 from vmk.grid import check_same_grid
 from vmk.kernels import first_arg_columns
@@ -263,13 +262,12 @@ class TestConstructorsAndDiscretizationRoutes:
 
     def test_affine_solve_refuses_table_kernel(self):
         g = make_grid(1.0, 4)
-        model = AffineModel(
-            kernels=[TableKernel(g, 0.1 * np.tri(4, k=-1))],
-            drift=[[0.0]],
-            nu=0.5,
-            rho=0.0,
-            theta=1.0,
-            g0=0.04,
-        )
         with pytest.raises(InvalidArgumentError, match="convolution"):
-            solve_riccati_volterra(model, g)
+            AffineModel(
+                kernels=[TableKernel(g, 0.1 * np.tri(4, k=-1))],
+                drift=[[0.0]],
+                nu=0.5,
+                rho=0.0,
+                theta=1.0,
+                g0=0.04,
+            )

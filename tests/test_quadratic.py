@@ -18,6 +18,7 @@ from vmk import (
     QuadraticEvaluator,
     QuadraticModel,
     RiccatiBlowUpError,
+    TableKernel,
     contraction_report,
     kappa_hat,
     lambda_max_covariance,
@@ -32,7 +33,8 @@ from vmk import (
     wishart_model,
 )
 from vmk import quadratic
-from vmk.operators import full_matrix, kernel_value, min_sym_eigenvalue
+from vmk.kernels import folded_cells
+from vmk.operators import _bd_right, _volterra_solve, full_matrix, kernel_value, min_sym_eigenvalue
 from vmk.quadratic import (
     RCOND_MIN,
     boundary_relation_residual,
@@ -115,6 +117,18 @@ def random_model(rng, N, d):
     )
 
 
+def raw_psi(model, grid, k, disc):
+    """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off the sweep ``quadratic._psi_sweep``."""
+    for j, psi, _ in quadratic._psi_sweep(model, grid, disc):
+        if j == k:
+            return psi.copy()
+
+
+def psi_at(model, grid, k, disc, restrict):
+    """Psi_k restricted to [t_k, T] (``psi_full_matrix``) or raw from the sweep."""
+    return psi_full_matrix(model, grid, k, disc) if restrict else raw_psi(model, grid, k, disc)
+
+
 def rel_err(got, want):
     scale = np.max(np.abs(want))
     return float(np.max(np.abs(got - want)) / (scale if scale > 0.0 else 1.0))
@@ -130,12 +144,11 @@ class TestDenseOracle:
         g = make_grid(0.6, 24)
         disc = quadratic._discretize(m, g)
         fast = solve_operator_riccati(m, g)
-        fast_psi = {(k, r): psi_full_matrix(m, g, k, disc, restrict=r)
-                    for k in (0, g.n // 2, g.n) for r in (True, False)}
+        fast_psi = {(k, r): psi_at(m, g, k, disc, r) for k in (0, g.n // 2, g.n) for r in (True, False)}
         monkeypatch.setattr(quadratic, "_psi_sweep", dense_sweep)
         dense = solve_operator_riccati(m, g)
         for (k, r), got in fast_psi.items():
-            assert rel_err(got, psi_full_matrix(m, g, k, disc, restrict=r)) <= 1e-10, (k, r)
+            assert rel_err(got, psi_at(m, g, k, disc, r)) <= 1e-10, (k, r)
         assert fast.gamma0 == pytest.approx(dense.gamma0, rel=1e-10)
         for name in ("phi", "p_path", "z2_maps", "premium_profile"):
             assert rel_err(getattr(fast, name), getattr(dense, name)) <= 1e-10, name
@@ -256,7 +269,7 @@ class TestOperatorForms:
         mid = identity_operator(g, m.n_state, coeff=m.theta.T @ m.theta)
         comp = star(star(adjoint(binv), mid), binv)
         want = -full_matrix(comp)
-        got = psi_full_matrix(m, g, g.n, restrict=False)
+        got = raw_psi(m, g, g.n, disc)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_psi_negative_semidefinite(self):
@@ -383,6 +396,38 @@ class TestGammaFunctional:
         np.testing.assert_allclose(a2 - a1, -prem, rtol=1e-12)
 
 
+def dense_covariance_report(model, grid, a):
+    """Oracle: the covariance operator of Z(s, u) = (Y_s / T, g_s(u)) assembled densely.
+
+    Builds the 2 N n^2 folded matrix from the cumulative per-cell covariances
+    of the drift-folded kernel and eigendecomposes it; same keys as
+    ``lambda_max_covariance``.
+    """
+    n, N = grid.n, model.n_state
+    horizon, dt = grid.horizon, grid.dt
+    a_fold = folded_cells(model.kernel, grid)
+    a_fold = _volterra_solve(a_fold, model.drift, a_fold, n)
+    ae = _bd_right(a_fold, model.eta, n).reshape(n, N, n, N).transpose(0, 2, 1, 3)
+    g = np.einsum("ijab,bc,ljdc->iljad", ae, model.u_mat, ae)
+    ics = np.concatenate([np.zeros((n, n, 1, N, N)), np.cumsum(g, axis=2)], axis=2)
+    idx = np.arange(n)
+    t11 = ics[idx[:, None], idx[None, :], np.minimum(idx[:, None], idx[None, :])]
+    t12 = ics[idx[:, None, None], idx[None, None, :], np.minimum(idx[:, None, None], idx[None, :, None])]
+    t22 = ics[idx[None, None, :, None], idx[None, None, None, :], np.minimum(idx[:, None, None, None], idx[None, :, None, None])]
+    half = N * n * n
+    b11 = np.broadcast_to(t11.transpose(0, 2, 1, 3)[:, None, :, :, None, :], (n, n, N, n, n, N)).reshape(half, half)
+    b12 = np.broadcast_to(t12.transpose(0, 3, 1, 2, 4)[:, None, :, :, :, :], (n, n, N, n, n, N)).reshape(half, half)
+    b22 = t22.transpose(0, 2, 4, 1, 3, 5).reshape(half, half)
+    top = np.concatenate([b11 / horizon**2, b12 / horizon], axis=1)
+    bot = np.concatenate([b12.T / horizon, b22], axis=1)
+    folded = np.concatenate([top, bot], axis=0) * dt
+    folded = 0.5 * (folded + folded.T)
+    lam1 = float(max(np.linalg.eigvalsh(folded)[-1], 0.0))
+    trace = float(np.trace(folded))
+    return {"lambda1": lam1, "trace": trace, "a": float(a), "dim": 2 * half,
+            "sharp_ok": bool(2.0 * a * lam1 < 1.0), "sufficient_ok": bool(2.0 * a * trace < 1.0)}
+
+
 class TestDiagnostics:
     def test_kappa_hat_values(self):
         assert kappa_hat(0.5) == pytest.approx(1.0)
@@ -406,7 +451,7 @@ class TestDiagnostics:
         m = scalar_model()
         errs = []
         for n in (20, 40):
-            rep = lambda_max_covariance(m, make_grid(1.0, n), a=0.1, cap=10**7)
+            rep = lambda_max_covariance(m, make_grid(1.0, n), a=0.1)
             errs.append(abs(rep["trace"] - 5.0 / 6.0))
             assert rep["dim"] == 2 * n * n
             assert 0.0 < rep["lambda1"] <= rep["trace"]
@@ -415,11 +460,35 @@ class TestDiagnostics:
         assert errs[1] < errs[0] / 1.7
         assert errs[1] < 0.03
 
-    def test_covariance_memory_cap(self):
-        m = scalar_model()
+    def test_covariance_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(quadratic, "PHYS_MEM_BYTES", 10**4)
         with pytest.raises(MemoryCapError) as exc:
-            lambda_max_covariance(m, make_grid(1.0, 10), a=0.1, cap=100)
-        assert exc.value.limit == 100
+            lambda_max_covariance(scalar_model(), make_grid(1.0, 20), a=0.1)
+        assert exc.value.limit == 10**4
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("kind", ["fractional", "exponential", "table"])
+    def test_covariance_gram_matches_dense_operator(self, kind, N, d):
+        rng = np.random.default_rng(["fractional", "exponential", "table"].index(kind) * 100 + 10 * N + d)
+        g = make_grid(float(rng.uniform(0.5, 2.0)), 9)
+        if kind == "table":
+            kern = TableKernel(g, 0.5 * rng.standard_normal((g.n, g.n, N, N)), volterra=True)
+        else:
+            comps = [FractionalKernel(float(rng.uniform(0.1, 0.9))) if kind == "fractional"
+                     else ExponentialKernel(beta=float(rng.uniform(0.2, 2.0))) for _ in range(N)]
+            kern = comps[0] if N == 1 else DiagonalKernel(comps)
+        corr = rng.standard_normal((N, d))
+        corr *= rng.uniform(0.75, 0.95, size=(N, 1)) / np.linalg.norm(corr, axis=1, keepdims=True)
+        m = QuadraticModel(kernel=kern, theta=rng.uniform(-0.8, 0.8, size=(d, N)),
+                           eta=np.eye(N) + 0.3 * rng.standard_normal((N, N)), corr=corr,
+                           drift=-0.5 * np.eye(N) + 0.2 * rng.standard_normal((N, N)), enforce_psd=False)
+        assert m.m0_min_eig < 0.0
+        got = lambda_max_covariance(m, g, a=0.1)
+        want = dense_covariance_report(m, g, a=0.1)
+        for key in ("lambda1", "trace"):
+            assert abs(got[key] - want[key]) <= 1e-10 * abs(want[key]), key
+        assert got == {**want, "lambda1": got["lambda1"], "trace": got["trace"]}
 
 
 class TestMemoryGuard:
@@ -435,6 +504,9 @@ class TestMemoryGuard:
         dense = 8 * (n * m.n_state) ** 2
         tracemalloc.start()
         try:
+            lambda_max_covariance(m, g, a=0.1)
+            _, cov_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             sol = solve_operator_riccati(m, g)
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -444,6 +516,7 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert solve_peak <= quadratic.DENSE_ARRAYS * dense
         assert map_peak <= quadratic.MAP_ARRAYS * dense
+        assert cov_peak <= quadratic.DENSE_ARRAYS * dense
         assert set(vars(sol.disc)) == {"band", "a", "aeta", "m1"}
 
 
