@@ -287,7 +287,10 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
 
 def premium_loading(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index) -> np.ndarray:
     """theta_i + rho_i nu_i psi^i(T - t_k) at a node index, or stacked over an index array."""
-    return model.theta + model.rho * model.nu * psi[grid.n - t_index]
+    idx = np.asarray(t_index)
+    if np.any((idx < 0) | (idx > grid.n)):
+        raise InvalidArgumentError(f"node index must lie in [0, {grid.n}]")
+    return model.theta + model.rho * model.nu * psi[grid.n - idx]
 
 
 def optimal_control_affine(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index: int, v_t, x_t, xi_discounted):

@@ -26,7 +26,8 @@ discretization of the kernel.  Moving t back by one node adds a rank-N
 term to the deflating matrix, so one backward sweep of rank-N Woodbury
 updates (the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t)
 gives Psi_t at every node exactly at the discrete level, with only N x N
-factorizations.
+factorizations.  Its one product per node, Psi_t [K(., t) eta | 1], drives
+the update and gives Z2, the phi integrand and the Markovian reduction P.
 
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
@@ -61,11 +62,11 @@ RCOND_MIN = 1e-12
 ODE_CAP = 1e6
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
-# peaks: 6.07 in the solve (a, aeta, m1, z2_maps, the sweep's Psi and its
-# rank-N update term), 4.05 in lambda_max_covariance and 10.05 in _premium_map
-# (the solution's 4 plus y, u, C'Z'A, the premium rows and the 2-array map).
-DENSE_ARRAYS = 7
-MAP_ARRAYS = 11
+# peaks: 5.1 in the solve (a, m1, z2_maps, the sweep's Psi and its rank-N
+# update term), 4.1 in lambda_max_covariance and 9.1 in _premium_map (the
+# solution's 3 plus y, u, C'Z'A, the premium rows and the 2-array map).
+DENSE_ARRAYS = 6
+MAP_ARRAYS = 10
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
-    """Shared dense factors: lag band, folded kernel a, a kron(I, eta) and m1.
+    """Shared dense factors: lag band, folded kernel a and m1.
 
     m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), comes from
     one transposed triangular solve.  Raises MemoryCapError before allocating
@@ -167,45 +168,48 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
-    aeta = _bd_right(a, model.eta, n)
     m1 = _volterra_solve(a, model.f_mat, np.kron(np.eye(n), model.theta).T, n, trans=True).T
-    return SimpleNamespace(band=band, a=a, aeta=aeta, m1=m1)
+    return SimpleNamespace(band=band, a=a, m1=m1)
 
 
 def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
-    """Backward Riccati recursion; yields (k, Psi_k, lambda_min(S_k)) for k = n, ..., 0.
+    """Backward Riccati recursion; yields (k, Psi_k, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
 
     Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
-    W_k = Id + 2 sum_{j >= k} q_j M0 q_j', q_j = m1 a_j and a_j block column
-    j of ``disc.aeta``.  Adding one node is a rank-N Woodbury step,
+    W_k = Id + 2 sum_{j > k} q_j M0 q_j', q_j = m1 c_j and c_j the kernel
+    column K(., t_j) eta of ``_cveta_columns``.  The one product per node,
+    act_k = Psi_k [c_k | 1] of shape (N n, 2N), gives B = Psi_k c_k and
+    G_k = -c_k' B >= 0, and the step to node k - 1 is a rank-N Woodbury update,
 
-        Psi_k = Psi_{k+1} + 2 B (Id + 2 M0 G)^{-1} M0 B',
-        B = Psi_{k+1} a_k,  G = -a_k' Psi_{k+1} a_k >= 0,
+        Psi_{k-1} = Psi_k + 2 B (Id + 2 M0 G_k)^{-1} M0 B',
 
     the exact discrete form of d/dt Psi = 2 Psi SigmaDot Psi.  Since
-    det W_k = prod_{j >= k} det S_j with S_j = Id + 2 G^{1/2} M0 G^{1/2},
-    W_k stays positive definite exactly while every S_j does, so the sweep
-    raises RiccatiBlowUpError at the first node where lambda_min(S_k)
-    falls below ``RCOND_MIN``.  The yielded matrix is updated in place.
-    At k = n there is no S and the margin is reported as inf.
+    det W_k = prod_{j > k} det S_j with S_j = Id + 2 G_j^{1/2} M0 G_j^{1/2},
+    W_{k-1} stays positive definite exactly while every S_j does, so after
+    yielding node k the sweep raises RiccatiBlowUpError at t_{k-1} when
+    lambda_min(S_k) is below ``RCOND_MIN``.  The yielded Psi is updated in
+    place.  At k = 0 there is no step and the margin is reported as inf.
     """
     n, N = grid.n, model.n_state
     m0 = model.m0
     eye = np.eye(N)
-    nodes = grid.nodes
     psi = -disc.m1.T @ disc.m1
-    yield n, psi, np.inf
-    for k in range(n - 1, -1, -1):
-        t = float(nodes[k])
-        lo = (k + 1) * N  # a_k vanishes on rows up to node k (Volterra)
-        a = disc.aeta[lo:, k * N : (k + 1) * N]
-        b = psi[:, lo:] @ a
-        g = -a.T @ b[lo:]
+    for k in range(n, -1, -1):
+        lo = k * N  # c_k vanishes on rows before node k (Volterra)
+        c = _cveta_columns(model, k, disc.band)[lo:]
+        act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
+        b = act[:, :N]
+        g = -c.T @ b[lo:]
+        if k == 0:
+            yield k, psi, act, g, np.inf
+            return
+        t = float(grid.nodes[k - 1])
         if not np.all(np.isfinite(g)):
             raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
         ev, vec = np.linalg.eigh(0.5 * (g + g.T))
         root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
         lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
+        yield k, psi, act, g, float(lam[0])
         if lam[0] < RCOND_MIN:
             raise RiccatiBlowUpError(
                 "operator Riccati solution blows up: the deflating matrix loses positive "
@@ -216,7 +220,6 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
         v = m0 @ root @ u
         x = m0 - 2.0 * (v / lam) @ v.T
         psi += (2.0 * b @ x) @ b.T
-        yield k, psi, float(lam[0])
 
 
 def _cveta_columns(model: QuadraticModel, k: int, band: np.ndarray) -> np.ndarray:
@@ -241,7 +244,7 @@ class QuadraticSolution:
         profile evaluated on the initial (deterministic) curve.
     gamma0 : closed-form Gamma_0.
     min_rcond : smallest lambda_min(S_k) met by the backward sweep.
-    disc : the shared dense factors of ``_discretize``.
+    disc : the shared dense factors of ``_discretize`` (band, a, m1).
     g0s : the initial curve at all n+1 nodes.
     """
 
@@ -264,12 +267,12 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     """Evaluate the closed-form operator Riccati solution at every node.
 
     One backward sweep (see ``_psi_sweep``) carries Psi_k from the horizon
-    by a rank-N update per node, and the action of Psi_k is taken on the
-    columns needed downstream: the kernel columns K(., t_k) eta (giving
-    the volatility adjustment Z2 and the phi integrand), the constant
-    function (giving the Markovian reduction P), and the initial curve.
-    ``min_rcond`` records the smallest lambda_min(S_k) met on the way,
-    the distance of the deflating matrix from losing definiteness.
+    by a rank-N update per node, and every per-node output is read off the
+    sweep's product of Psi_k with the kernel columns K(., t_k) eta (giving
+    the volatility adjustment Z2 and the phi integrand) and the constant
+    function (giving the Markovian reduction P); Psi_0 acts on the initial
+    curve.  ``min_rcond`` records the smallest lambda_min(S_k) met on the
+    way, the distance of the deflating matrix from losing definiteness.
 
     Raises
     ------
@@ -280,8 +283,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         grid; carries the first failing time scanning backwards from the
         horizon.
     """
-    n, N, d = grid.n, model.n_state, model.n_assets
-    dt = grid.dt
+    n, N, dt = grid.n, model.n_state, grid.dt
     disc = _discretize(model, grid)
     rn = rate_nodes(model.rate, grid)
     g0s = g0_nodes(model.g0, grid, N)
@@ -289,31 +291,16 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     phidot = np.zeros(n + 1)
     p_path = np.zeros((n + 1, N, N))
     z2_maps = np.zeros((n + 1, n * N, N))
-    z2_det = np.zeros((n + 1, N))
-    premium_profile = np.zeros((n + 1, d))
-    quad0 = 0.0
     min_rcond = np.inf
-    for k, psi, lam in _psi_sweep(model, grid, disc):
+    for k, psi, act, g, lam in _psi_sweep(model, grid, disc):
         min_rcond = min(min_rcond, lam)
-        cveta = _cveta_columns(model, k, disc.band)
-        ones = np.zeros((n, N, N))
-        ones[k:] = np.eye(N)
-        rhs = np.concatenate([cveta, ones.reshape(n * N, N)], axis=1)
-        if k == 0:
-            rhs = np.concatenate([rhs, g0_samples[:, None]], axis=1)
-        # rhs vanishes before node k, so only the tail block of Psi_k acts
         lo = k * N
-        act = np.zeros_like(rhs)
-        act[lo:] = psi[lo:, lo:] @ rhs[lo:]
-        act_cv = act[:, :N]
-        act_ones = act[:, N : 2 * N]
-        z2_maps[k] = act_cv
-        p_path[k] = dt * act_ones.reshape(n, N, N).sum(axis=0)
-        phidot[k] = -(1.0 / dt) * float(np.trace((cveta.T @ act_cv) @ model.u_mat)) - 2.0 * rn[k]
-        z2_det[k] = 2.0 * act_cv.T @ g0_samples
-        premium_profile[k] = model.theta @ g0s[k] + model.corr.T @ z2_det[k]
-        if k == 0:
-            quad0 = dt * float(g0_samples @ act[:, 2 * N])
+        z2_maps[k, lo:] = act[lo:, :N]
+        p_path[k] = dt * act[lo:, N:].reshape(n - k, N, N).sum(axis=0)
+        phidot[k] = (1.0 / dt) * float(np.trace(g @ model.u_mat)) - 2.0 * rn[k]
+    quad0 = dt * float(g0_samples @ (psi @ g0_samples))  # the sweep ends at Psi_0
+    z2_det = 2.0 * g0_samples @ z2_maps
+    premium_profile = g0s @ model.theta.T + z2_det @ model.corr
     phi = np.zeros(n + 1)
     for k in range(n - 1, -1, -1):
         phi[k] = phi[k + 1] - 0.5 * dt * (phidot[k] + phidot[k + 1])
@@ -354,7 +341,7 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index must lie in [0, {n}]")
     disc = _discretize(model, grid) if disc is None else disc
-    for j, psi, _ in _psi_sweep(model, grid, disc):
+    for j, psi, *_ in _psi_sweep(model, grid, disc):
         if j == k:
             break
     full = psi.copy()
@@ -381,8 +368,10 @@ def psi_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: Simple
 def sigma_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: SimpleNamespace = None) -> IntegralOperator:
     """Deflated-state covariance operator Sigma_{t_k} as a pure kernel."""
     n, N = grid.n, model.n_state
+    if not 0 <= k <= n:
+        raise InvalidArgumentError(f"node index must lie in [0, {n}]")
     disc = _discretize(model, grid) if disc is None else disc
-    ae = disc.aeta.copy()
+    ae = _bd_right(disc.a, model.eta, n)
     ae[:, : k * N] = 0.0
     kern = _bd_right(ae, model.m0, n) @ ae.T
     return kernel_operator(grid, N, kern)
@@ -417,6 +406,8 @@ def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, d
 def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f: np.ndarray, disc: SimpleNamespace = None) -> float:
     """Residual of (Psi_t f)(t) = -Theta'Theta f(t) + (Khat^* Psi_t f)(t) at t_k."""
     n, N = grid.n, model.n_state
+    if not 0 <= k < n:
+        raise InvalidArgumentError(f"node index must lie in [0, {n - 1}]")
     disc = _discretize(model, grid) if disc is None else disc
     fa = np.asarray(f, dtype=float).reshape(n, N).copy()
     fa[:k] = 0.0
@@ -470,6 +461,8 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
         g = g[None, :, :]
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
+    if not 0 <= t_index <= n:
+        raise InvalidArgumentError(f"node index must lie in [0, {n}]")
     if t_index == n:
         y = g[:, n - 1, :]
         warnings.warn("control requested at the horizon; using the last curve slot",
@@ -528,7 +521,7 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
     # the right-hand side is Fortran-ordered so the solve overwrites it in place.
     y = np.empty((nN, nN + 1), order="F")
     y[:, 0] = sol.g0s[:n].reshape(nN)
-    np.divide(disc.aeta, dt, out=y[:, 1:])
+    np.divide(_bd_right(disc.a, model.eta, n), dt, out=y[:, 1:])
     y = _volterra_solve(disc.a, model.drift, y, n)
     u = _bd_left(model.drift, y, n)
     u[:, 1:] += np.kron(np.eye(n), model.eta / dt)

@@ -122,7 +122,7 @@ class TestSolveCommands:
         assert len(rows) == 41
 
     def test_dense_solve_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 100000  # bytes; the n = 100 solve needs 560000
+        limit = 100000  # bytes; the n = 100 solve needs 480000
         monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg]) == 2
@@ -210,7 +210,7 @@ class TestSimulate:
             assert math.isfinite(float(r[3]))
 
     def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 700000  # bytes; the n = 100 solve needs 560000, the premium map 880000
+        limit = 700000  # bytes; the n = 100 solve needs 480000, the premium map 800000
         monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.quadratic, "_premium_map", lambda *a: pytest.fail("map built over the limit"))
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG + "mc:\n  paths: 10\n")

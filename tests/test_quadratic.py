@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from vmk import (
+    AffineModel,
     ConstantKernel,
     DiagonalKernel,
     ExponentialKernel,
@@ -33,7 +34,8 @@ from vmk import (
     wishart_model,
 )
 from vmk import quadratic
-from vmk.kernels import folded_cells
+from vmk.affine import optimal_control_affine, premium_loading, solve_riccati_volterra
+from vmk.kernels import band_coefficients, folded_cells
 from vmk.operators import _bd_right, _volterra_solve, full_matrix, kernel_value, min_sym_eigenvalue
 from vmk.quadratic import (
     RCOND_MIN,
@@ -81,7 +83,7 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     t = float(grid.nodes[k])
-    q = disc.m1 @ disc.aeta[:, k * N :]
+    q = disc.m1 @ _bd_right(disc.a, model.eta, n)[:, k * N :]
     w = np.eye(d * n) + 2.0 * q @ np.kron(np.eye(n - k), model.m0) @ q.T
     try:
         cf = scipy.linalg.cho_factor(w, lower=True)
@@ -95,9 +97,19 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
 
 
 def dense_sweep(model, grid, disc, rcond_min=RCOND_MIN):
-    """Drop-in for quadratic._psi_sweep built on the dense oracle."""
-    for k in range(grid.n, -1, -1):
-        yield (k, *dense_psi(model, grid, k, disc, rcond_min))
+    """Drop-in for quadratic._psi_sweep built on the dense oracle.
+
+    act_k = Psi_k [c_k | 1] and G_k = -c_k' Psi_k c_k come from the dense Psi_k;
+    the margin slot carries the rcond of W_k.
+    """
+    n, N = grid.n, model.n_state
+    for k in range(n, -1, -1):
+        psi, rcond = dense_psi(model, grid, k, disc, rcond_min)
+        c = quadratic._cveta_columns(model, k, disc.band)
+        ones = np.zeros((n, N, N))
+        ones[k:] = np.eye(N)
+        act = psi @ np.concatenate([c, ones.reshape(n * N, N)], axis=1)
+        yield k, psi, act, -c.T @ act[:, :N], rcond
 
 
 def random_model(rng, N, d):
@@ -119,7 +131,7 @@ def random_model(rng, N, d):
 
 def raw_psi(model, grid, k, disc):
     """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off the sweep ``quadratic._psi_sweep``."""
-    for j, psi, _ in quadratic._psi_sweep(model, grid, disc):
+    for j, psi, *_ in quadratic._psi_sweep(model, grid, disc):
         if j == k:
             return psi.copy()
 
@@ -150,7 +162,7 @@ class TestDenseOracle:
         for (k, r), got in fast_psi.items():
             assert rel_err(got, psi_at(m, g, k, disc, r)) <= 1e-10, (k, r)
         assert fast.gamma0 == pytest.approx(dense.gamma0, rel=1e-10)
-        for name in ("phi", "p_path", "z2_maps", "premium_profile"):
+        for name in ("phi", "phidot", "p_path", "z2_maps", "z2_det", "premium_profile"):
             assert rel_err(getattr(fast, name), getattr(dense, name)) <= 1e-10, name
 
     def test_blow_up_time_matches_dense_route(self, monkeypatch):
@@ -162,6 +174,48 @@ class TestDenseOracle:
         with pytest.raises(RiccatiBlowUpError) as dense:
             solve_operator_riccati(m, g)
         assert fast.value.time == dense.value.time
+
+
+@pytest.mark.parametrize("kind", ["fractional", "exponential", "diagonal"])
+def test_kernel_columns_are_folded_block_columns(kind):
+    # the sweep's c_{k+1} is block column k of a kron(I_n, eta), bit for bit
+    kern = {"fractional": FractionalKernel(0.3), "exponential": ExponentialKernel(beta=0.7, scale=1.3),
+            "diagonal": DiagonalKernel([FractionalKernel(0.2), ExponentialKernel(beta=1.5)])}[kind]
+    N = kern.dim
+    eta = np.array([[0.9, 0.4], [-0.3, 1.1]]) if N == 2 else np.array([[1.7]])
+    m = QuadraticModel(kernel=kern, theta=np.ones((1, N)), eta=eta, corr=np.zeros((N, 1)))
+    g = make_grid(0.7, 17)
+    band = band_coefficients(kern, g)
+    aeta = _bd_right(folded_cells(kern, g), eta, g.n)
+    for k in range(g.n):
+        assert np.array_equal(quadratic._cveta_columns(m, k + 1, band), aeta[:, k * N : (k + 1) * N]), k
+
+
+def node_call(name, k):
+    if name in ("affine_control", "affine_loading"):
+        m = AffineModel(kernels=(ConstantKernel(np.array([[1.0]])),), drift=np.zeros((1, 1)),
+                        nu=1.0, rho=-0.5, theta=1.0, g0=0.04)
+        g = make_grid(1.0, 8)
+        psi = solve_riccati_volterra(m, g)
+        if name == "affine_loading":
+            return premium_loading(m, psi, g, np.array([0, k]))
+        return optimal_control_affine(m, psi, g, k, np.array([0.04]), 1.0, 1.5)
+    m, g = scalar_model(), make_grid(1.0, 8)
+    if name == "boundary":
+        return boundary_relation_residual(m, g, k, np.ones((g.n, 1)))
+    if name == "sigma":
+        return sigma_operator(m, g, k)
+    return optimal_control_quadratic(m, solve_operator_riccati(m, g), k, np.ones((g.n, 1)), 1.0, 1.5)
+
+
+@pytest.mark.parametrize("name, k, last", [
+    ("boundary", 8, 7), ("boundary", -1, 7), ("sigma", -1, 8), ("sigma", 9, 8),
+    ("quadratic_control", -1, 8), ("quadratic_control", 9, 8), ("affine_control", -1, 8), ("affine_control", 9, 8),
+    ("affine_loading", -1, 8), ("affine_loading", 9, 8),
+])
+def test_node_index_out_of_range_refused(name, k, last):
+    with pytest.raises(InvalidArgumentError, match=rf"\[0, {last}\]"):
+        node_call(name, k)
 
 
 def stepper_premium_paths(ev, z):
@@ -517,7 +571,7 @@ class TestMemoryGuard:
         assert solve_peak <= quadratic.DENSE_ARRAYS * dense
         assert map_peak <= quadratic.MAP_ARRAYS * dense
         assert cov_peak <= quadratic.DENSE_ARRAYS * dense
-        assert set(vars(sol.disc)) == {"band", "a", "aeta", "m1"}
+        assert set(vars(sol.disc)) == {"band", "a", "m1"}
 
 
 class TestModelConstruction:
