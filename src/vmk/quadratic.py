@@ -26,8 +26,11 @@ discretization of the kernel.  Moving t back by one node adds a rank-N
 term to the deflating matrix, so one backward sweep of rank-N Woodbury
 updates (the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t)
 gives Psi_t at every node exactly at the discrete level, with only N x N
-factorizations.  Its one product per node, Psi_t [K(., t) eta | 1], drives
-the update and gives Z2, the phi integrand and the Markovian reduction P.
+factorizations.  Its product per node, Psi_t [K(., t) eta | 1], drives the
+update and gives Z2, the phi integrand and the Markovian reduction P.  The
+updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes: one matrix
+product against Psi serves a block, each node adds the block's pending
+rank-N terms, and the block ends with one in-place rank-(block N) update.
 
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
@@ -62,11 +65,15 @@ RCOND_MIN = 1e-12
 ODE_CAP = 1e6
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
-# peaks: 5.1 in the solve (a, m1, z2_maps, the sweep's Psi and its rank-N
-# update term), 4.1 in lambda_max_covariance and 9.1 in _premium_map (the
+# peaks: 5.0 in the solve (a, m1, z2_maps, the sweep's Psi and the -m1'
+# it is formed from), 4.1 in lambda_max_covariance and 9.1 in _premium_map (the
 # solution's 3 plus y, u, C'Z'A, the premium rows and the 2-array map).
 DENSE_ARRAYS = 6
 MAP_ARRAYS = 10
+# Nodes per block of the backward sweep's delayed update, and the row panel
+# height of its in-place rank-(block N) update.
+_SWEEP_BLOCK = 32
+_FLUSH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -173,13 +180,13 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
 
 
 def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
-    """Backward Riccati recursion; yields (k, Psi_k, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
+    """Backward Riccati recursion; yields (k, psi_k, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
 
     Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
     W_k = Id + 2 sum_{j > k} q_j M0 q_j', q_j = m1 c_j and c_j the kernel
-    column K(., t_j) eta of ``_cveta_columns``.  The one product per node,
-    act_k = Psi_k [c_k | 1] of shape (N n, 2N), gives B = Psi_k c_k and
-    G_k = -c_k' B >= 0, and the step to node k - 1 is a rank-N Woodbury update,
+    column K(., t_j) eta.  The one product per node, act_k = Psi_k [c_k | 1]
+    of shape (N n, 2N), gives B = Psi_k c_k and G_k = -c_k' B >= 0, and the
+    step to node k - 1 is a rank-N Woodbury update,
 
         Psi_{k-1} = Psi_k + 2 B (Id + 2 M0 G_k)^{-1} M0 B',
 
@@ -187,39 +194,82 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     det W_k = prod_{j > k} det S_j with S_j = Id + 2 G_j^{1/2} M0 G_j^{1/2},
     W_{k-1} stays positive definite exactly while every S_j does, so after
     yielding node k the sweep raises RiccatiBlowUpError at t_{k-1} when
-    lambda_min(S_k) is below ``RCOND_MIN``.  The yielded Psi is updated in
-    place.  At k = 0 there is no step and the margin is reported as inf.
+    lambda_min(S_k) is below ``RCOND_MIN``.  At k = 0 there is no step and
+    the margin is reported as inf.
+
+    The updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes: inside a
+    block Psi_k = Psi_base + sum_pending 2 B_j X_j B_j'.  One product
+    Psi_base [c_k ...] serves the whole block, running sums of Psi_base's
+    column blocks give Psi_base 1, each node adds the small pending
+    corrections, and the block ends with one rank-(block N) update of
+    Psi_base applied in place, in row panels.  The yielded ``psi_k()``
+    applies the pending updates and returns Psi_k, the sweep's own array,
+    which the rest of the sweep updates in place; after such a call inside
+    a block, the sweep starts a new block at the next node.
     """
     n, N = grid.n, model.n_state
-    m0 = model.m0
+    nN = n * N
+    m0, nodes = model.m0, grid.nodes
     eye = np.eye(N)
+    # rows k N: of [c_k | 1] are the first (n - k) N rows of [c_0 | 1]
+    rhs = np.concatenate([(disc.band @ model.eta).reshape(nN, N), np.tile(eye, (n, 1))], axis=1)
     psi = -disc.m1.T @ disc.m1
-    for k in range(n, -1, -1):
-        lo = k * N  # c_k vanishes on rows before node k (Volterra)
-        c = _cveta_columns(model, k, disc.band)[lo:]
-        act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
-        b = act[:, :N]
-        g = -c.T @ b[lo:]
-        if k == 0:
-            yield k, psi, act, g, np.inf
-            return
-        t = float(grid.nodes[k - 1])
-        if not np.all(np.isfinite(g)):
-            raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
-        ev, vec = np.linalg.eigh(0.5 * (g + g.T))
-        root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
-        lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-        yield k, psi, act, g, float(lam[0])
-        if lam[0] < RCOND_MIN:
-            raise RiccatiBlowUpError(
-                "operator Riccati solution blows up: the deflating matrix loses positive "
-                f"definiteness at t={t:.6g} (lambda_min {lam[0]:.3e})",
-                time=t,
-            )
-        # (Id + 2 M0 G)^{-1} M0 = M0 - 2 M0 G^{1/2} S^{-1} G^{1/2} M0, symmetric
-        v = m0 @ root @ u
-        x = m0 - 2.0 * (v / lam) @ v.T
-        psi += (2.0 * b @ x) @ b.T
+    u = np.empty((nN, _SWEEP_BLOCK * N))  # pending B_j
+    ux = np.empty_like(u)  # pending 2 B_j X_j
+    p = 0  # pending columns
+
+    def psi_k():
+        nonlocal p
+        for r in range(0, nN, _FLUSH_ROWS):
+            psi[r : r + _FLUSH_ROWS] += ux[r : r + _FLUSH_ROWS, :p] @ u[:, :p].T
+        p = 0
+        return psi
+
+    top = n
+    while True:
+        block = range(top, max(top - _SWEEP_BLOCK, -1), -1)
+        low = block[-1] * N
+        cols = np.zeros((nN - low, len(block) * N))
+        for i, k in enumerate(block):
+            cols[k * N - low :, i * N : (i + 1) * N] = rhs[: nN - k * N, :N]
+        base = psi[:, low:] @ cols
+        tail = psi[:, top * N :].reshape(nN, n - top, N).sum(axis=1)
+        for i, k in enumerate(block):
+            lo = k * N  # c_k vanishes on rows before node k (Volterra)
+            if k < top:
+                tail += psi[:, lo : lo + N]
+            r = rhs[: nN - lo]
+            act = np.concatenate([base[:, i * N : (i + 1) * N], tail], axis=1)
+            act += ux[:, :p] @ (u[lo:, :p].T @ r)
+            b = act[:, :N]
+            g = -r[:, :N].T @ b[lo:]
+            if k == 0:
+                yield k, psi_k, act, g, np.inf
+                return
+            t = float(nodes[k - 1])
+            if not np.all(np.isfinite(g)):
+                raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
+            ev, vec = np.linalg.eigh(0.5 * (g + g.T))
+            root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
+            lam, w = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
+            yield k, psi_k, act, g, float(lam[0])
+            if lam[0] < RCOND_MIN:
+                raise RiccatiBlowUpError(
+                    "operator Riccati solution blows up: the deflating matrix loses positive "
+                    f"definiteness at t={t:.6g} (lambda_min {lam[0]:.3e})",
+                    time=t,
+                )
+            # (Id + 2 M0 G)^{-1} M0 = M0 - 2 M0 G^{1/2} S^{-1} G^{1/2} M0, symmetric
+            v = m0 @ root @ w
+            x = m0 - 2.0 * (v / lam) @ v.T
+            flushed = p < i * N  # psi_k() was called at this node: the block's products are stale
+            u[:, p : p + N] = b
+            ux[:, p : p + N] = (2.0 * b) @ x
+            p += N
+            if flushed:
+                break
+        top = k - 1
+        psi_k()
 
 
 def _cveta_columns(model: QuadraticModel, k: int, band: np.ndarray) -> np.ndarray:
@@ -267,11 +317,11 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     """Evaluate the closed-form operator Riccati solution at every node.
 
     One backward sweep (see ``_psi_sweep``) carries Psi_k from the horizon
-    by a rank-N update per node, and every per-node output is read off the
-    sweep's product of Psi_k with the kernel columns K(., t_k) eta (giving
-    the volatility adjustment Z2 and the phi integrand) and the constant
-    function (giving the Markovian reduction P); Psi_0 acts on the initial
-    curve.  ``min_rcond`` records the smallest lambda_min(S_k) met on the
+    by a delayed rank-N update per node, and every per-node output is read
+    off the sweep's product of Psi_k with the kernel columns K(., t_k) eta
+    (giving the volatility adjustment Z2 and the phi integrand) and the
+    constant function (giving the Markovian reduction P); Psi_0 acts on the
+    initial curve.  ``min_rcond`` records the smallest lambda_min(S_k) met on the
     way, the distance of the deflating matrix from losing definiteness.
 
     Raises
@@ -292,13 +342,13 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     p_path = np.zeros((n + 1, N, N))
     z2_maps = np.zeros((n + 1, n * N, N))
     min_rcond = np.inf
-    for k, psi, act, g, lam in _psi_sweep(model, grid, disc):
+    for k, psi_k, act, g, lam in _psi_sweep(model, grid, disc):
         min_rcond = min(min_rcond, lam)
         lo = k * N
         z2_maps[k, lo:] = act[lo:, :N]
         p_path[k] = dt * act[lo:, N:].reshape(n - k, N, N).sum(axis=0)
         phidot[k] = (1.0 / dt) * float(np.trace(g @ model.u_mat)) - 2.0 * rn[k]
-    quad0 = dt * float(g0_samples @ (psi @ g0_samples))  # the sweep ends at Psi_0
+    quad0 = dt * float(g0_samples @ (psi_k() @ g0_samples))  # the sweep ends at Psi_0
     z2_det = 2.0 * g0_samples @ z2_maps
     premium_profile = g0s @ model.theta.T + z2_det @ model.corr
     phi = np.zeros(n + 1)
@@ -337,17 +387,25 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
     node k and zeroes the rows and columns before node k, so the matrix
     represents the operator on L^2([t_k, T]) embedded in the full grid.
     """
-    n, N = grid.n, model.n_state
+    n = grid.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index must lie in [0, {n}]")
     disc = _discretize(model, grid) if disc is None else disc
-    for j, psi, *_ in _psi_sweep(model, grid, disc):
-        if j == k:
-            break
-    full = psi.copy()
-    full[: k * N] = 0.0
-    full[:, : k * N] = 0.0
-    return full
+    return _restricted_psi(model, grid, disc, (k,))[0]
+
+
+def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, nodes) -> list:
+    """Psi_k with the rows and columns before node k zeroed, for each of the descending ``nodes``, from one sweep."""
+    N = model.n_state
+    out = []
+    for k, psi_k, *_ in _psi_sweep(model, grid, disc):
+        if k == nodes[len(out)]:
+            full = psi_k().copy()
+            full[: k * N] = 0.0
+            full[:, : k * N] = 0.0
+            out.append(full)
+            if len(out) == len(nodes):
+                return out
 
 
 def psi_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: SimpleNamespace = None) -> IntegralOperator:
@@ -394,8 +452,7 @@ def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, d
     if not 0 <= k < n:
         raise InvalidArgumentError(f"node index must lie in [0, {n - 1}]")
     disc = _discretize(model, grid) if disc is None else disc
-    pk = psi_full_matrix(model, grid, k, disc)
-    pk1 = psi_full_matrix(model, grid, k + 1, disc)
+    pk1, pk = _restricted_psi(model, grid, disc, (k + 1, k))
     rhs = 2.0 * pk @ sigma_dot_folded(model, grid, k, disc.band) @ pk
     lo = (k + 1) * N
     res = (pk1 - pk) / grid.dt - rhs

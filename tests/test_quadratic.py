@@ -109,7 +109,41 @@ def dense_sweep(model, grid, disc, rcond_min=RCOND_MIN):
         ones = np.zeros((n, N, N))
         ones[k:] = np.eye(N)
         act = psi @ np.concatenate([c, ones.reshape(n * N, N)], axis=1)
-        yield k, psi, act, -c.T @ act[:, :N], rcond
+        yield k, lambda psi=psi: psi, act, -c.T @ act[:, :N], rcond
+
+
+def per_node_sweep(model, grid, disc):
+    """Drop-in for quadratic._psi_sweep: the rank-N Woodbury update applied to Psi at every node.
+
+    Same recursion, margins and blow-up times as the blocked sweep, with no
+    delayed update: the product act_k = Psi_k [c_k | 1] is taken against the
+    current Psi_k and Psi_{k-1} = Psi_k + 2 B X B' is formed before the next node.
+    """
+    n, N = grid.n, model.n_state
+    m0 = model.m0
+    eye = np.eye(N)
+    psi = -disc.m1.T @ disc.m1
+    for k in range(n, -1, -1):
+        lo = k * N
+        c = quadratic._cveta_columns(model, k, disc.band)[lo:]
+        act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
+        b = act[:, :N]
+        g = -c.T @ b[lo:]
+        if k == 0:
+            yield k, lambda: psi, act, g, np.inf
+            return
+        t = float(grid.nodes[k - 1])
+        if not np.all(np.isfinite(g)):
+            raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
+        ev, vec = np.linalg.eigh(0.5 * (g + g.T))
+        root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
+        lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
+        yield k, lambda: psi, act, g, float(lam[0])
+        if lam[0] < RCOND_MIN:
+            raise RiccatiBlowUpError(f"deflating matrix loses definiteness at t={t:.6g}", time=t)
+        v = m0 @ root @ u
+        x = m0 - 2.0 * (v / lam) @ v.T
+        psi += (2.0 * b @ x) @ b.T
 
 
 def random_model(rng, N, d):
@@ -131,9 +165,9 @@ def random_model(rng, N, d):
 
 def raw_psi(model, grid, k, disc):
     """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off the sweep ``quadratic._psi_sweep``."""
-    for j, psi, *_ in quadratic._psi_sweep(model, grid, disc):
+    for j, psi_k, *_ in quadratic._psi_sweep(model, grid, disc):
         if j == k:
-            return psi.copy()
+            return psi_k().copy()
 
 
 def psi_at(model, grid, k, disc, restrict):
@@ -174,6 +208,86 @@ class TestDenseOracle:
         with pytest.raises(RiccatiBlowUpError) as dense:
             solve_operator_riccati(m, g)
         assert fast.value.time == dense.value.time
+
+
+B = quadratic._SWEEP_BLOCK
+
+
+def sweep_outputs(sweep, model, grid, disc, flush_at=None):
+    """(k, act, G, margin) at every node of ``sweep``; Psi_k is taken (and the update flushed) at ``flush_at``."""
+    out = []
+    for k, psi_k, act, g, lam in sweep(model, grid, disc):
+        if k == flush_at:
+            psi_k()
+        out.append((k, act.copy(), g.copy(), lam))
+    return out
+
+
+class TestBlockedSweep:
+    """The blocked delayed-update sweep against the per-node sweep at the block edges."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_per_node_sweep(self, monkeypatch, N, d, n):
+        m = random_model(np.random.default_rng(300 + 100 * N + 10 * d), N, d)
+        g = make_grid(0.6, n)
+        disc = quadratic._discretize(m, g)
+        edge = max(n - B + 1, 1)  # last node of the first block, or one node past the start
+        nodes = sorted({0, edge - 1, edge, edge + 1, n // 2, n})
+        blocked = solve_operator_riccati(m, g)
+        got = {k: psi_full_matrix(m, g, k, disc) for k in nodes}
+        runs = [sweep_outputs(quadratic._psi_sweep, m, g, disc, f) for f in (None, edge + 1, n // 2)]
+        monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
+        oracle = solve_operator_riccati(m, g)
+        for k in nodes:
+            assert rel_err(got[k], psi_full_matrix(m, g, k, disc)) <= 1e-10, k
+        want = sweep_outputs(per_node_sweep, m, g, disc)
+        for run in runs:
+            for (k, act, gk, lam), (j, act1, gk1, lam1) in zip(run, want, strict=True):
+                assert k == j
+                assert rel_err(act, act1) <= 1e-10, k
+                assert rel_err(gk, gk1) <= 1e-10, k
+                assert lam == pytest.approx(lam1, rel=1e-10), k
+        assert blocked.min_rcond == pytest.approx(oracle.min_rcond, rel=1e-10)
+        assert blocked.gamma0 == pytest.approx(oracle.gamma0, rel=1e-10)
+        for name in ("phi", "phidot", "p_path", "z2_maps", "z2_det", "premium_profile"):
+            assert rel_err(getattr(blocked, name), getattr(oracle, name)) <= 1e-10, name
+
+    def test_mid_block_blow_up_and_psi_next_to_the_pole(self, monkeypatch):
+        m = TestBlowUp().blow_model()
+        g = make_grid(2.0, 80)
+        disc = quadratic._discretize(m, g)
+        with pytest.raises(RiccatiBlowUpError) as blocked:
+            solve_operator_riccati(m, g)
+        k = round(blocked.value.time / g.dt) + 1  # the node whose step fails
+        assert (g.n - k) % B > 1  # pending updates not yet flushed
+        psi = psi_full_matrix(m, g, k, disc)
+        monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
+        with pytest.raises(RiccatiBlowUpError) as oracle:
+            solve_operator_riccati(m, g)
+        assert blocked.value.time == oracle.value.time
+        assert rel_err(psi, psi_full_matrix(m, g, k, disc)) <= 1e-10
+
+    def test_derivative_residual_takes_one_sweep(self, monkeypatch):
+        m = mixed_model()
+        g = make_grid(0.8, 80)
+        disc = quadratic._discretize(m, g)
+        calls = []
+        sweep = quadratic._psi_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        # at k = n - B, Psi_{k+1} is the first block's last node and Psi_k the next block's first
+        for k in (g.n - B, g.n - B - 1, g.n // 2):
+            calls.clear()
+            monkeypatch.setattr(quadratic, "_psi_sweep", counted)
+            res = riccati_derivative_residual(m, g, k, disc)
+            assert len(calls) == 1, k
+            monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
+            assert res == pytest.approx(riccati_derivative_residual(m, g, k, disc), rel=1e-10), k
 
 
 @pytest.mark.parametrize("kind", ["fractional", "exponential", "diagonal"])
