@@ -181,7 +181,7 @@ def mean_reversion_a_bound(kappa: float, nu: float) -> float:
 def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
     """Expected variance path solving E V = g0 + (K D) E V, shape (n, d).
 
-    One triangular resolvent solve on the cell-integral discretization;
+    One Volterra resolvent solve on the cell-integral discretization;
     serves as an independent cross-check of the pathwise scheme's mean.
     """
     n, d = grid.n, model.dim

@@ -19,7 +19,7 @@ class GridMismatchError(VmkError):
 class SingularOperatorError(VmkError):
     """A linear solve against (Id - A) hit a numerically singular matrix.
 
-    The attached condition estimate is a lower bound on cond_1(Id - A).
+    The attached condition number is cond_1(Id - A), inf when exactly singular.
     """
 
     def __init__(self, message, condition=None):

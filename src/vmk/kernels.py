@@ -14,11 +14,11 @@ Discretizations therefore carry no quadrature error beyond the
 piecewise-constant approximation of the co-factor.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .errors import InvalidArgumentError
 from .grid import TimeGrid, check_same_grid
@@ -80,7 +80,7 @@ class FractionalKernel(_ConvolutionScalar):
             raise InvalidArgumentError(f"fractional exponent h must lie in (0, 1], got {self.h}")
 
     def _norm(self) -> float:
-        return self.scale / _gamma_fn(self.h + 0.5)
+        return self.scale / math.gamma(self.h + 0.5)
 
     def _profile(self, x):
         if x == 0.0:

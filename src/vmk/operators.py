@@ -15,7 +15,6 @@ matrix multiplication and the discrete adjoint is the matrix transpose.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, SingularOperatorError
 from .grid import TimeGrid, check_same_grid
@@ -91,11 +90,12 @@ def _volterra_solve(a: np.ndarray, m: np.ndarray, rhs: np.ndarray, n: int, trans
     """(Id - a kron(I_n, m))^{-1} rhs, or (Id - a kron(I_n, m))^{-T} rhs with ``trans``.
 
     ``a`` is a strictly block lower (Volterra) cell matrix, so Id - a kron(I_n, m)
-    is unit lower triangular: one triangular solve that never reads the diagonal.
-    ``rhs`` may be overwritten (in place when Fortran-ordered); pass a fresh array.
+    is unit lower triangular; one dense LU solve, which never pivots on the
+    transposed (upper triangular) form.
     """
-    return scipy.linalg.solve_triangular(_bd_right(a, -m, n), rhs, trans="T" if trans else "N", lower=True,
-                                         unit_diagonal=True, overwrite_b=True, check_finite=False)
+    mat = _bd_right(a, -m, n)
+    mat[np.diag_indices_from(mat)] += 1.0
+    return np.linalg.solve(mat.T if trans else mat, rhs)
 
 
 def op_apply(op: IntegralOperator, f: np.ndarray) -> np.ndarray:
@@ -136,16 +136,13 @@ def adjoint(a: IntegralOperator) -> IntegralOperator:
 
 def _solve_id_minus(k: np.ndarray, rhs: np.ndarray):
     m = np.eye(k.shape[0]) - k
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    anorm = np.linalg.norm(m, 1)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if not np.isfinite(rcond) or rcond <= 0.0 or 1.0 / rcond > COND_LIMIT:
-        cond = np.inf if rcond <= 0.0 else 1.0 / rcond
+    cond = np.linalg.cond(m, 1)
+    if not cond <= COND_LIMIT:
         raise SingularOperatorError(
-            f"(Id - A) is numerically singular (condition estimate {cond:.3e})",
+            f"(Id - A) is numerically singular (condition number {cond:.3e})",
             condition=cond,
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return np.linalg.solve(m, rhs)
 
 
 def resolvent(a: IntegralOperator) -> IntegralOperator:

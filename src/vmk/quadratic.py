@@ -65,9 +65,11 @@ RCOND_MIN = 1e-12
 ODE_CAP = 1e6
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
-# peaks: 5.0 in the solve (a, m1, z2_maps, the sweep's Psi and the -m1'
-# it is formed from), 4.1 in lambda_max_covariance and 9.1 in _premium_map (the
-# solution's 3 plus y, u, C'Z'A, the premium rows and the 2-array map).
+# peaks plus the matrix and right-hand-side copies numpy.linalg.solve makes
+# untraced: 6 at the m1 solve (a, Id - a (I kron F), rhs, 2 copies, result) and
+# 4.9 in the sweep (a, m1, z2_maps, Psi, panels); 5 at lambda_max_covariance's
+# drift fold (a, matrix, 2 copies, result); 8 at _premium_map's solve and 9.1
+# after it (the solution's 3, y, u, C'Z'A, the premium rows, the 2-array map).
 DENSE_ARRAYS = 6
 MAP_ARRAYS = 10
 # Nodes per block of the backward sweep's delayed update, and the row panel
@@ -168,7 +170,7 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     """Shared dense factors: lag band, folded kernel a and m1.
 
     m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), comes from
-    one transposed triangular solve.  Raises MemoryCapError before allocating
+    one transposed Volterra solve.  Raises MemoryCapError before allocating
     when the dense solve would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
@@ -213,7 +215,8 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     eye = np.eye(N)
     # rows k N: of [c_k | 1] are the first (n - k) N rows of [c_0 | 1]
     rhs = np.concatenate([(disc.band @ model.eta).reshape(nN, N), np.tile(eye, (n, 1))], axis=1)
-    psi = -disc.m1.T @ disc.m1
+    psi = disc.m1.T @ disc.m1
+    psi *= -1.0
     u = np.empty((nN, _SWEEP_BLOCK * N))  # pending B_j
     ux = np.empty_like(u)  # pending 2 B_j X_j
     p = 0  # pending columns
@@ -574,9 +577,8 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     nN, dt, disc = n * N, grid.dt, sol.disc
-    # Column 0 is the deterministic state, the others its response to dW/dt;
-    # the right-hand side is Fortran-ordered so the solve overwrites it in place.
-    y = np.empty((nN, nN + 1), order="F")
+    # Column 0 is the deterministic state, the others its response to dW/dt.
+    y = np.empty((nN, nN + 1))
     y[:, 0] = sol.g0s[:n].reshape(nN)
     np.divide(_bd_right(disc.a, model.eta, n), dt, out=y[:, 1:])
     y = _volterra_solve(disc.a, model.drift, y, n)

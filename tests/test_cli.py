@@ -3,6 +3,9 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +351,35 @@ class TestCheck:
         assert "model: affine" in text
         assert "theta_condition.satisfied:" in text
         assert "gamma0_bound_exp_2intr: 1" in text
+
+
+class TestNumpyOnlyRuntime:
+    """Every CLI path runs on numpy alone: a fresh interpreter never loads scipy."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from vmk.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+
+    @pytest.mark.parametrize("command, family", [
+        ("quadratic-solve", "quadratic"),
+        ("simulate", "affine"),
+        ("simulate", "quadratic"),
+        ("check", "affine"),
+        ("check", "quadratic"),
+    ])
+    def test_no_scipy_module_loaded(self, tmp_path, command, family):
+        cfg, _ = write_cfg(tmp_path, AFFINE_CFG if family == "affine" else QUADRATIC_CFG)
+        src = str(Path(vmk.quadratic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, command, "--config", cfg, "--paths", "200", "--grid-n", "40"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 []"
 
 
 class TestConfigErrors:

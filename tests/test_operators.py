@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vmk import (
     ConstantKernel,
@@ -22,6 +23,7 @@ from vmk import (
 from vmk import quadratic
 from vmk.kernels import folded_cells
 from vmk.operators import (
+    COND_LIMIT,
     IntegralOperator,
     _bd_right,
     _volterra_solve,
@@ -100,7 +102,7 @@ class TestVolterraSolve:
         drift = -0.5 * np.eye(N) + 0.3 * rng.standard_normal((N, N))
         rhs = rng.standard_normal((N * n, d * n))
         dense = np.eye(N * n) - a @ np.kron(np.eye(n), drift)
-        want = np.linalg.solve(dense.T if trans else dense, rhs)
+        want = scipy.linalg.solve_triangular(dense, rhs, trans="T" if trans else "N", lower=True)
         for order in ("C", "F"):
             got = _volterra_solve(a, drift, np.array(rhs, order=order), n, trans=trans)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -172,12 +174,22 @@ class TestResolventIdentities:
         x = ones + op_apply(r, ones)
         np.testing.assert_allclose(x, np.exp(grid.left_nodes), rtol=6e-3)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_case_raises(self):
         grid = make_grid(1.0, 10)
         a = kernel_operator(grid, 1, np.eye(10))
-        with pytest.raises(SingularOperatorError):
+        with pytest.raises(SingularOperatorError) as exc:
             resolvent(a)
+        assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("solve", [resolvent, invert_id_minus])
+    def test_condition_limit_on_nonsingular_matrix(self, solve):
+        # Id - A = diag(1, 1e-14) is invertible, with cond_1 near 1e14 > COND_LIMIT
+        grid = make_grid(1.0, 2)
+        a = kernel_operator(grid, 1, np.eye(2) - np.diag([1.0, 1e-14]))
+        with pytest.raises(SingularOperatorError) as exc:
+            solve(a)
+        assert np.isfinite(exc.value.condition)
+        assert exc.value.condition > COND_LIMIT
 
     def test_resolvent_needs_pure_kernel(self):
         grid = make_grid(1.0, 10)
