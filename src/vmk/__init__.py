@@ -10,7 +10,6 @@ from .affine import (
     AffineEvaluator,
     AffineModel,
     gamma0_affine,
-    mean_forward_variance,
     mean_reversion_a_bound,
     optimal_control_affine,
     premium_loading,
@@ -51,18 +50,17 @@ from .markowitz import (
     xi_star,
 )
 from .montecarlo import SampleStats, mc_stats, run_mc, simulate_drivers, simulate_wealth
-from .operators import IntegralOperator, invert_id_minus, kernel_operator, resolvent, star
 from .quadratic import (
     QuadraticEvaluator,
     QuadraticModel,
     QuadraticSolution,
+    boundary_relation_residual,
     contraction_report,
+    gamma_quadratic,
     kappa_hat,
     lambda_max_covariance,
-    markovian_riccati_ode,
     optimal_control_quadratic,
-    psi_operator,
-    sigma_operator,
+    riccati_derivative_residual,
     solve_operator_riccati,
     two_asset_model,
     wishart_model,

@@ -27,15 +27,22 @@ from .errors import (
     RiccatiBlowUpError,
 )
 from .grid import TimeGrid, g0_nodes
-from .kernels import DiagonalKernel, Kernel, band_coefficients, folded_cells
+from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
-from .operators import _volterra_solve
 
 RICCATI_CAP = 1e6
 GAMMA_BOUND_TOL = 1e-8
 # Slots per block of the forward-variance stepper; keeps one block of the
 # curve in cache while earlier steps are added to it.
 _SLOT_BLOCK = 16
+
+
+def _per_factor(value, name: str, d: int) -> np.ndarray:
+    """A number or d numbers as a (d,) vector, or InvalidArgumentError naming ``name``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape not in ((), (1,), (d,)):
+        raise InvalidArgumentError(f"{name} must be a number or a length-{d} list, got shape {arr.shape}")
+    return np.broadcast_to(arr, (d,)).copy()
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,7 @@ class AffineModel:
         off = drift - np.diag(np.diag(drift))
         if np.any(off < 0.0):
             raise InvalidArgumentError("off-diagonal drift entries must be nonnegative")
-        nu = np.broadcast_to(np.asarray(self.nu, dtype=float), (d,)).copy()
-        rho = np.broadcast_to(np.asarray(self.rho, dtype=float), (d,)).copy()
-        theta = np.broadcast_to(np.asarray(self.theta, dtype=float), (d,)).copy()
+        nu, rho, theta = (_per_factor(getattr(self, name), name, d) for name in ("nu", "rho", "theta"))
         if np.any(nu < 0.0):
             raise InvalidArgumentError("nu must be nonnegative")
         if np.any(np.abs(rho) > 1.0):
@@ -176,18 +181,6 @@ def mean_reversion_a_bound(kappa: float, nu: float) -> float:
     if kappa <= 0 or nu <= 0:
         raise InvalidArgumentError("kappa and nu must be positive")
     return float(kappa * kappa / (2.0 * nu * nu))
-
-
-def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
-    """Expected variance path solving E V = g0 + (K D) E V, shape (n, d).
-
-    One Volterra resolvent solve on the cell-integral discretization;
-    serves as an independent cross-check of the pathwise scheme's mean.
-    """
-    n, d = grid.n, model.dim
-    a = folded_cells(DiagonalKernel(model.kernels), grid)
-    g0 = g0_nodes(model.g0, grid, d)[:-1].reshape(n * d)
-    return _volterra_solve(a, model.drift, g0, n).reshape(n, d)
 
 
 def correlate_increments(model: AffineModel, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -3,17 +3,14 @@
 
 class VmkError(Exception):
     """Base class for all errors raised by this package."""
-    pass
 
 
 class InvalidArgumentError(VmkError, ValueError):
     """An argument is outside the domain an operation is defined on."""
-    pass
 
 
 class GridMismatchError(VmkError):
     """Two discretized objects live on different time grids."""
-    pass
 
 
 class SingularOperatorError(VmkError):
@@ -52,17 +49,14 @@ class ModelAssumptionError(VmkError):
 
 class DegenerateMarketError(VmkError):
     """The mean-variance problem degenerates (no risk premium to trade on)."""
-    pass
 
 
 class SingularVolatilityError(VmkError):
     """The volatility matrix is singular; amounts cannot be mapped to fractions."""
-    pass
 
 
 class InternalConsistencyError(VmkError):
     """A quantity violated a bound that holds for exact solutions."""
-    pass
 
 
 class MemoryCapError(VmkError):
@@ -75,4 +69,3 @@ class MemoryCapError(VmkError):
 
 class ConfigError(VmkError):
     """A run configuration file is malformed or inconsistent."""
-    pass

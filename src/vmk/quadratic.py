@@ -56,13 +56,13 @@ from .errors import (
     SingularVolatilityError,
 )
 from .grid import TimeGrid, g0_nodes
-from .kernels import Kernel, band_coefficients, first_arg_columns, folded_cells, kernel_l2_norm_sq
+from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, folded_cells,
+                      kernel_l2_norm_sq)
 from .markowitz import rate_nodes, tail_rate_integrals
-from .operators import IntegralOperator, _bd_left, _bd_right, _volterra_solve, kernel_operator
+from .operators import _bd_left, _bd_right, _volterra_solve
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
-ODE_CAP = 1e6
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
 # peaks plus the matrix and right-hand-side copies numpy.linalg.solve makes
@@ -411,33 +411,6 @@ def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace
                 return out
 
 
-def psi_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: SimpleNamespace = None) -> IntegralOperator:
-    """Psi_{t_k} as an integral operator split into -Theta'Theta Id + kernel.
-
-    The identity part is global while the operator only acts on [t_k, T];
-    for k > 0 use the operator on tail samples only.
-    """
-    n, N = grid.n, model.n_state
-    full = psi_full_matrix(model, grid, k, disc)
-    gid = model.theta.T @ model.theta
-    mask = np.zeros(n)
-    mask[k:] = 1.0
-    kern = full + np.kron(np.diag(mask), gid)
-    return IntegralOperator(grid=grid, dim=N, kernel=kern, ident=-gid)
-
-
-def sigma_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: SimpleNamespace = None) -> IntegralOperator:
-    """Deflated-state covariance operator Sigma_{t_k} as a pure kernel."""
-    n, N = grid.n, model.n_state
-    if not 0 <= k <= n:
-        raise InvalidArgumentError(f"node index must lie in [0, {n}]")
-    disc = _discretize(model, grid) if disc is None else disc
-    ae = _bd_right(disc.a, model.eta, n)
-    ae[:, : k * N] = 0.0
-    kern = _bd_right(ae, model.m0, n) @ ae.T
-    return kernel_operator(grid, N, kern)
-
-
 def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
     """Folded time derivative of Sigma_t at t_k: -K(., t_k) eta M0 eta' K(., t_k)'."""
     cveta = _cveta_columns(model, k, band)
@@ -491,8 +464,14 @@ def correlate_drivers_quadratic(model: QuadraticModel, z: np.ndarray):
     return db, dw
 
 
-def gamma_quadratic(sol: QuadraticSolution, k: int, g_rows: np.ndarray):
-    """Gamma at node k for curve samples g_rows of shape (n, N) or (P, n, N)."""
+def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
+    """Gamma at node k, or at each node of the sequence k, for curve samples g_rows of shape (n, N) or (P, n, N).
+
+    Gamma_k = exp(phi_k + <g, Psi_k g>) with the curve rows before node k
+    masked; every requested node is read from one backward sweep.  Returns
+    a float for one node and one curve, else an array over the paths
+    (P,), the nodes (len(k),) or both (len(k), P).
+    """
     grid, N = sol.grid, sol.model.n_state
     n = grid.n
     g = np.asarray(g_rows, dtype=float)
@@ -501,11 +480,23 @@ def gamma_quadratic(sol: QuadraticSolution, k: int, g_rows: np.ndarray):
         g = g[None, :, :]
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
-    full = psi_full_matrix(sol.model, grid, k, sol.disc)
+    nodes = np.asarray(k)
+    if nodes.ndim > 1 or nodes.size == 0 or nodes.dtype.kind not in "iu" or np.any((nodes < 0) | (nodes > n)):
+        raise InvalidArgumentError(f"node index must be an integer, or a nonempty sequence of them, in [0, {n}]")
     flat = g.reshape(-1, n * N)
-    quad = grid.dt * np.einsum("pi,ij,pj->p", flat, full, flat)
-    gam = np.exp(sol.phi[k] + quad)
-    return float(gam[0]) if single else gam
+    wanted = set(nodes.flat)
+    quad = {}
+    for j, psi_k, *_ in _psi_sweep(sol.model, grid, sol.disc):
+        if j in wanted:
+            lo = j * N
+            tail = flat[:, lo:]  # the curve with its rows before node j masked
+            quad[j] = grid.dt * np.einsum("pi,pi->p", tail @ psi_k()[lo:, lo:], tail)
+            if len(quad) == len(wanted):
+                break
+    gam = np.exp(np.array([sol.phi[j] + quad[j] for j in nodes.flat])).reshape(nodes.shape + (-1,))
+    if single:
+        gam = gam[..., 0]
+    return float(gam) if gam.ndim == 0 else gam
 
 
 def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_index: int, g_t, x_t, xi_discounted):
@@ -635,77 +626,6 @@ class QuadraticEvaluator:
         return db, lam, prem, state
 
 
-def markovian_riccati_ode(theta, eta, corr, drift, u_mat, rate, horizon: float, n: int):
-    """Backward RK4 integration of the matrix Riccati reduction.
-
-    Solves, with F = D - 2 eta C Theta and M0 = U - 2 C C',
-
-        dP/dt = Theta'Theta - P F - F' P - 2 P (eta M0 eta') P,  P_T = 0,
-        dphi/dt = -2 r(t) - tr(P eta U eta'),                    phi_T = 0,
-
-    on n uniform steps.  This is the exact reduction of the operator
-    Riccati equation when the kernel is the identity, and serves as an
-    independent oracle for that case.
-
-    Returns (nodes, P path (n+1, N, N), phi path (n+1,)).
-
-    Raises
-    ------
-    RiccatiBlowUpError
-        When |P| exceeds ``ODE_CAP`` (tangent-type finite-time blow-up),
-        carrying the first grid time past the singularity.
-    """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    d, N = theta.shape
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    corr = np.atleast_2d(np.asarray(corr, dtype=float))
-    drift = np.atleast_2d(np.asarray(drift, dtype=float))
-    u_mat = np.atleast_2d(np.asarray(u_mat, dtype=float))
-    if corr.shape != (N, d):
-        raise InvalidArgumentError(f"corr must be ({N}, {d}), got {corr.shape}")
-    if horizon <= 0 or n < 1:
-        raise InvalidArgumentError("horizon must be positive and n >= 1")
-    r_fun = rate if callable(rate) else (lambda t, _r=float(rate): _r)
-    f = drift - 2.0 * eta @ corr @ theta
-    m0 = u_mat - 2.0 * corr @ corr.T
-    gram = theta.T @ theta
-    quad = eta @ m0 @ eta.T
-    trmat = eta @ u_mat @ eta.T
-
-    def pdot(p):
-        return gram - p @ f - f.T @ p - 2.0 * (p @ quad) @ p
-
-    dt = horizon / n
-    nodes = np.linspace(0.0, horizon, n + 1)
-    p_path = np.zeros((n + 1, N, N))
-    phi_path = np.zeros(n + 1)
-    p = np.zeros((N, N))
-    phi = 0.0
-    for step in range(n):
-        t1 = horizon - step * dt
-        k1p = -pdot(p)
-        k1f = 2.0 * r_fun(t1) + float(np.trace(p @ trmat))
-        p2 = p + 0.5 * dt * k1p
-        k2p = -pdot(p2)
-        k2f = 2.0 * r_fun(t1 - 0.5 * dt) + float(np.trace(p2 @ trmat))
-        p3 = p + 0.5 * dt * k2p
-        k3p = -pdot(p3)
-        k3f = 2.0 * r_fun(t1 - 0.5 * dt) + float(np.trace(p3 @ trmat))
-        p4 = p + dt * k3p
-        k4p = -pdot(p4)
-        k4f = 2.0 * r_fun(t1 - dt) + float(np.trace(p4 @ trmat))
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        phi = phi + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > ODE_CAP:
-            raise RiccatiBlowUpError(
-                f"matrix Riccati solution exceeded cap {ODE_CAP:.1e} at t={horizon - (step + 1) * dt:.6g}",
-                time=float(horizon - (step + 1) * dt),
-            )
-        p_path[n - step - 1] = p
-        phi_path[n - step - 1] = phi
-    return nodes, p_path, phi_path
-
-
 def kappa_hat(x: float) -> float:
     """Resolvent amplification (x / (1 - x))^4 for contraction margin x < 1."""
     if x < 0:
@@ -809,13 +729,13 @@ def two_asset_model(hurst=(0.08, 0.4), eta=(1.0, 1.0), leverage=(-0.7, -0.7), st
     which the construction permits deliberately (enforce_psd=False); the
     solver and diagnostics report it.
     """
-    from .kernels import DiagonalKernel, FractionalKernel
-
     rho = float(stock_corr)
     if not -1.0 < rho < 1.0:
         raise InvalidArgumentError("stock correlation must lie in (-1, 1)")
     sq = np.sqrt(1.0 - rho * rho)
     h1, h2 = float(hurst[0]), float(hurst[1])
+    if not (0.0 < h1 <= 1.0 and 0.0 < h2 <= 1.0):
+        raise InvalidArgumentError(f"hurst must be a pair of numbers in (0, 1], got ({h1}, {h2})")
     c1, c2 = float(leverage[0]), float(leverage[1])
     th1, th2 = float(theta[0]), float(theta[1])
     kernel = DiagonalKernel([
@@ -855,8 +775,6 @@ def wishart_model(kernel_scalar: Kernel, theta: np.ndarray, eta: np.ndarray, rho
     if np.any(np.abs(rho) > 1.0):
         raise InvalidArgumentError("row correlations must lie in [-1, 1]")
     N = d * d
-    from .kernels import DiagonalKernel
-
     if kernel_scalar.dim != 1:
         raise InvalidArgumentError("matrix-state variant expects a scalar base kernel")
     kernel = DiagonalKernel([kernel_scalar] * N)

@@ -21,14 +21,10 @@ from vmk import (
     TableKernel,
     gamma0_affine,
     integrated_rate,
-    invert_id_minus,
     make_grid,
-    markovian_riccati_ode,
-    resolvent,
     run_mc,
     solve_operator_riccati,
     solve_riccati_volterra,
-    star,
     two_asset_model,
     value_v,
     wishart_model,
@@ -37,15 +33,15 @@ from vmk import (
 from vmk.affine import gamma_affine
 from vmk.grid import g0_nodes
 from vmk.markowitz import tail_rate_integrals
-from vmk.operators import IntegralOperator, discretize
 from vmk.quadratic import (
     QuadraticEvaluator,
     boundary_relation_residual,
     gamma_quadratic,
     psi_full_matrix,
     riccati_derivative_residual,
-    sigma_operator,
 )
+
+from oracles import IntegralOperator, discretize, invert_id_minus, markovian_riccati_ode, resolvent, sigma_operator, star
 
 
 def report(capsys, num, ok, detail):
@@ -374,9 +370,9 @@ def test_criterion_10_structural_invariants(capsys):
                 good = good and np.linalg.eigvalsh(0.5 * (pf + pf.T)).max() <= 1e-8
         tails = tail_rate_integrals(model.rate, grid)
         g_rows = sol.g0s[:n]
+        gams = gamma_quadratic(sol, range(n + 1), g_rows)
         for k in range(n + 1):
-            gam = gamma_quadratic(sol, k, g_rows)
-            good = good and 0.0 < gam <= math.exp(2.0 * tails[k]) * (1.0 + 1e-9)
+            good = good and 0.0 < gams[k] <= math.exp(2.0 * tails[k]) * (1.0 + 1e-9)
         good = good and np.max(np.abs(sigma_operator(model, grid, n).kernel)) == 0.0
         ok = ok and good
         checks.append(f"{name}: {'ok' if good else 'violated'}")

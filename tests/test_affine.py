@@ -15,7 +15,6 @@ from vmk import (
     RiccatiBlowUpError,
     gamma0_affine,
     make_grid,
-    mean_forward_variance,
     mean_reversion_a_bound,
     solve_riccati_volterra,
     theta_condition_check_affine,
@@ -31,6 +30,8 @@ from vmk.affine import (
 )
 from vmk.grid import g0_nodes
 from vmk.montecarlo import simulate_drivers
+
+from oracles import mean_forward_variance
 
 TANH1 = 0.7615941559557649
 

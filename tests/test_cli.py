@@ -52,6 +52,9 @@ output:
 """
 
 
+PRESET_CFG = 'grid:\n  T: 0.5\n  n: 20\nquadratic:\n  preset: two_asset\n  hurst: %s\noutput:\n  directory: "%%s"\n'
+
+
 def write_cfg(tmp_path, body, name="cfg.yaml"):
     out_dir = tmp_path / "out"
     path = tmp_path / name
@@ -435,6 +438,22 @@ class TestConfigErrors:
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))
         assert main(["quadratic-solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, body, key", [
+        ("affine", AFFINE_CFG.replace("nu: 1.4142135623730951", "nu: []"), "nu must be"),
+        ("affine", AFFINE_CFG.replace("rho: 0.0", "rho: []"), "rho must be"),
+        ("affine", AFFINE_CFG.replace("theta: 1.0", "theta: []"), "theta must be"),
+        ("affine", AFFINE_CFG + "sweep:\n  parameter: theta\n  values: [0.5, [[1, 2], [3, 4]]]\n", "theta must be"),
+        ("quadratic", PRESET_CFG % "[-1, 0.4]", "hurst must be"),
+        ("quadratic", PRESET_CFG % "1.0e+308", "hurst must be"),
+    ], ids=["nu-empty", "rho-empty", "theta-empty", "sweep-theta-matrix", "hurst-negative", "hurst-huge"])
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_bad_model_shape_or_range_named(self, tmp_path, capsys, family, body, key, command):
+        cfg, out = write_cfg(tmp_path, body)
+        assert main([f"{family}-solve" if command == "solve" else command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err
         assert not out.exists()

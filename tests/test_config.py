@@ -1,7 +1,10 @@
-"""Config kernel specs: each spec builds the library kernel, bad specs name their key."""
+"""Config kernel specs build the library kernel, bad specs name their key, and no value at any key escapes as an untyped error."""
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vmk import (
     ConfigError,
@@ -9,6 +12,7 @@ from vmk import (
     DiagonalKernel,
     ExponentialKernel,
     FractionalKernel,
+    VmkError,
     folded_cells,
     make_grid,
 )
@@ -69,3 +73,56 @@ def test_affine_scalar_kernel_refuses_matrix(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(str(path))
     assert "['matrix'] in section 'affine.kernels[0]'" in str(info.value)
+
+
+PROPERTY_BASES = {
+    "affine": {
+        "affine": {"kernels": [{"type": "fractional", "h": 0.3}], "drift": [[-0.5]], "nu": 0.3, "rho": -0.5,
+                   "theta": 0.4, "g0": 0.04, "rate": 0.01, "x0": 1.0},
+        "sweep": {"parameter": "theta", "values": [0.5]},
+    },
+    "explicit": {
+        "quadratic": {"kernel": {"type": "exponential", "beta": 1.0}, "theta": [[0.5]], "eta": [[1.0]],
+                      "corr": [[-0.3]], "drift": [[-0.2]], "g0": 0.3, "rate": 0.0, "x0": 1.0, "enforce_psd": True},
+    },
+    "preset": {
+        "quadratic": {"preset": "two_asset", "hurst": [0.1, 0.4], "eta": [1.0, 1.0], "leverage": [-0.7, -0.7],
+                      "stock_corr": 0.5, "theta": [0.65, 0.65], "y0": [0.3, 0.3], "rate": 0.0, "x0": 1.0},
+    },
+}
+PROPERTY_COMMON = {
+    "grid": {"T": 1.0, "n": 8},
+    "mc": {"paths": 100, "seed": 1, "antithetic": False, "dump_paths": 0, "chunk": 64},
+    "check": {"p": 3.0, "a": 0.1, "coarse_n": 10, "c": 1.0},
+}
+# (base, section, key): every grid, model, mc and check key of each base, and the sweep values
+PROPERTY_SLOTS = [
+    (base, section, key)
+    for base, sections in PROPERTY_BASES.items()
+    for section, body in {**PROPERTY_COMMON, **sections}.items()
+    for key in body
+    if section != "sweep" or key == "values"
+]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+VALUES = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)), max_size=3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # models warn on some accepted values
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(slot=st.sampled_from(PROPERTY_SLOTS), value=VALUES)
+@example(slot=("affine", "affine", "nu"), value=[])
+@example(slot=("affine", "affine", "rho"), value=[])
+@example(slot=("affine", "affine", "theta"), value=[])
+@example(slot=("affine", "sweep", "values"), value=[0.5, [[1, 2], [3, 4]]])
+@example(slot=("preset", "quadratic", "hurst"), value=[-1, 0.4])
+@example(slot=("preset", "quadratic", "hurst"), value=1.0e308)
+def test_any_value_at_any_key_loads_or_fails_typed(tmp_path_factory, slot, value):
+    base, section, key = slot
+    raw = {name: dict(body) for name, body in {**PROPERTY_COMMON, **PROPERTY_BASES[base]}.items()}
+    raw[section][key] = value
+    path = tmp_path_factory.getbasetemp() / "property.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    try:
+        build_model(load_config(str(path)))
+    except VmkError:
+        pass

@@ -1,4 +1,4 @@
-"""Discretized integral operators: composition, resolvents, spectra."""
+"""The Volterra solve against dense solves, and the star calculus oracle: composition and resolvents."""
 
 import numpy as np
 import pytest
@@ -13,31 +13,15 @@ from vmk import (
     QuadraticModel,
     SingularOperatorError,
     TableKernel,
-    invert_id_minus,
-    kernel_operator,
     lambda_max_covariance,
     make_grid,
-    resolvent,
-    star,
 )
 from vmk import quadratic
 from vmk.kernels import folded_cells
-from vmk.operators import (
-    COND_LIMIT,
-    IntegralOperator,
-    _bd_right,
-    _volterra_solve,
-    adjoint,
-    discretize,
-    eig_sym,
-    full_matrix,
-    identity_operator,
-    kernel_value,
-    l2_inner,
-    op_apply,
-    op_frobenius_sq,
-    op_trace,
-)
+from vmk.operators import _bd_right, _volterra_solve
+
+from oracles import (COND_LIMIT, IntegralOperator, adjoint, discretize, full_matrix, identity_operator,
+                     invert_id_minus, kernel_operator, kernel_value, l2_inner, op_apply, resolvent, star)
 
 
 def random_instance(rng):
@@ -249,37 +233,8 @@ class TestAlgebra:
         np.testing.assert_allclose(left.kernel, a.kernel, atol=1e-14)
         np.testing.assert_allclose(right.kernel, a.kernel, atol=1e-14)
 
-    def test_trace_and_frobenius_constant_kernel(self):
-        grid = make_grid(2.0, 16)
-        m = np.array([[1.0, 0.5], [0.5, 3.0]])
-        op = discretize(ConstantKernel(m, volterra=False), grid)
-        assert op_trace(op) == pytest.approx(2.0 * np.trace(m), rel=1e-13)
-        want = np.sum(m * m) * grid.dt**2 * 16 * 16
-        assert op_frobenius_sq(op) == pytest.approx(want, rel=1e-13)
-
     def test_kernel_value_recovers_density(self):
         grid = make_grid(1.0, 20)
         op = discretize(ConstantKernel(np.array([[2.5]]), volterra=False), grid)
         assert kernel_value(op, 3, 17)[0, 0] == pytest.approx(2.5, rel=1e-13)
 
-
-class TestSpectrum:
-    def test_rank_one_kernel(self):
-        grid = make_grid(1.0, 30)
-        v = np.sin(np.pi * grid.left_nodes)
-        vals = np.outer(v, v)
-        op = discretize(TableKernel(grid, vals, volterra=False), grid)
-        spec = eig_sym(op)
-        lead = grid.dt * float(v @ v)
-        assert spec.eigenvalues[0] == pytest.approx(lead, rel=1e-12)
-        assert np.max(np.abs(spec.eigenvalues[1:])) < 1e-12 * lead
-        fn = spec.functions[:, 0].reshape(-1)
-        assert l2_inner(grid, fn, fn) == pytest.approx(1.0, rel=1e-12)
-        unit = v / np.sqrt(grid.dt * float(v @ v))
-        assert np.min(np.abs([np.max(fn - unit), np.max(fn + unit)])) < 1e-10
-
-    def test_asymmetric_kernel_rejected(self):
-        grid = make_grid(1.0, 10)
-        op = discretize(ConstantKernel(np.array([[1.0]]), volterra=True), grid)
-        with pytest.raises(InvalidArgumentError):
-            eig_sym(op)

@@ -24,10 +24,7 @@ from vmk import (
     kappa_hat,
     lambda_max_covariance,
     make_grid,
-    markovian_riccati_ode,
     optimal_control_quadratic,
-    psi_operator,
-    sigma_operator,
     simulate_drivers,
     solve_operator_riccati,
     two_asset_model,
@@ -36,7 +33,7 @@ from vmk import (
 from vmk import quadratic
 from vmk.affine import optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, folded_cells
-from vmk.operators import _bd_right, _volterra_solve, full_matrix, kernel_value, min_sym_eigenvalue
+from vmk.operators import _bd_right, _volterra_solve
 from vmk.quadratic import (
     RCOND_MIN,
     boundary_relation_residual,
@@ -44,6 +41,9 @@ from vmk.quadratic import (
     psi_full_matrix,
     riccati_derivative_residual,
 )
+
+from oracles import (adjoint, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
+                     markovian_riccati_ode, min_sym_eigenvalue, sigma_operator, star)
 
 SQ2 = math.sqrt(2.0)
 # d/dt P = theta^2 + 2 P^2 backward from 0 gives P_0 = -tanh(sqrt2 theta T)/sqrt2
@@ -211,6 +211,12 @@ class TestDenseOracle:
 
 
 B = quadratic._SWEEP_BLOCK
+SWEEP = quadratic._psi_sweep
+
+
+def counted_sweep(calls):
+    """Stand-in for ``quadratic._psi_sweep`` that records each call in ``calls``."""
+    return lambda *args: calls.append(args) or SWEEP(*args)
 
 
 def sweep_outputs(sweep, model, grid, disc, flush_at=None):
@@ -274,12 +280,7 @@ class TestBlockedSweep:
         g = make_grid(0.8, 80)
         disc = quadratic._discretize(m, g)
         calls = []
-        sweep = quadratic._psi_sweep
-
-        def counted(*args):
-            calls.append(args)
-            return sweep(*args)
-
+        counted = counted_sweep(calls)
         # at k = n - B, Psi_{k+1} is the first block's last node and Psi_k the next block's first
         for k in (g.n - B, g.n - B - 1, g.n // 2):
             calls.clear()
@@ -415,24 +416,12 @@ class TestScalarOracle:
 
 
 class TestOperatorForms:
-    def test_psi_operator_matches_full_matrix(self):
-        m = scalar_model()
-        g = make_grid(1.0, 20)
-        pf = psi_full_matrix(m, g, 0)
-        po = psi_operator(m, g, 0)
-        np.testing.assert_allclose(full_matrix(po), pf, atol=1e-13)
-
     def test_terminal_psi_dual_route(self):
         # at the horizon the solution is -(Id - Khat)^{-*} Th'Th (Id - Khat)^{-1}
-        from vmk.operators import _bd_right, adjoint, identity_operator, invert_id_minus, star
-        from vmk.quadratic import _discretize
-
         m = mixed_model()
         g = make_grid(0.8, 30)
-        disc = _discretize(m, g)
-        khat = __import__("vmk.operators", fromlist=["kernel_operator"]).kernel_operator(
-            g, m.n_state, _bd_right(disc.a, m.f_mat, g.n)
-        )
+        disc = quadratic._discretize(m, g)
+        khat = kernel_operator(g, m.n_state, _bd_right(disc.a, m.f_mat, g.n))
         binv = invert_id_minus(khat)
         mid = identity_operator(g, m.n_state, coeff=m.theta.T @ m.theta)
         comp = star(star(adjoint(binv), mid), binv)
@@ -549,8 +538,26 @@ class TestGammaFunctional:
         m = scalar_model()
         g = make_grid(1.0, 40)
         sol = solve_operator_riccati(m, g)
-        vals = [gamma_quadratic(sol, k, sol.g0s[: g.n]) for k in range(g.n + 1)]
+        vals = gamma_quadratic(sol, range(g.n + 1), sol.g0s[: g.n])
         assert all(0.0 < v <= 1.0 + 1e-12 for v in vals)
+
+    def test_many_nodes_take_one_sweep(self, monkeypatch):
+        m = mixed_model()
+        g = make_grid(0.8, 80)
+        sol = solve_operator_riccati(m, g)
+        curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(5).standard_normal((3, g.n, 2))
+        # unsorted, repeated, and on both sides of the first block edge
+        nodes = [5, g.n - B, 0, g.n, g.n - B - 1, g.n // 2, 5]
+        want = np.array([gamma_quadratic(sol, k, curves) for k in nodes])
+        calls = []
+        monkeypatch.setattr(quadratic, "_psi_sweep", counted_sweep(calls))
+        got = gamma_quadratic(sol, nodes, curves)
+        assert len(calls) == 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(gamma_quadratic(sol, nodes, curves[1]), want[:, 1], rtol=1e-12, atol=0.0)
+        for bad in ([0, g.n + 1], [-1], g.n + 1, [], [[0, 1]], 2.0):
+            with pytest.raises(InvalidArgumentError, match=rf"\[0, {g.n}\]"):
+                gamma_quadratic(sol, bad, curves)
 
     def test_control_scales_linearly_in_wealth_gap(self):
         m = scalar_model()
