@@ -25,7 +25,6 @@ from .errors import (
     MemoryCapError,
     ModelAssumptionError,
     RiccatiBlowUpError,
-    SingularOperatorError,
     SingularVolatilityError,
     VmkError,
 )

@@ -12,7 +12,6 @@ Reruns with the same config and seed are byte identical.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -52,13 +51,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _quote(text: str) -> str:
+    """A field as the csv module's default (excel) dialect writes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Write a table given column by column, one ``%`` format per row.
+
+    A float array is printed with ``%.12g`` and an integer array with
+    ``%d``, as ``_fmt`` prints their values; any other column goes through
+    ``_fmt`` value by value and is quoted as ``csv.writer`` quotes.  For a
+    table of two or more columns the bytes are those of ``csv.writer``
+    given the ``_fmt`` strings.
+    """
+    formats, values = [], []
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind in "fiu":
+            formats.append("%.12g" if kind == "f" else "%d")
+            values.append(col.tolist())
+        else:
+            formats.append("%s")
+            values.append([_quote(_fmt(v)) for v in col])
+    row_fmt = ",".join(formats) + "\r\n"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_quote(h) for h in header) + "\r\n")
+        fh.writelines(row_fmt % row for row in zip(*values))
     os.replace(tmp, path)
 
 
@@ -99,7 +121,8 @@ def _positions(kind: str, model, states, alpha):
     return out
 
 
-def _strategy_rows(kind: str, model, grid, solved, m_value: float, x0: float):
+def _strategy_table(kind: str, model, grid, solved, m_value: float, x0: float):
+    """Header, columns and the (n+1, d) amounts of the deterministic strategy."""
     int_r = integrated_rate(model.rate, grid)
     xi = xi_star(solved.gamma0, x0, m_value, int_r)
     prem, curve = _premium_profile(kind, model, grid, solved)
@@ -107,9 +130,7 @@ def _strategy_rows(kind: str, model, grid, solved, m_value: float, x0: float):
     pi = _positions(kind, model, curve, alpha)
     d = alpha.shape[1]
     header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
-    nodes = grid.nodes
-    rows = [[nodes[k], *alpha[k], *pi[k]] for k in range(grid.n + 1)]
-    return header, rows, alpha
+    return header, [grid.nodes, *alpha.T, *pi.T], alpha
 
 
 def _cmd_solve(cfg, out_dir: str, kind: str) -> None:
@@ -122,16 +143,15 @@ def _cmd_solve(cfg, out_dir: str, kind: str) -> None:
     nodes = grid.nodes
     if kind == "affine":
         ric_header = ["t"] + [f"psi_{i + 1}" for i in range(model.dim)]
-        ric_rows = [[nodes[k], *solved.psi[k]] for k in range(grid.n + 1)]
+        ric_cols = [nodes, *solved.psi.T]
     else:
         sol, N = solved.solution, model.n_state
         ric_header = ["t", "phi", "phidot"] + [f"p_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
-        ric_rows = [[nodes[k], sol.phi[k], sol.phidot[k], *sol.p_path[k].ravel()]
-                    for k in range(grid.n + 1)]
-    s_header, s_rows, _ = _strategy_rows(kind, model, grid, solved,
-                                         cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
-    _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_rows)
-    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, s_rows)
+        ric_cols = [nodes, sol.phi, sol.phidot, *sol.p_path.reshape(grid.n + 1, N * N).T]
+    s_header, s_cols, _ = _strategy_table(kind, model, grid, solved,
+                                          cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
+    _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_cols)
+    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, s_cols)
 
 
 def _cmd_frontier(cfg, out_dir: str) -> None:
@@ -140,9 +160,9 @@ def _cmd_frontier(cfg, out_dir: str) -> None:
     solved = _solve(kind, model, grid)
     int_r = integrated_rate(model.rate, grid)
     points = frontier(solved.gamma0, cfgmod.wealth_x0(cfg, model), cfg.m_values, int_r)
-    rows = [[p.m, p.std, p.variance, p.xi_star, p.gamma0] for p in points]
+    table = np.array([[p.m, p.std, p.variance, p.xi_star, p.gamma0] for p in points])
     _write_csv(os.path.join(out_dir, "frontier.csv"),
-               ["m", "std", "variance", "xi_star", "gamma0"], rows)
+               ["m", "std", "variance", "xi_star", "gamma0"], table.T)
 
 
 def _cmd_simulate(cfg, out_dir: str) -> None:
@@ -173,35 +193,36 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
         ["gamma0_mc", result.gamma.mean, result.gamma.se_mean],
         ["gamma0_closed", solved.gamma0, ""],
     ]
-    _write_csv(os.path.join(out_dir, "mc.csv"), ["quantity", "value", "se"], rows)
+    _write_csv(os.path.join(out_dir, "mc.csv"), ["quantity", "value", "se"], list(zip(*rows)))
     if cfg.mc.dump_paths > 0:
         _write_paths_csv(os.path.join(out_dir, "paths.csv"), kind, model, grid, result.kept)
 
 
 def _write_paths_csv(path: str, kind: str, model, grid, kept) -> None:
+    """One row per kept path and node; amounts and positions are NaN at the horizon."""
     n = grid.n
-    d = kept.alpha.shape[2]
+    P, _, d = kept.alpha.shape
     n_state = kept.state.shape[2]
     header = (["path_id", "t", "X"]
               + [f"alpha_{i + 1}" for i in range(d)]
               + [f"pi_{i + 1}" for i in range(d)]
               + [f"Y_{j + 1}" for j in range(n_state)])
-    nodes = grid.nodes
-    rows = []
-    for p in range(kept.x.shape[0]):
-        pi = np.full((n + 1, d), np.nan)
-        pi[:n] = _positions(kind, model, kept.state[p, :n], kept.alpha[p])
-        for k in range(n + 1):
-            alpha_k = kept.alpha[p, k] if k < n else np.full(d, np.nan)
-            rows.append([p, nodes[k], kept.x[p, k], *alpha_k, *pi[k], *kept.state[p, k]])
-    _write_csv(path, header, rows)
+    alpha = np.full((P, n + 1, d), np.nan)
+    alpha[:, :n] = kept.alpha
+    pi = np.full((P, n + 1, d), np.nan)
+    pi[:, :n] = _positions(kind, model, kept.state[:, :n].reshape(P * n, n_state),
+                           kept.alpha.reshape(P * n, d)).reshape(P, n, d)
+    n_rows = P * (n + 1)
+    columns = [np.repeat(np.arange(P), n + 1), np.tile(grid.nodes, P), kept.x.reshape(n_rows),
+               *alpha.reshape(n_rows, d).T, *pi.reshape(n_rows, d).T, *kept.state.reshape(n_rows, n_state).T]
+    _write_csv(path, header, columns)
 
 
 def _cmd_sweep(cfg, out_dir: str) -> None:
     if cfg.sweep is None:
         raise ConfigError("subcommand 'sweep' needs a 'sweep' section in the config")
     param = cfg.sweep.parameter
-    rows = []
+    values, assets, times, amounts = [], [], [], []
     for value in cfg.sweep.values:
         sec = dict(cfg.model_sec)
         horizon = cfg.horizon
@@ -212,14 +233,16 @@ def _cmd_sweep(cfg, out_dir: str) -> None:
         grid = make_grid(horizon, cfg.n)
         model = cfgmod.model_from_section(cfg.model_kind, sec)
         solved = _solve(cfg.model_kind, model, grid)
-        _, _, alpha = _strategy_rows(cfg.model_kind, model, grid, solved,
-                                     cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
-        nodes = grid.nodes
-        for j in range(alpha.shape[1]):
-            for k in range(grid.n + 1):
-                rows.append([param, value, j + 1, nodes[k], alpha[k, j]])
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["parameter", "value", "asset", "t", "alpha"], rows)
+        _, _, alpha = _strategy_table(cfg.model_kind, model, grid, solved,
+                                      cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
+        d = alpha.shape[1]
+        values += [value] * alpha.size
+        assets.append(np.repeat(np.arange(1, d + 1), grid.n + 1))
+        times.append(np.tile(grid.nodes, d))
+        amounts.append(alpha.T.ravel())
+    _write_csv(os.path.join(out_dir, "sweep.csv"), ["parameter", "value", "asset", "t", "alpha"],
+               [[param] * len(values), values, np.concatenate(assets), np.concatenate(times),
+                np.concatenate(amounts)])
 
 
 def _cmd_check(cfg) -> None:
@@ -301,6 +324,7 @@ def main(argv=None) -> int:
             cfg.n = args.grid_n
         if args.out is not None:
             cfg.out_dir = args.out
+        cfgmod.check_g0(cfg)
         if args.command == "check":
             _cmd_check(cfg)
             return 0

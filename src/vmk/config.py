@@ -13,8 +13,8 @@ import numpy as np
 import yaml
 
 from .affine import AffineModel
-from .errors import ConfigError
-from .grid import TimeGrid, make_grid
+from .errors import ConfigError, InvalidArgumentError
+from .grid import TimeGrid, g0_nodes, make_grid
 from .kernels import ConstantKernel, DiagonalKernel, ExponentialKernel, FractionalKernel
 from .quadratic import QuadraticModel, two_asset_model
 
@@ -253,6 +253,26 @@ def load_config(path: str) -> SimpleNamespace:
 
 def build_grid(cfg: SimpleNamespace) -> TimeGrid:
     return make_grid(cfg.horizon, cfg.n)
+
+
+def check_g0(cfg: SimpleNamespace) -> None:
+    """Refuse a ``g0`` (or a swept ``g0`` value) that fits neither the model nor the grid.
+
+    A ``g0`` table has one row per node, so this runs once ``cfg.n`` is
+    final (after any command-line override) and before any output.
+    """
+    grid = build_grid(cfg)
+    sections = {f"{cfg.model_kind}.g0": cfg.model_sec}
+    if cfg.sweep is not None and cfg.sweep.parameter == "g0":
+        for i, v in enumerate(cfg.sweep.values):
+            sections[f"sweep.values[{i}]"] = {**cfg.model_sec, "g0": v}
+    for where, sec in sections.items():
+        model = model_from_section(cfg.model_kind, sec)
+        dim = model.dim if cfg.model_kind == "affine" else model.n_state
+        try:
+            g0_nodes(model.g0, grid, dim)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"'{where}': {exc}") from None
 
 
 def _affine_from_section(sec: dict) -> AffineModel:

@@ -13,17 +13,6 @@ class GridMismatchError(VmkError):
     """Two discretized objects live on different time grids."""
 
 
-class SingularOperatorError(VmkError):
-    """A linear solve against (Id - A) hit a numerically singular matrix.
-
-    The attached condition number is cond_1(Id - A), inf when exactly singular.
-    """
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
-
 class RiccatiBlowUpError(VmkError):
     """A Riccati solution exceeded the finite cap before the horizon.
 

@@ -106,16 +106,27 @@ def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
         raise InvalidArgumentError(f"paths built for {n} steps, grid has {grid.n}")
     rn = rate_nodes(rate, grid)
     tails = tail_rate_integrals(rate, grid)
-    dt = grid.dt
+    # All n steps at once, with the per-step expressions in the per-step
+    # order; the cumulative product is the same left-to-right product, so
+    # every sample is bit-identical to stepping k = 0, ..., n-1 in turn.
+    # A is held in alpha and the exponents in gap[:, 1:], so the only
+    # temporary is one (P, n) buffer.
+    alpha = np.negative(prem)
     gap = np.empty((P, n + 1))
+    gap_tail = gap[:, 1:]
+    drift = np.einsum("pkd,pkd->pk", lam, alpha)
+    drift += rn[:n]
+    np.einsum("pkd,pkd->pk", alpha, alpha, out=gap_tail)
+    gap_tail *= 0.5
+    drift -= gap_tail
+    drift *= grid.dt
+    np.einsum("pkd,pkd->pk", alpha, db, out=gap_tail)
+    np.add(drift, gap_tail, out=gap_tail)
+    del drift
+    np.exp(gap_tail, out=gap_tail)
     gap[:, 0] = x0 - xi_star_val * math.exp(-tails[0])
-    alpha = np.empty((P, n, d))
-    for k in range(n):
-        a = -prem[:, k, :]
-        alpha[:, k, :] = a * gap[:, k][:, None]
-        drift = (rn[k] + np.einsum("pd,pd->p", lam[:, k, :], a) - 0.5 * np.einsum("pd,pd->p", a, a)) * dt
-        shock = np.einsum("pd,pd->p", a, db[:, k, :])
-        gap[:, k + 1] = gap[:, k] * np.exp(drift + shock)
+    np.cumprod(gap, axis=1, out=gap)
+    alpha *= gap[:, :n, None]
     x = gap + xi_star_val * np.exp(-tails)[None, :]
     return SimpleNamespace(x=x, gap=gap, alpha=alpha, terminal=x[:, n])
 

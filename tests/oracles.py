@@ -5,22 +5,40 @@ f: [0, T] -> R^N as the identity coefficient ``ident`` (N x N, kept symbolic) an
 cell matrix ``kernel`` (N n, N n), block (i, j) integrating the kernel over cell j at t_i, so
 composition is matrix multiplication and the adjoint is the transpose.  Beside it: the
 quadratic covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
+Last, the per-step wealth loop and the per-value CSV writer that the whole-array wealth step
+and the columnar writer replaced.
 """
 
+import csv
+import math
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from vmk.affine import AffineModel
-from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, SingularOperatorError
+from vmk.cli import _fmt
+from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, check_same_grid, g0_nodes
 from vmk.kernels import DiagonalKernel, Kernel, folded_cells
+from vmk.markowitz import rate_nodes, tail_rate_integrals
 from vmk.operators import _bd_left, _bd_right, _volterra_solve
 from vmk.quadratic import QuadraticModel, _discretize
 
 COND_LIMIT = 1e12
 ODE_CAP = 1e6
+
+
+class SingularOperatorError(VmkError):
+    """A linear solve against (Id - A) hit a numerically singular matrix.
+
+    The attached condition number is cond_1(Id - A), inf when exactly singular.
+    """
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -245,3 +263,34 @@ def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
     a = folded_cells(DiagonalKernel(model.kernels), grid)
     g0 = g0_nodes(model.g0, grid, d)[:-1].reshape(n * d)
     return _volterra_solve(a, model.drift, g0, n).reshape(n, d)
+
+
+def step_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
+                db: np.ndarray, lam: np.ndarray, prem: np.ndarray) -> SimpleNamespace:
+    """``montecarlo.simulate_wealth`` one time step after another."""
+    P, n, d = db.shape
+    rn = rate_nodes(rate, grid)
+    tails = tail_rate_integrals(rate, grid)
+    dt = grid.dt
+    gap = np.empty((P, n + 1))
+    gap[:, 0] = x0 - xi_star_val * math.exp(-tails[0])
+    alpha = np.empty((P, n, d))
+    for k in range(n):
+        a = -prem[:, k, :]
+        alpha[:, k, :] = a * gap[:, k][:, None]
+        drift = (rn[k] + np.einsum("pd,pd->p", lam[:, k, :], a) - 0.5 * np.einsum("pd,pd->p", a, a)) * dt
+        shock = np.einsum("pd,pd->p", a, db[:, k, :])
+        gap[:, k + 1] = gap[:, k] * np.exp(drift + shock)
+    x = gap + xi_star_val * np.exp(-tails)[None, :]
+    return SimpleNamespace(x=x, gap=gap, alpha=alpha, terminal=x[:, n])
+
+
+def write_csv_rows(path: str, header, rows) -> None:
+    """``cli._write_csv`` on a table given by rows: ``_fmt`` and ``csv.writer`` per value."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    os.replace(tmp, path)

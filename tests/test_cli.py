@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import vmk.quadratic
-from vmk.cli import main
+from vmk.cli import _write_csv, main
 from vmk.quadratic import two_asset_model, volatility_matrix
+
+from oracles import write_csv_rows
 
 AFFINE_CFG = """\
 grid:
@@ -51,6 +53,32 @@ output:
   directory: "%s"
 """
 
+
+TWO_FACTOR_CFG = """\
+grid:
+  T: 1.0
+  n: 20
+affine:
+  kernels:
+    - {type: fractional, h: 0.2}
+    - {type: exponential, beta: 1.0}
+  drift: [[-1.0, 0.0], [0.0, -0.5]]
+  nu: [0.4, 0.3]
+  rho: [-0.5, 0.3]
+  theta: [0.6, 0.4]
+  g0: [0.1, 0.05]
+  rate: 0.03
+mc:
+  paths: 300
+  seed: 4
+  chunk: 128
+  dump_paths: 3
+sweep:
+  parameter: rho
+  values: [[-0.5, 0.3], [0.0, 0.0]]
+output:
+  directory: "%s"
+"""
 
 PRESET_CFG = 'grid:\n  T: 0.5\n  n: 20\nquadratic:\n  preset: two_asset\n  hurst: %s\noutput:\n  directory: "%%s"\n'
 
@@ -101,11 +129,16 @@ class TestSolveCommands:
         assert len(s_rows) == 101
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
-        assert main(["quadratic-solve", "--config", cfg]) == 0
-        first = (out / "riccati.csv").read_bytes()
-        assert main(["quadratic-solve", "--config", cfg]) == 0
-        assert (out / "riccati.csv").read_bytes() == first
+        for body, command, files in [
+            (QUADRATIC_CFG, "quadratic-solve", ["riccati.csv"]),
+            (TWO_FACTOR_CFG, "simulate", ["mc.csv", "paths.csv"]),  # two factors, dumped paths
+            (TWO_FACTOR_CFG, "sweep", ["sweep.csv"]),  # list-valued sweep values
+        ]:
+            cfg, out = write_cfg(tmp_path, body)
+            assert main([command, "--config", cfg]) == 0
+            first = {name: (out / name).read_bytes() for name in files}
+            assert main([command, "--config", cfg]) == 0
+            assert {name: (out / name).read_bytes() for name in files} == first, command
 
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path, AFFINE_CFG)
@@ -159,6 +192,20 @@ output:
         vals = [float(v) for r in rows for v in r[1:3]]
         assert all(math.isfinite(v) for v in vals)
         assert any(v != 0.0 for v in vals)
+
+
+class TestColumnWriter:
+    def test_bytes_equal_per_value_csv_writer(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0 / 3.0, 1e-300, 123456789012345.0, 2.0])
+        ints = np.array([0, -1, 2**62, 7, -(2**63), 3, 10, 11], dtype=np.int64)
+        mixed = [3, np.int64(-4), 0.1, "", [0.08, 0.4], "a,b", 'say "hi"', "two\nlines"]
+        text = ["", "plain", "x\ry", (1, 2), np.float64(-0.0), np.uint8(200), None, "[1]"]
+        header = ["f", "i", "mixed,quoted", 'q"t']
+        columns = [floats, ints, mixed, text]
+        _write_csv(str(tmp_path / "columns.csv"), header, columns)
+        write_csv_rows(str(tmp_path / "rows.csv"), header, [list(row) for row in zip(*columns)])
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestFrontier:
@@ -457,6 +504,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "error:" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, key", [
+        (command, AFFINE_CFG.replace("g0: 0.8", "g0: [[1, 2], [3, 4]]"), "'affine.g0'")
+        for command in ("affine-solve", "check")
+    ] + [
+        (command, QUADRATIC_CFG.replace("g0: 1.0", "g0: [1, 2, 3]"), "'quadratic.g0'")
+        for command in ("quadratic-solve", "check")
+    ] + [
+        ("sweep", AFFINE_CFG + "sweep:\n  parameter: g0\n  values: [0.5, [1, 2]]\n", "'sweep.values[1]'"),
+    ])
+    def test_bad_g0_shape_fails_before_output(self, tmp_path, capsys, command, body, key):
+        cfg, out = write_cfg(tmp_path, body)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and key in captured.err
+        assert not out.exists()
+
+    def test_g0_table_checked_against_grid_override(self, tmp_path, capsys):
+        table = "[" + ", ".join(["[0.8]"] * 11) + "]"
+        cfg, _ = write_cfg(tmp_path, AFFINE_CFG.replace("n: 200", "n: 10").replace("g0: 0.8", f"g0: {table}"))
+        assert main(["affine-solve", "--config", cfg]) == 0
+        assert main(["affine-solve", "--config", cfg, "--grid-n", "20", "--out", str(tmp_path / "o2")]) == 2
+        assert "'affine.g0'" in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--paths", "-5"),

@@ -22,6 +22,8 @@ from vmk import (
 )
 from vmk.montecarlo import gamma_factors
 
+from oracles import step_wealth
+
 
 def premium_free_model(rate=0.0):
     return AffineModel(
@@ -127,6 +129,21 @@ class TestWealth:
         gap0 = 1.0 - 1.5
         growth = w.x[:, -1] - 1.5
         assert np.all(np.sign(growth) == np.sign(gap0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("paths", [1, 7])
+    @pytest.mark.parametrize("rate", [0.03, lambda t: 0.02 + 0.01 * math.sin(3.0 * t)], ids=["constant", "callable"])
+    def test_bit_identical_to_step_by_step_loop(self, d, paths, rate):
+        g = make_grid(1.3, 37)
+        rng = np.random.default_rng(11 * d + paths)
+        db = rng.standard_normal((paths, g.n, d)) * math.sqrt(g.dt)
+        lam = rng.standard_normal((paths, g.n, d))
+        prem = 0.5 * rng.standard_normal((paths, g.n, d))
+        prem[0, 3] = 0.0
+        got = simulate_wealth(g, rate, 1.0, 1.2, db, lam, prem)
+        want = step_wealth(g, rate, 1.0, 1.2, db, lam, prem)
+        for field in ("x", "gap", "alpha", "terminal"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
     def test_amounts_proportional_to_gap(self):
         g = make_grid(1.0, 4)

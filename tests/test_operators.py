@@ -11,7 +11,6 @@ from vmk import (
     FractionalKernel,
     InvalidArgumentError,
     QuadraticModel,
-    SingularOperatorError,
     TableKernel,
     lambda_max_covariance,
     make_grid,
@@ -20,8 +19,9 @@ from vmk import quadratic
 from vmk.kernels import folded_cells
 from vmk.operators import _bd_right, _volterra_solve
 
-from oracles import (COND_LIMIT, IntegralOperator, adjoint, discretize, full_matrix, identity_operator,
-                     invert_id_minus, kernel_operator, kernel_value, l2_inner, op_apply, resolvent, star)
+from oracles import (COND_LIMIT, IntegralOperator, SingularOperatorError, adjoint, discretize, full_matrix,
+                     identity_operator, invert_id_minus, kernel_operator, kernel_value, l2_inner, op_apply,
+                     resolvent, star)
 
 
 def random_instance(rng):

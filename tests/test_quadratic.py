@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmk import (
     AffineModel,
@@ -31,7 +33,7 @@ from vmk import (
     wishart_model,
 )
 from vmk import quadratic
-from vmk.affine import optimal_control_affine, premium_loading, solve_riccati_volterra
+from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, folded_cells
 from vmk.operators import _bd_right, _volterra_solve
 from vmk.quadratic import (
@@ -331,6 +333,44 @@ def node_call(name, k):
 def test_node_index_out_of_range_refused(name, k, last):
     with pytest.raises(InvalidArgumentError, match=rf"\[0, {last}\]"):
         node_call(name, k)
+
+
+@pytest.fixture(scope="module")
+def node_calls():
+    """Each node-indexed call on a solved n = 8 model, and its last valid node."""
+    g = make_grid(1.0, 8)
+    am = AffineModel(kernels=(ConstantKernel(np.array([[1.0]])),), drift=np.zeros((1, 1)),
+                     nu=1.0, rho=-0.5, theta=1.0, g0=0.04)
+    psi = solve_riccati_volterra(am, g)
+    qm = scalar_model()
+    sol = solve_operator_riccati(qm, g)
+    curve = np.full((g.n + 1, 1), 0.04)
+    return {
+        "premium_loading": (lambda k: premium_loading(am, psi, g, k), g.n),
+        "gamma_affine": (lambda k: gamma_affine(am, g, psi, curve, k), g.n),
+        "gamma_quadratic": (lambda k: gamma_quadratic(sol, k, sol.g0s[: g.n]), g.n),
+        "riccati_derivative_residual": (lambda k: riccati_derivative_residual(qm, g, k, sol.disc), g.n - 1),
+        "boundary_relation_residual": (lambda k: boundary_relation_residual(qm, g, k, np.ones((g.n, 1)), sol.disc),
+                                       g.n - 1),
+    }
+
+
+SEQUENCE_CALLS = ("premium_loading", "gamma_quadratic")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["premium_loading", "gamma_affine", "gamma_quadratic",
+                             "riccati_derivative_residual", "boundary_relation_residual"]),
+       below=st.booleans(), offset=st.integers(min_value=0),
+       valid=st.lists(st.integers(0, 7), max_size=3), at=st.integers(0, 3))
+def test_every_out_of_range_node_refused(node_calls, name, below, offset, valid, at):
+    call, last = node_calls[name]
+    k = -1 - offset if below else last + 1 + offset
+    with pytest.raises(InvalidArgumentError):
+        call(k)
+    if name in SEQUENCE_CALLS:  # one bad node among valid ones
+        with pytest.raises(InvalidArgumentError):
+            call(valid[:at] + [k] + valid[at:])
 
 
 def stepper_premium_paths(ev, z):
