@@ -25,7 +25,6 @@ from .errors import (
     MemoryCapError,
     ModelAssumptionError,
     RiccatiBlowUpError,
-    SingularVolatilityError,
     VmkError,
 )
 from .grid import TimeGrid, make_grid

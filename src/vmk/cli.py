@@ -6,9 +6,13 @@ tabulates the mean-variance tradeoff, simulate runs the Monte Carlo
 consistency pipeline, sweep re-solves across one parameter, and check
 prints admissibility diagnostics without writing files.
 
-All CSV output is written atomically (temp file then rename) after the
-full computation succeeds, so a failing run never leaves partial files.
-Reruns with the same config and seed are byte identical.
+A run is resolved once: ``config.load_config`` validates the config and
+the grid flag and builds the model, ``_run`` solves it, and each
+subcommand reads that solved run.  All CSV output is written atomically
+(temp file then rename) after the full computation succeeds, and the
+output directory is made just before the first file, so a failing run
+leaves neither partial files nor an empty directory.  Reruns with the
+same config and seed are byte identical.
 """
 
 import argparse
@@ -65,7 +69,7 @@ def _write_csv(path: str, header, columns) -> None:
     ``%d``, as ``_fmt`` prints their values; any other column goes through
     ``_fmt`` value by value and is quoted as ``csv.writer`` quotes.  For a
     table of two or more columns the bytes are those of ``csv.writer``
-    given the ``_fmt`` strings.
+    given the ``_fmt`` strings.  The file's directory is made if missing.
     """
     formats, values = [], []
     for col in columns:
@@ -77,6 +81,7 @@ def _write_csv(path: str, header, columns) -> None:
             formats.append("%s")
             values.append([_quote(_fmt(v)) for v in col])
     row_fmt = ",".join(formats) + "\r\n"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_quote(h) for h in header) + "\r\n")
@@ -84,101 +89,82 @@ def _write_csv(path: str, header, columns) -> None:
     os.replace(tmp, path)
 
 
-def _solve(kind: str, model, grid) -> SimpleNamespace:
+def _run(kind: str, model, grid, cfg) -> SimpleNamespace:
+    """Solve one model on one grid and resolve what the subcommands read.
+
+    Holds the affine ``psi`` or the quadratic ``solution`` (the other is
+    None), ``gamma0``, the deterministic premium profile ``premium`` (n+1, d)
+    along the state curve ``curve`` (n+1, dim), the wealth ``x0`` and
+    ``int_r``, the trapezoid value of int_0^T r.
+    """
+    solution = psi = None
     if kind == "affine":
         psi = solve_riccati_volterra(model, grid)
-        return SimpleNamespace(psi=psi, solution=None, gamma0=gamma0_affine(model, grid, psi))
-    sol = solve_operator_riccati(model, grid)
-    return SimpleNamespace(psi=None, solution=sol, gamma0=sol.gamma0)
-
-
-def _premium_profile(kind: str, model, grid, solved):
-    """Deterministic per-asset premium profile on the nodes, (n+1, d), and the state rows."""
-    if kind == "affine":
-        loadings = premium_loading(model, solved.psi, grid, np.arange(grid.n + 1))
+        gamma0 = gamma0_affine(model, grid, psi)
         curve = g0_nodes(model.g0, grid, model.dim)
-        return loadings * np.sqrt(np.maximum(curve, 0.0)), curve
-    return solved.solution.premium_profile, solved.solution.g0s
+        premium = premium_loading(model, psi, grid, np.arange(grid.n + 1)) * np.sqrt(np.maximum(curve, 0.0))
+    else:
+        solution = solve_operator_riccati(model, grid)
+        gamma0, curve, premium = solution.gamma0, solution.g0s, solution.premium_profile
+    return SimpleNamespace(kind=kind, model=model, grid=grid, psi=psi, solution=solution, gamma0=gamma0,
+                           premium=premium, curve=curve, x0=cfgmod.wealth_x0(cfg, model),
+                           int_r=integrated_rate(model.rate, grid))
 
 
-def _positions(kind: str, model, states, alpha):
+def _amounts(run, m_value: float) -> np.ndarray:
+    """The (n+1, d) amounts of the deterministic strategy for target m."""
+    return run.premium * xi_star(run.gamma0, run.x0, m_value, run.int_r)
+
+
+def _positions(run, states, alpha):
     """Asset positions for rows of state and amount; NaN where undefined.
 
     Affine: alpha / sqrt(V+), NaN where V+ = 0.  Quadratic: the solution of
     sigma(Y)' pi = alpha, NaN where sigma(Y) is numerically singular or the
     model has no stock loadings.
     """
+    if run.kind == "quadratic" and run.model.loadings is not None:
+        return asset_positions(run.model, states, alpha)
     out = np.full_like(alpha, np.nan)
-    if kind == "affine":
+    if run.kind == "affine":
         vol = np.sqrt(np.maximum(states, 0.0))
         np.divide(alpha, vol, out=out, where=vol > 0.0)
-    elif model.loadings is not None:
-        for k in range(alpha.shape[0]):
-            try:
-                out[k] = asset_positions(model, states[k], alpha[k])
-            except VmkError:
-                pass
     return out
 
 
-def _strategy_table(kind: str, model, grid, solved, m_value: float, x0: float):
-    """Header, columns and the (n+1, d) amounts of the deterministic strategy."""
-    int_r = integrated_rate(model.rate, grid)
-    xi = xi_star(solved.gamma0, x0, m_value, int_r)
-    prem, curve = _premium_profile(kind, model, grid, solved)
-    alpha = prem * xi
-    pi = _positions(kind, model, curve, alpha)
-    d = alpha.shape[1]
-    header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
-    return header, [grid.nodes, *alpha.T, *pi.T], alpha
-
-
-def _cmd_solve(cfg, out_dir: str, kind: str) -> None:
-    if cfg.model_kind != kind:
-        raise ConfigError(f"subcommand '{kind}-solve' needs a '{kind}' model section, "
-                          f"config has '{cfg.model_kind}'")
-    _, model = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
-    solved = _solve(kind, model, grid)
-    nodes = grid.nodes
-    if kind == "affine":
-        ric_header = ["t"] + [f"psi_{i + 1}" for i in range(model.dim)]
-        ric_cols = [nodes, *solved.psi.T]
+def _cmd_solve(run, cfg, out_dir: str) -> None:
+    nodes = run.grid.nodes
+    if run.kind == "affine":
+        ric_header = ["t"] + [f"psi_{i + 1}" for i in range(run.model.dim)]
+        ric_cols = [nodes, *run.psi.T]
     else:
-        sol, N = solved.solution, model.n_state
+        sol, N = run.solution, run.model.n_state
         ric_header = ["t", "phi", "phidot"] + [f"p_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
-        ric_cols = [nodes, sol.phi, sol.phidot, *sol.p_path.reshape(grid.n + 1, N * N).T]
-    s_header, s_cols, _ = _strategy_table(kind, model, grid, solved,
-                                          cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
+        ric_cols = [nodes, sol.phi, sol.phidot, *sol.p_path.reshape(run.grid.n + 1, N * N).T]
+    alpha = _amounts(run, cfg.m_values[0])
+    pi = _positions(run, run.curve, alpha)
+    d = alpha.shape[1]
+    s_header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
     _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_cols)
-    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, s_cols)
+    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, [nodes, *alpha.T, *pi.T])
 
 
-def _cmd_frontier(cfg, out_dir: str) -> None:
-    kind, model = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
-    solved = _solve(kind, model, grid)
-    int_r = integrated_rate(model.rate, grid)
-    points = frontier(solved.gamma0, cfgmod.wealth_x0(cfg, model), cfg.m_values, int_r)
+def _cmd_frontier(run, cfg, out_dir: str) -> None:
+    points = frontier(run.gamma0, run.x0, cfg.m_values, run.int_r)
     table = np.array([[p.m, p.std, p.variance, p.xi_star, p.gamma0] for p in points])
     _write_csv(os.path.join(out_dir, "frontier.csv"),
                ["m", "std", "variance", "xi_star", "gamma0"], table.T)
 
 
-def _cmd_simulate(cfg, out_dir: str) -> None:
-    kind, model = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
-    solved = _solve(kind, model, grid)
-    x0 = cfgmod.wealth_x0(cfg, model)
-    int_r = integrated_rate(model.rate, grid)
+def _cmd_simulate(run, cfg, out_dir: str) -> None:
     m_value = cfg.m_values[0]
-    xi = xi_star(solved.gamma0, x0, m_value, int_r)
-    target_v = value_v(solved.gamma0, x0, m_value, int_r)
-    if kind == "affine":
-        evaluator = AffineEvaluator(model, grid, psi=solved.psi)
+    xi = xi_star(run.gamma0, run.x0, m_value, run.int_r)
+    target_v = value_v(run.gamma0, run.x0, m_value, run.int_r)
+    if run.kind == "affine":
+        evaluator = AffineEvaluator(run.model, run.grid, psi=run.psi)
     else:
-        evaluator = QuadraticEvaluator(model, grid, solution=solved.solution)
-    result = run_mc(evaluator, cfg.mc.paths, cfg.mc.seed, x0, xi,
+        evaluator = QuadraticEvaluator(run.model, run.grid, solution=run.solution)
+    result = run_mc(evaluator, cfg.mc.paths, cfg.mc.seed, run.x0, xi,
                     antithetic=cfg.mc.antithetic, chunk=cfg.mc.chunk,
                     keep_paths=cfg.mc.dump_paths)
     rows = [
@@ -191,16 +177,16 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
         ["var_XT", result.wealth.variance, result.wealth.se_variance],
         ["target_V", target_v, ""],
         ["gamma0_mc", result.gamma.mean, result.gamma.se_mean],
-        ["gamma0_closed", solved.gamma0, ""],
+        ["gamma0_closed", run.gamma0, ""],
     ]
     _write_csv(os.path.join(out_dir, "mc.csv"), ["quantity", "value", "se"], list(zip(*rows)))
     if cfg.mc.dump_paths > 0:
-        _write_paths_csv(os.path.join(out_dir, "paths.csv"), kind, model, grid, result.kept)
+        _write_paths_csv(os.path.join(out_dir, "paths.csv"), run, result.kept)
 
 
-def _write_paths_csv(path: str, kind: str, model, grid, kept) -> None:
+def _write_paths_csv(path: str, run, kept) -> None:
     """One row per kept path and node; amounts and positions are NaN at the horizon."""
-    n = grid.n
+    n = run.grid.n
     P, _, d = kept.alpha.shape
     n_state = kept.state.shape[2]
     header = (["path_id", "t", "X"]
@@ -210,44 +196,32 @@ def _write_paths_csv(path: str, kind: str, model, grid, kept) -> None:
     alpha = np.full((P, n + 1, d), np.nan)
     alpha[:, :n] = kept.alpha
     pi = np.full((P, n + 1, d), np.nan)
-    pi[:, :n] = _positions(kind, model, kept.state[:, :n].reshape(P * n, n_state),
+    pi[:, :n] = _positions(run, kept.state[:, :n].reshape(P * n, n_state),
                            kept.alpha.reshape(P * n, d)).reshape(P, n, d)
     n_rows = P * (n + 1)
-    columns = [np.repeat(np.arange(P), n + 1), np.tile(grid.nodes, P), kept.x.reshape(n_rows),
+    columns = [np.repeat(np.arange(P), n + 1), np.tile(run.grid.nodes, P), kept.x.reshape(n_rows),
                *alpha.reshape(n_rows, d).T, *pi.reshape(n_rows, d).T, *kept.state.reshape(n_rows, n_state).T]
     _write_csv(path, header, columns)
 
 
-def _cmd_sweep(cfg, out_dir: str) -> None:
+def _cmd_sweep(cfg, kind: str, out_dir: str) -> None:
     if cfg.sweep is None:
         raise ConfigError("subcommand 'sweep' needs a 'sweep' section in the config")
-    param = cfg.sweep.parameter
     values, assets, times, amounts = [], [], [], []
-    for value in cfg.sweep.values:
-        sec = dict(cfg.model_sec)
-        horizon = cfg.horizon
-        if param == "T":
-            horizon = float(value)
-        else:
-            sec[param] = value
+    for value, (horizon, model) in zip(cfg.sweep.values, cfg.sweep.runs):
         grid = make_grid(horizon, cfg.n)
-        model = cfgmod.model_from_section(cfg.model_kind, sec)
-        solved = _solve(cfg.model_kind, model, grid)
-        _, _, alpha = _strategy_table(cfg.model_kind, model, grid, solved,
-                                      cfg.m_values[0], cfgmod.wealth_x0(cfg, model))
+        alpha = _amounts(_run(kind, model, grid, cfg), cfg.m_values[0])
         d = alpha.shape[1]
         values += [value] * alpha.size
         assets.append(np.repeat(np.arange(1, d + 1), grid.n + 1))
         times.append(np.tile(grid.nodes, d))
         amounts.append(alpha.T.ravel())
     _write_csv(os.path.join(out_dir, "sweep.csv"), ["parameter", "value", "asset", "t", "alpha"],
-               [[param] * len(values), values, np.concatenate(assets), np.concatenate(times),
+               [[cfg.sweep.parameter] * len(values), values, np.concatenate(assets), np.concatenate(times),
                 np.concatenate(amounts)])
 
 
-def _cmd_check(cfg) -> None:
-    kind, model = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
+def _cmd_check(cfg, kind: str, model, grid) -> None:
     chk = cfg.check
     print(f"model: {kind}")
     print(f"grid: T={_fmt(grid.horizon)} n={grid.n}")
@@ -257,19 +231,16 @@ def _cmd_check(cfg) -> None:
     a_used = chk.a if chk.a is not None else a_frob
     print(f"a_of_p(p={_fmt(chk.p)}): frobenius={_fmt(a_frob)} squared-frobenius={_fmt(a_sq)}")
     print(f"a_used: {_fmt(a_used)}")
-    solved = _solve(kind, model, grid)
-    int_r = integrated_rate(model.rate, grid)
-    bound = float(np.exp(2.0 * int_r))
-    gamma0 = solved.gamma0
+    run = _run(kind, model, grid, cfg)
+    gamma0, bound = run.gamma0, float(np.exp(2.0 * run.int_r))
     print(f"gamma0: {_fmt(gamma0)}")
     print(f"gamma0_bound_exp_2intr: {_fmt(bound)}")
     print(f"h1_condition_0_lt_gamma0_lt_bound: {0.0 < gamma0 < bound}")
-    x0 = cfgmod.wealth_x0(cfg, model)
     m_value = cfg.m_values[0]
-    print(f"xi_star(m={_fmt(m_value)}): {_fmt(xi_star(gamma0, x0, m_value, int_r))}")
-    print(f"value_V(m={_fmt(m_value)}): {_fmt(value_v(gamma0, x0, m_value, int_r))}")
+    print(f"xi_star(m={_fmt(m_value)}): {_fmt(xi_star(gamma0, run.x0, m_value, run.int_r))}")
+    print(f"value_V(m={_fmt(m_value)}): {_fmt(value_v(gamma0, run.x0, m_value, run.int_r))}")
     if kind == "affine":
-        report = theta_condition_check_affine(model, grid, solved.psi, a_used, chk.p)
+        report = theta_condition_check_affine(model, grid, run.psi, a_used, chk.p)
         for key in sorted(report):
             print(f"theta_condition.{key}: {_fmt(report[key])}")
         kappas = -np.diag(model.drift)
@@ -313,30 +284,30 @@ def main(argv=None) -> int:
         sp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     args = parser.parse_args(argv)
     try:
-        cfg = cfgmod.load_config(args.config)
+        cfg = cfgmod.load_config(args.config, args.grid_n)
         if args.seed is not None:
             cfg.mc.seed = cfgmod.mc_seed(args.seed, "--seed")
         if args.paths is not None:
             cfg.mc.paths = cfgmod.mc_paths(args.paths, "--paths")
-        if args.grid_n is not None:
-            if args.grid_n < 2:
-                raise ConfigError("--grid-n must be at least 2")
-            cfg.n = args.grid_n
-        if args.out is not None:
-            cfg.out_dir = args.out
-        cfgmod.check_g0(cfg)
-        if args.command == "check":
-            _cmd_check(cfg)
-            return 0
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        if args.command in ("affine-solve", "quadratic-solve"):
-            _cmd_solve(cfg, cfg.out_dir, args.command.removesuffix("-solve"))
-        elif args.command == "frontier":
-            _cmd_frontier(cfg, cfg.out_dir)
-        elif args.command == "simulate":
-            _cmd_simulate(cfg, cfg.out_dir)
-        elif args.command == "sweep":
-            _cmd_sweep(cfg, cfg.out_dir)
+        out_dir = cfg.out_dir if args.out is None else args.out
+        kind, model = cfgmod.build_model(cfg)
+        grid = cfgmod.build_grid(cfg)
+        command = args.command
+        if command == "check":
+            _cmd_check(cfg, kind, model, grid)
+        elif command == "sweep":
+            _cmd_sweep(cfg, kind, out_dir)
+        elif command.endswith("-solve") and command != f"{kind}-solve":
+            raise ConfigError(f"subcommand '{command}' needs a '{command.removesuffix('-solve')}' model section, "
+                              f"config has '{kind}'")
+        else:
+            run = _run(kind, model, grid, cfg)
+            if command == "frontier":
+                _cmd_frontier(run, cfg, out_dir)
+            elif command == "simulate":
+                _cmd_simulate(run, cfg, out_dir)
+            else:
+                _cmd_solve(run, cfg, out_dir)
         return 0
     except VmkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,8 +127,14 @@ def _matrix_kernel(spec: dict, where: str):
     return _scalar_kernel(spec, where)
 
 
-def load_config(path: str) -> SimpleNamespace:
-    """Parse and validate a config file; raises ConfigError on any defect."""
+def load_config(path: str, n: int = None) -> SimpleNamespace:
+    """Parse and validate a config file and build its models; raises ConfigError on any defect.
+
+    ``n``, the ``--grid-n`` flag, overrides ``grid.n``.  The model and
+    one ``(horizon, model)`` pair per sweep value (``sweep.runs``) are built
+    here, once, and every ``g0`` is checked against the final grid, so a
+    defect fails before any computation or output.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -146,38 +152,30 @@ def load_config(path: str) -> SimpleNamespace:
         raise ConfigError("'grid.T' is required")
     horizon = _horizon(grid_sec["T"], "grid.T")
     if grid_sec.get("n") is None:
-        n = _number(200 * max(1.0, horizon), "grid.n", round)
+        grid_n = _number(200 * max(1.0, horizon), "grid.n", round)
     else:
-        n = _integer(grid_sec["n"], "grid.n", 2)
+        grid_n = _integer(grid_sec["n"], "grid.n", 2)
 
-    has_affine = "affine" in raw
-    has_quadratic = "quadratic" in raw
-    if has_affine == has_quadratic:
+    model_kind = "affine" if "affine" in raw else "quadratic"
+    if ("affine" in raw) == ("quadratic" in raw):
         raise ConfigError("exactly one of the sections 'affine' or 'quadratic' is required")
-
-    if has_affine:
-        sec = _require_mapping(raw["affine"], "affine")
-        _check_keys(sec, _AFFINE_KEYS, "affine")
+    model_sec = _require_mapping(raw[model_kind], model_kind)
+    if model_kind == "affine":
+        _check_keys(model_sec, _AFFINE_KEYS, "affine")
         for key in ("kernels", "theta"):
-            if key not in sec:
+            if key not in model_sec:
                 raise ConfigError(f"'affine.{key}' is required")
-        if not isinstance(sec["kernels"], list) or not sec["kernels"]:
+        if not isinstance(model_sec["kernels"], list) or not model_sec["kernels"]:
             raise ConfigError("'affine.kernels' must be a nonempty list")
-        model_sec = dict(sec)
-        model_kind = "affine"
+    elif "preset" in model_sec:
+        _check_keys(model_sec, _QUAD_PRESET_KEYS, "quadratic")
+        if model_sec["preset"] != "two_asset":
+            raise ConfigError(f"unknown quadratic preset {model_sec['preset']!r}; only 'two_asset' exists")
     else:
-        sec = _require_mapping(raw["quadratic"], "quadratic")
-        if "preset" in sec:
-            _check_keys(sec, _QUAD_PRESET_KEYS, "quadratic")
-            if sec["preset"] != "two_asset":
-                raise ConfigError(f"unknown quadratic preset {sec['preset']!r}; only 'two_asset' exists")
-        else:
-            _check_keys(sec, _QUAD_EXPLICIT_KEYS, "quadratic")
-            for key in ("kernel", "theta", "eta", "corr"):
-                if key not in sec:
-                    raise ConfigError(f"'quadratic.{key}' is required (or use preset: two_asset)")
-        model_sec = dict(sec)
-        model_kind = "quadratic"
+        _check_keys(model_sec, _QUAD_EXPLICIT_KEYS, "quadratic")
+        for key in ("kernel", "theta", "eta", "corr"):
+            if key not in model_sec:
+                raise ConfigError(f"'quadratic.{key}' is required (or use preset: two_asset)")
 
     mk = _require_mapping(raw.get("markowitz", {}), "markowitz")
     _check_keys(mk, _MARKOWITZ_KEYS, "markowitz")
@@ -214,7 +212,7 @@ def load_config(path: str) -> SimpleNamespace:
                 f"'sweep.parameter' = {param!r} does not name an existing config key; "
                 f"valid here: {sorted(valid)}"
             )
-        sweep = SimpleNamespace(parameter=param, values=list(sw["values"]))
+        sweep = SimpleNamespace(parameter=param, values=list(sw["values"]), runs=[])
 
     chk = _require_mapping(raw.get("check", {}), "check")
     _check_keys(chk, _CHECK_KEYS, "check")
@@ -227,21 +225,33 @@ def load_config(path: str) -> SimpleNamespace:
 
     out = _require_mapping(raw.get("output", {}), "output")
     _check_keys(out, _OUTPUT_KEYS, "output")
-    model_from_section(model_kind, model_sec)  # model values fail here, before any output
+    model = model_from_section(model_kind, model_sec)  # model values fail here, before any output
     for i, v in enumerate(sweep.values if sweep else []):
         if sweep.parameter == "T":
-            _horizon(v, f"sweep.values[{i}]")
-        else:
-            try:
-                model_from_section(model_kind, {**model_sec, sweep.parameter: v})
-            except ConfigError as exc:
-                raise ConfigError(f"'sweep.values[{i}]': {exc}") from None
+            sweep.runs.append((_horizon(v, f"sweep.values[{i}]"), model))
+            continue
+        try:
+            sweep.runs.append((horizon, model_from_section(model_kind, {**model_sec, sweep.parameter: v})))
+        except ConfigError as exc:
+            raise ConfigError(f"'sweep.values[{i}]': {exc}") from None
+    if n is None:
+        n = grid_n
+    elif n < 2:
+        raise ConfigError("--grid-n must be at least 2")
+    # a g0 table has one row per node, so it is checked on the final grid
+    grid = make_grid(horizon, n)
+    swept = [(f"sweep.values[{i}]", m) for i, (_, m) in enumerate(sweep.runs if sweep else [])]
+    for where, m in [(f"{model_kind}.g0", model)] + swept:
+        try:
+            g0_nodes(m.g0, grid, m.dim if model_kind == "affine" else m.n_state)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"'{where}': {exc}") from None
 
     return SimpleNamespace(
         horizon=horizon,
         n=n,
         model_kind=model_kind,
-        model_sec=model_sec,
+        model=model,
         m_values=m_values,
         mk_x0=mk_x0,
         mc=mc_ns,
@@ -253,26 +263,6 @@ def load_config(path: str) -> SimpleNamespace:
 
 def build_grid(cfg: SimpleNamespace) -> TimeGrid:
     return make_grid(cfg.horizon, cfg.n)
-
-
-def check_g0(cfg: SimpleNamespace) -> None:
-    """Refuse a ``g0`` (or a swept ``g0`` value) that fits neither the model nor the grid.
-
-    A ``g0`` table has one row per node, so this runs once ``cfg.n`` is
-    final (after any command-line override) and before any output.
-    """
-    grid = build_grid(cfg)
-    sections = {f"{cfg.model_kind}.g0": cfg.model_sec}
-    if cfg.sweep is not None and cfg.sweep.parameter == "g0":
-        for i, v in enumerate(cfg.sweep.values):
-            sections[f"sweep.values[{i}]"] = {**cfg.model_sec, "g0": v}
-    for where, sec in sections.items():
-        model = model_from_section(cfg.model_kind, sec)
-        dim = model.dim if cfg.model_kind == "affine" else model.n_state
-        try:
-            g0_nodes(model.g0, grid, dim)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"'{where}': {exc}") from None
 
 
 def _affine_from_section(sec: dict) -> AffineModel:
@@ -318,15 +308,15 @@ def _quadratic_from_section(sec: dict) -> QuadraticModel:
 
 
 def model_from_section(kind: str, sec: dict):
-    """Instantiate a model from a raw config section (used by sweeps)."""
+    """Instantiate a model from a raw config section."""
     if kind == "affine":
         return _affine_from_section(sec)
     return _quadratic_from_section(sec)
 
 
 def build_model(cfg: SimpleNamespace):
-    """Instantiate the configured model; returns (kind, model)."""
-    return cfg.model_kind, model_from_section(cfg.model_kind, cfg.model_sec)
+    """The configured model, built by ``load_config``; returns (kind, model)."""
+    return cfg.model_kind, cfg.model
 
 
 def wealth_x0(cfg: SimpleNamespace, model) -> float:

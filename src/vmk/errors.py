@@ -40,10 +40,6 @@ class DegenerateMarketError(VmkError):
     """The mean-variance problem degenerates (no risk premium to trade on)."""
 
 
-class SingularVolatilityError(VmkError):
-    """The volatility matrix is singular; amounts cannot be mapped to fractions."""
-
-
 class InternalConsistencyError(VmkError):
     """A quantity violated a bound that holds for exact solutions."""
 

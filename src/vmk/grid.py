@@ -57,24 +57,20 @@ def make_grid(horizon: float, n: int) -> TimeGrid:
     return TimeGrid(float(horizon), int(n))
 
 
-def g0_nodes(g0, grid: TimeGrid, dim: int) -> np.ndarray:
-    """Initial curve g0 sampled at all n+1 nodes, shape (n+1, dim).
+def g0_nodes(g0, grid: TimeGrid, dim: int = None, name: str = "g0") -> np.ndarray:
+    """A curve g0 sampled at all n+1 nodes, shape (n+1, dim), or (n+1,) for a scalar curve (dim None).
 
-    g0 is a scalar, a callable of time, a (dim,) vector or an (n+1, dim)
-    table of node values.
+    g0 is a scalar, a callable of time, a (dim,) vector or a table of node
+    values of the returned shape; ``name`` names it in the error.
     """
+    shape = (grid.n + 1,) if dim is None else (grid.n + 1, dim)
     if callable(g0):
-        return np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), (dim,)) for x in grid.nodes])
+        return np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), shape[1:]) for x in grid.nodes])
     arr = np.asarray(g0, dtype=float)
-    if arr.ndim == 0:
-        return np.full((grid.n + 1, dim), float(arr))
-    if arr.shape == (dim,):
-        return np.tile(arr, (grid.n + 1, 1))
-    if arr.shape == (grid.n + 1, dim):
-        return arr.copy()
-    raise InvalidArgumentError(
-        f"g0 must be scalar, callable, shape ({dim},) or ({grid.n + 1}, {dim}); got {arr.shape}"
-    )
+    if arr.shape in ((), shape[1:], shape):
+        return np.broadcast_to(arr, shape).copy()
+    shapes = f"({grid.n + 1},)" if dim is None else f"({dim},) or ({grid.n + 1}, {dim})"
+    raise InvalidArgumentError(f"{name} must be scalar, callable, shape {shapes}; got {arr.shape}")
 
 
 def check_same_grid(a: TimeGrid, b: TimeGrid) -> None:

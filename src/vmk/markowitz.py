@@ -12,26 +12,14 @@ from typing import Iterable, List
 import numpy as np
 
 from .errors import DegenerateMarketError, InvalidArgumentError
-from .grid import TimeGrid
+from .grid import TimeGrid, g0_nodes
 
 DEGENERACY_TOL = 1e-12
 
 
 def rate_nodes(rate, grid: TimeGrid) -> np.ndarray:
-    """Rate samples at all n+1 nodes from a scalar, array or callable."""
-    t = grid.nodes
-    if callable(rate):
-        vals = np.array([float(rate(x)) for x in t])
-    else:
-        arr = np.asarray(rate, dtype=float)
-        if arr.ndim == 0:
-            vals = np.full(grid.n + 1, float(arr))
-        elif arr.shape == (grid.n + 1,):
-            vals = arr.copy()
-        else:
-            raise InvalidArgumentError(
-                f"rate must be scalar, callable or shape ({grid.n + 1},), got {arr.shape}"
-            )
+    """Rate samples at all n+1 nodes from a scalar, an (n+1,) array or a callable."""
+    vals = g0_nodes(rate, grid, name="rate")
     if not np.all(np.isfinite(vals)):
         raise InvalidArgumentError("rate path contains non-finite values")
     return vals

@@ -53,7 +53,6 @@ from .errors import (
     MemoryCapError,
     ModelAssumptionError,
     RiccatiBlowUpError,
-    SingularVolatilityError,
 )
 from .grid import TimeGrid, g0_nodes
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, folded_cells,
@@ -531,24 +530,24 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
 
 
 def volatility_matrix(model: QuadraticModel, y: np.ndarray) -> np.ndarray:
-    """Stock volatility sigma(Y) with entries loadings[i, j] . Y."""
+    """Stock volatility sigma(Y) with entries loadings[i, j] . Y, for one state or stacked states."""
     if model.loadings is None:
         raise InvalidArgumentError("model has no stock loadings; asset positions are undefined")
-    return np.einsum("ijk,k->ij", model.loadings, np.asarray(y, dtype=float))
+    return np.einsum("ijk,...k->...ij", model.loadings, np.asarray(y, dtype=float))
 
 
 def asset_positions(model: QuadraticModel, y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Map amounts alpha to positions pi solving sigma(Y)' pi = alpha."""
+    """Map rows of amounts alpha to positions pi solving sigma(Y)' pi = alpha, one row per state.
+
+    NaN on the rows where sigma(Y) is not finite or its condition number exceeds 1e12.
+    """
     sig = volatility_matrix(model, y)
-    try:
-        cond = np.linalg.cond(sig)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularVolatilityError(
-            f"volatility matrix is numerically singular (condition {cond:.3e})"
-        )
-    return np.linalg.solve(sig.T, np.asarray(alpha, dtype=float))
+    ok = np.isfinite(sig).all(axis=(-2, -1))
+    ok[ok] = np.linalg.cond(sig[ok]) <= 1e12
+    rhs = np.asarray(alpha, dtype=float)[ok][..., None]
+    out = np.full(np.shape(alpha), np.nan)
+    out[ok] = np.linalg.solve(np.swapaxes(sig[ok], -1, -2), rhs)[..., 0]
+    return out
 
 
 def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):

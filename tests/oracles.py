@@ -5,8 +5,8 @@ f: [0, T] -> R^N as the identity coefficient ``ident`` (N x N, kept symbolic) an
 cell matrix ``kernel`` (N n, N n), block (i, j) integrating the kernel over cell j at t_i, so
 composition is matrix multiplication and the adjoint is the transpose.  Beside it: the
 quadratic covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
-Last, the per-step wealth loop and the per-value CSV writer that the whole-array wealth step
-and the columnar writer replaced.
+Last, the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
+the whole-array wealth step, the columnar writer and the batched ``asset_positions`` replaced.
 """
 
 import csv
@@ -24,7 +24,7 @@ from vmk.grid import TimeGrid, check_same_grid, g0_nodes
 from vmk.kernels import DiagonalKernel, Kernel, folded_cells
 from vmk.markowitz import rate_nodes, tail_rate_integrals
 from vmk.operators import _bd_left, _bd_right, _volterra_solve
-from vmk.quadratic import QuadraticModel, _discretize
+from vmk.quadratic import QuadraticModel, _discretize, volatility_matrix
 
 COND_LIMIT = 1e12
 ODE_CAP = 1e6
@@ -294,3 +294,17 @@ def write_csv_rows(path: str, header, rows) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     os.replace(tmp, path)
+
+
+def positions_per_row(model: QuadraticModel, states: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``quadratic.asset_positions`` one row at a time: NaN where sigma(Y) is singular."""
+    out = np.full_like(alpha, np.nan)
+    for k in range(alpha.shape[0]):
+        sig = volatility_matrix(model, states[k])
+        try:
+            cond = np.linalg.cond(sig)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if np.isfinite(cond) and cond <= 1e12:
+            out[k] = np.linalg.solve(sig.T, alpha[k])
+    return out

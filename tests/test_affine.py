@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmk import (
     AffineEvaluator,
@@ -29,6 +31,7 @@ from vmk.affine import (
     simulate_forward_variance,
 )
 from vmk.grid import g0_nodes
+from vmk.markowitz import integrated_rate
 from vmk.montecarlo import simulate_drivers
 
 from oracles import mean_forward_variance
@@ -375,3 +378,36 @@ class TestEvaluator:
         np.testing.assert_allclose(lam, model.theta * np.sqrt(vplus), atol=1e-14)
         # rho = 0: premium loading equals theta at every node
         np.testing.assert_allclose(prem, lam, atol=1e-12)
+
+
+SCALAR_KERNELS = st.one_of(st.builds(FractionalKernel, st.floats(0.05, 0.95)),
+                           st.builds(ExponentialKernel, st.floats(0.1, 3.0)),
+                           st.builds(ConstantKernel, st.floats(0.2, 2.0)))
+
+
+@st.composite
+def affine_instances(draw):
+    """Small affine models (d <= 2, n <= 16): |rho| <= 1/sqrt(2), nonnegative curve, mutually exciting drift."""
+    d = draw(st.integers(1, 2))
+    per_factor = lambda low, high: np.array([draw(st.floats(low, high)) for _ in range(d)])
+    drift = np.diag(per_factor(-2.0, 0.5))
+    if d == 2:
+        drift[0, 1], drift[1, 0] = per_factor(0.0, 0.5)
+    model = AffineModel(
+        kernels=tuple(draw(SCALAR_KERNELS) for _ in range(d)),
+        drift=drift,
+        nu=per_factor(0.0, 1.5),
+        rho=per_factor(-0.7, 0.7),
+        theta=per_factor(-1.0, 1.0),
+        g0=per_factor(0.0, 1.0),
+        rate=draw(st.floats(0.0, 0.05)),
+    )
+    return model, make_grid(draw(st.floats(0.1, 1.5)), draw(st.integers(2, 16)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(instance=affine_instances())
+def test_random_instances_keep_gamma0_bounded(instance):
+    model, grid = instance
+    gamma0 = gamma0_affine(model, grid, solve_riccati_volterra(model, grid))
+    assert 0.0 < gamma0 <= math.exp(2.0 * integrated_rate(model.rate, grid))

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vmk.cli
+import vmk.config
 import vmk.quadratic
 from vmk.cli import _write_csv, main
 from vmk.quadratic import two_asset_model, volatility_matrix
@@ -401,6 +403,74 @@ class TestCheck:
         assert "model: affine" in text
         assert "theta_condition.satisfied:" in text
         assert "gamma0_bound_exp_2intr: 1" in text
+
+
+T_SWEEP = "sweep:\n  parameter: T\n  values: [0.4, 0.6]\n"
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace each named global of ``module`` with a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+class TestOneResolvedRun:
+    """Each run validates, builds and solves once, and a failing run leaves no output directory."""
+
+    @pytest.mark.parametrize("body, command", [
+        (AFFINE_CFG, "quadratic-solve"),
+        (QUADRATIC_CFG, "sweep"),
+        (AFFINE_CFG.replace("theta: 1.0", "theta: 0.0"), "frontier"),
+    ], ids=["kind-mismatch", "missing-sweep", "degenerate-market"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, body, command):
+        cfg, out = write_cfg(tmp_path, body)
+        assert main([command, "--config", cfg]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, sweep, builds", [
+        ("affine-solve", "", 1),
+        ("frontier", "", 1),
+        ("simulate", "", 1),
+        ("check", "", 1),
+        ("sweep", T_SWEEP, 1),
+        ("sweep", "sweep:\n  parameter: theta\n  values: [0.5, 1.0]\n", 3),
+    ], ids=["affine-solve", "frontier", "simulate", "check", "sweep-T", "sweep-theta"])
+    def test_one_model_build_per_run_and_swept_value(self, tmp_path, monkeypatch, command, sweep, builds):
+        calls = count_calls(monkeypatch, vmk.config, ["model_from_section"])
+        cfg, _ = write_cfg(tmp_path, AFFINE_CFG + sweep)
+        assert main([command, "--config", cfg, "--grid-n", "20", "--paths", "200"]) == 0
+        assert calls["model_from_section"] == builds
+
+    TRACED = ("solve_riccati_volterra", "gamma0_affine", "solve_operator_riccati", "run_mc")
+
+    @pytest.mark.parametrize("family, command, counts", [
+        ("affine", "affine-solve", (1, 1, 0, 0)),
+        ("affine", "frontier", (1, 1, 0, 0)),
+        ("affine", "check", (1, 1, 0, 0)),
+        ("affine", "simulate", (1, 1, 0, 1)),
+        ("affine", "sweep", (2, 2, 0, 0)),
+        ("quadratic", "quadratic-solve", (0, 0, 1, 0)),
+        ("quadratic", "frontier", (0, 0, 1, 0)),
+        ("quadratic", "check", (0, 0, 1, 0)),
+        ("quadratic", "simulate", (0, 0, 1, 1)),
+        ("quadratic", "sweep", (0, 0, 2, 0)),
+    ])
+    def test_solver_and_mc_called_through_cli_globals(self, tmp_path, monkeypatch, family, command, counts):
+        # the benchmark's traced run times each layer by wrapping these names in vmk.cli
+        calls = count_calls(monkeypatch, vmk.cli, self.TRACED)
+        cfg, _ = write_cfg(tmp_path, (AFFINE_CFG if family == "affine" else QUADRATIC_CFG) + T_SWEEP)
+        assert main([command, "--config", cfg, "--grid-n", "20", "--paths", "200"]) == 0
+        assert calls == dict(zip(self.TRACED, counts))
 
 
 class TestNumpyOnlyRuntime:

@@ -44,6 +44,15 @@ class TestRates:
             rate_nodes(np.zeros(3), g)
 
 
+def test_rate_forms_sample_bit_identically():
+    g = make_grid(1.5, 7)
+    forms = [0.0371, np.full(8, 0.0371), lambda t: 0.0371]
+    nodes = [rate_nodes(rate, g) for rate in forms]
+    assert all(v.shape == (8,) and v.tobytes() == nodes[0].tobytes() for v in nodes)
+    curve = lambda t: 0.01 + 0.02 * t * t
+    assert rate_nodes(curve, g).tobytes() == rate_nodes(np.array([curve(t) for t in g.nodes]), g).tobytes()
+
+
 class TestMomentExponent:
     def test_linear_branch_wins_never(self):
         # at p = 3 the quadratic branch already dominates for any |C|

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vmk import (
@@ -36,8 +36,10 @@ from vmk import quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, folded_cells
 from vmk.operators import _bd_right, _volterra_solve
+from vmk.markowitz import integrated_rate
 from vmk.quadratic import (
     RCOND_MIN,
+    asset_positions,
     boundary_relation_residual,
     gamma_quadratic,
     psi_full_matrix,
@@ -45,7 +47,7 @@ from vmk.quadratic import (
 )
 
 from oracles import (adjoint, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
-                     markovian_riccati_ode, min_sym_eigenvalue, sigma_operator, star)
+                     markovian_riccati_ode, min_sym_eigenvalue, positions_per_row, sigma_operator, star)
 
 SQ2 = math.sqrt(2.0)
 # d/dt P = theta^2 + 2 P^2 backward from 0 gives P_0 = -tanh(sqrt2 theta T)/sqrt2
@@ -776,3 +778,62 @@ class TestModelConstruction:
         sol = solve_operator_riccati(m, make_grid(0.5, 40))
         assert 0.0 < sol.gamma0 <= 1.0
         np.testing.assert_allclose(sol.p_path[0], sol.p_path[0].T, atol=1e-12)
+
+
+class TestAssetPositions:
+    def test_batched_rows_equal_per_row_oracle_bit_for_bit(self):
+        model = two_asset_model()
+        rng = np.random.default_rng(5)
+        y = rng.uniform(-1.0, 1.0, size=(400, 2))
+        alpha = rng.standard_normal((400, 2))
+        y[0:10] = 0.0  # sigma(0) = 0: exactly singular
+        y[10:20] = [1.0e-14, 0.3]  # condition above 1e12
+        y[20:25, 0] = np.nan
+        y[25:30, 1] = np.inf
+        alpha[30:35] = np.nan  # finite sigma, NaN amounts
+        got = asset_positions(model, y, alpha)
+        assert got.tobytes() == positions_per_row(model, y, alpha).tobytes()
+        assert np.isnan(got[:35]).all()
+        assert np.isfinite(got[35:]).all()
+
+
+SCALAR_KERNELS = st.one_of(st.builds(FractionalKernel, st.floats(0.05, 0.95)),
+                           st.builds(ExponentialKernel, st.floats(0.1, 3.0)),
+                           st.builds(ConstantKernel, st.floats(0.2, 2.0)))
+
+
+def _matrix(draw, rows, cols, low, high):
+    return np.array([[draw(st.floats(low, high)) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def psd_quadratic_instances(draw):
+    """Small quadratic models (N, d <= 2, n <= 16) with random kernels, drift, rate and curve."""
+    N, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    kernels = [draw(SCALAR_KERNELS) for _ in range(N)]
+    corr = _matrix(draw, N, d, -1.0, 1.0)
+    corr *= draw(st.floats(0.0, 0.7)) / max(float(np.linalg.norm(corr, axis=1).max()), 1e-12)
+    try:
+        model = QuadraticModel(
+            kernel=DiagonalKernel(kernels) if N > 1 else kernels[0],
+            theta=_matrix(draw, d, N, -1.0, 1.0),
+            eta=_matrix(draw, N, N, -1.5, 1.5),
+            corr=corr,
+            drift=_matrix(draw, N, N, -1.0, 0.5),
+            g0=_matrix(draw, 1, N, -1.0, 1.0)[0],
+            rate=draw(st.floats(0.0, 0.05)),
+        )
+    except ModelAssumptionError:  # the deflated covariance is indefinite: not an instance
+        assume(False)
+    return model, make_grid(draw(st.floats(0.1, 1.5)), draw(st.integers(2, 16)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(instance=psd_quadratic_instances())
+def test_random_psd_instances_keep_psi_nonpositive_and_gamma0_bounded(instance):
+    model, grid = instance
+    sol = solve_operator_riccati(model, grid)
+    assert 0.0 < sol.gamma0 <= math.exp(2.0 * integrated_rate(model.rate, grid))
+    for k in (0, grid.n // 2, grid.n):
+        lam = np.linalg.eigvalsh(psi_full_matrix(model, grid, k, sol.disc))
+        assert lam[-1] <= 1e-12 * np.abs(lam).max(), k
