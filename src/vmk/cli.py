@@ -10,9 +10,9 @@ A run is resolved once: ``config.load_config`` validates the config and
 the grid flag and builds the model, ``_run`` solves it, and each
 subcommand reads that solved run.  All CSV output is written atomically
 (temp file then rename) after the full computation succeeds, and the
-output directory is made just before the first file, so a failing run
-leaves neither partial files nor an empty directory.  Reruns with the
-same config and seed are byte identical.
+output directory is checked before the solve and made just before the
+first file, so a failing run leaves neither partial files nor an empty
+directory.  Reruns with the same config and seed are byte identical.
 """
 
 import argparse
@@ -289,10 +289,12 @@ def main(argv=None) -> int:
             cfg.mc.seed = cfgmod.mc_seed(args.seed, "--seed")
         if args.paths is not None:
             cfg.mc.paths = cfgmod.mc_paths(args.paths, "--paths")
-        out_dir = cfg.out_dir if args.out is None else args.out
+        command = args.command
+        if command != "check":
+            out_dir = (cfgmod.out_directory(cfg.out_dir) if args.out is None
+                       else cfgmod.out_directory(args.out, "--out"))
         kind, model = cfgmod.build_model(cfg)
         grid = cfgmod.build_grid(cfg)
-        command = args.command
         if command == "check":
             _cmd_check(cfg, kind, model, grid)
         elif command == "sweep":

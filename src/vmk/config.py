@@ -7,6 +7,7 @@ key named, so a malformed file fails before any computation or output.
 """
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,6 +82,18 @@ def mc_paths(value, where: str = "mc.paths") -> int:
 def mc_seed(value, where: str = "mc.seed") -> int:
     """Monte Carlo seed: an integer key that np.random.Philox accepts, [-2^63, 2^64)."""
     return _integer(value, where, -(2**63), 2**64 - 1)
+
+
+def out_directory(path: str, where: str = "output.directory") -> str:
+    """An output directory that can be made: a nonempty path with no existing file on it."""
+    if not path:
+        raise ConfigError(f"'{where}' must name a directory, got an empty path")
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"'{where}' must name a directory, got {path!r}: {probe!r} is an existing file")
+    return path
 
 
 def _array(value, where: str) -> np.ndarray:

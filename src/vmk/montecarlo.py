@@ -3,10 +3,11 @@
 Drivers are generated per path from a counter-based generator keyed by
 (seed, global path index), so reruns are bit-for-bit reproducible and the
 draws do not depend on chunking.  Affine samples are chunk-invariant bit
-for bit as well, for any chunk size and number of factors; quadratic
-samples agree across chunk sizes only to roundoff, because the quadratic
-premium is one matrix product per chunk and BLAS results depend on the
-row count.
+for bit as well, for any chunk size, number of factors and BLAS thread
+count (see ``affine.simulate_forward_variance``); quadratic samples
+agree across chunk sizes only to roundoff, because the quadratic premium
+is one matrix product per chunk and BLAS results depend on the row
+count.
 
 Wealth under the optimal feedback control is advanced with the exact
 exponential step of the induced geometric dynamics of the discounted gap,
@@ -173,6 +174,8 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
                 state=np.concatenate([kept.state, piece.state]),
             )
         done += m
+        # free this chunk before the next one draws and steps its own
+        del z, db, lam, prem, state, w
     return SimpleNamespace(
         wealth=mc_stats(terminal),
         gamma=mc_stats(gamma),

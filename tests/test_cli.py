@@ -156,6 +156,28 @@ class TestSolveCommands:
         assert len(rows) == 21
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["affine-solve", "frontier", "simulate", "sweep"])
+    @pytest.mark.parametrize("target", ["empty", "file", "under-file"])
+    def test_unusable_out_named_before_solve(self, tmp_path, capsys, monkeypatch, command, target):
+        calls = count_calls(monkeypatch, vmk.cli, ["solve_riccati_volterra"])
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG + T_SWEEP)
+        taken = tmp_path / "taken.csv"
+        taken.write_text("keep")
+        flag = {"empty": "", "file": str(taken), "under-file": str(taken / "out")}[target]
+        assert main([command, "--config", cfg, "--out", flag]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'--out'" in err and "Traceback" not in err
+        assert calls["solve_riccati_volterra"] == 0
+        assert taken.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "taken.csv"]
+
+    def test_unusable_output_directory_named(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG)
+        Path(cfg).write_text(Path(cfg).read_text().replace(f'directory: "{out}"', 'directory: ""'))
+        assert main(["affine-solve", "--config", cfg]) == 2
+        assert "'output.directory'" in capsys.readouterr().err
+        assert main(["check", "--config", cfg]) == 0
+
     def test_grid_override(self, tmp_path):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg, "--grid-n", "40"]) == 0

@@ -1,6 +1,11 @@
 """Monte Carlo driver generation, wealth simulation, and estimators."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +223,88 @@ class TestRunMC:
         res = run_mc(ev, paths=40, seed=4, x0=1.0, xi_star_val=1.8, antithetic=True)
         assert res.wealth.paths == 40
         assert np.all(np.isfinite(res.terminal))
+
+
+def gemm_models():
+    """One- and two-factor affine models on a grid of four 32-slot stepper blocks."""
+    one = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8, g0=0.16)
+    two = AffineModel(
+        kernels=(ExponentialKernel(beta=2.0), FractionalKernel(0.75)),
+        drift=np.array([[-1.0, 0.3], [0.2, -0.5]]),
+        nu=[0.4, 0.3], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
+    )
+    return {"one": one, "two": two}
+
+
+class TestAffineChunkInvariance:
+    """The stepper's history GEMM gives every path the same bits whatever its chunk."""
+
+    N = 100
+    FULL = 4096
+    PREFIX = 30
+
+    @pytest.fixture(scope="class", params=["one", "two"])
+    def case(self, request):
+        ev = AffineEvaluator(gemm_models()[request.param], make_grid(1.0, self.N))
+        return ev, run_mc(ev, paths=self.FULL, seed=7, x0=1.0, xi_star_val=1.8, keep_paths=self.PREFIX)
+
+    # every residue of the chunk size mod 8, and one path per chunk
+    @pytest.mark.parametrize("chunk", range(1, 10))
+    def test_small_chunks_match_one_full_chunk(self, case, chunk):
+        ev, full = case
+        got = run_mc(ev, paths=self.PREFIX, seed=7, x0=1.0, xi_star_val=1.8, chunk=chunk,
+                     keep_paths=self.PREFIX)
+        np.testing.assert_array_equal(got.terminal, full.terminal[: self.PREFIX])
+        np.testing.assert_array_equal(got.gamma_samples, full.gamma_samples[: self.PREFIX])
+        np.testing.assert_array_equal(got.kept.state, full.kept.state)
+        np.testing.assert_array_equal(got.kept.x, full.kept.x)
+
+    SCRIPT = (
+        "import hashlib, sys\n"
+        "from vmk import AffineEvaluator, make_grid, run_mc\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_montecarlo import gemm_models\n"
+        "for model in gemm_models().values():\n"
+        "    ev = AffineEvaluator(model, make_grid(1.0, 100))\n"
+        "    res = run_mc(ev, paths=4096, seed=7, x0=1.0, xi_star_val=1.8, keep_paths=8)\n"
+        "    for a in (res.terminal, res.gamma_samples, res.kept.state):\n"
+        "        print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+    )
+
+    def test_blas_thread_count_does_not_change_samples(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in (None, "1", "2"):
+            env = dict(base) if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", self.SCRIPT, str(Path(__file__).parent)],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1] == digests[2]
+
+
+class TestRunMCMemory:
+    @pytest.mark.parametrize("family", ["affine", "quadratic"])
+    def test_finished_chunk_freed_before_next(self, family):
+        g = make_grid(1.0, 100)
+        if family == "affine":
+            ev = AffineEvaluator(gemm_models()["one"], g)
+        else:
+            ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0,
+                                                   corr=-0.5, drift=-0.3, g0=0.3), g)
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
+        peaks = []
+        for paths in (512, 1024):
+            tracemalloc.start()
+            try:
+                run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=512)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a second chunk that still held the first alive read 1.7-1.8x
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestStats:
