@@ -19,7 +19,6 @@ from .affine import (
 from .errors import (
     ConfigError,
     DegenerateMarketError,
-    GridMismatchError,
     InternalConsistencyError,
     InvalidArgumentError,
     MemoryCapError,
@@ -34,7 +33,6 @@ from .kernels import (
     ExponentialKernel,
     FractionalKernel,
     Kernel,
-    TableKernel,
     band_coefficients,
     folded_cells,
     kernel_l2_norm_sq,

@@ -73,7 +73,7 @@ class AffineModel:
         if d == 0:
             raise InvalidArgumentError("affine model needs at least one variance factor")
         for k in kernels:
-            if k.dim != 1 or not k.is_convolution:
+            if k.dim != 1:
                 raise InvalidArgumentError("affine kernels must be scalar Volterra convolution kernels")
         drift = np.atleast_2d(np.asarray(self.drift, dtype=float))
         if drift.shape != (d, d):

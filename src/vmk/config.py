@@ -6,7 +6,6 @@ output sections.  Everything is validated up front with the offending
 key named, so a malformed file fails before any computation or output.
 """
 
-import math
 import os
 from types import SimpleNamespace
 
@@ -44,14 +43,26 @@ def _require_mapping(obj, where: str) -> dict:
 
 
 def _number(value, where: str, cast=float):
-    """cast(value), or a ConfigError naming the key when the cast fails.
+    """cast(value) when it is finite, else a ConfigError naming the key.
 
-    It fails on non-numeric values and on infinities cast to integers.
+    It fails on non-numeric values, on NaN and infinities, and on
+    infinities cast to integers.
     """
+    message = f"'{where}' must be a finite number, got {value!r}"
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{where}' must be a finite number, got {value!r}") from None
+        raise ConfigError(message) from None
+    if not (isinstance(number, int) or np.all(np.isfinite(number))):
+        raise ConfigError(message)
+    return number
+
+
+def _boolean(value, where: str) -> bool:
+    """A YAML boolean, or a ConfigError naming the key."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{where}' must be true or false, got {value!r}")
+    return value
 
 
 def _integer(value, where: str, low: int = None, high: int = None) -> int:
@@ -69,7 +80,7 @@ def _integer(value, where: str, low: int = None, high: int = None) -> int:
 def _horizon(value, where: str) -> float:
     """A positive finite horizon, or a ConfigError naming the key."""
     horizon = _number(value, where)
-    if not math.isfinite(horizon) or horizon <= 0:
+    if horizon <= 0:
         raise ConfigError(f"'{where}' must be a positive number, got {value!r}")
     return horizon
 
@@ -203,7 +214,7 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
     mc_ns = SimpleNamespace(
         paths=mc_paths(mc.get("paths", 10000)),
         seed=mc_seed(mc.get("seed", 0)),
-        antithetic=bool(mc.get("antithetic", False)),
+        antithetic=_boolean(mc.get("antithetic", False), "mc.antithetic"),
         dump_paths=_integer(mc.get("dump_paths", 0), "mc.dump_paths", 0),
         chunk=_integer(mc.get("chunk", 4096), "mc.chunk", 1),
     )
@@ -316,7 +327,7 @@ def _quadratic_from_section(sec: dict) -> QuadraticModel:
         g0=_array(sec.get("g0", 0.0), "quadratic.g0"),
         rate=_number(sec.get("rate", 0.0), "quadratic.rate"),
         x0=_number(sec.get("x0", 1.0), "quadratic.x0"),
-        enforce_psd=bool(sec.get("enforce_psd", True)),
+        enforce_psd=_boolean(sec.get("enforce_psd", True), "quadratic.enforce_psd"),
     )
 
 

@@ -9,10 +9,6 @@ class InvalidArgumentError(VmkError, ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class GridMismatchError(VmkError):
-    """Two discretized objects live on different time grids."""
-
-
 class RiccatiBlowUpError(VmkError):
     """A Riccati solution exceeded the finite cap before the horizon.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         """All n+1 nodes including the terminal time."""
         return np.linspace(0.0, self.horizon, self.n + 1)
-
-    @property
-    def left_nodes(self) -> np.ndarray:
-        """The n sample points of grid functions."""
-        return self.nodes[:-1]
-
-    def index_of(self, t: float) -> int:
-        """Index of the node closest to t; raises if t is not a node."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.n or abs(t - k * self.dt) > 1e-9 * max(1.0, self.horizon):
-            raise InvalidArgumentError(f"time {t!r} is not a node of the grid")
-        return k
 
 
 def make_grid(horizon: float, n: int) -> TimeGrid:
@@ -72,9 +60,3 @@ def g0_nodes(g0, grid: TimeGrid, dim: int = None, name: str = "g0") -> np.ndarra
     shapes = f"({grid.n + 1},)" if dim is None else f"({dim},) or ({grid.n + 1}, {dim})"
     raise InvalidArgumentError(f"{name} must be scalar, callable, shape {shapes}; got {arr.shape}")
 
-
-def check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
-    if a.n != b.n or not np.isclose(a.horizon, b.horizon, rtol=1e-12, atol=0.0):
-        raise GridMismatchError(
-            f"grids differ: (T={a.horizon}, n={a.n}) vs (T={b.horizon}, n={b.n})"
-        )

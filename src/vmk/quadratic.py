@@ -91,8 +91,6 @@ class QuadraticModel:
     enforce_psd: bool = True
 
     def __post_init__(self):
-        if not self.kernel.volterra:
-            raise InvalidArgumentError("state kernel must be of Volterra type")
         N = self.kernel.dim
         theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
         d = theta.shape[0]

@@ -4,7 +4,9 @@ The star calculus stores an operator (F f)(t) = M f(t) + int_0^T F_ker(t, s) f(s
 f: [0, T] -> R^N as the identity coefficient ``ident`` (N x N, kept symbolic) and the folded
 cell matrix ``kernel`` (N n, N n), block (i, j) integrating the kernel over cell j at t_i, so
 composition is matrix multiplication and the adjoint is the transpose.  Beside it: the
-quadratic covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
+per-cell kernel band and its gathered fold, the cell table of a kernel piecewise constant on
+the grid, the quadratic covariance operator, the Markovian matrix Riccati ODE and the affine
+mean variance.
 Last, the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
 the whole-array wealth step, the columnar writer and the batched ``asset_positions`` replaced.
 """
@@ -20,8 +22,8 @@ import numpy as np
 from vmk.affine import AffineModel
 from vmk.cli import _fmt
 from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
-from vmk.grid import TimeGrid, check_same_grid, g0_nodes
-from vmk.kernels import DiagonalKernel, Kernel, folded_cells
+from vmk.grid import TimeGrid, g0_nodes
+from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, folded_cells
 from vmk.markowitz import rate_nodes, tail_rate_integrals
 from vmk.operators import _bd_left, _bd_right, _volterra_solve
 from vmk.quadratic import QuadraticModel, _discretize, volatility_matrix
@@ -81,6 +83,51 @@ def discretize(kernel: Kernel, grid: TimeGrid) -> IntegralOperator:
     return kernel_operator(grid, kernel.dim, folded_cells(kernel, grid))
 
 
+def band_per_cell(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
+    """``kernels.band_coefficients`` one lag cell [a, b] = [m dt, (m + 1) dt] at a time.
+
+    P(b) - P(a) for a scalar kernel with antiderivative P, M (b - a) for a constant
+    kernel, and each component's band on the diagonal for a diagonal kernel.
+    """
+    n, dt, N = grid.n, grid.dt, kernel.dim
+    out = np.zeros((n, N, N))
+    if isinstance(kernel, DiagonalKernel):
+        for i, c in enumerate(kernel.components):
+            out[:, i, i] = band_per_cell(c, grid)[:, 0, 0]
+        return out
+    for m in range(n):
+        a, b = m * dt, (m + 1) * dt
+        if isinstance(kernel, ConstantKernel):
+            out[m] = kernel.matrix * (b - a)
+        else:
+            out[m] = kernel._primitive(b) - kernel._primitive(a)
+    return out
+
+
+def fold_per_cell(band: np.ndarray) -> np.ndarray:
+    """``kernels.folded_cells`` gathered in one step: block (i, j) is band[i - j - 1] for j < i."""
+    n, N = band.shape[0], band.shape[1]
+    a4 = np.zeros((n, N, n, N))
+    i, j = np.tril_indices(n, -1)
+    a4[i, :, j, :] = band[i - j - 1]
+    return a4.reshape(n * N, n * N)
+
+
+def cell_table(grid: TimeGrid, values, volterra: bool = True) -> IntegralOperator:
+    """Kernel operator of a kernel that is piecewise constant on the grid.
+
+    values[i, j], of shape (n, n) or (n, n, N, N), is K(t_i, s) on cell j; a Volterra
+    table is zero for j >= i.  No vmk kernel is such a table: the operator suites use it
+    for non-Toeplitz and full-support instances.
+    """
+    v = np.asarray(values, dtype=float)
+    v = (v[:, :, None, None] if v.ndim == 2 else v) * grid.dt
+    if volterra:
+        v[np.triu_indices(grid.n)] = 0.0
+    n, N = grid.n, v.shape[2]
+    return kernel_operator(grid, N, v.transpose(0, 2, 1, 3).reshape(n * N, n * N))
+
+
 def op_apply(op: IntegralOperator, f: np.ndarray) -> np.ndarray:
     """Apply the operator to node samples f of shape (n, N) or (n,)."""
     n, N = op.grid.n, op.dim
@@ -100,7 +147,8 @@ def op_apply(op: IntegralOperator, f: np.ndarray) -> np.ndarray:
 
 def star(a: IntegralOperator, b: IntegralOperator) -> IntegralOperator:
     """Operator composition (a star b) f = a (b f)."""
-    check_same_grid(a.grid, b.grid)
+    if a.grid != b.grid:
+        raise InvalidArgumentError(f"operators live on different grids: {a.grid} vs {b.grid}")
     if a.dim != b.dim:
         raise InvalidArgumentError(f"operator dimensions differ: {a.dim} vs {b.dim}")
     n = a.grid.n

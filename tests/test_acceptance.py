@@ -18,7 +18,6 @@ from vmk import (
     ExponentialKernel,
     FractionalKernel,
     QuadraticModel,
-    TableKernel,
     gamma0_affine,
     integrated_rate,
     make_grid,
@@ -41,7 +40,8 @@ from vmk.quadratic import (
     riccati_derivative_residual,
 )
 
-from oracles import IntegralOperator, discretize, invert_id_minus, markovian_riccati_ode, resolvent, sigma_operator, star
+from oracles import (IntegralOperator, cell_table, discretize, invert_id_minus, markovian_riccati_ode, resolvent,
+                     sigma_operator, star)
 
 
 def report(capsys, num, ok, detail):
@@ -194,15 +194,16 @@ def test_criterion_06_operator_identity_suite(capsys):
         grid = make_grid(horizon, n)
         kind = rng.integers(0, 4)
         if kind == 0:
-            kern = FractionalKernel(float(rng.uniform(0.1, 1.0)), scale=float(rng.uniform(0.2, 1.0)))
+            a = discretize(FractionalKernel(float(rng.uniform(0.1, 1.0)), scale=float(rng.uniform(0.2, 1.0))), grid)
         elif kind == 1:
-            kern = ExponentialKernel(beta=float(rng.uniform(0.0, 3.0)))
+            a = discretize(ExponentialKernel(beta=float(rng.uniform(0.0, 3.0))), grid)
         elif kind == 2:
             N = int(rng.integers(1, 4))
-            kern = ConstantKernel(rng.standard_normal((N, N)) * 0.4, volterra=bool(rng.integers(0, 2)))
+            m = rng.standard_normal((N, N)) * 0.4
+            full = np.broadcast_to(m, (n, n, N, N))
+            a = discretize(ConstantKernel(m), grid) if rng.integers(0, 2) else cell_table(grid, full, volterra=False)
         else:
-            kern = TableKernel(grid, rng.standard_normal((n, n)) * 0.4, volterra=True)
-        a = discretize(kern, grid)
+            a = cell_table(grid, rng.standard_normal((n, n)) * 0.4)
         r = resolvent(a)
         res1 = np.max(np.abs(r.kernel - a.kernel - a.kernel @ r.kernel))
         inv = invert_id_minus(a)
@@ -264,7 +265,7 @@ def test_criterion_08_boundary_relation_refinement(capsys):
         for n in (40, 80, 160):
             grid = make_grid(horizon, n)
             f = np.stack(
-                [np.cos((j + 1) * grid.left_nodes) for j in range(model.n_state)], axis=1
+                [np.cos((j + 1) * grid.nodes[:-1]) for j in range(model.n_state)], axis=1
             )
             res.append(boundary_relation_residual(model, grid, n // 4, f))
         decreasing = res[0] > res[1] > res[2] and res[2] < res[0] / 2.5

@@ -133,7 +133,7 @@ class TestForwardVariance:
         )
         grid = make_grid(1.0, 2000)
         ev = mean_forward_variance(model, grid)
-        want = v0 * np.exp(-kappa * grid.left_nodes)
+        want = v0 * np.exp(-kappa * grid.nodes[:-1])
         np.testing.assert_allclose(ev[:, 0], want, rtol=2e-3)
 
     def test_noiseless_paths_match_mean_curve(self):

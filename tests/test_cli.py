@@ -573,6 +573,15 @@ class TestConfigErrors:
         ("output:", "mc:\n  seed: 1.0e+30\noutput:", "mc.seed"),
         ("output:", "mc:\n  seed: 18446744073709551616\noutput:", "mc.seed"),
         ("output:", "mc:\n  seed: -9223372036854775809\noutput:", "mc.seed"),
+        ("m: 1.1", "m: .nan", "markowitz.m"),
+        ("m: 1.1", "m: .inf", "markowitz.m"),
+        ("x0: 1.0", "x0: .nan", "markowitz.x0"),
+        ("g0: 1.0", "g0: .nan", "quadratic.g0"),
+        ("theta: [[1.0]]", "theta: [[-.inf]]", "quadratic.theta"),
+        ("value: 1.0}", "value: .inf}", "quadratic.kernel.value"),
+        ("output:", "mc:\n  antithetic: \"false\"\noutput:", "mc.antithetic"),
+        ("output:", "mc:\n  antithetic: 0.5\noutput:", "mc.antithetic"),
+        ("g0: 1.0", "g0: 1.0\n  enforce_psd: \"false\"", "quadratic.enforce_psd"),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))

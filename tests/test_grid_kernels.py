@@ -6,24 +6,21 @@ import numpy as np
 import pytest
 
 from vmk import (
-    AffineModel,
     ConstantKernel,
     DiagonalKernel,
     ExponentialKernel,
     FractionalKernel,
-    GridMismatchError,
     InvalidArgumentError,
     Kernel,
-    QuadraticModel,
-    TableKernel,
     band_coefficients,
     folded_cells,
     kernel_l2_norm_sq,
     make_grid,
-    solve_operator_riccati,
+    two_asset_model,
 )
-from vmk.grid import check_same_grid
 from vmk.kernels import first_arg_columns
+
+from oracles import band_per_cell, fold_per_cell
 
 
 class TestTimeGrid:
@@ -31,19 +28,7 @@ class TestTimeGrid:
         g = make_grid(2.0, 8)
         assert g.dt == pytest.approx(0.25)
         assert g.nodes.shape == (9,)
-        assert g.left_nodes.shape == (8,)
         np.testing.assert_allclose(g.nodes, np.linspace(0.0, 2.0, 9))
-        np.testing.assert_allclose(g.left_nodes, g.nodes[:-1])
-
-    def test_index_of_round_trip(self):
-        g = make_grid(1.5, 6)
-        for k, t in enumerate(g.nodes):
-            assert g.index_of(t) == k
-
-    def test_index_of_off_node_rejected(self):
-        g = make_grid(1.0, 4)
-        with pytest.raises(InvalidArgumentError):
-            g.index_of(0.3)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -55,37 +40,17 @@ class TestTimeGrid:
         with pytest.raises(InvalidArgumentError):
             make_grid(1.0, 1)
 
-    def test_mismatch_detection(self):
-        a = make_grid(1.0, 4)
-        b = make_grid(1.0, 5)
-        check_same_grid(a, make_grid(1.0, 4))
-        with pytest.raises(GridMismatchError):
-            check_same_grid(a, b)
-
 
 class TestFractionalKernel:
-    def test_pointwise_value(self):
-        k = FractionalKernel(0.75, scale=2.0)
-        want = 2.0 * 0.5**0.25 / math.gamma(1.25)
-        assert k.eval_at(1.0, 0.5)[0, 0] == pytest.approx(want, rel=1e-14)
-        assert k.eval_at(0.5, 1.0)[0, 0] == 0.0
-
     def test_unit_cell_integral(self):
         # int_0^1 x^(-1/4) dx / Gamma(3/4) = (4/3) / Gamma(3/4)
-        k = FractionalKernel(0.25)
-        got = k.lag_integral(0.0, 1.0)[0, 0]
+        got = band_coefficients(FractionalKernel(0.25), make_grid(2.0, 2))[0, 0, 0]
         assert got == pytest.approx(1.0880652521310177, rel=1e-13)
 
-    def test_singular_diagonal_refused_but_integrable(self):
-        k = FractionalKernel(0.25)
-        with pytest.raises(InvalidArgumentError):
-            k.eval_at(1.0, 1.0)
-        assert np.isfinite(k.lag_integral(0.0, 0.1)[0, 0])
-
     def test_half_exponent_is_constant(self):
-        k = FractionalKernel(0.5, scale=3.0)
-        assert k.eval_at(2.0, 0.0)[0, 0] == pytest.approx(3.0)
-        assert k.eval_at(2.0, 2.0)[0, 0] == pytest.approx(3.0)
+        g = make_grid(2.0, 8)
+        c = band_coefficients(FractionalKernel(0.5, scale=3.0), g)
+        np.testing.assert_allclose(c, 3.0 * g.dt, rtol=1e-14)
 
     def test_exponent_domain(self):
         with pytest.raises(InvalidArgumentError):
@@ -98,12 +63,13 @@ class TestExponentialKernel:
     def test_lag_integral(self):
         k = ExponentialKernel(beta=2.0, scale=5.0)
         want = 5.0 * (1.0 - math.exp(-2.0)) / 2.0
-        assert k.lag_integral(0.0, 1.0)[0, 0] == pytest.approx(want, rel=1e-14)
+        assert band_coefficients(k, make_grid(2.0, 2))[0, 0, 0] == pytest.approx(want, rel=1e-14)
 
     def test_zero_rate_reduces_to_constant(self):
-        k = ExponentialKernel(beta=0.0, scale=1.5)
-        assert k.lag_integral(0.0, 2.0)[0, 0] == pytest.approx(3.0)
-        assert k.eval_at(7.0, 1.0)[0, 0] == pytest.approx(1.5)
+        g = make_grid(2.0, 8)
+        c = band_coefficients(ExponentialKernel(beta=0.0, scale=1.5), g)
+        np.testing.assert_allclose(c, 1.5 * g.dt, rtol=1e-14)
+        assert c.sum() == pytest.approx(3.0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -131,36 +97,16 @@ class TestMatrixAndTableKernels:
                 want = g.dt * m if j < i else np.zeros((2, 2))
                 np.testing.assert_allclose(a[i, :, j, :], want)
 
-    def test_constant_full_support_fold(self):
-        m = np.array([[2.0]])
-        k = ConstantKernel(m, volterra=False)
-        g = make_grid(1.0, 3)
-        a = folded_cells(k, g)
-        np.testing.assert_allclose(a, np.full((3, 3), 2.0 * g.dt))
-
     def test_diagonal_kernel_stacks_components(self):
-        k = DiagonalKernel([FractionalKernel(0.75), ExponentialKernel(beta=1.0)])
+        parts = [FractionalKernel(0.75), ExponentialKernel(beta=1.0)]
+        k = DiagonalKernel(parts)
         assert k.dim == 2
-        v = k.eval_at(1.0, 0.25)
-        assert v.shape == (2, 2)
-        assert v[0, 1] == 0.0 and v[1, 0] == 0.0
-        assert v[0, 0] == pytest.approx(FractionalKernel(0.75).eval_at(1.0, 0.25)[0, 0])
-        assert v[1, 1] == pytest.approx(math.exp(-0.75))
-
-    def test_table_kernel_matches_sampled_function(self):
-        g = make_grid(1.0, 5)
-        vals = np.empty((5, 5))
-        for i in range(5):
-            for j in range(5):
-                vals[i, j] = math.exp(g.nodes[i] - g.nodes[j]) if j < i else 0.0
-        k = TableKernel(g, vals)
-        a = folded_cells(k, g).reshape(5, 1, 5, 1)[:, 0, :, 0]
-        np.testing.assert_allclose(a, vals * g.dt)
-
-    def test_table_kernel_grid_mismatch(self):
-        k = TableKernel(make_grid(1.0, 5), np.zeros((5, 5)))
-        with pytest.raises(GridMismatchError):
-            folded_cells(k, make_grid(1.0, 6))
+        g = make_grid(1.0, 8)
+        c = band_coefficients(k, g)
+        assert c.shape == (8, 2, 2)
+        assert np.all(c[:, 0, 1] == 0.0) and np.all(c[:, 1, 0] == 0.0)
+        for i, part in enumerate(parts):
+            np.testing.assert_array_equal(c[:, i, i], band_coefficients(part, g)[:, 0, 0])
 
 
 class TestBandCoefficients:
@@ -169,20 +115,15 @@ class TestBandCoefficients:
         g = make_grid(1.0, 16)
         c = band_coefficients(k, g)
         assert c.shape == (16, 1, 1)
-        total = k.lag_integral(0.0, 1.0)[0, 0]
-        assert c.sum() == pytest.approx(total, rel=1e-13)
-
-    def test_non_convolution_rejected(self):
-        g = make_grid(1.0, 4)
-        with pytest.raises(InvalidArgumentError):
-            band_coefficients(TableKernel(g, np.zeros((4, 4))), g)
+        # int_0^1 x^(-1/4) dx / Gamma(3/4)
+        assert c.sum() == pytest.approx(1.0880652521310177, rel=1e-13)
 
     def test_fold_rows_accumulate_history(self):
         k = ExponentialKernel(beta=1.0)
         g = make_grid(1.0, 8)
         a = folded_cells(k, g)
         row_sums = a.sum(axis=1)
-        want = [k.lag_integral(0.0, t)[0, 0] for t in g.nodes[:-1]]
+        want = -np.expm1(-g.nodes[:-1])
         np.testing.assert_allclose(row_sums, want, rtol=1e-13)
 
     def test_first_arg_columns_shift_band(self):
@@ -218,11 +159,6 @@ class TestL2Norms:
 
 
 class TestConstructorsAndDiscretizationRoutes:
-    def test_diagonal_rejects_table_component(self):
-        g = make_grid(1.0, 4)
-        with pytest.raises(InvalidArgumentError, match="convolution"):
-            DiagonalKernel([FractionalKernel(0.3), TableKernel(g, np.zeros((4, 4)))])
-
     def test_diagonal_rejects_empty_list(self):
         with pytest.raises(InvalidArgumentError, match="at least one"):
             DiagonalKernel([])
@@ -235,39 +171,27 @@ class TestConstructorsAndDiscretizationRoutes:
         with pytest.raises(InvalidArgumentError, match="square"):
             ConstantKernel(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("shape", [(4, 5), (3, 3), (4, 4, 2, 3)])
-    def test_table_rejects_bad_shape(self, shape):
-        with pytest.raises(InvalidArgumentError, match="shape"):
-            TableKernel(make_grid(1.0, 4), np.zeros(shape))
-
     def test_fold_rejects_bare_kernel(self):
         class Opaque(Kernel):
             pass
 
-        with pytest.raises(InvalidArgumentError, match="Opaque"):
+        with pytest.raises(NotImplementedError):
             folded_cells(Opaque(), make_grid(1.0, 4))
 
-    def test_quadratic_solve_refuses_table_kernel(self):
-        g = make_grid(1.0, 4)
-        model = QuadraticModel(
-            kernel=TableKernel(g, 0.1 * np.tri(4, k=-1)),
-            theta=np.array([[1.0]]),
-            eta=np.array([[1.0]]),
-            corr=np.array([[0.0]]),
-            drift=np.array([[0.0]]),
-            g0=1.0,
-        )
-        with pytest.raises(InvalidArgumentError, match="convolution"):
-            solve_operator_riccati(model, g)
 
-    def test_affine_solve_refuses_table_kernel(self):
-        g = make_grid(1.0, 4)
-        with pytest.raises(InvalidArgumentError, match="convolution"):
-            AffineModel(
-                kernels=[TableKernel(g, 0.1 * np.tri(4, k=-1))],
-                drift=[[0.0]],
-                nu=0.5,
-                rho=0.0,
-                theta=1.0,
-                g0=0.04,
-            )
+# the perfbench grids and a fine one
+ORACLE_GRIDS = [(1.5, 300), (0.5, 250), (1.0, 400), (1.0, 1000)]
+ORACLE_KERNELS = (
+    [FractionalKernel(h) for h in (0.08, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0)]
+    + [ExponentialKernel(beta) for beta in (0.0, 1e-10, 1e-3, 1.0, 5.0)]
+    + [ConstantKernel(np.array([[0.7, -0.2], [0.3, 1.1]])), two_asset_model().kernel]
+)
+
+
+@pytest.mark.parametrize("horizon, n", ORACLE_GRIDS)
+def test_band_and_fold_match_per_cell_route(horizon, n):
+    g = make_grid(horizon, n)
+    for kernel in ORACLE_KERNELS:
+        want = band_per_cell(kernel, g)
+        np.testing.assert_array_equal(band_coefficients(kernel, g), want, err_msg=repr(kernel))
+        np.testing.assert_array_equal(folded_cells(kernel, g), fold_per_cell(want), err_msg=repr(kernel))

@@ -1,12 +1,14 @@
-"""Every top-level name defined in the package is used by the package, and
-every name a module imports is used in that module.
+"""Every top-level name and every method defined in the package is used by the
+package, and every name a module imports is used in that module.
 
 A top-level name counts as used when it appears as a whole word in another
 part of ``src/vmk`` (the package ``__init__`` and the definition itself
-excluded) or when the package ``__init__`` exports it.  A mention in the
-tests or in the benchmark harness does not count: code that only they run
-belongs in ``tests/oracles.py`` or in the test file itself.  The package
-``__init__`` is exempt from both checks because it only re-exports.
+excluded) or when the package ``__init__`` exports it.  A non-dunder method
+or property of a class counts as used when ``.name`` appears anywhere in
+``src/vmk`` outside its own definition.  A mention in the tests or in the
+benchmark harness does not count: code that only they run belongs in
+``tests/oracles.py`` or in the test file itself.  The package ``__init__``
+is exempt from the top-level and import checks because it only re-exports.
 """
 
 import ast
@@ -47,6 +49,29 @@ def test_every_top_level_name_is_referenced():
             if not any(word.search(t) for t in corpus):
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _methods(tree):
+    """(class, name, first line, last line) of every non-dunder method and property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item.name, item.lineno, item.end_lineno
+
+
+def test_every_method_is_referenced():
+    sources = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    unused = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for cls, name, first, last in _methods(ast.parse(text)):
+            own = "\n".join(lines[: first - 1] + lines[last:])
+            corpus = [own] + [t for p, t in sources.items() if p != path]
+            attribute = re.compile(rf"\.{re.escape(name)}\b")
+            if not any(attribute.search(t) for t in corpus):
+                unused.append(f"{path.name}:{first} {cls}.{name}")
+    assert not unused, "method defined but never referenced: " + ", ".join(sorted(unused))
 
 
 def test_every_import_is_used():

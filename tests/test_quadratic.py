@@ -21,7 +21,6 @@ from vmk import (
     QuadraticEvaluator,
     QuadraticModel,
     RiccatiBlowUpError,
-    TableKernel,
     contraction_report,
     kappa_hat,
     lambda_max_covariance,
@@ -524,7 +523,7 @@ class TestOperatorForms:
             for n in (40, 80, 160):
                 g = make_grid(horizon, n)
                 f = np.stack(
-                    [np.cos((j + 1) * g.left_nodes) for j in range(m.n_state)], axis=1
+                    [np.cos((j + 1) * g.nodes[:-1]) for j in range(m.n_state)], axis=1
                 )
                 res.append(boundary_relation_residual(m, g, n // 4, f))
             assert res[1] < res[0] / 1.7
@@ -685,16 +684,13 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("N", [1, 2])
-    @pytest.mark.parametrize("kind", ["fractional", "exponential", "table"])
+    @pytest.mark.parametrize("kind", ["fractional", "exponential"])
     def test_covariance_gram_matches_dense_operator(self, kind, N, d):
-        rng = np.random.default_rng(["fractional", "exponential", "table"].index(kind) * 100 + 10 * N + d)
+        rng = np.random.default_rng(["fractional", "exponential"].index(kind) * 100 + 10 * N + d)
         g = make_grid(float(rng.uniform(0.5, 2.0)), 9)
-        if kind == "table":
-            kern = TableKernel(g, 0.5 * rng.standard_normal((g.n, g.n, N, N)), volterra=True)
-        else:
-            comps = [FractionalKernel(float(rng.uniform(0.1, 0.9))) if kind == "fractional"
-                     else ExponentialKernel(beta=float(rng.uniform(0.2, 2.0))) for _ in range(N)]
-            kern = comps[0] if N == 1 else DiagonalKernel(comps)
+        comps = [FractionalKernel(float(rng.uniform(0.1, 0.9))) if kind == "fractional"
+                 else ExponentialKernel(beta=float(rng.uniform(0.2, 2.0))) for _ in range(N)]
+        kern = comps[0] if N == 1 else DiagonalKernel(comps)
         corr = rng.standard_normal((N, d))
         corr *= rng.uniform(0.75, 0.95, size=(N, 1)) / np.linalg.norm(corr, axis=1, keepdims=True)
         m = QuadraticModel(kernel=kern, theta=rng.uniform(-0.8, 0.8, size=(d, N)),
