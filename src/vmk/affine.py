@@ -26,9 +26,10 @@ from .errors import (
     InvalidArgumentError,
     RiccatiBlowUpError,
 )
-from .grid import TimeGrid, g0_nodes
+from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
+from .montecarlo import correlate_drivers
 
 RICCATI_CAP = 1e6
 GAMMA_BOUND_TOL = 1e-8
@@ -194,16 +195,6 @@ def mean_reversion_a_bound(kappa: float, nu: float) -> float:
     return float(kappa * kappa / (2.0 * nu * nu))
 
 
-def correlate_increments(model: AffineModel, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Map raw normal increments (P, n, 2d) to stock and variance drivers (dB, dW)."""
-    d = model.dim
-    db = z[:, :, :d]
-    dperp = z[:, :, d:]
-    rho = model.rho
-    dw = rho[None, None, :] * db + np.sqrt(1.0 - rho * rho)[None, None, :] * dperp
-    return db, dw
-
-
 def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     """Evolve the forward variance curve pathwise with full truncation.
 
@@ -275,13 +266,14 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
     with the left rule on [t, T] and verifies the structural bound
     0 < Gamma_t <= e^{2 int_t^T r} up to ``GAMMA_BOUND_TOL`` relative slack.
     """
-    n = grid.n
-    if not 0 <= t_index <= n:
-        raise InvalidArgumentError(f"t_index must lie in [0, {n}]")
+    n, d = grid.n, model.dim
+    t_index = node_index(t_index, n)
     g = np.asarray(g_curve, dtype=float)
     single = g.ndim == 2
     if single:
         g = g[None, :, :]
+    if g.ndim != 3 or g.shape[1:] != (n + 1, d):
+        raise InvalidArgumentError(f"curves must be ({n + 1}, {d}) or (P, {n + 1}, {d}), got {np.shape(g_curve)}")
     fall = riccati_F(model, psi)
     idx = n - np.arange(t_index, n)
     expo = grid.dt * np.einsum("jd,pjd->p", fall[idx], g[:, t_index:n, :])
@@ -298,10 +290,7 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
 
 def premium_loading(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index) -> np.ndarray:
     """theta_i + rho_i nu_i psi^i(T - t_k) at a node index, or stacked over an index array."""
-    idx = np.asarray(t_index)
-    if np.any((idx < 0) | (idx > grid.n)):
-        raise InvalidArgumentError(f"node index must lie in [0, {grid.n}]")
-    return model.theta + model.rho * model.nu * psi[grid.n - idx]
+    return model.theta + model.rho * model.nu * psi[grid.n - node_index(t_index, grid.n, many=True)]
 
 
 def optimal_control_affine(model: AffineModel, psi: np.ndarray, grid: TimeGrid, t_index: int, v_t, x_t, xi_discounted):
@@ -334,7 +323,7 @@ class AffineEvaluator:
 
     def premium_paths(self, z: np.ndarray):
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths)."""
-        db, dw = correlate_increments(self.model, z)
+        db, dw = correlate_drivers(z, np.diag(self.model.rho))
         v = simulate_forward_variance(self.model, self.grid, dw)
         # path-major like the drivers, so the per-path sums downstream do
         # not depend on the stepper's slot-major layout

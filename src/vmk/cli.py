@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.mc.seed = cfgmod.mc_seed(args.seed, "--seed")
         if args.paths is not None:
-            cfg.mc.paths = cfgmod.mc_paths(args.paths, "--paths")
+            cfg.mc.paths = cfgmod.mc_paths(args.paths, "--paths", cfg.mc.antithetic)
         command = args.command
         if command != "check":
             out_dir = (cfgmod.out_directory(cfg.out_dir) if args.out is None

@@ -36,19 +36,29 @@ _KERNEL_KEYS = {
 }
 
 
-def _require_mapping(obj, where: str) -> dict:
+def _section(obj, where: str, allowed: set = None) -> dict:
+    """obj when it is a mapping whose keys all lie in ``allowed`` (any keys when None), else a ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"section '{where}' must be a mapping, got {type(obj).__name__}")
+    unknown = set(obj) - allowed if allowed is not None else ()
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{where}'; allowed: {sorted(allowed)}")
     return obj
+
+
+def _has_boolean(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_boolean, value)))
 
 
 def _number(value, where: str, cast=float):
     """cast(value) when it is finite, else a ConfigError naming the key.
 
-    It fails on non-numeric values, on NaN and infinities, and on
-    infinities cast to integers.
+    It fails on non-numeric values, on YAML booleans (also inside lists),
+    on NaN and infinities, and on infinities cast to integers.
     """
     message = f"'{where}' must be a finite number, got {value!r}"
+    if _has_boolean(value):
+        raise ConfigError(message)
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -85,9 +95,13 @@ def _horizon(value, where: str) -> float:
     return horizon
 
 
-def mc_paths(value, where: str = "mc.paths") -> int:
-    """Monte Carlo path count, at least 2 (the sample variance needs two)."""
-    return _integer(value, where, 2)
+def mc_paths(value, where: str = "mc.paths", antithetic: bool = False) -> int:
+    """Monte Carlo path count, at least 2 (the sample variance needs two); under
+    antithetic sampling an even count of at least 4, so there are two pairs."""
+    paths = _integer(value, where, 4 if antithetic else 2)
+    if antithetic and paths % 2:
+        raise ConfigError(f"'{where}' must be even under 'mc.antithetic', got {value!r}")
+    return paths
 
 
 def mc_seed(value, where: str = "mc.seed") -> int:
@@ -111,18 +125,11 @@ def _array(value, where: str) -> np.ndarray:
     return _number(value, where, lambda v: np.asarray(v, dtype=float))
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{where}'; allowed: {sorted(allowed)}")
-
-
 def _scalar_kernel(spec: dict, where: str):
-    spec = _require_mapping(spec, where)
-    ktype = spec.get("type")
+    ktype = _section(spec, where).get("type")
     if ktype not in ("fractional", "exponential", "constant"):
         raise ConfigError(f"'{where}.type' must be fractional, exponential or constant, got {ktype!r}")
-    _check_keys(spec, _KERNEL_KEYS[ktype], where)
+    _section(spec, where, _KERNEL_KEYS[ktype])
     if ktype == "fractional":
         if "h" not in spec:
             raise ConfigError(f"'{where}' needs key 'h'")
@@ -137,16 +144,15 @@ def _scalar_kernel(spec: dict, where: str):
 
 
 def _matrix_kernel(spec: dict, where: str):
-    spec = _require_mapping(spec, where)
-    ktype = spec.get("type")
+    ktype = _section(spec, where).get("type")
     if ktype == "diagonal":
-        _check_keys(spec, _KERNEL_KEYS["diagonal"], where)
+        _section(spec, where, _KERNEL_KEYS["diagonal"])
         comps = spec.get("components")
         if not isinstance(comps, list) or not comps:
             raise ConfigError(f"'{where}.components' must be a nonempty list")
         return DiagonalKernel([_scalar_kernel(c, f"{where}.components[{i}]") for i, c in enumerate(comps)])
     if ktype == "constant" and "matrix" in spec:
-        _check_keys(spec, _KERNEL_KEYS["constant"] | {"matrix"}, where)
+        _section(spec, where, _KERNEL_KEYS["constant"] | {"matrix"})
         return ConstantKernel(_array(spec["matrix"], f"{where}.matrix"))
     return _scalar_kernel(spec, where)
 
@@ -166,12 +172,10 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    raw = _require_mapping(raw if raw is not None else {}, "<top level>")
-    _check_keys(raw, _TOP_KEYS, "<top level>")
+    raw = _section(raw if raw is not None else {}, "<top level>", _TOP_KEYS)
     if "grid" not in raw:
         raise ConfigError("missing required section 'grid'")
-    grid_sec = _require_mapping(raw["grid"], "grid")
-    _check_keys(grid_sec, _GRID_KEYS, "grid")
+    grid_sec = _section(raw["grid"], "grid", _GRID_KEYS)
     if "T" not in grid_sec:
         raise ConfigError("'grid.T' is required")
     horizon = _horizon(grid_sec["T"], "grid.T")
@@ -183,46 +187,44 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
     model_kind = "affine" if "affine" in raw else "quadratic"
     if ("affine" in raw) == ("quadratic" in raw):
         raise ConfigError("exactly one of the sections 'affine' or 'quadratic' is required")
-    model_sec = _require_mapping(raw[model_kind], model_kind)
+    model_sec = _section(raw[model_kind], model_kind)
     if model_kind == "affine":
-        _check_keys(model_sec, _AFFINE_KEYS, "affine")
+        _section(model_sec, "affine", _AFFINE_KEYS)
         for key in ("kernels", "theta"):
             if key not in model_sec:
                 raise ConfigError(f"'affine.{key}' is required")
         if not isinstance(model_sec["kernels"], list) or not model_sec["kernels"]:
             raise ConfigError("'affine.kernels' must be a nonempty list")
     elif "preset" in model_sec:
-        _check_keys(model_sec, _QUAD_PRESET_KEYS, "quadratic")
+        _section(model_sec, "quadratic", _QUAD_PRESET_KEYS)
         if model_sec["preset"] != "two_asset":
             raise ConfigError(f"unknown quadratic preset {model_sec['preset']!r}; only 'two_asset' exists")
     else:
-        _check_keys(model_sec, _QUAD_EXPLICIT_KEYS, "quadratic")
+        _section(model_sec, "quadratic", _QUAD_EXPLICIT_KEYS)
         for key in ("kernel", "theta", "eta", "corr"):
             if key not in model_sec:
                 raise ConfigError(f"'quadratic.{key}' is required (or use preset: two_asset)")
 
-    mk = _require_mapping(raw.get("markowitz", {}), "markowitz")
-    _check_keys(mk, _MARKOWITZ_KEYS, "markowitz")
+    mk = _section(raw.get("markowitz", {}), "markowitz", _MARKOWITZ_KEYS)
     m_raw = mk.get("m", 1.05)
     m_values = [_number(v, "markowitz.m") for v in (m_raw if isinstance(m_raw, list) else [m_raw])]
     if not m_values:
         raise ConfigError("'markowitz.m' must be a number or nonempty list")
     mk_x0 = None if mk.get("x0") is None else _number(mk["x0"], "markowitz.x0")
 
-    mc = _require_mapping(raw.get("mc", {}), "mc")
-    _check_keys(mc, _MC_KEYS, "mc")
+    mc = _section(raw.get("mc", {}), "mc", _MC_KEYS)
+    antithetic = _boolean(mc.get("antithetic", False), "mc.antithetic")
     mc_ns = SimpleNamespace(
-        paths=mc_paths(mc.get("paths", 10000)),
+        paths=mc_paths(mc.get("paths", 10000), "mc.paths", antithetic),
         seed=mc_seed(mc.get("seed", 0)),
-        antithetic=_boolean(mc.get("antithetic", False), "mc.antithetic"),
+        antithetic=antithetic,
         dump_paths=_integer(mc.get("dump_paths", 0), "mc.dump_paths", 0),
         chunk=_integer(mc.get("chunk", 4096), "mc.chunk", 1),
     )
 
     sweep = None
     if "sweep" in raw:
-        sw = _require_mapping(raw["sweep"], "sweep")
-        _check_keys(sw, _SWEEP_KEYS, "sweep")
+        sw = _section(raw["sweep"], "sweep", _SWEEP_KEYS)
         if "parameter" not in sw or "values" not in sw:
             raise ConfigError("'sweep' needs both 'parameter' and 'values'")
         if not isinstance(sw["values"], list) or not sw["values"]:
@@ -238,8 +240,7 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
             )
         sweep = SimpleNamespace(parameter=param, values=list(sw["values"]), runs=[])
 
-    chk = _require_mapping(raw.get("check", {}), "check")
-    _check_keys(chk, _CHECK_KEYS, "check")
+    chk = _section(raw.get("check", {}), "check", _CHECK_KEYS)
     check_ns = SimpleNamespace(
         p=_number(chk.get("p", 3.0), "check.p"),
         a=(None if chk.get("a") is None else _number(chk["a"], "check.a")),
@@ -247,8 +248,7 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
         c=_number(chk.get("c", 1.0), "check.c"),
     )
 
-    out = _require_mapping(raw.get("output", {}), "output")
-    _check_keys(out, _OUTPUT_KEYS, "output")
+    out = _section(raw.get("output", {}), "output", _OUTPUT_KEYS)
     model = model_from_section(model_kind, model_sec)  # model values fail here, before any output
     for i, v in enumerate(sweep.values if sweep else []):
         if sweep.parameter == "T":

@@ -21,15 +21,7 @@ class RiccatiBlowUpError(VmkError):
 
 
 class ModelAssumptionError(VmkError):
-    """Model coefficients violate a structural assumption.
-
-    ``eigenvalue`` carries the offending extreme eigenvalue when the
-    violated assumption is a semidefiniteness constraint.
-    """
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
+    """Model coefficients violate a structural assumption."""
 
 
 class DegenerateMarketError(VmkError):

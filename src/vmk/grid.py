@@ -49,14 +49,32 @@ def g0_nodes(g0, grid: TimeGrid, dim: int = None, name: str = "g0") -> np.ndarra
     """A curve g0 sampled at all n+1 nodes, shape (n+1, dim), or (n+1,) for a scalar curve (dim None).
 
     g0 is a scalar, a callable of time, a (dim,) vector or a table of node
-    values of the returned shape; ``name`` names it in the error.
+    values of the returned shape; ``name`` names it in the errors, which
+    refuse any other shape and any non-finite sample.
     """
     shape = (grid.n + 1,) if dim is None else (grid.n + 1, dim)
     if callable(g0):
-        return np.array([np.broadcast_to(np.asarray(g0(x), dtype=float), shape[1:]) for x in grid.nodes])
+        g0 = [np.broadcast_to(np.asarray(g0(x), dtype=float), shape[1:]) for x in grid.nodes]
     arr = np.asarray(g0, dtype=float)
-    if arr.shape in ((), shape[1:], shape):
-        return np.broadcast_to(arr, shape).copy()
-    shapes = f"({grid.n + 1},)" if dim is None else f"({dim},) or ({grid.n + 1}, {dim})"
-    raise InvalidArgumentError(f"{name} must be scalar, callable, shape {shapes}; got {arr.shape}")
+    if arr.shape not in ((), shape[1:], shape):
+        shapes = f"({grid.n + 1},)" if dim is None else f"({dim},) or ({grid.n + 1}, {dim})"
+        raise InvalidArgumentError(f"{name} must be scalar, callable, shape {shapes}; got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{name} contains non-finite values")
+    return np.broadcast_to(arr, shape).copy()
 
+
+def node_index(k, last: int, many: bool = False):
+    """Node k as an int in [0, last], or with ``many`` an integer array of one node or a nonempty 1-d sequence.
+
+    Any other index (a float or boolean, an empty or nested sequence, a node
+    out of range) is an InvalidArgumentError naming the range.
+    """
+    try:
+        nodes = np.asarray(k)
+    except ValueError:  # a ragged sequence
+        nodes = np.empty(0)
+    if nodes.ndim > many or nodes.size == 0 or nodes.dtype.kind not in "iu" or np.any((nodes < 0) | (nodes > last)):
+        what = "an integer, or a nonempty sequence of them," if many else "an integer"
+        raise InvalidArgumentError(f"node index must be {what} in [0, {last}]")
+    return nodes if many else int(nodes)

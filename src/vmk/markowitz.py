@@ -17,22 +17,14 @@ from .grid import TimeGrid, g0_nodes
 DEGENERACY_TOL = 1e-12
 
 
-def rate_nodes(rate, grid: TimeGrid) -> np.ndarray:
-    """Rate samples at all n+1 nodes from a scalar, an (n+1,) array or a callable."""
-    vals = g0_nodes(rate, grid, name="rate")
-    if not np.all(np.isfinite(vals)):
-        raise InvalidArgumentError("rate path contains non-finite values")
-    return vals
-
-
 def integrated_rate(rate, grid: TimeGrid) -> float:
     """Trapezoid value of int_0^T r(s) ds."""
-    return float(np.trapezoid(rate_nodes(rate, grid), dx=grid.dt))
+    return float(np.trapezoid(g0_nodes(rate, grid, name="rate"), dx=grid.dt))
 
 
 def tail_rate_integrals(rate, grid: TimeGrid) -> np.ndarray:
     """Trapezoid values of int_{t_k}^T r(s) ds for every node k."""
-    r = rate_nodes(rate, grid)
+    r = g0_nodes(rate, grid, name="rate")
     seg = 0.5 * grid.dt * (r[:-1] + r[1:])
     out = np.zeros(grid.n + 1)
     out[:-1] = np.cumsum(seg[::-1])[::-1]

@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import TimeGrid
-from .markowitz import rate_nodes, tail_rate_integrals
+from .grid import TimeGrid, g0_nodes
+from .markowitz import tail_rate_integrals
 
 
 def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
@@ -58,6 +58,21 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
     return out
 
 
+def correlate_drivers(z: np.ndarray, corr: np.ndarray):
+    """Map raw increments (P, n, d + N) to stock and state drivers (dB, dW).
+
+    dW = dB C' + sqrt(1 - |C_k|^2) dB_perp row by row, with C the (N, d)
+    correlation matrix; the affine family passes diag(rho).
+    """
+    N, d = corr.shape
+    if z.shape[2] != d + N:
+        raise InvalidArgumentError(f"need {d + N} driving factors, got {z.shape[2]}")
+    db = z[:, :, :d]
+    row_sq = np.sum(corr * corr, axis=1)
+    dw = db @ corr.T + np.sqrt(np.maximum(1.0 - row_sq, 0.0))[None, None, :] * z[:, :, d:]
+    return db, dw
+
+
 @dataclass(frozen=True)
 class SampleStats:
     mean: float
@@ -87,6 +102,21 @@ def mc_stats(samples: np.ndarray) -> SampleStats:
     return SampleStats(mean, var, se_mean, math.sqrt(max(var_of_var, 0.0)), n)
 
 
+def _pair_stats(samples: np.ndarray) -> SampleStats:
+    """``mc_stats`` for antithetic samples, where paths 2i and 2i + 1 share one draw.
+
+    The two paths of a pair are dependent, so the mean and its standard
+    error come from the P/2 pair averages, and the standard error of the
+    variance (still taken over all paths) from the pair averages of the
+    squared deviations.
+    """
+    full = mc_stats(samples)
+    pairs = mc_stats(0.5 * (samples[0::2] + samples[1::2]))
+    sq = (samples - full.mean) ** 2
+    spread = mc_stats(0.5 * (sq[0::2] + sq[1::2]))
+    return SampleStats(pairs.mean, full.variance, pairs.se_mean, spread.se_mean, full.paths)
+
+
 def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
                     db: np.ndarray, lam: np.ndarray, prem: np.ndarray) -> SimpleNamespace:
     """Wealth paths under the optimal feedback control.
@@ -105,7 +135,7 @@ def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
         raise InvalidArgumentError("db, lam and prem must share a common shape")
     if n != grid.n:
         raise InvalidArgumentError(f"paths built for {n} steps, grid has {grid.n}")
-    rn = rate_nodes(rate, grid)
+    rn = g0_nodes(rate, grid, name="rate")
     tails = tail_rate_integrals(rate, grid)
     # All n steps at once, with the per-step expressions in the per-step
     # order; the cumulative product is the same left-to-right product, so
@@ -134,7 +164,7 @@ def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
 
 def gamma_factors(grid: TimeGrid, rate, prem: np.ndarray) -> np.ndarray:
     """Per-path samples exp(int (2r - |premium|^2)); their mean estimates Gamma_0."""
-    rn = rate_nodes(rate, grid)
+    rn = g0_nodes(rate, grid, name="rate")
     expo = grid.dt * (2.0 * np.sum(rn[: grid.n]) - np.einsum("pkd,pkd->p", prem, prem))
     return np.exp(expo)
 
@@ -148,8 +178,11 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     are bit-for-bit chunk-invariant for the affine evaluator and equal to
     roundoff for the quadratic one (see the module docstring).  The first
     ``keep_paths`` paths are returned in full (wealth, amounts, state) for
-    dumping.
+    dumping.  With ``antithetic`` the path count must be even and at least
+    4, and the standard errors come from the antithetic pairs.
     """
+    if antithetic and (paths % 2 or paths < 4):
+        raise InvalidArgumentError(f"antithetic sampling needs an even path count of at least 4, got {paths}")
     grid = evaluator.grid
     rate = evaluator.model.rate
     terminal = np.empty(paths)
@@ -176,9 +209,10 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
         done += m
         # free this chunk before the next one draws and steps its own
         del z, db, lam, prem, state, w
+    stats = _pair_stats if antithetic else mc_stats
     return SimpleNamespace(
-        wealth=mc_stats(terminal),
-        gamma=mc_stats(gamma),
+        wealth=stats(terminal),
+        gamma=stats(gamma),
         terminal=terminal,
         gamma_samples=gamma,
         kept=kept,

@@ -54,10 +54,11 @@ from .errors import (
     ModelAssumptionError,
     RiccatiBlowUpError,
 )
-from .grid import TimeGrid, g0_nodes
+from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, folded_cells,
                       kernel_l2_norm_sq)
-from .markowitz import rate_nodes, tail_rate_integrals
+from .markowitz import tail_rate_integrals
+from .montecarlo import correlate_drivers
 from .operators import _bd_left, _bd_right, _volterra_solve
 
 PSD_TOL = 1e-10
@@ -125,8 +126,7 @@ class QuadraticModel:
             raise ModelAssumptionError(
                 "driver covariance deflated by leverage (U - 2 C C') is not positive "
                 f"semidefinite (min eigenvalue {min_eig:.6g}); pass enforce_psd=False "
-                "to proceed at your own risk",
-                eigenvalue=min_eig,
+                "to proceed at your own risk"
             )
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "eta", eta)
@@ -178,8 +178,8 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     return SimpleNamespace(band=band, a=a, m1=m1)
 
 
-def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
-    """Backward Riccati recursion; yields (k, psi_k, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
+def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, stops=()):
+    """Backward Riccati recursion; yields (k, psi, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
 
     Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
     W_k = Id + 2 sum_{j > k} q_j M0 q_j', q_j = m1 c_j and c_j the kernel
@@ -196,15 +196,16 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     lambda_min(S_k) is below ``RCOND_MIN``.  At k = 0 there is no step and
     the margin is reported as inf.
 
-    The updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes: inside a
-    block Psi_k = Psi_base + sum_pending 2 B_j X_j B_j'.  One product
+    The updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes from n: inside
+    a block Psi_k = Psi_base + sum_pending 2 B_j X_j B_j'.  One product
     Psi_base [c_k ...] serves the whole block, running sums of Psi_base's
     column blocks give Psi_base 1, each node adds the small pending
     corrections, and the block ends with one rank-(block N) update of
-    Psi_base applied in place, in row panels.  The yielded ``psi_k()``
-    applies the pending updates and returns Psi_k, the sweep's own array,
-    which the rest of the sweep updates in place; after such a call inside
-    a block, the sweep starts a new block at the next node.
+    Psi_base applied in place, in row panels.  A block also starts at each
+    node of ``stops``, where Psi_base is Psi_k, and node 0 applies the
+    pending updates after its product.  ``psi`` is Psi_k, the sweep's own
+    array, at the stops and at node 0, and None elsewhere; the rest of the
+    sweep updates it in place.
     """
     n, N = grid.n, model.n_state
     nN = n * N
@@ -217,18 +218,11 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
     u = np.empty((nN, _SWEEP_BLOCK * N))  # pending B_j
     ux = np.empty_like(u)  # pending 2 B_j X_j
     p = 0  # pending columns
-
-    def psi_k():
-        nonlocal p
-        for r in range(0, nN, _FLUSH_ROWS):
-            psi[r : r + _FLUSH_ROWS] += ux[r : r + _FLUSH_ROWS, :p] @ u[:, :p].T
-        p = 0
-        return psi
-
     top = n
     while True:
-        block = range(top, max(top - _SWEEP_BLOCK, -1), -1)
-        low = block[-1] * N
+        bottom = max([top - _SWEEP_BLOCK + 1, 0] + [s + 1 for s in stops if 0 < s < top])
+        block = range(top, bottom - 1, -1)
+        low = bottom * N
         cols = np.zeros((nN - low, len(block) * N))
         for i, k in enumerate(block):
             cols[k * N - low :, i * N : (i + 1) * N] = rhs[: nN - k * N, :N]
@@ -244,15 +238,14 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
             b = act[:, :N]
             g = -r[:, :N].T @ b[lo:]
             if k == 0:
-                yield k, psi_k, act, g, np.inf
-                return
+                break
             t = float(nodes[k - 1])
             if not np.all(np.isfinite(g)):
                 raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
             ev, vec = np.linalg.eigh(0.5 * (g + g.T))
             root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
             lam, w = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-            yield k, psi_k, act, g, float(lam[0])
+            yield k, psi if k == top and k in stops else None, act, g, float(lam[0])
             if lam[0] < RCOND_MIN:
                 raise RiccatiBlowUpError(
                     "operator Riccati solution blows up: the deflating matrix loses positive "
@@ -262,21 +255,16 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace):
             # (Id + 2 M0 G)^{-1} M0 = M0 - 2 M0 G^{1/2} S^{-1} G^{1/2} M0, symmetric
             v = m0 @ root @ w
             x = m0 - 2.0 * (v / lam) @ v.T
-            flushed = p < i * N  # psi_k() was called at this node: the block's products are stale
             u[:, p : p + N] = b
             ux[:, p : p + N] = (2.0 * b) @ x
             p += N
-            if flushed:
-                break
+        for r in range(0, nN, _FLUSH_ROWS):
+            psi[r : r + _FLUSH_ROWS] += ux[r : r + _FLUSH_ROWS, :p] @ u[:, :p].T
+        p = 0
+        if k == 0:
+            yield k, psi, act, g, np.inf
+            return
         top = k - 1
-        psi_k()
-
-
-def _cveta_columns(model: QuadraticModel, k: int, band: np.ndarray) -> np.ndarray:
-    """Columns of s -> K(s, t_k) eta cell integrals, shape (N n, N)."""
-    n, N = band.shape[0], model.n_state
-    cv = first_arg_columns(band, k).reshape(n, N, N)
-    return (cv @ model.eta).reshape(n * N, N)
 
 
 @dataclass(frozen=True)
@@ -335,20 +323,20 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     """
     n, N, dt = grid.n, model.n_state, grid.dt
     disc = _discretize(model, grid)
-    rn = rate_nodes(model.rate, grid)
+    rn = g0_nodes(model.rate, grid, name="rate")
     g0s = g0_nodes(model.g0, grid, N)
     g0_samples = g0s[:n].reshape(n * N)
     phidot = np.zeros(n + 1)
     p_path = np.zeros((n + 1, N, N))
     z2_maps = np.zeros((n + 1, n * N, N))
     min_rcond = np.inf
-    for k, psi_k, act, g, lam in _psi_sweep(model, grid, disc):
+    for k, psi, act, g, lam in _psi_sweep(model, grid, disc):
         min_rcond = min(min_rcond, lam)
         lo = k * N
         z2_maps[k, lo:] = act[lo:, :N]
         p_path[k] = dt * act[lo:, N:].reshape(n - k, N, N).sum(axis=0)
         phidot[k] = (1.0 / dt) * float(np.trace(g @ model.u_mat)) - 2.0 * rn[k]
-    quad0 = dt * float(g0_samples @ (psi_k() @ g0_samples))  # the sweep ends at Psi_0
+    quad0 = dt * float(g0_samples @ (psi @ g0_samples))  # the sweep ends at Psi_0
     z2_det = 2.0 * g0_samples @ z2_maps
     premium_profile = g0s @ model.theta.T + z2_det @ model.corr
     phi = np.zeros(n + 1)
@@ -387,9 +375,7 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
     node k and zeroes the rows and columns before node k, so the matrix
     represents the operator on L^2([t_k, T]) embedded in the full grid.
     """
-    n = grid.n
-    if not 0 <= k <= n:
-        raise InvalidArgumentError(f"node index must lie in [0, {n}]")
+    k = node_index(k, grid.n)
     disc = _discretize(model, grid) if disc is None else disc
     return _restricted_psi(model, grid, disc, (k,))[0]
 
@@ -398,9 +384,9 @@ def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace
     """Psi_k with the rows and columns before node k zeroed, for each of the descending ``nodes``, from one sweep."""
     N = model.n_state
     out = []
-    for k, psi_k, *_ in _psi_sweep(model, grid, disc):
+    for k, psi, *_ in _psi_sweep(model, grid, disc, nodes):
         if k == nodes[len(out)]:
-            full = psi_k().copy()
+            full = psi.copy()
             full[: k * N] = 0.0
             full[:, : k * N] = 0.0
             out.append(full)
@@ -410,7 +396,7 @@ def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace
 
 def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
     """Folded time derivative of Sigma_t at t_k: -K(., t_k) eta M0 eta' K(., t_k)'."""
-    cveta = _cveta_columns(model, k, band)
+    cveta = first_arg_columns(band @ model.eta, k)
     return -(1.0 / grid.dt) * (cveta @ model.m0) @ cveta.T
 
 
@@ -421,9 +407,8 @@ def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, d
     quadratic right-hand side on the common tail block; decays like the
     step size under refinement.
     """
-    n, N = grid.n, model.n_state
-    if not 0 <= k < n:
-        raise InvalidArgumentError(f"node index must lie in [0, {n - 1}]")
+    N = model.n_state
+    k = node_index(k, grid.n - 1)
     disc = _discretize(model, grid) if disc is None else disc
     pk1, pk = _restricted_psi(model, grid, disc, (k + 1, k))
     rhs = 2.0 * pk @ sigma_dot_folded(model, grid, k, disc.band) @ pk
@@ -436,8 +421,7 @@ def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, d
 def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f: np.ndarray, disc: SimpleNamespace = None) -> float:
     """Residual of (Psi_t f)(t) = -Theta'Theta f(t) + (Khat^* Psi_t f)(t) at t_k."""
     n, N = grid.n, model.n_state
-    if not 0 <= k < n:
-        raise InvalidArgumentError(f"node index must lie in [0, {n - 1}]")
+    k = node_index(k, n - 1)
     disc = _discretize(model, grid) if disc is None else disc
     fa = np.asarray(f, dtype=float).reshape(n, N).copy()
     fa[:k] = 0.0
@@ -447,18 +431,6 @@ def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f:
     cv = first_arg_columns(disc.band, k)
     rhs = -(model.theta.T @ model.theta) @ fa[k] + model.f_mat.T @ (cv.T @ act)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def correlate_drivers_quadratic(model: QuadraticModel, z: np.ndarray):
-    """Map raw increments (P, n, d+N) to stock and state drivers (dB, dW)."""
-    d, N = model.n_assets, model.n_state
-    if z.shape[2] != d + N:
-        raise InvalidArgumentError(f"need {d + N} driving factors, got {z.shape[2]}")
-    db = z[:, :, :d]
-    dperp = z[:, :, d:]
-    row_sq = np.sum(model.corr * model.corr, axis=1)
-    dw = db @ model.corr.T + np.sqrt(np.maximum(1.0 - row_sq, 0.0))[None, None, :] * dperp
-    return db, dw
 
 
 def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
@@ -477,17 +449,15 @@ def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
         g = g[None, :, :]
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
-    nodes = np.asarray(k)
-    if nodes.ndim > 1 or nodes.size == 0 or nodes.dtype.kind not in "iu" or np.any((nodes < 0) | (nodes > n)):
-        raise InvalidArgumentError(f"node index must be an integer, or a nonempty sequence of them, in [0, {n}]")
+    nodes = node_index(k, n, many=True)
     flat = g.reshape(-1, n * N)
     wanted = set(nodes.flat)
     quad = {}
-    for j, psi_k, *_ in _psi_sweep(sol.model, grid, sol.disc):
+    for j, psi, *_ in _psi_sweep(sol.model, grid, sol.disc, wanted):
         if j in wanted:
             lo = j * N
             tail = flat[:, lo:]  # the curve with its rows before node j masked
-            quad[j] = grid.dt * np.einsum("pi,pi->p", tail @ psi_k()[lo:, lo:], tail)
+            quad[j] = grid.dt * np.einsum("pi,pi->p", tail @ psi[lo:, lo:], tail)
             if len(quad) == len(wanted):
                 break
     gam = np.exp(np.array([sol.phi[j] + quad[j] for j in nodes.flat])).reshape(nodes.shape + (-1,))
@@ -509,8 +479,7 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
         g = g[None, :, :]
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
-    if not 0 <= t_index <= n:
-        raise InvalidArgumentError(f"node index must lie in [0, {n}]")
+    t_index = node_index(t_index, n)
     if t_index == n:
         y = g[:, n - 1, :]
         warnings.warn("control requested at the horizon; using the last curve slot",
@@ -613,7 +582,7 @@ class QuadraticEvaluator:
         product and reads lambda = Theta Y off the state at the left nodes.
         """
         model, n, N = self.model, self.grid.n, self.model.n_state
-        db, dw = correlate_drivers_quadratic(model, z)
+        db, dw = correlate_drivers(z, model.corr)
         P = z.shape[0]
         out = dw.reshape(P, n * N) @ self.lmap
         out += self.c0

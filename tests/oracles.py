@@ -24,7 +24,7 @@ from vmk.cli import _fmt
 from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, folded_cells
-from vmk.markowitz import rate_nodes, tail_rate_integrals
+from vmk.markowitz import tail_rate_integrals
 from vmk.operators import _bd_left, _bd_right, _volterra_solve
 from vmk.quadratic import QuadraticModel, _discretize, volatility_matrix
 
@@ -317,7 +317,7 @@ def step_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
                 db: np.ndarray, lam: np.ndarray, prem: np.ndarray) -> SimpleNamespace:
     """``montecarlo.simulate_wealth`` one time step after another."""
     P, n, d = db.shape
-    rn = rate_nodes(rate, grid)
+    rn = g0_nodes(rate, grid, name="rate")
     tails = tail_rate_integrals(rate, grid)
     dt = grid.dt
     gap = np.empty((P, n + 1))

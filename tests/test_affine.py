@@ -24,7 +24,6 @@ from vmk import (
 from vmk import affine
 from vmk.affine import (
     _band_diag,
-    correlate_increments,
     gamma_affine,
     optimal_control_affine,
     premium_loading,
@@ -33,6 +32,7 @@ from vmk.affine import (
 )
 from vmk.grid import g0_nodes
 from vmk.markowitz import integrated_rate
+from vmk.montecarlo import correlate_drivers
 from vmk.montecarlo import simulate_drivers
 
 from oracles import mean_forward_variance
@@ -162,7 +162,7 @@ class TestForwardVariance:
         )
         grid = make_grid(1.0, 64)
         z = simulate_drivers(grid, 2, paths=32, seed=5)
-        _, dw = correlate_increments(model, z)
+        _, dw = correlate_drivers(z, np.diag(model.rho))
         v = simulate_forward_variance(model, grid, dw)
         assert np.all(np.isfinite(v))
         # negative excursions exist but never feed the square root
@@ -179,7 +179,7 @@ class TestForwardVariance:
         )
         rng = np.random.default_rng(21)
         z = rng.standard_normal((4, 10, 4))
-        db, dw = correlate_increments(model, z)
+        db, dw = correlate_drivers(z, np.diag(model.rho))
         np.testing.assert_allclose(db, z[:, :, :2], atol=0.0)
         for i, rho in enumerate((-0.6, 0.2)):
             want = rho * z[:, :, i] + math.sqrt(1.0 - rho * rho) * z[:, :, 2 + i]
@@ -206,7 +206,7 @@ def stepper_forward_variance(model, grid, dw):
 
 def oracle_case(model, n, paths, seed):
     grid = make_grid(1.0, n)
-    _, dw = correlate_increments(model, simulate_drivers(grid, 2 * model.dim, paths, seed))
+    _, dw = correlate_drivers(simulate_drivers(grid, 2 * model.dim, paths, seed), np.diag(model.rho))
     return simulate_forward_variance(model, grid, dw), stepper_forward_variance(model, grid, dw)
 
 
@@ -305,6 +305,16 @@ class TestGammaAndControls:
         psi = solve_riccati_volterra(model, grid)
         g = g0_nodes(model.g0, grid, model.dim)
         assert gamma_affine(model, grid, psi, g, grid.n) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows, factors", [(8, 1), (14, 1), (9, 2), (9, 0)])
+    @pytest.mark.parametrize("paths", [None, 3])
+    def test_gamma_refuses_curves_off_the_grid(self, rows, factors, paths):
+        model = tanh_model()
+        grid = make_grid(1.0, 8)
+        psi = solve_riccati_volterra(model, grid)
+        curve = np.full((rows, factors) if paths is None else (paths, rows, factors), 0.04)
+        with pytest.raises(InvalidArgumentError, match=r"\(9, 1\) or \(P, 9, 1\)"):
+            gamma_affine(model, grid, psi, curve, 0)
 
     def test_premium_loading_terminal_is_theta(self):
         model = tanh_model()

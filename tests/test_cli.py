@@ -582,6 +582,17 @@ class TestConfigErrors:
         ("output:", "mc:\n  antithetic: \"false\"\noutput:", "mc.antithetic"),
         ("output:", "mc:\n  antithetic: 0.5\noutput:", "mc.antithetic"),
         ("g0: 1.0", "g0: 1.0\n  enforce_psd: \"false\"", "quadratic.enforce_psd"),
+        ("T: 0.5", "T: true", "grid.T"),
+        ("m: 1.1", "m: true", "markowitz.m"),
+        ("m: 1.1", "m: [1.1, true]", "markowitz.m"),
+        ("x0: 1.0", "x0: true", "markowitz.x0"),
+        ("theta: [[1.0]]", "theta: [[true]]", "quadratic.theta"),
+        ("g0: 1.0", "g0: true", "quadratic.g0"),
+        ("g0: 1.0", "g0: 1.0\n  rate: true", "quadratic.rate"),
+        ("value: 1.0}", "value: true}", "quadratic.kernel.value"),
+        ("output:", "mc:\n  seed: true\noutput:", "mc.seed"),
+        ("output:", "mc:\n  dump_paths: true\noutput:", "mc.dump_paths"),
+        ("output:", "mc:\n  chunk: true\noutput:", "mc.chunk"),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, old, new, key):
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG.replace(old, new))
@@ -642,6 +653,18 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, flag, value]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mc, flags, key", [
+        ("mc:\n  paths: 9\n  antithetic: true\n", [], "'mc.paths' must be even"),
+        ("mc:\n  paths: 2\n  antithetic: true\n", [], "'mc.paths' must be at least 4"),
+        ("mc:\n  paths: 10\n  antithetic: true\n", ["--paths", "7"], "'--paths' must be even"),
+    ])
+    def test_odd_paths_refused_under_antithetic(self, tmp_path, capsys, mc, flags, key):
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG.replace("output:", mc + "output:"))
+        assert main(["simulate", "--config", cfg] + flags) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["18446744073709551615", "-9223372036854775808"])

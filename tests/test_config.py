@@ -126,3 +126,14 @@ def test_any_value_at_any_key_loads_or_fails_typed(tmp_path_factory, slot, value
         build_model(load_config(str(path)))
     except VmkError:
         pass
+
+
+@pytest.mark.parametrize("key, value", [("theta", True), ("rate", True), ("drift", [[True]])])
+def test_affine_boolean_is_not_a_number(tmp_path, key, value):
+    # the grid, markowitz, mc and quadratic keys are rows of test_cli's test_non_numeric_value_named
+    raw = {name: dict(body) for name, body in {**PROPERTY_COMMON, **PROPERTY_BASES["affine"]}.items()}
+    raw["affine"][key] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"'affine\.{key}' must be a finite number"):
+        load_config(str(path))

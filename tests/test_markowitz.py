@@ -15,13 +15,14 @@ from vmk import (
     value_v,
     xi_star,
 )
-from vmk.markowitz import rate_nodes, tail_rate_integrals
+from vmk.grid import g0_nodes
+from vmk.markowitz import tail_rate_integrals
 
 
 class TestRates:
     def test_scalar_rate(self):
         g = make_grid(2.0, 8)
-        np.testing.assert_allclose(rate_nodes(0.03, g), np.full(9, 0.03))
+        np.testing.assert_allclose(g0_nodes(0.03, g, name="rate"), np.full(9, 0.03))
         assert integrated_rate(0.03, g) == pytest.approx(0.06, rel=1e-14)
 
     def test_callable_rate_trapezoid(self):
@@ -41,16 +42,16 @@ class TestRates:
     def test_bad_rate_shape(self):
         g = make_grid(1.0, 4)
         with pytest.raises(InvalidArgumentError):
-            rate_nodes(np.zeros(3), g)
+            g0_nodes(np.zeros(3), g, name="rate")
 
 
 def test_rate_forms_sample_bit_identically():
     g = make_grid(1.5, 7)
     forms = [0.0371, np.full(8, 0.0371), lambda t: 0.0371]
-    nodes = [rate_nodes(rate, g) for rate in forms]
+    nodes = [g0_nodes(rate, g, name="rate") for rate in forms]
     assert all(v.shape == (8,) and v.tobytes() == nodes[0].tobytes() for v in nodes)
     curve = lambda t: 0.01 + 0.02 * t * t
-    assert rate_nodes(curve, g).tobytes() == rate_nodes(np.array([curve(t) for t in g.nodes]), g).tobytes()
+    assert g0_nodes(curve, g, name="rate").tobytes() == g0_nodes(np.array([curve(t) for t in g.nodes]), g, name="rate").tobytes()
 
 
 class TestMomentExponent:

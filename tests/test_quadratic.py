@@ -33,7 +33,8 @@ from vmk import (
 )
 from vmk import quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
-from vmk.kernels import band_coefficients, folded_cells
+from vmk.kernels import band_coefficients, first_arg_columns, folded_cells
+from vmk.montecarlo import correlate_drivers
 from vmk.operators import _bd_right, _volterra_solve
 from vmk.markowitz import integrated_rate
 from vmk.quadratic import (
@@ -99,28 +100,30 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
     return -disc.m1.T @ scipy.linalg.cho_solve(cf, disc.m1), float(rcond)
 
 
-def dense_sweep(model, grid, disc, rcond_min=RCOND_MIN):
+def dense_sweep(model, grid, disc, stops=(), rcond_min=RCOND_MIN):
     """Drop-in for quadratic._psi_sweep built on the dense oracle.
 
-    act_k = Psi_k [c_k | 1] and G_k = -c_k' Psi_k c_k come from the dense Psi_k;
-    the margin slot carries the rcond of W_k.
+    act_k = Psi_k [c_k | 1] and G_k = -c_k' Psi_k c_k come from the dense Psi_k,
+    which is yielded at the ``stops`` and at node 0; the margin slot carries the
+    rcond of W_k.
     """
     n, N = grid.n, model.n_state
     for k in range(n, -1, -1):
         psi, rcond = dense_psi(model, grid, k, disc, rcond_min)
-        c = quadratic._cveta_columns(model, k, disc.band)
+        c = first_arg_columns(disc.band @ model.eta, k)
         ones = np.zeros((n, N, N))
         ones[k:] = np.eye(N)
         act = psi @ np.concatenate([c, ones.reshape(n * N, N)], axis=1)
-        yield k, lambda psi=psi: psi, act, -c.T @ act[:, :N], rcond
+        yield k, psi if k in stops or k == 0 else None, act, -c.T @ act[:, :N], rcond
 
 
-def per_node_sweep(model, grid, disc):
+def per_node_sweep(model, grid, disc, stops=()):
     """Drop-in for quadratic._psi_sweep: the rank-N Woodbury update applied to Psi at every node.
 
-    Same recursion, margins and blow-up times as the blocked sweep, with no
-    delayed update: the product act_k = Psi_k [c_k | 1] is taken against the
-    current Psi_k and Psi_{k-1} = Psi_k + 2 B X B' is formed before the next node.
+    Same recursion, margins, blow-up times and yielded Psi_k (at the ``stops``
+    and at node 0) as the blocked sweep, with no delayed update: the product
+    act_k = Psi_k [c_k | 1] is taken against the current Psi_k and
+    Psi_{k-1} = Psi_k + 2 B X B' is formed before the next node.
     """
     n, N = grid.n, model.n_state
     m0 = model.m0
@@ -128,12 +131,12 @@ def per_node_sweep(model, grid, disc):
     psi = -disc.m1.T @ disc.m1
     for k in range(n, -1, -1):
         lo = k * N
-        c = quadratic._cveta_columns(model, k, disc.band)[lo:]
+        c = first_arg_columns(disc.band @ model.eta, k)[lo:]
         act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
         b = act[:, :N]
         g = -c.T @ b[lo:]
         if k == 0:
-            yield k, lambda: psi, act, g, np.inf
+            yield k, psi, act, g, np.inf
             return
         t = float(grid.nodes[k - 1])
         if not np.all(np.isfinite(g)):
@@ -141,7 +144,7 @@ def per_node_sweep(model, grid, disc):
         ev, vec = np.linalg.eigh(0.5 * (g + g.T))
         root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
         lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-        yield k, lambda: psi, act, g, float(lam[0])
+        yield k, psi if k in stops else None, act, g, float(lam[0])
         if lam[0] < RCOND_MIN:
             raise RiccatiBlowUpError(f"deflating matrix loses definiteness at t={t:.6g}", time=t)
         v = m0 @ root @ u
@@ -168,9 +171,9 @@ def random_model(rng, N, d):
 
 def raw_psi(model, grid, k, disc):
     """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off the sweep ``quadratic._psi_sweep``."""
-    for j, psi_k, *_ in quadratic._psi_sweep(model, grid, disc):
+    for j, psi, *_ in quadratic._psi_sweep(model, grid, disc, (k,)):
         if j == k:
-            return psi_k().copy()
+            return psi.copy()
 
 
 def psi_at(model, grid, k, disc, restrict):
@@ -222,12 +225,10 @@ def counted_sweep(calls):
     return lambda *args: calls.append(args) or SWEEP(*args)
 
 
-def sweep_outputs(sweep, model, grid, disc, flush_at=None):
-    """(k, act, G, margin) at every node of ``sweep``; Psi_k is taken (and the update flushed) at ``flush_at``."""
+def sweep_outputs(sweep, model, grid, disc, stops=()):
+    """(k, act, G, margin) at every node of ``sweep``, with Psi_k taken (and the update flushed) at the ``stops``."""
     out = []
-    for k, psi_k, act, g, lam in sweep(model, grid, disc):
-        if k == flush_at:
-            psi_k()
+    for k, psi, act, g, lam in sweep(model, grid, disc, stops):
         out.append((k, act.copy(), g.copy(), lam))
     return out
 
@@ -246,7 +247,7 @@ class TestBlockedSweep:
         nodes = sorted({0, edge - 1, edge, edge + 1, n // 2, n})
         blocked = solve_operator_riccati(m, g)
         got = {k: psi_full_matrix(m, g, k, disc) for k in nodes}
-        runs = [sweep_outputs(quadratic._psi_sweep, m, g, disc, f) for f in (None, edge + 1, n // 2)]
+        runs = [sweep_outputs(quadratic._psi_sweep, m, g, disc, f) for f in ((), (edge + 1,), (n // 2,))]
         monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
         oracle = solve_operator_riccati(m, g)
         for k in nodes:
@@ -278,6 +279,23 @@ class TestBlockedSweep:
         assert blocked.value.time == oracle.value.time
         assert rel_err(psi, psi_full_matrix(m, g, k, disc)) <= 1e-10
 
+    @pytest.mark.parametrize("N, d", [(1, 1), (2, 2)])
+    def test_psi_only_at_the_stops(self, N, d):
+        m = random_model(np.random.default_rng(400 + 10 * N + d), N, d)
+        g = make_grid(0.6, 80)
+        disc = quadratic._discretize(m, g)
+        stops = (g.n, g.n - 5, g.n // 2, 0)  # g.n - 5 lies inside the first block
+        want = {k: psi.copy() for k, psi, *_ in per_node_sweep(m, g, disc, stops) if psi is not None}
+        assert sorted(want) == sorted(stops)
+        seen = []
+        for k, psi, *_ in quadratic._psi_sweep(m, g, disc, stops):
+            if k in stops:
+                assert rel_err(psi, want[k]) <= 1e-10, k
+                seen.append(k)
+            else:
+                assert psi is None, k
+        assert seen == list(stops)
+
     def test_derivative_residual_takes_one_sweep(self, monkeypatch):
         m = mixed_model()
         g = make_grid(0.8, 80)
@@ -306,7 +324,7 @@ def test_kernel_columns_are_folded_block_columns(kind):
     band = band_coefficients(kern, g)
     aeta = _bd_right(folded_cells(kern, g), eta, g.n)
     for k in range(g.n):
-        assert np.array_equal(quadratic._cveta_columns(m, k + 1, band), aeta[:, k * N : (k + 1) * N]), k
+        assert np.array_equal(first_arg_columns(band @ eta, k + 1), aeta[:, k * N : (k + 1) * N]), k
 
 
 def node_call(name, k):
@@ -319,6 +337,8 @@ def node_call(name, k):
             return premium_loading(m, psi, g, np.array([0, k]))
         return optimal_control_affine(m, psi, g, k, np.array([0.04]), 1.0, 1.5)
     m, g = scalar_model(), make_grid(1.0, 8)
+    if name == "psi_full":
+        return psi_full_matrix(m, g, k)
     if name == "boundary":
         return boundary_relation_residual(m, g, k, np.ones((g.n, 1)))
     if name == "sigma":
@@ -326,11 +346,18 @@ def node_call(name, k):
     return optimal_control_quadratic(m, solve_operator_riccati(m, g), k, np.ones((g.n, 1)), 1.0, 1.5)
 
 
+# a float, a boolean, a numpy float, a float inside a sequence and a ragged sequence are not node indices
+NON_INTEGER = [1.5, True, np.float64(2.0), [0, 1.5], [[0, 1], 2]]
+
+
 @pytest.mark.parametrize("name, k, last", [
     ("boundary", 8, 7), ("boundary", -1, 7), ("sigma", -1, 8), ("sigma", 9, 8),
     ("quadratic_control", -1, 8), ("quadratic_control", 9, 8), ("affine_control", -1, 8), ("affine_control", 9, 8),
-    ("affine_loading", -1, 8), ("affine_loading", 9, 8),
-])
+    ("affine_loading", -1, 8), ("affine_loading", 9, 8), ("psi_full", -1, 8), ("psi_full", 9, 8),
+] + [
+    (name, k, last) for name, last in (("boundary", 7), ("quadratic_control", 8), ("affine_control", 8), ("psi_full", 8))
+    for k in NON_INTEGER
+] + [("affine_loading", k, 8) for k in (1.5, np.float64(2.0))])
 def test_node_index_out_of_range_refused(name, k, last):
     with pytest.raises(InvalidArgumentError, match=rf"\[0, {last}\]"):
         node_call(name, k)
@@ -353,6 +380,10 @@ def node_calls():
         "riccati_derivative_residual": (lambda k: riccati_derivative_residual(qm, g, k, sol.disc), g.n - 1),
         "boundary_relation_residual": (lambda k: boundary_relation_residual(qm, g, k, np.ones((g.n, 1)), sol.disc),
                                        g.n - 1),
+        "psi_full_matrix": (lambda k: psi_full_matrix(qm, g, k, sol.disc), g.n),
+        "optimal_control_quadratic": (lambda k: optimal_control_quadratic(qm, sol, k, np.ones((g.n, 1)), 1.0, 1.5),
+                                      g.n),
+        "optimal_control_affine": (lambda k: optimal_control_affine(am, psi, g, k, np.array([0.04]), 1.0, 1.5), g.n),
     }
 
 
@@ -360,8 +391,9 @@ SEQUENCE_CALLS = ("premium_loading", "gamma_quadratic")
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(name=st.sampled_from(["premium_loading", "gamma_affine", "gamma_quadratic",
-                             "riccati_derivative_residual", "boundary_relation_residual"]),
+@given(name=st.sampled_from(["premium_loading", "gamma_affine", "gamma_quadratic", "riccati_derivative_residual",
+                             "boundary_relation_residual", "psi_full_matrix", "optimal_control_quadratic",
+                             "optimal_control_affine"]),
        below=st.booleans(), offset=st.integers(min_value=0),
        valid=st.lists(st.integers(0, 7), max_size=3), at=st.integers(0, 3))
 def test_every_out_of_range_node_refused(node_calls, name, below, offset, valid, at):
@@ -369,6 +401,9 @@ def test_every_out_of_range_node_refused(node_calls, name, below, offset, valid,
     k = -1 - offset if below else last + 1 + offset
     with pytest.raises(InvalidArgumentError):
         call(k)
+    for bad in NON_INTEGER:
+        with pytest.raises(InvalidArgumentError, match=rf"\[0, {last}\]"):
+            call(bad)
     if name in SEQUENCE_CALLS:  # one bad node among valid ones
         with pytest.raises(InvalidArgumentError):
             call(valid[:at] + [k] + valid[at:])
@@ -384,7 +419,7 @@ def stepper_premium_paths(ev, z):
     model, grid, sol = ev.model, ev.grid, ev.solution
     n, N, d = grid.n, model.n_state, model.n_assets
     dt = grid.dt
-    db, dw = quadratic.correlate_drivers_quadratic(model, z)
+    db, dw = correlate_drivers(z, model.corr)
     P = z.shape[0]
     band = sol.disc.band
     curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
