@@ -4,9 +4,9 @@ An N x N kernel is discretized by its lag band c[m], the exact integral of
 kappa over the lag cell [m dt, (m + 1) dt], shape (n, N, N).  The scalar
 fractional and exponential kernels difference their antiderivative at the
 n + 1 nodes, ConstantKernel is M times the node spacing, and DiagonalKernel
-puts its components' bands on the diagonal.  Every solver reads the band or
-its block-Toeplitz fold, so discretizations carry no quadrature error beyond
-the piecewise-constant approximation of the co-factor.
+puts its components' bands on the diagonal.  Every solver reads the band,
+its block-Toeplitz fold or the band of its resolvent, so discretizations carry
+no quadrature error beyond the piecewise-constant approximation of the co-factor.
 """
 
 import math
@@ -121,6 +121,15 @@ def band_coefficients(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     return kernel.lag_band(grid)
 
 
+def fold(band: np.ndarray) -> np.ndarray:
+    """Block lower Toeplitz (P n, Q n) matrix with band[i - j] in block (i, j), j <= i, for band (n, P, Q)."""
+    n, p, q = band.shape
+    # ext[t] = band[n - 1 - t] for t < n and 0 beyond, so block (i, j) reads ext[n - 1 - i + j]
+    ext = np.concatenate([band[::-1], np.zeros((n - 1, p, q))])
+    win = np.lib.stride_tricks.sliding_window_view(ext, n, axis=0)
+    return np.ascontiguousarray(win[::-1].transpose(0, 1, 3, 2)).reshape(n * p, n * q)
+
+
 def folded_cells(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """Cell-integral matrix folded to shape (N n, N n).
 
@@ -129,13 +138,23 @@ def folded_cells(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     product against stacked samples is the left-rule value of the integral
     operator at the sample nodes.
     """
-    n, N = grid.n, kernel.dim
-    a4 = np.zeros((n, N, n, N))
-    c = band_coefficients(kernel, grid)
-    for m in range(n - 1):
-        i = np.arange(m + 1, n)
-        a4[i, :, i - m - 1, :] = c[m]
-    return a4.reshape(n * N, n * N)
+    band = band_coefficients(kernel, grid)
+    return fold(np.concatenate([np.zeros_like(band[:1]), band[:-1]]))
+
+
+def resolvent_band(band: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Lag band x, shape (n, N, N), of (Id - a kron(I_n, m))^{-1} with a the folded cells of ``band``.
+
+    A unit block lower Toeplitz matrix has a block lower Toeplitz inverse, so
+    fold(x) is that inverse, with x[0] = I and x[l] = sum_{s < l} band[s] m x[l - 1 - s].
+    """
+    n, N = band.shape[0], band.shape[1]
+    bm = (band @ m).transpose(1, 0, 2).reshape(N, n * N)  # [band[0] m | band[1] m | ...]
+    rev = np.zeros((n, N, N))  # rev[n - 1 - l] = x[l]
+    rev[n - 1] = np.eye(N)
+    for l in range(1, n):
+        rev[n - 1 - l] = bm[:, : l * N] @ rev[n - l :].reshape(l * N, N)
+    return rev[::-1]
 
 
 def first_arg_columns(band: np.ndarray, k: int) -> np.ndarray:
@@ -154,10 +173,11 @@ def first_arg_columns(band: np.ndarray, k: int) -> np.ndarray:
 def kernel_l2_norm_sq(kernel: Kernel, grid: TimeGrid) -> float:
     """Grid approximation of the squared L2([0,T]^2) norm of K.
 
-    Equals the squared Frobenius norm of the folded cell matrix, i.e. the
-    double integral of the squared cell-averaged kernel.  The error decays
-    like n^{-min(1, 2h)} for fractional kernels and is one-sided from below
-    for kernels whose profile is convex in the lag.
+    Equals the squared Frobenius norm of the folded cell matrix, in which
+    band[m] fills the n - 1 - m blocks of lag m + 1, i.e. the double
+    integral of the squared cell-averaged kernel.  The error decays like
+    n^{-min(1, 2h)} for fractional kernels and is one-sided from below for
+    kernels whose profile is convex in the lag.
     """
-    a = folded_cells(kernel, grid)
-    return float(np.sum(a * a))
+    c = band_coefficients(kernel, grid)
+    return float(np.arange(grid.n - 1, -1, -1) @ np.sum(c * c, axis=(1, 2)))

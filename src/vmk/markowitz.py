@@ -18,8 +18,8 @@ DEGENERACY_TOL = 1e-12
 
 
 def integrated_rate(rate, grid: TimeGrid) -> float:
-    """Trapezoid value of int_0^T r(s) ds."""
-    return float(np.trapezoid(g0_nodes(rate, grid, name="rate"), dx=grid.dt))
+    """Trapezoid value of int_0^T r(s) ds, the first of ``tail_rate_integrals``."""
+    return float(tail_rate_integrals(rate, grid)[0])
 
 
 def tail_rate_integrals(rate, grid: TimeGrid) -> np.ndarray:

@@ -86,7 +86,9 @@ def mc_stats(samples: np.ndarray) -> SampleStats:
     """Mean and unbiased variance with standard errors for both.
 
     The standard error of the variance uses the fourth central moment,
-    Var(s^2) = (mu4 - sigma^4 (n-3)/(n-1)) / n.
+    Var(s^2) = (mu4 - sigma^4 (n-3)/(n-1)) / n, which reads low for heavy-tailed samples at small n:
+    at 64 paths the seed-to-seed spread of the terminal wealth variance is 1.89 (quadratic) and
+    1.42 (affine) times it.  Only the standard error of the mean is calibrated there.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size

@@ -55,22 +55,20 @@ from .errors import (
     RiccatiBlowUpError,
 )
 from .grid import TimeGrid, g0_nodes, node_index
-from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, folded_cells,
-                      kernel_l2_norm_sq)
+from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, fold,
+                      folded_cells, kernel_l2_norm_sq, resolvent_band)
 from .markowitz import tail_rate_integrals
 from .montecarlo import correlate_drivers
-from .operators import _bd_left, _bd_right, _volterra_solve
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-# Dense (N n)^2 float arrays alive at once for d <= N, rounded up from traced
-# peaks plus the matrix and right-hand-side copies numpy.linalg.solve makes
-# untraced: 6 at the m1 solve (a, Id - a (I kron F), rhs, 2 copies, result) and
-# 4.9 in the sweep (a, m1, z2_maps, Psi, panels); 5 at lambda_max_covariance's
-# drift fold (a, matrix, 2 copies, result); 8 at _premium_map's solve and 9.1
-# after it (the solution's 3, y, u, C'Z'A, the premium rows, the 2-array map).
-DENSE_ARRAYS = 6
+# Dense (N n)^2 float arrays alive at once for d <= N, rounded up from peaks traced on
+# the two-asset preset (n = 200) and a one-factor model (n = 400): 2.0 in _discretize
+# (a, m1), 4.9 in the sweep (a, m1, z2_maps, Psi, panels), 4 in lambda_max_covariance
+# (B, the Gram matrix, its weights and the copy numpy.linalg.eigvalsh makes untraced)
+# and 9.1 in _premium_map (the solution's 3, y, u, C'Z'A, the premium rows, the map).
+DENSE_ARRAYS = 5
 MAP_ARRAYS = 10
 # Nodes per block of the backward sweep's delayed update, and the row panel
 # height of its in-place rank-(block N) update.
@@ -152,6 +150,18 @@ class QuadraticModel:
         return self.drift - 2.0 * self.eta @ self.corr @ self.theta
 
 
+def _bd_left(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Blockwise kron(I_n, m) @ x for x of shape (m.shape[1] n, q)."""
+    q = x.shape[1]
+    return (m @ x.reshape(n, m.shape[1], q)).reshape(n * m.shape[0], q)
+
+
+def _bd_right(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """Blockwise x @ kron(I_n, m) for x of shape (q, m.shape[0] n)."""
+    q = x.shape[0]
+    return (x.reshape(q, n, m.shape[0]) @ m).reshape(q, n * m.shape[1])
+
+
 def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
     """Raise MemoryCapError when ``arrays`` dense (N n)^2 floats exceed physical memory."""
     need = arrays * 8 * (n * N) ** 2
@@ -166,15 +176,16 @@ def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     """Shared dense factors: lag band, folded kernel a and m1.
 
-    m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), comes from
-    one transposed Volterra solve.  Raises MemoryCapError before allocating
-    when the dense solve would not fit in physical memory.
+    m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), is the
+    fold of Theta times the resolvent band of (band, F).  Raises
+    MemoryCapError before allocating when the dense solve would not fit in
+    physical memory.
     """
     n, N = grid.n, model.n_state
     _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     band = band_coefficients(model.kernel, grid)
     a = folded_cells(model.kernel, grid)
-    m1 = _volterra_solve(a, model.f_mat, np.kron(np.eye(n), model.theta).T, n, trans=True).T
+    m1 = fold(model.theta @ resolvent_band(band, model.f_mat))
     return SimpleNamespace(band=band, a=a, m1=m1)
 
 
@@ -295,7 +306,6 @@ class QuadraticSolution:
     z2_det: np.ndarray
     premium_profile: np.ndarray
     gamma0: float
-    quad0: float
     min_rcond: float
     disc: SimpleNamespace
     g0s: np.ndarray
@@ -363,7 +373,7 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
             raise InternalConsistencyError(msg)
     return QuadraticSolution(
         model=model, grid=grid, phi=phi, phidot=phidot, p_path=p_path, z2_maps=z2_maps,
-        z2_det=z2_det, premium_profile=premium_profile, gamma0=gamma0, quad0=quad0,
+        z2_det=z2_det, premium_profile=premium_profile, gamma0=gamma0,
         min_rcond=min_rcond, disc=disc, g0s=g0s,
     )
 
@@ -528,9 +538,9 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
         Y_n = g0_n + sum_j band[n-j-1] u_j,
         premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
 
-    with A = ``disc.a`` and Z_k = ``z2_maps[k]``.  Returns c0 of length
-    (n+1) N + n d and L of shape (N n, (n+1) N + n d); the state columns
-    come first, node-major.
+    with A = ``disc.a``, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps[k]``.
+    Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d); the
+    state columns come first, node-major.
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     nN, dt, disc = n * N, grid.dt, sol.disc
@@ -538,7 +548,7 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
     y = np.empty((nN, nN + 1))
     y[:, 0] = sol.g0s[:n].reshape(nN)
     np.divide(_bd_right(disc.a, model.eta, n), dt, out=y[:, 1:])
-    y = _volterra_solve(disc.a, model.drift, y, n)
+    y = fold(resolvent_band(disc.band, model.drift)) @ y
     u = _bd_left(model.drift, y, n)
     u[:, 1:] += np.kron(np.eye(n), model.eta / dt)
     # rows C' Z_k' A, keeping the blocks j < k: the curve at step k has seen u_j, j < k
@@ -639,17 +649,18 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> di
     2 a < 1 / trace; ``dim`` is the operator's dimension 2 N n^2.
 
     The state drift is folded into the kernel by the resolvent transform
-    K -> K + R * K = (Id - K D)^{-1} K first, so the centered state is
-    again a plain stochastic convolution.  Raises MemoryCapError before
-    allocating when the dense Gram matrix would not fit in physical memory.
+    K -> K + R * K = (Id - K D)^{-1} K first, the fold of the resolvent
+    band times the folded kernel, so the centered state is again a plain
+    stochastic convolution.  Raises MemoryCapError before allocating when
+    the dense Gram matrix would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
     _check_dense_memory("the covariance spectrum", DENSE_ARRAYS, n, N)
     horizon, dt = grid.horizon, grid.dt
-    a_fold = folded_cells(model.kernel, grid)
+    band = band_coefficients(model.kernel, grid)
     ev, vec = np.linalg.eigh(model.u_mat)
     root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
-    b = _bd_right(_volterra_solve(a_fold, model.drift, a_fold, n), model.eta @ root, n)
+    b = _bd_right(fold(resolvent_band(band, model.drift)) @ folded_cells(model.kernel, grid), model.eta @ root, n)
     weight = dt * (n / horizon**2 + n - 1 - np.maximum.outer(np.arange(n), np.arange(n)))
     gram = b.T @ b
     gram.reshape(n, N, n, N)[...] *= weight[:, None, :, None]

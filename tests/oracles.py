@@ -4,9 +4,9 @@ The star calculus stores an operator (F f)(t) = M f(t) + int_0^T F_ker(t, s) f(s
 f: [0, T] -> R^N as the identity coefficient ``ident`` (N x N, kept symbolic) and the folded
 cell matrix ``kernel`` (N n, N n), block (i, j) integrating the kernel over cell j at t_i, so
 composition is matrix multiplication and the adjoint is the transpose.  Beside it: the
-per-cell kernel band and its gathered fold, the cell table of a kernel piecewise constant on
-the grid, the quadratic covariance operator, the Markovian matrix Riccati ODE and the affine
-mean variance.
+per-cell kernel band and its gathered fold, the dense LU Volterra solve that the resolvent
+band replaced, the cell table of a kernel piecewise constant on the grid, the quadratic
+covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
 Last, the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
 the whole-array wealth step, the columnar writer and the batched ``asset_positions`` replaced.
 """
@@ -25,8 +25,7 @@ from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, folded_cells
 from vmk.markowitz import tail_rate_integrals
-from vmk.operators import _bd_left, _bd_right, _volterra_solve
-from vmk.quadratic import QuadraticModel, _discretize, volatility_matrix
+from vmk.quadratic import QuadraticModel, _bd_left, _bd_right, _discretize, volatility_matrix
 
 COND_LIMIT = 1e12
 ODE_CAP = 1e6
@@ -111,6 +110,18 @@ def fold_per_cell(band: np.ndarray) -> np.ndarray:
     i, j = np.tril_indices(n, -1)
     a4[i, :, j, :] = band[i - j - 1]
     return a4.reshape(n * N, n * N)
+
+
+def _volterra_solve(a: np.ndarray, m: np.ndarray, rhs: np.ndarray, n: int, trans: bool = False) -> np.ndarray:
+    """(Id - a kron(I_n, m))^{-1} rhs, or (Id - a kron(I_n, m))^{-T} rhs with ``trans``.
+
+    ``a`` is a strictly block lower (Volterra) cell matrix, so Id - a kron(I_n, m)
+    is unit lower triangular; one dense LU solve, which never pivots on the
+    transposed (upper triangular) form.
+    """
+    mat = _bd_right(a, -m, n)
+    mat[np.diag_indices_from(mat)] += 1.0
+    return np.linalg.solve(mat.T if trans else mat, rhs)
 
 
 def cell_table(grid: TimeGrid, values, volterra: bool = True) -> IntegralOperator:

@@ -39,6 +39,15 @@ class TestRates:
         # last slab is the trapezoid of (3, 4) over width 1/4
         assert tails[-2] == pytest.approx(0.25 * 3.5, rel=1e-14)
 
+    def test_integrated_rate_is_first_tail_bit_for_bit(self):
+        # one rule for int_0^T r: the solvers' Gamma_0 bound and the CLI's xi* read the same float
+        rates = [0.03, 0.0173, lambda s: 0.02 + 0.01 * np.sin(3.0 * s), lambda s: 0.05 * np.exp(-s)]
+        for horizon in (0.5, 1.1, 1.5, 2.3, 3.7):
+            for n in (20, 77, 250, 1000):
+                g = make_grid(horizon, n)
+                for rate in rates:
+                    assert integrated_rate(rate, g) == tail_rate_integrals(rate, g)[0]
+
     def test_bad_rate_shape(self):
         g = make_grid(1.0, 4)
         with pytest.raises(InvalidArgumentError):

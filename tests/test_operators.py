@@ -1,4 +1,6 @@
-"""The Volterra solve against dense solves, and the star calculus oracle: composition and resolvents."""
+"""The resolvent band against the dense LU solve, and the star calculus oracle: composition and resolvents."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,14 +15,15 @@ from vmk import (
     QuadraticModel,
     lambda_max_covariance,
     make_grid,
+    two_asset_model,
 )
 from vmk import quadratic
-from vmk.kernels import folded_cells
-from vmk.operators import _bd_right, _volterra_solve
+from vmk.kernels import band_coefficients, fold, folded_cells, resolvent_band
+from vmk.quadratic import _bd_right, _discretize
 
-from oracles import (COND_LIMIT, IntegralOperator, SingularOperatorError, adjoint, cell_table, discretize,
-                     full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value, l2_inner,
-                     op_apply, resolvent, star)
+from oracles import (COND_LIMIT, IntegralOperator, SingularOperatorError, _volterra_solve, adjoint, cell_table,
+                     discretize, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
+                     l2_inner, op_apply, resolvent, star)
 
 
 def random_instance(rng):
@@ -51,7 +54,11 @@ def random_instance(rng):
 
 
 def random_volterra_kernel(rng, kind, N):
-    """Fractional or exponential Volterra kernel of dimension N."""
+    """Fractional, exponential or (N = 2) constant or two-asset preset Volterra kernel of dimension N."""
+    if kind == "constant":
+        return ConstantKernel(0.5 * rng.standard_normal((N, N)))
+    if kind == "two_asset":
+        return two_asset_model().kernel
     if kind == "fractional":
         comps = [FractionalKernel(float(rng.uniform(0.1, 0.9))) for _ in range(N)]
     else:
@@ -59,52 +66,76 @@ def random_volterra_kernel(rng, kind, N):
     return comps[0] if N == 1 else DiagonalKernel(comps)
 
 
-def random_volterra_cells(rng, kind, N, grid):
-    """Folded cell matrix of a random fractional, exponential or tabulated (non-Toeplitz) Volterra kernel."""
-    if kind == "table":
-        return cell_table(grid, 0.5 * rng.standard_normal((grid.n, grid.n, N, N))).kernel
-    return folded_cells(random_volterra_kernel(rng, kind, N), grid)
-
-
-def lu_resolvent_fold(grid):
+def lu_drift_fold(model, grid):
     """Oracle drift fold K -> K + R * K through the LU resolvent of the kernel operator K D."""
-
-    def fold(a, m, rhs, n, trans=False):
-        assert not trans
-        kd = kernel_operator(grid, m.shape[0], _bd_right(a, m, n))
-        return rhs + resolvent(kd).kernel @ rhs
-
-    return fold
+    a = folded_cells(model.kernel, grid)
+    kd = kernel_operator(grid, model.n_state, _bd_right(a, model.drift, grid.n))
+    return a + resolvent(kd).kernel @ a
 
 
-KINDS = ["fractional", "exponential", "table"]
+KINDS = ["fractional", "exponential", "table", "constant", "two_asset"]
+CASES = [(kind, N, d, trans) for kind in KINDS for N in (1, 2) for d in (1, 2) for trans in (False, True)
+         if N == 2 or kind in KINDS[:3]]
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestVolterraSolve:
-    @pytest.mark.parametrize("trans", [False, True])
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("N", [1, 2])
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind, N, d, trans", CASES)
     def test_matches_dense_solve(self, kind, N, d, trans):
+        """The dense LU oracle against scipy's triangular solve, then the resolvent band against the oracle.
+
+        Without ``trans`` the band's fold applies (Id - a kron(I_n, m))^{-1} to a random right-hand
+        side; with it, the m1 form fold(Theta x) is kron(I_n, Theta) (Id - a kron(I_n, m))^{-1}.
+        A tabulated (non-Toeplitz) kernel has no band, so it checks the oracle only.
+        """
         rng = np.random.default_rng(KINDS.index(kind) * 100 + 10 * N + d)
         grid = make_grid(float(rng.uniform(0.5, 1.5)), 16)
         n = grid.n
-        a = random_volterra_cells(rng, kind, N, grid)
+        if kind == "table":
+            a = cell_table(grid, 0.5 * rng.standard_normal((n, n, N, N))).kernel
+        else:
+            kernel = random_volterra_kernel(rng, kind, N)
+            a = folded_cells(kernel, grid)
         drift = -0.5 * np.eye(N) + 0.3 * rng.standard_normal((N, N))
-        rhs = rng.standard_normal((N * n, d * n))
+        theta = rng.standard_normal((d, N))
+        rhs = np.kron(np.eye(n), theta).T if trans else rng.standard_normal((N * n, d * n))
         dense = np.eye(N * n) - a @ np.kron(np.eye(n), drift)
         want = scipy.linalg.solve_triangular(dense, rhs, trans="T" if trans else "N", lower=True)
-        for order in ("C", "F"):
-            got = _volterra_solve(a, drift, np.array(rhs, order=order), n, trans=trans)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        oracle = _volterra_solve(a, drift, rhs, n, trans=trans)
+        assert relative_gap(oracle, want) <= 1e-12
+        if kind == "table":
+            return
+        x = resolvent_band(band_coefficients(kernel, grid), drift)
+        got = fold(theta @ x).T if trans else fold(x) @ rhs
+        assert relative_gap(got, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("horizon, n", [(1.5, 300), (0.5, 250)])
+    def test_benchmark_grids_match_dense_solve(self, horizon, n):
+        if n == 300:
+            model = two_asset_model(theta=(0.65, 0.30), stock_corr=0.7)
+        else:
+            model = QuadraticModel(kernel=FractionalKernel(0.25), theta=np.array([[0.7]]), eta=np.eye(1),
+                                   corr=np.array([[-0.5]]), drift=np.array([[-0.3]]), g0=0.3)
+        grid = make_grid(horizon, n)
+        disc = _discretize(model, grid)
+        oracle = _volterra_solve(disc.a, model.f_mat, np.kron(np.eye(n), model.theta).T, n, trans=True).T
+        assert relative_gap(disc.m1, oracle) <= 1e-12
+        eye = np.eye(n * model.n_state)
+        oracle = _volterra_solve(disc.a, model.drift, eye, n)
+        assert relative_gap(fold(resolvent_band(disc.band, model.drift)), oracle) <= 1e-12
 
     def test_zero_drift_returns_rhs(self):
         rng = np.random.default_rng(3)
         grid = make_grid(1.0, 12)
-        a = folded_cells(random_volterra_kernel(rng, "fractional", 2), grid)
+        x = resolvent_band(band_coefficients(random_volterra_kernel(rng, "fractional", 2), grid), np.zeros((2, 2)))
+        want = np.zeros((12, 2, 2))
+        want[0] = np.eye(2)
+        np.testing.assert_array_equal(x, want)
         rhs = rng.standard_normal((24, 5))
-        got = _volterra_solve(a, np.zeros((2, 2)), rhs.copy(), grid.n)
-        assert np.array_equal(got, rhs)
+        assert np.array_equal(fold(x) @ rhs, rhs)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("N", [1, 2])
@@ -121,8 +152,10 @@ class TestVolterraSolve:
             enforce_psd=False,
         )
         got = lambda_max_covariance(model, grid, a=0.1)
-        monkeypatch.setattr(quadratic, "_volterra_solve", lu_resolvent_fold(grid))
-        want = lambda_max_covariance(model, grid, a=0.1)
+        # without drift the resolvent band is [I, 0, ...], so the LU-folded cells enter unchanged
+        lu_folded = lu_drift_fold(model, grid)
+        monkeypatch.setattr(quadratic, "folded_cells", lambda kernel, grid: lu_folded)
+        want = lambda_max_covariance(dataclasses.replace(model, drift=None), grid, a=0.1)
         for key in ("lambda1", "trace"):
             assert abs(got[key] - want[key]) <= 1e-10 * abs(want[key])
 

@@ -35,10 +35,10 @@ from vmk import quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, first_arg_columns, folded_cells
 from vmk.montecarlo import correlate_drivers
-from vmk.operators import _bd_right, _volterra_solve
 from vmk.markowitz import integrated_rate
 from vmk.quadratic import (
     RCOND_MIN,
+    _bd_right,
     asset_positions,
     boundary_relation_residual,
     gamma_quadratic,
@@ -46,8 +46,8 @@ from vmk.quadratic import (
     riccati_derivative_residual,
 )
 
-from oracles import (adjoint, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
-                     markovian_riccati_ode, min_sym_eigenvalue, positions_per_row, sigma_operator, star)
+from oracles import (_volterra_solve, adjoint, full_matrix, identity_operator, invert_id_minus, kernel_operator,
+                     kernel_value, markovian_riccati_ode, min_sym_eigenvalue, positions_per_row, sigma_operator, star)
 
 SQ2 = math.sqrt(2.0)
 # d/dt P = theta^2 + 2 P^2 backward from 0 gives P_0 = -tanh(sqrt2 theta T)/sqrt2
