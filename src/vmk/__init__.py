@@ -13,6 +13,7 @@ from .affine import (
     mean_reversion_a_bound,
     optimal_control_affine,
     premium_loading,
+    simulate_forward_variance,
     solve_riccati_volterra,
     theta_condition_check_affine,
 )

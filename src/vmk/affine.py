@@ -228,14 +228,27 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     n, d = grid.n, model.dim
     if dw.shape != (P, n, d):
         raise InvalidArgumentError(f"dw must have shape (P, {n}, {d}), got {dw.shape}")
+    u = _slot_major(P, n, d)
+    u[:, :, :P] = dw.transpose(1, 2, 0)
+    return _step_forward_variance(model, grid, u, P)
+
+
+def _slot_major(P: int, n: int, d: int) -> np.ndarray:
+    """Zero driver buffer (n, d, P padded to a multiple of ``_PATH_PAD``) for the stepper."""
+    return np.zeros((n, d, -(-P // _PATH_PAD) * _PATH_PAD))
+
+
+def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, P: int) -> np.ndarray:
+    """The stepper of ``simulate_forward_variance`` on P paths of a ``_slot_major`` buffer of dW.
+
+    Step j overwrites dW_j in u with its increment u_j.
+    """
+    n, d = grid.n, model.dim
     dt = grid.dt
     w = _band_diag(model, grid) / dt
     nu = model.nu[:, None]
     drift = model.drift[:, :, None]
-    padded = -(-P // _PATH_PAD) * _PATH_PAD
-    # slot-major drivers; step j overwrites dW_j with its increment u_j
-    u = np.zeros((n, d, padded))
-    u[:, :, :P] = dw.transpose(1, 2, 0)
+    padded = u.shape[2]
     v = np.zeros((n + 1, d, padded))
     v[:, :, :P] = g0_nodes(model.g0, grid, d)[:, :, None]
     for k0 in range(0, n + 1, _SLOT_BLOCK):
@@ -322,12 +335,28 @@ class AffineEvaluator:
         self.loadings = premium_loading(model, self.psi, grid, np.arange(grid.n))
 
     def premium_paths(self, z: np.ndarray):
-        """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths)."""
-        db, dw = correlate_drivers(z, np.diag(self.model.rho))
-        v = simulate_forward_variance(self.model, self.grid, dw)
+        """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths).
+
+        The variance drivers are correlated one slot block at a time
+        straight into the stepper's buffer, so no (P, n, d) dW exists, and
+        sqrt(V+) is taken in lambda's buffer: the premium is read off it
+        before it is scaled by theta in place.
+        """
+        P = z.shape[0]
+        n, d = self.grid.n, self.model.dim
+        if z.shape != (P, n, 2 * d):
+            raise InvalidArgumentError(f"z must have shape (P, {n}, {2 * d}), got {z.shape}")
+        corr = np.diag(self.model.rho)
+        u = _slot_major(P, n, d)
+        for k0 in range(0, n, _SLOT_BLOCK):
+            _, dw = correlate_drivers(z[:, k0 : k0 + _SLOT_BLOCK], corr)
+            u[k0 : k0 + _SLOT_BLOCK, :, :P] = dw.transpose(1, 2, 0)
+        v = _step_forward_variance(self.model, self.grid, u, P)
+        del u  # freed before lambda and the premium are allocated
         # path-major like the drivers, so the per-path sums downstream do
         # not depend on the stepper's slot-major layout
-        sqv = np.sqrt(np.maximum(v[:, : self.grid.n, :], 0.0, order="C"))
-        lam = self.model.theta[None, None, :] * sqv
-        prem = self.loadings[None, :, :] * sqv
-        return db, lam, prem, v
+        lam = np.maximum(v[:, :n, :], 0.0, order="C")
+        np.sqrt(lam, out=lam)
+        prem = self.loadings[None, :, :] * lam
+        lam *= self.model.theta
+        return z[:, :, :d], lam, prem, v

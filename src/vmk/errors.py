@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one physical-memory check."""
+
+import os
+
+PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class VmkError(Exception):
@@ -33,7 +37,7 @@ class InternalConsistencyError(VmkError):
 
 
 class MemoryCapError(VmkError):
-    """A requested discretization exceeds the configured memory cap."""
+    """A requested problem would not fit in physical memory."""
 
     def __init__(self, message, limit=None):
         super().__init__(message)
@@ -42,3 +46,13 @@ class MemoryCapError(VmkError):
 
 class ConfigError(VmkError):
     """A run configuration file is malformed or inconsistent."""
+
+
+def check_memory(what: str, need: int, advice: str) -> None:
+    """Raise MemoryCapError when ``what``, needing about ``need`` bytes, exceeds physical memory."""
+    if need > PHYS_MEM_BYTES:
+        raise MemoryCapError(
+            f"{what} needs about {need} bytes, more than the {PHYS_MEM_BYTES} "
+            f"bytes of physical memory; {advice}",
+            limit=PHYS_MEM_BYTES,
+        )

@@ -13,6 +13,15 @@ Wealth under the optimal feedback control is advanced with the exact
 exponential step of the induced geometric dynamics of the discounted gap,
 so no additional discretization error enters beyond the premium
 evaluation itself.
+
+``run_mc`` streams the paths in chunks and frees each chunk before the
+next.  One chunk of m paths holds only what the stages return: the raw
+drivers z (m, n, n_factors), the evaluator's lambda, premium and state
+paths, and the evaluator's own temporaries while it runs.  Wealth is
+advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and
+the (m, n, d) amounts never exist for the whole chunk; only the terminal
+wealth, the Gamma samples and the kept paths leave it.  The chunk's size
+is checked against physical memory before the first draw.
 """
 
 import math
@@ -21,9 +30,22 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_memory
 from .grid import TimeGrid, g0_nodes
 from .markowitz import tail_rate_integrals
+
+# Paths per block of the wealth stage in run_mc.  On one 4096-path chunk
+# the wealth stage took 31-39 ms (affine-simulate model) and 20-23 ms
+# (quad-simulate model) at every block from 64 to 4096 rows (median of 15,
+# 2-core Xeon), while the chunk's traced peak grows with the block:
+# 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
+_WEALTH_ROWS = 256
+# (chunk, n, n_factors) float arrays, the size of the drivers z, alive at
+# once in one run_mc chunk, rounded up from the traced peaks of 4096-path
+# chunks: 2.7 on the affine-simulate model (z, the stepper's driver and
+# curve buffers, lambda, premium) and 3.0 on the quad-simulate model (z, dW,
+# the premium map's product, lambda).
+CHUNK_ARRAYS = 4
 
 
 def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
@@ -69,7 +91,10 @@ def correlate_drivers(z: np.ndarray, corr: np.ndarray):
         raise InvalidArgumentError(f"need {d + N} driving factors, got {z.shape[2]}")
     db = z[:, :, :d]
     row_sq = np.sum(corr * corr, axis=1)
-    dw = db @ corr.T + np.sqrt(np.maximum(1.0 - row_sq, 0.0))[None, None, :] * z[:, :, d:]
+    # the scaled z_perp first and dB C' added in place: one (P, n, N)
+    # temporary, and the same sums, since IEEE addition commutes
+    dw = np.multiply(z[:, :, d:], np.sqrt(np.maximum(1.0 - row_sq, 0.0)))
+    dw += db @ corr.T
     return db, dw
 
 
@@ -129,8 +154,10 @@ def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
 
         Xg_{k+1} = Xg_k exp((r_k + lambda_k'A_k - |A_k|^2/2) dt + A_k'dB_k).
 
-    Returns x (paths, n+1), gap, and the invested amounts alpha
-    (paths, n, d) with alpha_k = A_k Xg_k.
+    Returns x (paths, n+1), the invested amounts alpha (paths, n, d) with
+    alpha_k = A_k Xg_k, and the terminal wealth x[:, n].  Every path is
+    computed on its own, so a block of rows gives those rows' values bit
+    for bit.
     """
     P, n, d = db.shape
     if lam.shape != (P, n, d) or prem.shape != (P, n, d):
@@ -142,26 +169,26 @@ def simulate_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
     # All n steps at once, with the per-step expressions in the per-step
     # order; the cumulative product is the same left-to-right product, so
     # every sample is bit-identical to stepping k = 0, ..., n-1 in turn.
-    # A is held in alpha and the exponents in gap[:, 1:], so the only
-    # temporary is one (P, n) buffer.
+    # A is held in alpha, the exponents and then the gap in x, and x is
+    # shifted to wealth last, so the only temporary is one (P, n) buffer.
     alpha = np.negative(prem)
-    gap = np.empty((P, n + 1))
-    gap_tail = gap[:, 1:]
+    x = np.empty((P, n + 1))
+    expo = x[:, 1:]
     drift = np.einsum("pkd,pkd->pk", lam, alpha)
     drift += rn[:n]
-    np.einsum("pkd,pkd->pk", alpha, alpha, out=gap_tail)
-    gap_tail *= 0.5
-    drift -= gap_tail
+    np.einsum("pkd,pkd->pk", alpha, alpha, out=expo)
+    expo *= 0.5
+    drift -= expo
     drift *= grid.dt
-    np.einsum("pkd,pkd->pk", alpha, db, out=gap_tail)
-    np.add(drift, gap_tail, out=gap_tail)
+    np.einsum("pkd,pkd->pk", alpha, db, out=expo)
+    np.add(drift, expo, out=expo)
     del drift
-    np.exp(gap_tail, out=gap_tail)
-    gap[:, 0] = x0 - xi_star_val * math.exp(-tails[0])
-    np.cumprod(gap, axis=1, out=gap)
-    alpha *= gap[:, :n, None]
-    x = gap + xi_star_val * np.exp(-tails)[None, :]
-    return SimpleNamespace(x=x, gap=gap, alpha=alpha, terminal=x[:, n])
+    np.exp(expo, out=expo)
+    x[:, 0] = x0 - xi_star_val * math.exp(-tails[0])
+    np.cumprod(x, axis=1, out=x)
+    alpha *= x[:, :n, None]
+    x += xi_star_val * np.exp(-tails)
+    return SimpleNamespace(x=x, alpha=alpha, terminal=x[:, n])
 
 
 def gamma_factors(grid: TimeGrid, rate, prem: np.ndarray) -> np.ndarray:
@@ -181,36 +208,41 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     roundoff for the quadratic one (see the module docstring).  The first
     ``keep_paths`` paths are returned in full (wealth, amounts, state) for
     dumping.  With ``antithetic`` the path count must be even and at least
-    4, and the standard errors come from the antithetic pairs.
+    4, and the standard errors come from the antithetic pairs.  Raises
+    MemoryCapError before the first draw when one chunk would not fit in
+    physical memory.
     """
     if antithetic and (paths % 2 or paths < 4):
         raise InvalidArgumentError(f"antithetic sampling needs an even path count of at least 4, got {paths}")
     grid = evaluator.grid
     rate = evaluator.model.rate
+    width = min(chunk, paths)
+    check_memory(f"one Monte Carlo chunk of {width} paths at n = {grid.n}",
+                 CHUNK_ARRAYS * 8 * width * grid.n * evaluator.n_factors, "use a smaller mc.chunk")
     terminal = np.empty(paths)
     gamma = np.empty(paths)
-    kept = None
+    pieces = {"x": [], "alpha": [], "state": []}
     done = 0
     while done < paths:
         m = min(chunk, paths - done)
         z = simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done)
         db, lam, prem, state = evaluator.premium_paths(z)
-        w = simulate_wealth(grid, rate, x0, xi_star_val, db, lam, prem)
-        terminal[done : done + m] = w.terminal
         gamma[done : done + m] = gamma_factors(grid, rate, prem)
-        if keep_paths > done:
-            take = min(keep_paths, done + m) - done
-            # copies, so the kept rows do not pin this chunk's full buffers
-            piece = SimpleNamespace(x=w.x[:take].copy(), alpha=w.alpha[:take].copy(),
-                                    state=state[:take].copy())
-            kept = piece if kept is None else SimpleNamespace(
-                x=np.concatenate([kept.x, piece.x]),
-                alpha=np.concatenate([kept.alpha, piece.alpha]),
-                state=np.concatenate([kept.state, piece.state]),
-            )
+        for r0 in range(0, m, _WEALTH_ROWS):
+            r1 = min(r0 + _WEALTH_ROWS, m)
+            w = simulate_wealth(grid, rate, x0, xi_star_val, db[r0:r1], lam[r0:r1], prem[r0:r1])
+            terminal[done + r0 : done + r1] = w.terminal
+            take = min(keep_paths - done, r1) - r0
+            if take > 0:
+                # copies, so the kept rows do not pin this chunk's buffers
+                for name, rows in (("x", w.x), ("alpha", w.alpha), ("state", state[r0:r1])):
+                    pieces[name].append(rows[:take].copy())
         done += m
         # free this chunk before the next one draws and steps its own
         del z, db, lam, prem, state, w
+    kept = None
+    if keep_paths > 0:
+        kept = SimpleNamespace(**{name: np.concatenate(rows) for name, rows in pieces.items()})
     stats = _pair_stats if antithetic else mc_stats
     return SimpleNamespace(
         wealth=stats(terminal),

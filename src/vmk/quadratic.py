@@ -39,7 +39,6 @@ discretization and evaluates a chunk of paths as one matrix product.
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -50,9 +49,9 @@ import numpy as np
 from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
-    MemoryCapError,
     ModelAssumptionError,
     RiccatiBlowUpError,
+    check_memory,
 )
 from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, fold,
@@ -62,7 +61,6 @@ from .montecarlo import correlate_drivers
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
-PHYS_MEM_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from peaks traced on
 # the two-asset preset (n = 200) and a one-factor model (n = 400): 2.0 in _discretize
 # (a, m1), 4.9 in the sweep (a, m1, z2_maps, Psi, panels), 4 in lambda_max_covariance
@@ -164,13 +162,7 @@ def _bd_right(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
 
 def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
     """Raise MemoryCapError when ``arrays`` dense (N n)^2 floats exceed physical memory."""
-    need = arrays * 8 * (n * N) ** 2
-    if need > PHYS_MEM_BYTES:
-        raise MemoryCapError(
-            f"{what} needs about {need} bytes at n = {n}, N = {N}, more "
-            f"than the {PHYS_MEM_BYTES} bytes of physical memory; use a coarser grid",
-            limit=PHYS_MEM_BYTES,
-        )
+    check_memory(f"{what} at n = {n}, N = {N}", arrays * 8 * (n * N) ** 2, "use a coarser grid")
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:

@@ -25,6 +25,7 @@ from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, folded_cells
 from vmk.markowitz import tail_rate_integrals
+from vmk.montecarlo import gamma_factors, simulate_drivers, simulate_wealth
 from vmk.quadratic import QuadraticModel, _bd_left, _bd_right, _discretize, volatility_matrix
 
 COND_LIMIT = 1e12
@@ -341,7 +342,25 @@ def step_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,
         shock = np.einsum("pd,pd->p", a, db[:, k, :])
         gap[:, k + 1] = gap[:, k] * np.exp(drift + shock)
     x = gap + xi_star_val * np.exp(-tails)[None, :]
-    return SimpleNamespace(x=x, gap=gap, alpha=alpha, terminal=x[:, n])
+    return SimpleNamespace(x=x, alpha=alpha, terminal=x[:, n])
+
+
+def staged_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
+              antithetic: bool = False, chunk: int = 4096, keep_paths: int = 0) -> SimpleNamespace:
+    """``montecarlo.run_mc``'s samples from the stages called on whole chunks, wealth included."""
+    grid, rate = evaluator.grid, evaluator.model.rate
+    terminal, gamma, kept = [], [], []
+    for start in range(0, paths, chunk):
+        z = simulate_drivers(grid, evaluator.n_factors, min(chunk, paths - start), seed,
+                             antithetic=antithetic, start=start)
+        db, lam, prem, state = evaluator.premium_paths(z)
+        w = simulate_wealth(grid, rate, x0, xi_star_val, db, lam, prem)
+        terminal.append(w.terminal)
+        gamma.append(gamma_factors(grid, rate, prem))
+        kept.append((w.x, w.alpha, state))
+    x, alpha, state = (np.concatenate([k[i] for k in kept])[:keep_paths] for i in range(3))
+    return SimpleNamespace(terminal=np.concatenate(terminal), gamma_samples=np.concatenate(gamma),
+                           kept=SimpleNamespace(x=x, alpha=alpha, state=state))
 
 
 def write_csv_rows(path: str, header, rows) -> None:

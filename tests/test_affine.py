@@ -405,6 +405,26 @@ class TestEvaluator:
         # rho = 0: premium loading equals theta at every node
         np.testing.assert_allclose(prem, lam, atol=1e-12)
 
+    def test_premium_paths_equal_the_whole_chunk_stages(self):
+        # dW correlated slot block by slot block into the stepper's buffer,
+        # sqrt(V+) in lambda's buffer: the same bits as the public stages
+        model = AffineModel(
+            kernels=(ExponentialKernel(beta=2.0), FractionalKernel(0.75)),
+            drift=np.array([[-1.0, 0.3], [0.2, -0.5]]),
+            nu=[0.4, 0.3], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
+        )
+        grid = make_grid(1.0, 2 * affine._SLOT_BLOCK + 7)
+        ev = AffineEvaluator(model, grid)
+        z = simulate_drivers(grid, ev.n_factors, paths=13, seed=4)
+        db, lam, prem, v = ev.premium_paths(z)
+        want_db, dw = correlate_drivers(z, np.diag(model.rho))
+        want_v = simulate_forward_variance(model, grid, dw)
+        sqv = np.sqrt(np.maximum(want_v[:, : grid.n, :], 0.0))
+        np.testing.assert_array_equal(db, want_db)
+        np.testing.assert_array_equal(v, want_v)
+        np.testing.assert_array_equal(lam, model.theta * sqv)
+        np.testing.assert_array_equal(prem, ev.loadings * sqv)
+
 
 SCALAR_KERNELS = st.one_of(st.builds(FractionalKernel, st.floats(0.05, 0.95)),
                            st.builds(ExponentialKernel, st.floats(0.1, 3.0)),

@@ -12,6 +12,8 @@ import pytest
 
 import vmk.cli
 import vmk.config
+import vmk.errors
+import vmk.montecarlo
 import vmk.quadratic
 from vmk.cli import _write_csv, main
 from vmk.quadratic import two_asset_model, volatility_matrix
@@ -186,7 +188,7 @@ class TestSolveCommands:
 
     def test_dense_solve_over_memory_refused(self, tmp_path, capsys, monkeypatch):
         limit = 100000  # bytes; the n = 100 solve needs 480000
-        monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -288,13 +290,24 @@ class TestSimulate:
 
     def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
         limit = 700000  # bytes; the n = 100 solve needs 480000, the premium map 800000
-        monkeypatch.setattr(vmk.quadratic, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.quadratic, "_premium_map", lambda *a: pytest.fail("map built over the limit"))
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG + "mc:\n  paths: 10\n")
         assert main(["quadratic-solve", "--config", cfg]) == 0
         assert main(["simulate", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "premium map" in err and str(limit) in err
+        assert not (out / "mc.csv").exists()
+
+    def test_mc_chunk_over_memory_refused(self, tmp_path, capsys, monkeypatch):
+        limit = 100000  # bytes; one 64-path chunk at n = 200 holds 204800 per driver array
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 100\n  chunk: 64\n")
+        assert main(["affine-solve", "--config", cfg]) == 0
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Monte Carlo chunk" in err and "mc.chunk" in err and str(limit) in err
         assert not (out / "mc.csv").exists()
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vmk.errors
+import vmk.montecarlo
 from vmk import (
     AffineEvaluator,
     AffineModel,
@@ -17,6 +19,7 @@ from vmk import (
     ExponentialKernel,
     FractionalKernel,
     InvalidArgumentError,
+    MemoryCapError,
     QuadraticEvaluator,
     QuadraticModel,
     make_grid,
@@ -27,9 +30,9 @@ from vmk import (
 )
 from vmk.affine import gamma0_affine
 from vmk.markowitz import integrated_rate, xi_star
-from vmk.montecarlo import gamma_factors
+from vmk.montecarlo import CHUNK_ARRAYS, _WEALTH_ROWS, gamma_factors
 
-from oracles import step_wealth
+from oracles import staged_mc, step_wealth
 
 
 def premium_free_model(rate=0.0):
@@ -149,7 +152,7 @@ class TestWealth:
         prem[0, 3] = 0.0
         got = simulate_wealth(g, rate, 1.0, 1.2, db, lam, prem)
         want = step_wealth(g, rate, 1.0, 1.2, db, lam, prem)
-        for field in ("x", "gap", "alpha", "terminal"):
+        for field in ("x", "alpha", "terminal"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
     def test_amounts_proportional_to_gap(self):
@@ -348,6 +351,55 @@ class TestRunMCMemory:
                 tracemalloc.stop()
         # a second chunk that still held the first alive read 1.7-1.8x
         assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_one_chunk_holds_at_most_six_variance_arrays(self):
+        # z (two arrays), the stepper's curve, lambda and premium, plus
+        # one wealth block; whole-chunk wealth, dW and sqrt(V+) read 8.1
+        P, n = 4096, 400
+        ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, n))
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_mc(ev, paths=P, seed=1, x0=1.0, xi_star_val=1.5, chunk=P, keep_paths=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * P * n * 8
+
+    @pytest.mark.parametrize("paths", [100, 10])
+    def test_oversized_chunk_refused_before_the_first_draw(self, paths, monkeypatch):
+        g = make_grid(0.5, 20)
+        ev = AffineEvaluator(risky_model(), g)
+        width = min(64, paths)
+        need = CHUNK_ARRAYS * 8 * width * g.n * ev.n_factors
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
+        assert run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == paths
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
+        with pytest.raises(MemoryCapError, match="mc.chunk") as exc:
+            run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
+        assert exc.value.limit == need - 1
+
+
+class TestRunMCMatchesStages:
+    """run_mc's wealth row blocks give the samples of the stages called on whole chunks."""
+
+    CHUNK = _WEALTH_ROWS + 44  # not a multiple of the row block
+    KEEP = _WEALTH_ROWS + 9  # crosses a row-block boundary
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("family", ["quadratic", "affine"])
+    def test_bit_identical(self, family, antithetic):
+        ev, xi = calibration_evaluators()[family]
+        args = dict(paths=2 * self.CHUNK + 20, seed=9, x0=1.0, xi_star_val=xi, antithetic=antithetic,
+                    chunk=self.CHUNK, keep_paths=self.KEEP)
+        got = run_mc(ev, **args)
+        want = staged_mc(ev, **args)
+        np.testing.assert_array_equal(got.terminal, want.terminal)
+        np.testing.assert_array_equal(got.gamma_samples, want.gamma_samples)
+        for field in ("x", "alpha", "state"):
+            assert getattr(got.kept, field).shape[0] == self.KEEP
+            np.testing.assert_array_equal(getattr(got.kept, field), getattr(want.kept, field), err_msg=field)
 
 
 class TestStats:

@@ -31,7 +31,7 @@ from vmk import (
     two_asset_model,
     wishart_model,
 )
-from vmk import quadratic
+from vmk import errors, quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, first_arg_columns, folded_cells
 from vmk.montecarlo import correlate_drivers
@@ -712,7 +712,7 @@ class TestDiagnostics:
         assert errs[1] < 0.03
 
     def test_covariance_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(quadratic, "PHYS_MEM_BYTES", 10**4)
+        monkeypatch.setattr(errors, "PHYS_MEM_BYTES", 10**4)
         with pytest.raises(MemoryCapError) as exc:
             lambda_max_covariance(scalar_model(), make_grid(1.0, 20), a=0.1)
         assert exc.value.limit == 10**4
