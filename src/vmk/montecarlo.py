@@ -43,8 +43,8 @@ _WEALTH_ROWS = 256
 # (chunk, n, n_factors) float arrays, the size of the drivers z, alive at
 # once in one run_mc chunk, rounded up from the traced peaks of 4096-path
 # chunks: 2.7 on the affine-simulate model (z, the stepper's driver and
-# curve buffers, lambda, premium) and 3.0 on the quad-simulate model (z, dW,
-# the premium map's product, lambda).
+# curve buffers, lambda, premium) and 2.7 on the quad-simulate model (z, the
+# premium map's product, lambda).
 CHUNK_ARRAYS = 4
 
 

@@ -62,12 +62,14 @@ from .montecarlo import correlate_drivers
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 # Dense (N n)^2 float arrays alive at once for d <= N, rounded up from peaks traced on
-# the two-asset preset (n = 200) and a one-factor model (n = 400): 2.0 in _discretize
-# (a, m1), 4.9 in the sweep (a, m1, z2_maps, Psi, panels), 4 in lambda_max_covariance
-# (B, the Gram matrix, its weights and the copy numpy.linalg.eigvalsh makes untraced)
-# and 9.1 in _premium_map (the solution's 3, y, u, C'Z'A, the premium rows, the map).
-DENSE_ARRAYS = 5
-MAP_ARRAYS = 10
+# the two-asset preset (n = 200) and a one-factor model (n = 400): 2.85 in the solve
+# (Psi, z2_maps, panels) and at most 2.6 in the other sweep readers, 5.0 in
+# riccati_derivative_residual, 4 in lambda_max_covariance (with the copy eigvalsh makes
+# untraced) and 5.06 in _premium_map (with the solution's z2_maps).
+DENSE_ARRAYS = 3
+RESIDUAL_ARRAYS = 6
+COVARIANCE_ARRAYS = 4
+MAP_ARRAYS = 6
 # Nodes per block of the backward sweep's delayed update, and the row panel
 # height of its in-place rank-(block N) update.
 _SWEEP_BLOCK = 32
@@ -166,19 +168,14 @@ def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
-    """Shared dense factors: lag band, folded kernel a and m1.
+    """Shared lag bands: the kernel's ``band`` (n, N, N) and ``m1_band`` (n, d, N).
 
-    m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), is the
-    fold of Theta times the resolvent band of (band, F).  Raises
-    MemoryCapError before allocating when the dense solve would not fit in
-    physical memory.
+    m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), is
+    fold(m1_band), Theta times the resolvent band of (band, F); each
+    reader folds what it needs.
     """
-    n, N = grid.n, model.n_state
-    _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     band = band_coefficients(model.kernel, grid)
-    a = folded_cells(model.kernel, grid)
-    m1 = fold(model.theta @ resolvent_band(band, model.f_mat))
-    return SimpleNamespace(band=band, a=a, m1=m1)
+    return SimpleNamespace(band=band, m1_band=model.theta @ resolvent_band(band, model.f_mat))
 
 
 def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, stops=()):
@@ -208,7 +205,8 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, sto
     node of ``stops``, where Psi_base is Psi_k, and node 0 applies the
     pending updates after its product.  ``psi`` is Psi_k, the sweep's own
     array, at the stops and at node 0, and None elsewhere; the rest of the
-    sweep updates it in place.
+    sweep updates it in place.  m1 is folded from its band for Psi_n = -m1' m1
+    and dropped before the first block.
     """
     n, N = grid.n, model.n_state
     nN = n * N
@@ -216,7 +214,9 @@ def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, sto
     eye = np.eye(N)
     # rows k N: of [c_k | 1] are the first (n - k) N rows of [c_0 | 1]
     rhs = np.concatenate([(disc.band @ model.eta).reshape(nN, N), np.tile(eye, (n, 1))], axis=1)
-    psi = disc.m1.T @ disc.m1
+    m1 = fold(disc.m1_band)
+    psi = m1.T @ m1
+    del m1
     psi *= -1.0
     u = np.empty((nN, _SWEEP_BLOCK * N))  # pending B_j
     ux = np.empty_like(u)  # pending 2 B_j X_j
@@ -285,7 +285,7 @@ class QuadraticSolution:
         profile evaluated on the initial (deterministic) curve.
     gamma0 : closed-form Gamma_0.
     min_rcond : smallest lambda_min(S_k) met by the backward sweep.
-    disc : the shared dense factors of ``_discretize`` (band, a, m1).
+    disc : the lag bands ``band`` and ``m1_band`` of ``_discretize``.
     g0s : the initial curve at all n+1 nodes.
     """
 
@@ -316,6 +316,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
 
     Raises
     ------
+    MemoryCapError
+        When ``DENSE_ARRAYS`` (N n)^2 floats would not fit in memory.
     RiccatiBlowUpError
         When some S_k has an eigenvalue below ``RCOND_MIN``, i.e. the
         deflating matrix W_k loses positive definiteness, which is how
@@ -324,15 +326,17 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         horizon.
     """
     n, N, dt = grid.n, model.n_state, grid.dt
+    _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
     disc = _discretize(model, grid)
     rn = g0_nodes(model.rate, grid, name="rate")
     g0s = g0_nodes(model.g0, grid, N)
     g0_samples = g0s[:n].reshape(n * N)
     phidot = np.zeros(n + 1)
     p_path = np.zeros((n + 1, N, N))
-    z2_maps = np.zeros((n + 1, n * N, N))
     min_rcond = np.inf
     for k, psi, act, g, lam in _psi_sweep(model, grid, disc):
+        if k == n:  # the sweep has dropped m1
+            z2_maps = np.zeros((n + 1, n * N, N))
         min_rcond = min(min_rcond, lam)
         lo = k * N
         z2_maps[k, lo:] = act[lo:, :N]
@@ -376,8 +380,10 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
     Runs the backward recursion of ``_psi_sweep`` from the horizon down to
     node k and zeroes the rows and columns before node k, so the matrix
     represents the operator on L^2([t_k, T]) embedded in the full grid.
+    Like every sweep reader, it checks its memory count before sweeping.
     """
     k = node_index(k, grid.n)
+    _check_dense_memory("the restricted Psi matrix", DENSE_ARRAYS, grid.n, model.n_state)
     disc = _discretize(model, grid) if disc is None else disc
     return _restricted_psi(model, grid, disc, (k,))[0]
 
@@ -411,6 +417,7 @@ def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, d
     """
     N = model.n_state
     k = node_index(k, grid.n - 1)
+    _check_dense_memory("the Riccati derivative residual", RESIDUAL_ARRAYS, grid.n, N)
     disc = _discretize(model, grid) if disc is None else disc
     pk1, pk = _restricted_psi(model, grid, disc, (k + 1, k))
     rhs = 2.0 * pk @ sigma_dot_folded(model, grid, k, disc.band) @ pk
@@ -452,6 +459,7 @@ def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
     nodes = node_index(k, n, many=True)
+    _check_dense_memory("the Gamma sweep", DENSE_ARRAYS, n, N)
     flat = g.reshape(-1, n * N)
     wanted = set(nodes.flat)
     quad = {}
@@ -530,27 +538,33 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
         Y_n = g0_n + sum_j band[n-j-1] u_j,
         premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
 
-    with A = ``disc.a``, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps[k]``.
+    with A the folded kernel, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps[k]``.
     Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d); the
     state columns come first, node-major.
     """
     n, N, d = grid.n, model.n_state, model.n_assets
-    nN, dt, disc = n * N, grid.dt, sol.disc
+    nN, dt, band = n * N, grid.dt, sol.disc.band
+    a = folded_cells(model.kernel, grid)
     # Column 0 is the deterministic state, the others its response to dW/dt.
     y = np.empty((nN, nN + 1))
     y[:, 0] = sol.g0s[:n].reshape(nN)
-    np.divide(_bd_right(disc.a, model.eta, n), dt, out=y[:, 1:])
-    y = fold(resolvent_band(disc.band, model.drift)) @ y
-    u = _bd_left(model.drift, y, n)
-    u[:, 1:] += np.kron(np.eye(n), model.eta / dt)
+    np.divide(_bd_right(a, model.eta, n), dt, out=y[:, 1:])
+    y = fold(resolvent_band(band, model.drift)) @ y
     # rows C' Z_k' A, keeping the blocks j < k: the curve at step k has seen u_j, j < k
-    cza = (sol.z2_maps[:n] @ model.corr).transpose(0, 2, 1).reshape(n * d, nN) @ disc.a
+    cza = (sol.z2_maps[:n] @ model.corr).transpose(0, 2, 1).reshape(n * d, nN) @ a
+    del a
     cza.reshape(n, d, n, N)[...] *= np.tri(n, k=-1)[:, None, :, None]
+    u = _bd_left(model.drift, y, n)
+    eta_dt = model.eta / dt
+    for j in range(n):  # eta dW_j/dt enters u_j
+        u[j * N : (j + 1) * N, 1 + j * N : 1 + (j + 1) * N] += eta_dt
     prem = cza @ u
+    del cza
     prem *= 2.0
     prem += _bd_left(model.theta, y, n)
     prem[:, 0] += (sol.z2_det[:n] @ model.corr).reshape(n * d)  # 2 C' Z_k' g0
-    last = disc.band[::-1].transpose(1, 0, 2).reshape(N, nN) @ u
+    last = band[::-1].transpose(1, 0, 2).reshape(N, nN) @ u
+    del u
     last[:, 0] += sol.g0s[n]
     c0 = np.concatenate([y[:, 0], last[:, 0], prem[:, 0]])
     return c0, np.concatenate([y[:, 1:], last[:, 1:], prem[:, 1:]]).T
@@ -587,6 +601,7 @@ class QuadraticEvaluator:
         db, dw = correlate_drivers(z, model.corr)
         P = z.shape[0]
         out = dw.reshape(P, n * N) @ self.lmap
+        del dw  # so z, the product and lambda, not dW too, make the chunk's peak
         out += self.c0
         state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
         prem = out[:, (n + 1) * N :].reshape(P, n, model.n_assets)
@@ -644,10 +659,10 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> di
     K -> K + R * K = (Id - K D)^{-1} K first, the fold of the resolvent
     band times the folded kernel, so the centered state is again a plain
     stochastic convolution.  Raises MemoryCapError before allocating when
-    the dense Gram matrix would not fit in physical memory.
+    ``COVARIANCE_ARRAYS`` (N n)^2 floats would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
-    _check_dense_memory("the covariance spectrum", DENSE_ARRAYS, n, N)
+    _check_dense_memory("the covariance spectrum", COVARIANCE_ARRAYS, n, N)
     horizon, dt = grid.horizon, grid.dt
     band = band_coefficients(model.kernel, grid)
     ev, vec = np.linalg.eigh(model.u_mat)

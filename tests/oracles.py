@@ -4,7 +4,8 @@ The star calculus stores an operator (F f)(t) = M f(t) + int_0^T F_ker(t, s) f(s
 f: [0, T] -> R^N as the identity coefficient ``ident`` (N x N, kept symbolic) and the folded
 cell matrix ``kernel`` (N n, N n), block (i, j) integrating the kernel over cell j at t_i, so
 composition is matrix multiplication and the adjoint is the transpose.  Beside it: the
-per-cell kernel band and its gathered fold, the dense LU Volterra solve that the resolvent
+per-cell kernel band and its gathered fold, the quadratic solve's dense factors a and m1
+folded from its lag bands, the dense LU Volterra solve that the resolvent
 band replaced, the cell table of a kernel piecewise constant on the grid, the quadratic
 covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
 Last, the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
@@ -23,7 +24,7 @@ from vmk.affine import AffineModel
 from vmk.cli import _fmt
 from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes
-from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, folded_cells
+from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, fold, folded_cells
 from vmk.markowitz import tail_rate_integrals
 from vmk.montecarlo import gamma_factors, simulate_drivers, simulate_wealth
 from vmk.quadratic import QuadraticModel, _bd_left, _bd_right, _discretize, volatility_matrix
@@ -111,6 +112,14 @@ def fold_per_cell(band: np.ndarray) -> np.ndarray:
     i, j = np.tril_indices(n, -1)
     a4[i, :, j, :] = band[i - j - 1]
     return a4.reshape(n * N, n * N)
+
+
+def dense_factors(disc: SimpleNamespace):
+    """(a, m1) folded from the lag bands of ``quadratic._discretize``, which holds no dense array.
+
+    a is the folded kernel cells and m1 = kron(I_n, Theta) (Id - a kron(I_n, F))^{-1}.
+    """
+    return fold_per_cell(disc.band), fold(disc.m1_band)
 
 
 def _volterra_solve(a: np.ndarray, m: np.ndarray, rhs: np.ndarray, n: int, trans: bool = False) -> np.ndarray:
@@ -235,8 +244,8 @@ def sigma_operator(model: QuadraticModel, grid: TimeGrid, k: int = 0, disc: Simp
     n, N = grid.n, model.n_state
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index must lie in [0, {n}]")
-    disc = _discretize(model, grid) if disc is None else disc
-    ae = _bd_right(disc.a, model.eta, n)
+    a, _ = dense_factors(_discretize(model, grid) if disc is None else disc)
+    ae = _bd_right(a, model.eta, n)
     ae[:, : k * N] = 0.0
     kern = _bd_right(ae, model.m0, n) @ ae.T
     return kernel_operator(grid, N, kern)

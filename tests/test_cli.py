@@ -187,7 +187,7 @@ class TestSolveCommands:
         assert len(rows) == 41
 
     def test_dense_solve_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 100000  # bytes; the n = 100 solve needs 480000
+        limit = 100000  # bytes; the n = 100 solve needs 240000 (DENSE_ARRAYS = 3 arrays of 80000)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG)
         assert main(["quadratic-solve", "--config", cfg]) == 2
@@ -289,7 +289,7 @@ class TestSimulate:
             assert math.isfinite(float(r[3]))
 
     def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 700000  # bytes; the n = 100 solve needs 480000, the premium map 800000
+        limit = 400000  # bytes; the n = 100 solve needs 240000, the premium map 480000 (MAP_ARRAYS = 6)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.quadratic, "_premium_map", lambda *a: pytest.fail("map built over the limit"))
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG + "mc:\n  paths: 10\n")

@@ -366,6 +366,21 @@ class TestRunMCMemory:
             tracemalloc.stop()
         assert peak <= 6 * P * n * 8
 
+    def test_quadratic_chunk_drops_dw_before_lambda(self):
+        # N = d = 1: z (two P n arrays), the premium map's product (two) and
+        # lambda, plus one wealth block; dW held next to lambda read 6.0
+        P, n = 4096, 250
+        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
+                                               drift=-0.3, g0=0.3), make_grid(0.5, n))
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_mc(ev, paths=P, seed=1, x0=1.0, xi_star_val=1.5, chunk=P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * P * n * 8
+
     @pytest.mark.parametrize("paths", [100, 10])
     def test_oversized_chunk_refused_before_the_first_draw(self, paths, monkeypatch):
         g = make_grid(0.5, 20)

@@ -46,8 +46,9 @@ from vmk.quadratic import (
     riccati_derivative_residual,
 )
 
-from oracles import (_volterra_solve, adjoint, full_matrix, identity_operator, invert_id_minus, kernel_operator,
-                     kernel_value, markovian_riccati_ode, min_sym_eigenvalue, positions_per_row, sigma_operator, star)
+from oracles import (_volterra_solve, adjoint, dense_factors, full_matrix, identity_operator, invert_id_minus,
+                     kernel_operator, kernel_value, markovian_riccati_ode, min_sym_eigenvalue, positions_per_row,
+                     sigma_operator, star)
 
 SQ2 = math.sqrt(2.0)
 # d/dt P = theta^2 + 2 P^2 backward from 0 gives P_0 = -tanh(sqrt2 theta T)/sqrt2
@@ -87,7 +88,8 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     t = float(grid.nodes[k])
-    q = disc.m1 @ _bd_right(disc.a, model.eta, n)[:, k * N :]
+    a, m1 = dense_factors(disc)
+    q = m1 @ _bd_right(a, model.eta, n)[:, k * N :]
     w = np.eye(d * n) + 2.0 * q @ np.kron(np.eye(n - k), model.m0) @ q.T
     try:
         cf = scipy.linalg.cho_factor(w, lower=True)
@@ -97,7 +99,7 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
     rcond, info = pocon(cf[0], float(np.abs(w).sum(axis=0).max()), uplo="L")
     if info != 0 or rcond < rcond_min:
         raise RiccatiBlowUpError(f"W_k singular at t={t}", time=t)
-    return -disc.m1.T @ scipy.linalg.cho_solve(cf, disc.m1), float(rcond)
+    return -m1.T @ scipy.linalg.cho_solve(cf, m1), float(rcond)
 
 
 def dense_sweep(model, grid, disc, stops=(), rcond_min=RCOND_MIN):
@@ -128,7 +130,8 @@ def per_node_sweep(model, grid, disc, stops=()):
     n, N = grid.n, model.n_state
     m0 = model.m0
     eye = np.eye(N)
-    psi = -disc.m1.T @ disc.m1
+    m1 = dense_factors(disc)[1]
+    psi = -m1.T @ m1
     for k in range(n, -1, -1):
         lo = k * N
         c = first_arg_columns(disc.band @ model.eta, k)[lo:]
@@ -497,7 +500,7 @@ class TestOperatorForms:
         m = mixed_model()
         g = make_grid(0.8, 30)
         disc = quadratic._discretize(m, g)
-        khat = kernel_operator(g, m.n_state, _bd_right(disc.a, m.f_mat, g.n))
+        khat = kernel_operator(g, m.n_state, _bd_right(dense_factors(disc)[0], m.f_mat, g.n))
         binv = invert_id_minus(khat)
         mid = identity_operator(g, m.n_state, coeff=m.theta.T @ m.theta)
         comp = star(star(adjoint(binv), mid), binv)
@@ -755,17 +758,59 @@ class TestMemoryGuard:
             lambda_max_covariance(m, g, a=0.1)
             _, cov_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
             sol = solve_operator_riccati(m, g)
-            _, solve_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            QuadraticEvaluator(m, g, sol)
-            _, map_peak = tracemalloc.get_traced_memory()
+            held, solve_peak = tracemalloc.get_traced_memory()
+            held -= before
+            solve_peak -= before
+            peaks = {}
+            for name, call in [("map", lambda: QuadraticEvaluator(m, g, sol)),
+                               ("psi", lambda: psi_full_matrix(m, g, n // 2, sol.disc)),
+                               ("gamma", lambda: gamma_quadratic(sol, [0, n // 2], sol.g0s[:n])),
+                               ("residual", lambda: riccati_derivative_residual(m, g, n // 2, sol.disc))]:
+                tracemalloc.reset_peak()
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert solve_peak <= quadratic.DENSE_ARRAYS * dense
-        assert map_peak <= quadratic.MAP_ARRAYS * dense
-        assert cov_peak <= quadratic.DENSE_ARRAYS * dense
-        assert set(vars(sol.disc)) == {"band", "a", "m1"}
+        assert held <= 1.1 * dense
+        assert cov_peak <= quadratic.COVARIANCE_ARRAYS * dense
+        assert peaks["map"] <= quadratic.MAP_ARRAYS * dense  # the map's count includes the solution it reads
+        for name, count in [("psi", quadratic.DENSE_ARRAYS), ("gamma", quadratic.DENSE_ARRAYS),
+                            ("residual", quadratic.RESIDUAL_ARRAYS)]:
+            assert peaks[name] - held <= count * dense, name
+        assert set(vars(sol.disc)) == {"band", "m1_band"}
+
+    @pytest.mark.parametrize("name", ["solve", "psi_full_matrix", "boundary_relation_residual",
+                                      "riccati_derivative_residual", "gamma_quadratic", "covariance", "premium_map"])
+    def test_each_dense_user_checks_its_count(self, name, monkeypatch):
+        """At its count of (N n)^2 floats each dense user runs; one byte under, it refuses before sweeping.
+
+        The sweep's readers are checked also when the caller passes the solution's ``disc``.
+        """
+        m, g = scalar_model(), make_grid(1.0, 8)
+        sol = solve_operator_riccati(m, g)
+        flat = np.ones((g.n, 1))
+        count, call, guarded = {
+            "solve": (quadratic.DENSE_ARRAYS, lambda: solve_operator_riccati(m, g), "_psi_sweep"),
+            "psi_full_matrix": (quadratic.DENSE_ARRAYS, lambda: psi_full_matrix(m, g, 3, sol.disc), "_psi_sweep"),
+            "boundary_relation_residual": (quadratic.DENSE_ARRAYS,
+                                           lambda: boundary_relation_residual(m, g, 3, flat, sol.disc), "_psi_sweep"),
+            "riccati_derivative_residual": (quadratic.RESIDUAL_ARRAYS,
+                                            lambda: riccati_derivative_residual(m, g, 3, sol.disc), "_psi_sweep"),
+            "gamma_quadratic": (quadratic.DENSE_ARRAYS, lambda: gamma_quadratic(sol, 3, flat), "_psi_sweep"),
+            "covariance": (quadratic.COVARIANCE_ARRAYS, lambda: lambda_max_covariance(m, g, a=0.1), "folded_cells"),
+            "premium_map": (quadratic.MAP_ARRAYS, lambda: QuadraticEvaluator(m, g, sol), "_premium_map"),
+        }[name]
+        need = count * 8 * g.n**2
+        monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need)
+        call()
+        monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need - 1)
+        monkeypatch.setattr(quadratic, guarded, lambda *a, **k: pytest.fail("allocated over the limit"))
+        with pytest.raises(MemoryCapError) as exc:
+            call()
+        assert exc.value.limit == need - 1
 
 
 class TestModelConstruction:
