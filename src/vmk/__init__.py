@@ -51,13 +51,11 @@ from .quadratic import (
     QuadraticEvaluator,
     QuadraticModel,
     QuadraticSolution,
-    boundary_relation_residual,
     contraction_report,
     gamma_quadratic,
     kappa_hat,
     lambda_max_covariance,
     optimal_control_quadratic,
-    riccati_derivative_residual,
     solve_operator_riccati,
     two_asset_model,
     wishart_model,

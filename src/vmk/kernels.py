@@ -157,19 +157,6 @@ def resolvent_band(band: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rev[::-1]
 
 
-def first_arg_columns(band: np.ndarray, k: int) -> np.ndarray:
-    """Columns of cell integrals in the first argument at source node t_k.
-
-    Row block i holds the integral of u -> K(u, t_k) over cell i, which for
-    a convolution kernel with lag band ``band`` (shape (n, N, N)) is
-    band[i - k] for i >= k and zero for i < k.  Shape (N n, N).
-    """
-    n, N = band.shape[0], band.shape[1]
-    out = np.zeros_like(band)
-    out[k:] = band[: n - k]
-    return out.reshape(n * N, N)
-
-
 def kernel_l2_norm_sq(kernel: Kernel, grid: TimeGrid) -> float:
     """Grid approximation of the squared L2([0,T]^2) norm of K.
 

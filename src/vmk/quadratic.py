@@ -22,15 +22,15 @@ L^2([t,T]) available in closed form,
 
 with Khat the kernel operator K(D - 2 eta C Theta) and SigTilde_t a
 deflated covariance operator.  Everything here is assembled from the cell
-discretization of the kernel.  Moving t back by one node adds a rank-N
-term to the deflating matrix, so one backward sweep of rank-N Woodbury
-updates (the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t)
-gives Psi_t at every node exactly at the discrete level, with only N x N
-factorizations.  Its product per node, Psi_t [K(., t) eta | 1], drives the
-update and gives Z2, the phi integrand and the Markovian reduction P.  The
-updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes: one matrix
-product against Psi serves a block, each node adds the block's pending
-rank-N terms, and the block ends with one in-place rank-(block N) update.
+discretization of the kernel.  On the grid Psi_t = -m1' W_t^{-1} m1 with a
+deflating matrix W_t that moving t back by one node grows by a rank-N term,
+the exact discrete form of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t.  Each W_t
+is the identity up to t and, after t, a leading principal block of one
+(d n) x (d n) matrix T formed from lag bands, so one blocked Cholesky
+factorization of T gives Psi_t at every node: the phi integrand, the
+Markovian reduction P and the volatility adjustment Z2 are prefix sums of
+one forward substitution, and the factor's first failing panel locates a
+blow-up.  No (N n)^2 operator is formed by the solve.
 
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
@@ -54,26 +54,21 @@ from .errors import (
     check_memory,
 )
 from .grid import TimeGrid, g0_nodes, node_index
-from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, first_arg_columns, fold,
-                      folded_cells, kernel_l2_norm_sq, resolvent_band)
+from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
+                      kernel_l2_norm_sq, resolvent_band)
 from .markowitz import tail_rate_integrals
 from .montecarlo import correlate_drivers
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
-# Dense (N n)^2 float arrays alive at once for d <= N, rounded up from peaks traced on
-# the two-asset preset (n = 200) and a one-factor model (n = 400): 2.85 in the solve
-# (Psi, z2_maps, panels) and at most 2.6 in the other sweep readers, 5.0 in
-# riccati_derivative_residual, 4 in lambda_max_covariance (with the copy eigvalsh makes
-# untraced) and 5.06 in _premium_map (with the solution's z2_maps).
+# Dense float arrays alive at once, rounded up from traced peaks (see README): (d n)^2 in the
+# solve, (d n, N n) in the Gamma and control readers, (N n)^2 in the spectrum and premium map.
 DENSE_ARRAYS = 3
-RESIDUAL_ARRAYS = 6
+CURVE_ARRAYS = 2
 COVARIANCE_ARRAYS = 4
 MAP_ARRAYS = 6
-# Nodes per block of the backward sweep's delayed update, and the row panel
-# height of its in-place rank-(block N) update.
-_SWEEP_BLOCK = 32
-_FLUSH_ROWS = 64
+# Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
+_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -162,9 +157,10 @@ def _bd_right(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return (x.reshape(q, n, m.shape[0]) @ m).reshape(q, n * m.shape[1])
 
 
-def _check_dense_memory(what: str, arrays: int, n: int, N: int) -> None:
-    """Raise MemoryCapError when ``arrays`` dense (N n)^2 floats exceed physical memory."""
-    check_memory(f"{what} at n = {n}, N = {N}", arrays * 8 * (n * N) ** 2, "use a coarser grid")
+def _check_dense_memory(what: str, arrays: int, rows: int, cols: int) -> None:
+    """Raise MemoryCapError when ``arrays`` dense (rows, cols) float arrays exceed physical memory."""
+    check_memory(f"{what} ({arrays} arrays of {rows} x {cols} floats)", arrays * 8 * rows * cols,
+                 "use a coarser grid")
 
 
 def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
@@ -178,96 +174,118 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     return SimpleNamespace(band=band, m1_band=model.theta @ resolvent_band(band, model.f_mat))
 
 
-def _psi_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, stops=()):
-    """Backward Riccati recursion; yields (k, psi, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lag band of fold(x) fold(y): out[l] = sum_{s <= l} x[l - s] y[s], for bands x (n, P, R) and y (n, R, Q)."""
+    n, p, r = x.shape
+    cat = x.transpose(1, 0, 2).reshape(p, n * r)  # [x[0] | x[1] | ...]
+    rev = y[::-1].reshape(n * r, -1)  # y[n - 1], ..., y[0] stacked
+    return np.stack([cat[:, : (l + 1) * r] @ rev[(n - 1 - l) * r :] for l in range(n)])
 
-    Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
-    W_k = Id + 2 sum_{j > k} q_j M0 q_j', q_j = m1 c_j and c_j the kernel
-    column K(., t_j) eta.  The one product per node, act_k = Psi_k [c_k | 1]
-    of shape (N n, 2N), gives B = Psi_k c_k and G_k = -c_k' B >= 0, and the
-    step to node k - 1 is a rank-N Woodbury update,
 
-        Psi_{k-1} = Psi_k + 2 B (Id + 2 M0 G_k)^{-1} M0 B',
+def _build_t(q: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """Lower triangle of T = Id + 2 fold(Q)(I kron M0) fold(Q)' from Q's lag band, shape ((n - 1) d)^2.
 
-    the exact discrete form of d/dt Psi = 2 Psi SigmaDot Psi.  Since
-    det W_k = prod_{j > k} det S_j with S_j = Id + 2 G_j^{1/2} M0 G_j^{1/2},
-    W_{k-1} stays positive definite exactly while every S_j does, so after
-    yielding node k the sweep raises RiccatiBlowUpError at t_{k-1} when
-    lambda_min(S_k) is below ``RCOND_MIN``.  At k = 0 there is no step and
-    the margin is reported as inf.
-
-    The updates are delayed over blocks of ``_SWEEP_BLOCK`` nodes from n: inside
-    a block Psi_k = Psi_base + sum_pending 2 B_j X_j B_j'.  One product
-    Psi_base [c_k ...] serves the whole block, running sums of Psi_base's
-    column blocks give Psi_base 1, each node adds the small pending
-    corrections, and the block ends with one rank-(block N) update of
-    Psi_base applied in place, in row panels.  A block also starts at each
-    node of ``stops``, where Psi_base is Psi_k, and node 0 applies the
-    pending updates after its product.  ``psi`` is Psi_k, the sweep's own
-    array, at the stops and at node 0, and None elsewhere; the rest of the
-    sweep updates it in place.  m1 is folded from its band for Psi_n = -m1' m1
-    and dropped before the first block.
+    Block (a, b), a >= b, is delta_ab I + 2 sum_{s <= b} Q[a - b + s] M0 Q[s]', so it
+    is block (a - 1, b - 1) plus 2 Q[a] M0 Q[b]': one product G = (Q M0) Q' and a
+    running sum down each block diagonal, one block row at a time, in place.
     """
-    n, N = grid.n, model.n_state
-    nN = n * N
-    m0, nodes = model.m0, grid.nodes
-    eye = np.eye(N)
-    # rows k N: of [c_k | 1] are the first (n - k) N rows of [c_0 | 1]
-    rhs = np.concatenate([(disc.band @ model.eta).reshape(nN, N), np.tile(eye, (n, 1))], axis=1)
-    m1 = fold(disc.m1_band)
-    psi = m1.T @ m1
-    del m1
-    psi *= -1.0
-    u = np.empty((nN, _SWEEP_BLOCK * N))  # pending B_j
-    ux = np.empty_like(u)  # pending 2 B_j X_j
-    p = 0  # pending columns
-    top = n
-    while True:
-        bottom = max([top - _SWEEP_BLOCK + 1, 0] + [s + 1 for s in stops if 0 < s < top])
-        block = range(top, bottom - 1, -1)
-        low = bottom * N
-        cols = np.zeros((nN - low, len(block) * N))
-        for i, k in enumerate(block):
-            cols[k * N - low :, i * N : (i + 1) * N] = rhs[: nN - k * N, :N]
-        base = psi[:, low:] @ cols
-        tail = psi[:, top * N :].reshape(nN, n - top, N).sum(axis=1)
-        for i, k in enumerate(block):
-            lo = k * N  # c_k vanishes on rows before node k (Volterra)
-            if k < top:
-                tail += psi[:, lo : lo + N]
-            r = rhs[: nN - lo]
-            act = np.concatenate([base[:, i * N : (i + 1) * N], tail], axis=1)
-            act += ux[:, :p] @ (u[lo:, :p].T @ r)
-            b = act[:, :N]
-            g = -r[:, :N].T @ b[lo:]
-            if k == 0:
-                break
-            t = float(nodes[k - 1])
-            if not np.all(np.isfinite(g)):
-                raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
-            ev, vec = np.linalg.eigh(0.5 * (g + g.T))
-            root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
-            lam, w = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-            yield k, psi if k == top and k in stops else None, act, g, float(lam[0])
-            if lam[0] < RCOND_MIN:
-                raise RiccatiBlowUpError(
-                    "operator Riccati solution blows up: the deflating matrix loses positive "
-                    f"definiteness at t={t:.6g} (lambda_min {lam[0]:.3e})",
-                    time=t,
-                )
-            # (Id + 2 M0 G)^{-1} M0 = M0 - 2 M0 G^{1/2} S^{-1} G^{1/2} M0, symmetric
-            v = m0 @ root @ w
-            x = m0 - 2.0 * (v / lam) @ v.T
-            u[:, p : p + N] = b
-            ux[:, p : p + N] = (2.0 * b) @ x
-            p += N
-        for r in range(0, nN, _FLUSH_ROWS):
-            psi[r : r + _FLUSH_ROWS] += ux[r : r + _FLUSH_ROWS, :p] @ u[:, :p].T
-        p = 0
-        if k == 0:
-            yield k, psi, act, g, np.inf
-            return
-        top = k - 1
+    n1, d = q.shape[0] - 1, q.shape[1]
+    qf = q[:n1].reshape(n1 * d, -1)
+    t = (qf @ m0) @ qf.T
+    t4 = t.reshape(n1, d, n1, d)
+    for a in range(1, n1):
+        t4[a, :, 1 : a + 1] += t4[a - 1, :, :a]
+    t *= 2.0
+    t.reshape(-1)[:: n1 * d + 1] += 1.0
+    return t
+
+
+def _cholesky(t: np.ndarray, rows: int) -> int:
+    """Overwrite t's lower triangle with its Cholesky factor, and zero the rest, ``rows`` rows at a time.
+
+    LAPACK factors each diagonal panel, the panel's inverse times the rows below,
+    and column strips update the trailing lower triangle.  Returns the rows
+    factored before the first panel not numerically positive definite, which
+    then holds the Schur complement it failed on.
+    """
+    size = t.shape[0]
+    for r0 in range(0, size, rows):
+        r1 = min(r0 + rows, size)
+        try:
+            low = np.linalg.cholesky(t[r0:r1, r0:r1])
+        except np.linalg.LinAlgError:
+            return r0
+        if not np.all(np.isfinite(low)):
+            return r0
+        t[r0:r1, r0:r1] = low
+        t[r0:r1, r1:] = 0.0
+        below = t[r1:, r0:r1]
+        below[...] = below @ np.linalg.inv(low).T
+        for c0 in range(r1, size, rows):
+            t[c0:, c0 : c0 + rows] -= below[c0 - r1 :] @ below[c0 - r1 : c0 - r1 + rows].T
+    return size
+
+
+def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place, by panel inverses; C is the leading len(b) rows of c."""
+    size, rows = b.shape[0], _PANEL_ROWS
+    for r0 in reversed(range(0, size, rows)) if trans else range(0, size, rows):
+        r1 = min(r0 + rows, size)
+        b[r0:r1] -= c[r1:size, r0:r1].T @ b[r1:] if trans else c[r0:r1, :r0] @ b[:r0]
+        inv = np.linalg.inv(c[r0:r1, r0:r1])
+        b[r0:r1] = (inv.T if trans else inv) @ b[r0:r1]
+    return b
+
+
+def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, failed) -> np.ndarray:
+    """lambda_min(S_k) at the nodes k = n, ..., 1 (inf at node 0); raises at t_{k-1} for the first failing k from n.
+
+    G_k is read for k >= ``first``; a node fails when G_k is not finite or its
+    margin is below ``RCOND_MIN``.  ``failed`` is None when T was factored, else
+    the block its factorization failed on, which is node ``first``'s when every
+    G_k read passes: a loss of definiteness if finite, of finiteness if not.
+    """
+    n = grid.n
+    nodes = np.arange(n, max(first, 1) - 1, -1)
+    finite = np.isfinite(g[nodes]).all(axis=(1, 2))
+    stop = len(nodes) if finite.all() else int(finite.argmin())
+    lam = np.full(n + 1, np.inf)
+    ev, vec = np.linalg.eigh(0.5 * (g[nodes[:stop]] + g[nodes[:stop]].transpose(0, 2, 1)))
+    root = (vec * np.sqrt(np.maximum(ev, 0.0))[:, None, :]) @ vec.transpose(0, 2, 1)
+    lam[nodes[:stop]] = np.linalg.eigvalsh(np.eye(m0.shape[0]) + 2.0 * root @ m0 @ root)[:, 0]
+    low = lam[nodes[:stop]] < RCOND_MIN
+    lost = stop < len(nodes) or (failed is not None and not np.all(np.isfinite(failed)))
+    if low.any() or (failed is not None and not lost):
+        k = int(nodes[low.argmax()]) if low.any() else int(nodes[-1])
+        t = float(grid.nodes[k - 1])
+        raise RiccatiBlowUpError(
+            "operator Riccati solution blows up: the deflating matrix loses positive "
+            f"definiteness at t={t:.6g} (lambda_min {lam[k]:.3e})",
+            time=t,
+        )
+    if lost:
+        t = float(grid.nodes[nodes[min(stop, len(nodes) - 1)] - 1])
+        raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
+    return lam
+
+
+def _curve_terms(factor: np.ndarray, q_image: np.ndarray, m1_band: np.ndarray, g: np.ndarray, dt: float):
+    """(Z2 at the nodes 0, ..., n - 1, dt <g, Psi_0 g>) for a time-varying curve g (n, N).
+
+    u[i, :, k] = (m1 g_k)[k + i], g_k the curve from node k, gives
+    Z2_k = -2 u_k' W_k^{-1} q_k and <g, Psi_0 g> = -u_0' W_0^{-1} u_0; one solve
+    against the factor serves every node, each reading its first n - 1 - k blocks.
+    """
+    n, d = g.shape[0], m1_band.shape[1]
+    u = np.zeros((n, d, n))
+    u[0] = m1_band[0] @ g.T
+    for i in range(1, n):  # (m1 g_k)[k + i] = (m1 g_{k+1})[k + i] + m1_band[i] g[k]
+        u[i, :, : n - i] = u[i - 1, :, 1 : n - i + 1] + m1_band[i] @ g[: n - i].T
+    w = _tri_solve(factor, u[1:].reshape((n - 1) * d, n)).reshape(n - 1, d, n)
+    quad0 = -dt * float(u[0, :, 0] @ u[0, :, 0] + np.sum(w[:, :, 0] ** 2))
+    for a in range(n - 1):
+        w[a, :, n - 1 - a :] = 0.0
+    return -2.0 * (u[0].T @ q_image[:d] + w.reshape((n - 1) * d, n).T @ q_image[d:]), quad0
 
 
 @dataclass(frozen=True)
@@ -279,12 +297,15 @@ class QuadraticSolution:
     phi, phidot : (n+1,) scalar correction and its derivative.
     p_path : (n+1, N, N) reduction <1, Psi_t 1>; in the Markovian
         specialization this is the matrix Riccati path.
-    z2_maps : (n+1, N n, N) linear maps from curve samples to half the
-        volatility adjustment: Z2(t_k) = 2 z2_maps[k]' g.
-    z2_det, premium_profile : the adjustment and the full risk premium
-        profile evaluated on the initial (deterministic) curve.
+    z2_det, premium_profile : the volatility adjustment
+        Z2(t_k) = 2 g' Psi_k K(., t_k) eta and the full risk premium profile,
+        evaluated on the initial (deterministic) curve.
     gamma0 : closed-form Gamma_0.
-    min_rcond : smallest lambda_min(S_k) met by the backward sweep.
+    min_rcond : smallest lambda_min(S_k) met from the horizon back.
+    factor : ((n-1) d)^2 lower triangular Cholesky factor C of T, whose
+        leading (n - 1 - k) d rows factor W_k after node k.
+    q_image : (n d, N) [Q[0]; C^{-1} Q[1:]]; its first (n - k) d rows are
+        m1 K(., t_k) eta from node k over W_k's Cholesky factor there.
     disc : the lag bands ``band`` and ``m1_band`` of ``_discretize``.
     g0s : the initial curve at all n+1 nodes.
     """
@@ -294,56 +315,77 @@ class QuadraticSolution:
     phi: np.ndarray
     phidot: np.ndarray
     p_path: np.ndarray
-    z2_maps: np.ndarray
     z2_det: np.ndarray
     premium_profile: np.ndarray
     gamma0: float
     min_rcond: float
+    factor: np.ndarray
+    q_image: np.ndarray
     disc: SimpleNamespace
     g0s: np.ndarray
 
 
 def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSolution:
-    """Evaluate the closed-form operator Riccati solution at every node.
+    """Evaluate the closed-form operator Riccati solution at every node from one Cholesky factor.
 
-    One backward sweep (see ``_psi_sweep``) carries Psi_k from the horizon
-    by a delayed rank-N update per node, and every per-node output is read
-    off the sweep's product of Psi_k with the kernel columns K(., t_k) eta
-    (giving the volatility adjustment Z2 and the phi integrand) and the
-    constant function (giving the Markovian reduction P); Psi_0 acts on the
-    initial curve.  ``min_rcond`` records the smallest lambda_min(S_k) met on the
-    way, the distance of the deflating matrix from losing definiteness.
+    Psi_k = -m1' W_k^{-1} m1 with W_k = Id + 2 sum_{j > k} q_j M0 q_j', where
+    q_j = m1 K(., t_j) eta is one lag band Q shifted down j blocks, so W_k is
+    the identity up to node k and after it the leading m = n - 1 - k blocks
+    of one matrix T (``_build_t``), factored by the leading blocks C_m of
+    T's factor C.  With y = C^{-1} [Q[1:] | H[1:]], H the running sum of m1's
+    band (m1 1_{>=k} is H shifted down k blocks), every output is a prefix sum:
+
+        G_k = q_k' W_k^{-1} q_k = Q[0]'Q[0] + sum_{a < m} y_Q[a]' y_Q[a],
+        <1, Psi_k 1> = -(H[0]'H[0] + sum_{a < m} y_H[a]' y_H[a]),
+
+    and likewise Z2 on the initial curve.  G_k gives phi' and the margin
+    lambda_min(S_k), S_k = Id + 2 G_k^{1/2} M0 G_k^{1/2}; as
+    det W_{k-1} = det W_k det S_k, T is positive definite exactly while every
+    S_k is, and ``min_rcond`` is the smallest margin.
 
     Raises
     ------
     MemoryCapError
-        When ``DENSE_ARRAYS`` (N n)^2 floats would not fit in memory.
+        When ``DENSE_ARRAYS`` (d n)^2 floats would not fit in memory.
     RiccatiBlowUpError
-        When some S_k has an eigenvalue below ``RCOND_MIN``, i.e. the
-        deflating matrix W_k loses positive definiteness, which is how
-        finite-time blow-up of the Riccati solution manifests on the
-        grid; carries the first failing time scanning backwards from the
-        horizon.
+        When some S_k has an eigenvalue below ``RCOND_MIN`` or G_k is not
+        finite: W_{k-1} loses positive definiteness, which is how finite-time
+        blow-up shows on the grid.  Carries t_{k-1} for the first such node
+        from the horizon, which the factorization's first failing panel holds.
     """
-    n, N, dt = grid.n, model.n_state, grid.dt
-    _check_dense_memory("the dense quadratic solve", DENSE_ARRAYS, n, N)
+    n, N, d, dt = grid.n, model.n_state, model.n_assets, grid.dt
+    _check_dense_memory("the quadratic solve", DENSE_ARRAYS, n * d, n * d)
     disc = _discretize(model, grid)
     rn = g0_nodes(model.rate, grid, name="rate")
     g0s = g0_nodes(model.g0, grid, N)
-    g0_samples = g0s[:n].reshape(n * N)
-    phidot = np.zeros(n + 1)
+    q = _convolve(disc.m1_band, disc.band @ model.eta)
+    h = np.cumsum(disc.m1_band, axis=0)
+    factor = _build_t(q, model.m0)
+    panel = max(_PANEL_ROWS // d, 1) * d  # whole blocks, so a failing panel starts at a node
+    rows = _cholesky(factor, panel)
+    if rows < factor.shape[0]:  # locate the failing block inside the failing panel
+        rows += _cholesky(factor[rows : rows + panel, rows : rows + panel], d)
+    blocks = rows // d
+    y = np.concatenate([q, h], axis=2)  # [Q[0] | H[0]], then C^{-1} [Q[1:] | H[1:]] on the blocks factored
+    _tri_solve(factor, y[1:].reshape(-1, 2 * N)[:rows])
+    y = y[: blocks + 1]
+    gram = np.cumsum(np.einsum("adi,adj->aij", y, y), axis=0)  # [Q | H]' W_k^{-1} [Q | H] over m + 1 blocks
+    m_of_k = np.arange(n - 1, -1, -1)  # W_k's trailing blocks, k = 0, ..., n - 1
+    first = n - 1 - blocks  # the last node, from the horizon, whose G_k the factor gives
+    g = np.zeros((n + 1, N, N))
+    g[first:n] = gram[m_of_k[first:], :N, :N]
+    failed = factor[rows : rows + d, rows : rows + d] if rows < factor.shape[0] else None
+    lam = _node_margins(grid, model.m0, g, first, failed)
+    phidot = (1.0 / dt) * np.einsum("kij,ji->k", g, model.u_mat) - 2.0 * rn
     p_path = np.zeros((n + 1, N, N))
-    min_rcond = np.inf
-    for k, psi, act, g, lam in _psi_sweep(model, grid, disc):
-        if k == n:  # the sweep has dropped m1
-            z2_maps = np.zeros((n + 1, n * N, N))
-        min_rcond = min(min_rcond, lam)
-        lo = k * N
-        z2_maps[k, lo:] = act[lo:, :N]
-        p_path[k] = dt * act[lo:, N:].reshape(n - k, N, N).sum(axis=0)
-        phidot[k] = (1.0 / dt) * float(np.trace(g @ model.u_mat)) - 2.0 * rn[k]
-    quad0 = dt * float(g0_samples @ (psi @ g0_samples))  # the sweep ends at Psi_0
-    z2_det = 2.0 * g0_samples @ z2_maps
+    p_path[:n] = -dt * gram[m_of_k, N:, N:]
+    q_image = y[:, :, :N].reshape(n * d, N)
+    z2_det = np.zeros((n + 1, N))
+    if np.all(g0s[:n] == g0s[0]):  # m1 g_k is H g0 shifted down k blocks
+        z2_det[:n] = -2.0 * gram[m_of_k, N:, :N].transpose(0, 2, 1) @ g0s[0]
+        quad0 = float(g0s[0] @ p_path[0] @ g0s[0])
+    else:
+        z2_det[:n], quad0 = _curve_terms(factor, q_image, disc.m1_band, g0s[:n], dt)
     premium_profile = g0s @ model.theta.T + z2_det @ model.corr
     phi = np.zeros(n + 1)
     for k in range(n - 1, -1, -1):
@@ -368,108 +410,51 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         else:
             raise InternalConsistencyError(msg)
     return QuadraticSolution(
-        model=model, grid=grid, phi=phi, phidot=phidot, p_path=p_path, z2_maps=z2_maps,
-        z2_det=z2_det, premium_profile=premium_profile, gamma0=gamma0,
-        min_rcond=min_rcond, disc=disc, g0s=g0s,
+        model=model, grid=grid, phi=phi, phidot=phidot, p_path=p_path, z2_det=z2_det,
+        premium_profile=premium_profile, gamma0=gamma0, min_rcond=float(lam.min()), factor=factor,
+        q_image=q_image, disc=disc, g0s=g0s,
     )
 
 
-def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> np.ndarray:
-    """Dense folded matrix of Psi_{t_k} (identity part included), (Nn, Nn).
+def _curve_images(sol: QuadraticSolution, m1: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
+    """u = [(m1 g_k)[k]; C_m^{-1} (m1 g_k)[k+1:]], shape (P, (n - k) d), for curves g (P, n, N) masked before node k.
 
-    Runs the backward recursion of ``_psi_sweep`` from the horizon down to
-    node k and zeroes the rows and columns before node k, so the matrix
-    represents the operator on L^2([t_k, T]) embedded in the full grid.
-    Like every sweep reader, it checks its memory count before sweeping.
+    m1 is fold(m1_band); <g_k, Psi_k g_k> = -|u|^2, <g_k, Psi_k K(., t_k) eta> = -u q_image[: (n - k) d].
     """
-    k = node_index(k, grid.n)
-    _check_dense_memory("the restricted Psi matrix", DENSE_ARRAYS, grid.n, model.n_state)
-    disc = _discretize(model, grid) if disc is None else disc
-    return _restricted_psi(model, grid, disc, (k,))[0]
+    n, d, N = sol.grid.n, sol.model.n_assets, sol.model.n_state
+    rows = (n - k) * d
+    u = g[:, k:].reshape(len(g), -1) @ m1[:rows, : (n - k) * N].T
+    u[:, d:] = _tri_solve(sol.factor, u[:, d:].T.copy()).T
+    return u
 
 
-def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, nodes) -> list:
-    """Psi_k with the rows and columns before node k zeroed, for each of the descending ``nodes``, from one sweep."""
-    N = model.n_state
-    out = []
-    for k, psi, *_ in _psi_sweep(model, grid, disc, nodes):
-        if k == nodes[len(out)]:
-            full = psi.copy()
-            full[: k * N] = 0.0
-            full[:, : k * N] = 0.0
-            out.append(full)
-            if len(out) == len(nodes):
-                return out
-
-
-def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
-    """Folded time derivative of Sigma_t at t_k: -K(., t_k) eta M0 eta' K(., t_k)'."""
-    cveta = first_arg_columns(band @ model.eta, k)
-    return -(1.0 / grid.dt) * (cveta @ model.m0) @ cveta.T
-
-
-def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> float:
-    """Relative residual of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t at node k.
-
-    Compares the forward difference of the dense Psi matrices with the
-    quadratic right-hand side on the common tail block; decays like the
-    step size under refinement.
-    """
-    N = model.n_state
-    k = node_index(k, grid.n - 1)
-    _check_dense_memory("the Riccati derivative residual", RESIDUAL_ARRAYS, grid.n, N)
-    disc = _discretize(model, grid) if disc is None else disc
-    pk1, pk = _restricted_psi(model, grid, disc, (k + 1, k))
-    rhs = 2.0 * pk @ sigma_dot_folded(model, grid, k, disc.band) @ pk
-    lo = (k + 1) * N
-    res = (pk1 - pk) / grid.dt - rhs
-    scale = max(1.0, float(np.abs(rhs[lo:, lo:]).max()))
-    return float(np.abs(res[lo:, lo:]).max()) / scale
-
-
-def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f: np.ndarray, disc: SimpleNamespace = None) -> float:
-    """Residual of (Psi_t f)(t) = -Theta'Theta f(t) + (Khat^* Psi_t f)(t) at t_k."""
-    n, N = grid.n, model.n_state
-    k = node_index(k, n - 1)
-    disc = _discretize(model, grid) if disc is None else disc
-    fa = np.asarray(f, dtype=float).reshape(n, N).copy()
-    fa[:k] = 0.0
-    flat = fa.reshape(n * N)
-    act = psi_full_matrix(model, grid, k, disc) @ flat
-    lhs = act.reshape(n, N)[k]
-    cv = first_arg_columns(disc.band, k)
-    rhs = -(model.theta.T @ model.theta) @ fa[k] + model.f_mat.T @ (cv.T @ act)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
-    """Gamma at node k, or at each node of the sequence k, for curve samples g_rows of shape (n, N) or (P, n, N).
-
-    Gamma_k = exp(phi_k + <g, Psi_k g>) with the curve rows before node k
-    masked; every requested node is read from one backward sweep.  Returns
-    a float for one node and one curve, else an array over the paths
-    (P,), the nodes (len(k),) or both (len(k), P).
-    """
-    grid, N = sol.grid, sol.model.n_state
-    n = grid.n
+def _curve_rows(sol: QuadraticSolution, g_rows: np.ndarray):
+    """Curve samples as (P, n, N) and whether one curve (n, N) was given; refuses any other shape."""
+    n, N = sol.grid.n, sol.model.n_state
     g = np.asarray(g_rows, dtype=float)
     single = g.ndim == 2
     if single:
         g = g[None, :, :]
     if g.shape[1:] != (n, N):
         raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
+    return g, single
+
+
+def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
+    """Gamma at node k, or at each node of the sequence k, for curve samples g_rows of shape (n, N) or (P, n, N).
+
+    Gamma_k = exp(phi_k + <g, Psi_k g>) with the curve rows before node k
+    masked, <g, Psi_k g> = -dt |u|^2 read from the solution's factor (see
+    ``_curve_images``).  Returns a float for one node and one curve, else
+    an array over the paths (P,), the nodes (len(k),) or both (len(k), P).
+    """
+    grid, model = sol.grid, sol.model
+    n = grid.n
+    g, single = _curve_rows(sol, g_rows)
     nodes = node_index(k, n, many=True)
-    _check_dense_memory("the Gamma sweep", DENSE_ARRAYS, n, N)
-    flat = g.reshape(-1, n * N)
-    wanted = set(nodes.flat)
-    quad = {}
-    for j, psi, *_ in _psi_sweep(sol.model, grid, sol.disc, wanted):
-        if j in wanted:
-            lo = j * N
-            tail = flat[:, lo:]  # the curve with its rows before node j masked
-            quad[j] = grid.dt * np.einsum("pi,pi->p", tail @ psi[lo:, lo:], tail)
-            if len(quad) == len(wanted):
-                break
+    _check_dense_memory("the Gamma functional", CURVE_ARRAYS, n * model.n_assets, n * model.n_state)
+    m1 = fold(sol.disc.m1_band)
+    quad = {j: -grid.dt * np.sum(_curve_images(sol, m1, j, g) ** 2, axis=1) for j in set(nodes.flat)}
     gam = np.exp(np.array([sol.phi[j] + quad[j] for j in nodes.flat])).reshape(nodes.shape + (-1,))
     if single:
         gam = gam[..., 0]
@@ -482,13 +467,8 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
     g_t holds curve samples on the left nodes, shape (n, N) or (P, n, N);
     only slots at or after t_index are read.  x_t is scalar or (P,).
     """
-    grid, N, n = sol.grid, model.n_state, sol.grid.n
-    g = np.asarray(g_t, dtype=float)
-    single = g.ndim == 2
-    if single:
-        g = g[None, :, :]
-    if g.shape[1:] != (n, N):
-        raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
+    n, d = sol.grid.n, model.n_assets
+    g, single = _curve_rows(sol, g_t)
     t_index = node_index(t_index, n)
     if t_index == n:
         y = g[:, n - 1, :]
@@ -496,7 +476,9 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
                       RuntimeWarning, stacklevel=2)
     else:
         y = g[:, t_index, :]
-    z2 = 2.0 * g.reshape(-1, n * N) @ sol.z2_maps[t_index]
+    _check_dense_memory("the quadratic control", CURVE_ARRAYS, n * d, n * model.n_state)
+    u = _curve_images(sol, fold(sol.disc.m1_band), t_index, g)
+    z2 = -2.0 * u @ sol.q_image[: (n - t_index) * d]
     prem = y @ model.theta.T + z2 @ model.corr
     gap = np.asarray(x_t, dtype=float) - float(xi_discounted)
     if gap.ndim == 0:
@@ -504,6 +486,34 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
     else:
         alpha = -prem * gap[:, None]
     return alpha[0] if single else alpha
+
+
+def z2_maps(sol: QuadraticSolution) -> np.ndarray:
+    """Linear maps from curve samples to half the volatility adjustment, shape (n+1, N n, N).
+
+    Z2(t_k) = 2 z2_maps[k]' g: z2_maps[k] is Psi_k K(., t_k) eta from node k,
+    -(m1' x_k) with x_k = W_k^{-1} q_k: Q[0], then C_m^{-T} y_Q[:m] on the next
+    m = n - 1 - k blocks.  A triangular inverse's leading block inverts the
+    leading block, so one back substitution against y_Q masked after m blocks
+    and one product with m1' give every map, returned as a transposed view.
+    """
+    n, N, d = sol.grid.n, sol.model.n_state, sol.model.n_assets
+    nN = n * N
+    x = np.empty((n, d, n, N))  # x[:, :, k] = x_k from block k on, zero past the horizon
+    x[0] = sol.q_image[:d, None, :]
+    x[1:] = sol.q_image[d:].reshape(n - 1, d, 1, N)
+    for a in range(n - 1):  # node k reads the first n - 1 - k blocks
+        x[1 + a, :, n - 1 - a :] = 0.0
+    _tri_solve(sol.factor, x[1:].reshape((n - 1) * d, nN), trans=True)
+    out = np.zeros(((n + 1) * N, nN))  # row block k: z2_maps[k]'
+    m1 = fold(sol.disc.m1_band)
+    np.matmul(x.reshape(n * d, nN).T, m1, out=out[:nN])  # row block k, block j: (m1' x_k)[k + j]'
+    del x, m1
+    for k in range(1, n):
+        out[k * N : (k + 1) * N, k * N :] = out[k * N : (k + 1) * N, : nN - k * N].copy()
+        out[k * N : (k + 1) * N, : k * N] = 0.0
+    out *= -1.0
+    return out.reshape(n + 1, N, nN).transpose(0, 2, 1)
 
 
 def volatility_matrix(model: QuadraticModel, y: np.ndarray) -> np.ndarray:
@@ -538,22 +548,25 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
         Y_n = g0_n + sum_j band[n-j-1] u_j,
         premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
 
-    with A the folded kernel, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps[k]``.
+    with A the folded kernel, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps(sol)[k]``.
     Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d); the
     state columns come first, node-major.
     """
     n, N, d = grid.n, model.n_state, model.n_assets
     nN, dt, band = n * N, grid.dt, sol.disc.band
+    cz = (model.corr.T @ z2_maps(sol)[:n].transpose(0, 2, 1)).reshape(n * d, nN)  # rows C' Z_k'
     a = folded_cells(model.kernel, grid)
+    # keep the blocks j < k of C' Z_k' A: the curve at step k has seen u_j, j < k
+    cza = cz @ a
+    del cz
+    cza.reshape(n, d, n, N)[...] *= np.tri(n, k=-1)[:, None, :, None]
     # Column 0 is the deterministic state, the others its response to dW/dt.
     y = np.empty((nN, nN + 1))
     y[:, 0] = sol.g0s[:n].reshape(nN)
     np.divide(_bd_right(a, model.eta, n), dt, out=y[:, 1:])
-    y = fold(resolvent_band(band, model.drift)) @ y
-    # rows C' Z_k' A, keeping the blocks j < k: the curve at step k has seen u_j, j < k
-    cza = (sol.z2_maps[:n] @ model.corr).transpose(0, 2, 1).reshape(n * d, nN) @ a
     del a
-    cza.reshape(n, d, n, N)[...] *= np.tri(n, k=-1)[:, None, :, None]
+    if np.any(model.drift):  # at zero drift R is the identity
+        y = fold(resolvent_band(band, model.drift)) @ y
     u = _bd_left(model.drift, y, n)
     eta_dt = model.eta / dt
     for j in range(n):  # eta dW_j/dt enters u_j
@@ -588,7 +601,7 @@ class QuadraticEvaluator:
         self.grid = grid
         self.solution = solve_operator_riccati(model, grid) if solution is None else solution
         self.n_factors = model.n_assets + model.n_state
-        _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n, model.n_state)
+        _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n * model.n_state, grid.n * model.n_state)
         self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
     def premium_paths(self, z: np.ndarray):
@@ -662,7 +675,7 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> di
     ``COVARIANCE_ARRAYS`` (N n)^2 floats would not fit in physical memory.
     """
     n, N = grid.n, model.n_state
-    _check_dense_memory("the covariance spectrum", COVARIANCE_ARRAYS, n, N)
+    _check_dense_memory("the covariance spectrum", COVARIANCE_ARRAYS, n * N, n * N)
     horizon, dt = grid.horizon, grid.dt
     band = band_coefficients(model.kernel, grid)
     ev, vec = np.linalg.eigh(model.u_mat)

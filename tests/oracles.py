@@ -8,8 +8,11 @@ per-cell kernel band and its gathered fold, the quadratic solve's dense factors 
 folded from its lag bands, the dense LU Volterra solve that the resolvent
 band replaced, the cell table of a kernel piecewise constant on the grid, the quadratic
 covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
-Last, the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
+Then the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
 the whole-array wealth step, the columnar writer and the batched ``asset_positions`` replaced.
+Last, the quadratic route as a backward sweep over dense (N n)^2 operators, which the one
+Cholesky factor of T replaced: the dense T, the per-node rank-N Woodbury sweep, the solution
+read off a sweep, and the Psi readers that check the paper's derivative and boundary relations.
 """
 
 import csv
@@ -23,11 +26,12 @@ import numpy as np
 from vmk.affine import AffineModel
 from vmk.cli import _fmt
 from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
-from vmk.grid import TimeGrid, g0_nodes
+from vmk.grid import TimeGrid, g0_nodes, node_index
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, fold, folded_cells
 from vmk.markowitz import tail_rate_integrals
 from vmk.montecarlo import gamma_factors, simulate_drivers, simulate_wealth
-from vmk.quadratic import QuadraticModel, _bd_left, _bd_right, _discretize, volatility_matrix
+from vmk.quadratic import (RCOND_MIN, QuadraticModel, _bd_left, _bd_right, _check_dense_memory, _discretize,
+                           volatility_matrix)
 
 COND_LIMIT = 1e12
 ODE_CAP = 1e6
@@ -395,3 +399,183 @@ def positions_per_row(model: QuadraticModel, states: np.ndarray, alpha: np.ndarr
         if np.isfinite(cond) and cond <= 1e12:
             out[k] = np.linalg.solve(sig.T, alpha[k])
     return out
+
+
+# Dense (N n)^2 float arrays the per-node sweep's readers hold at once: Psi and the
+# rank-N update's product in the sweep, and 5.0 traced in riccati_derivative_residual.
+SWEEP_ARRAYS = 3
+RESIDUAL_ARRAYS = 6
+
+
+def first_arg_columns(band: np.ndarray, k: int) -> np.ndarray:
+    """Columns of cell integrals in the first argument at source node t_k.
+
+    Row block i holds the integral of u -> K(u, t_k) over cell i, which for
+    a convolution kernel with lag band ``band`` (shape (n, N, N)) is
+    band[i - k] for i >= k and zero for i < k.  Shape (N n, N).
+    """
+    n, N = band.shape[0], band.shape[1]
+    out = np.zeros_like(band)
+    out[k:] = band[: n - k]
+    return out.reshape(n * N, N)
+
+
+def dense_t(model: QuadraticModel, disc: SimpleNamespace) -> np.ndarray:
+    """T = Id + 2 fold(Q)(I kron M0) fold(Q)' with fold(Q) = m1 a kron(I_n, eta) on nodes 1..n-1, densely.
+
+    Block column j of m1 a kron(I_n, eta) is q_{j+1} = m1 K(., t_{j+1}) eta, which is Q
+    shifted down j + 1 blocks; dropping its first block row leaves fold(Q[: n - 1]).
+    """
+    n, N, d = disc.band.shape[0], model.n_state, model.n_assets
+    a, m1 = dense_factors(disc)
+    qf = (m1 @ _bd_right(a, model.eta, n))[d:, : (n - 1) * N]
+    return np.eye((n - 1) * d) + 2.0 * qf @ np.kron(np.eye(n - 1), model.m0) @ qf.T
+
+
+def per_node_sweep(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, stops=()):
+    """Backward Riccati recursion; yields (k, psi, act_k, G_k, lambda_min(S_k)) for k = n, ..., 0.
+
+    Psi_k is the full-grid (N n, N n) closed form -m1' W_k^{-1} m1 with
+    W_k = Id + 2 sum_{j > k} q_j M0 q_j', q_j = m1 c_j and c_j the kernel
+    column K(., t_j) eta.  The one product per node, act_k = Psi_k [c_k | 1]
+    of shape (N n, 2N), gives B = Psi_k c_k and G_k = -c_k' B >= 0, and the
+    step to node k - 1 is the rank-N Woodbury update
+
+        Psi_{k-1} = Psi_k + 2 B (Id + 2 M0 G_k)^{-1} M0 B',
+
+    the exact discrete form of d/dt Psi = 2 Psi SigmaDot Psi, applied to Psi
+    at every node.  After yielding node k it raises RiccatiBlowUpError at
+    t_{k-1} when lambda_min(S_k), S_k = Id + 2 G_k^{1/2} M0 G_k^{1/2}, is below
+    ``RCOND_MIN``; at k = 0 there is no step and the margin is inf.  ``psi``
+    is Psi_k, the sweep's own array, at the ``stops`` and at node 0, and None
+    elsewhere.
+    """
+    n, N = grid.n, model.n_state
+    m0 = model.m0
+    eye = np.eye(N)
+    m1 = fold(disc.m1_band)
+    psi = m1.T @ m1
+    del m1
+    psi *= -1.0
+    for k in range(n, -1, -1):
+        lo = k * N
+        c = first_arg_columns(disc.band @ model.eta, k)[lo:]
+        act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
+        b = act[:, :N]
+        g = -c.T @ b[lo:]
+        if k == 0:
+            yield k, psi, act, g, np.inf
+            return
+        t = float(grid.nodes[k - 1])
+        if not np.all(np.isfinite(g)):
+            raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
+        ev, vec = np.linalg.eigh(0.5 * (g + g.T))
+        root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
+        lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
+        yield k, psi if k in stops else None, act, g, float(lam[0])
+        if lam[0] < RCOND_MIN:
+            raise RiccatiBlowUpError(f"deflating matrix loses definiteness at t={t:.6g}", time=t)
+        v = m0 @ root @ u
+        x = m0 - 2.0 * (v / lam) @ v.T
+        psi += (2.0 * b @ x) @ b.T
+
+
+def sweep_solution(model: QuadraticModel, grid: TimeGrid, sweep=per_node_sweep) -> SimpleNamespace:
+    """The ``QuadraticSolution`` outputs read off a backward sweep, plus ``z2_maps`` and ``psi0``.
+
+    Per node the sweep's product act_k = Psi_k [c_k | 1] gives z2_maps[k], P and
+    G_k; Psi_0 acts on the initial curve.  No bound is checked.
+    """
+    n, N, dt = grid.n, model.n_state, grid.dt
+    disc = _discretize(model, grid)
+    rn = g0_nodes(model.rate, grid, name="rate")
+    g0s = g0_nodes(model.g0, grid, N)
+    g0_samples = g0s[:n].reshape(n * N)
+    phidot = np.zeros(n + 1)
+    p_path = np.zeros((n + 1, N, N))
+    z2_maps = np.zeros((n + 1, n * N, N))
+    min_rcond = np.inf
+    for k, psi, act, g, lam in sweep(model, grid, disc):
+        min_rcond = min(min_rcond, lam)
+        lo = k * N
+        z2_maps[k, lo:] = act[lo:, :N]
+        p_path[k] = dt * act[lo:, N:].reshape(n - k, N, N).sum(axis=0)
+        phidot[k] = (1.0 / dt) * float(np.trace(g @ model.u_mat)) - 2.0 * rn[k]
+    z2_det = 2.0 * g0_samples @ z2_maps
+    phi = np.zeros(n + 1)
+    for k in range(n - 1, -1, -1):
+        phi[k] = phi[k + 1] - 0.5 * dt * (phidot[k] + phidot[k + 1])
+    gamma0 = float(np.exp(phi[0] + dt * float(g0_samples @ (psi @ g0_samples))))
+    return SimpleNamespace(phi=phi, phidot=phidot, p_path=p_path, z2_maps=z2_maps, z2_det=z2_det,
+                           premium_profile=g0s @ model.theta.T + z2_det @ model.corr, gamma0=gamma0,
+                           min_rcond=min_rcond, psi0=psi)
+
+
+def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> np.ndarray:
+    """Dense folded matrix of Psi_{t_k} (identity part included), (Nn, Nn).
+
+    Runs the backward recursion of ``per_node_sweep`` from the horizon down to
+    node k and zeroes the rows and columns before node k, so the matrix
+    represents the operator on L^2([t_k, T]) embedded in the full grid.
+    Like every sweep reader, it checks its memory count before sweeping.
+    """
+    k = node_index(k, grid.n)
+    nN = grid.n * model.n_state
+    _check_dense_memory("the restricted Psi matrix", SWEEP_ARRAYS, nN, nN)
+    disc = _discretize(model, grid) if disc is None else disc
+    return _restricted_psi(model, grid, disc, (k,))[0]
+
+
+def _restricted_psi(model: QuadraticModel, grid: TimeGrid, disc: SimpleNamespace, nodes) -> list:
+    """Psi_k with the rows and columns before node k zeroed, for each of the descending ``nodes``, from one sweep."""
+    N = model.n_state
+    out = []
+    for k, psi, *_ in per_node_sweep(model, grid, disc, nodes):
+        if k == nodes[len(out)]:
+            full = psi.copy()
+            full[: k * N] = 0.0
+            full[:, : k * N] = 0.0
+            out.append(full)
+            if len(out) == len(nodes):
+                return out
+
+
+def sigma_dot_folded(model: QuadraticModel, grid: TimeGrid, k: int, band: np.ndarray) -> np.ndarray:
+    """Folded time derivative of Sigma_t at t_k: -K(., t_k) eta M0 eta' K(., t_k)'."""
+    cveta = first_arg_columns(band @ model.eta, k)
+    return -(1.0 / grid.dt) * (cveta @ model.m0) @ cveta.T
+
+
+def riccati_derivative_residual(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleNamespace = None) -> float:
+    """Relative residual of d/dt Psi_t = 2 Psi_t SigmaDot_t Psi_t at node k.
+
+    Compares the forward difference of the dense Psi matrices with the
+    quadratic right-hand side on the common tail block; decays like the
+    step size under refinement.
+    """
+    N = model.n_state
+    k = node_index(k, grid.n - 1)
+    nN = grid.n * N
+    _check_dense_memory("the Riccati derivative residual", RESIDUAL_ARRAYS, nN, nN)
+    disc = _discretize(model, grid) if disc is None else disc
+    pk1, pk = _restricted_psi(model, grid, disc, (k + 1, k))
+    rhs = 2.0 * pk @ sigma_dot_folded(model, grid, k, disc.band) @ pk
+    lo = (k + 1) * N
+    res = (pk1 - pk) / grid.dt - rhs
+    scale = max(1.0, float(np.abs(rhs[lo:, lo:]).max()))
+    return float(np.abs(res[lo:, lo:]).max()) / scale
+
+
+def boundary_relation_residual(model: QuadraticModel, grid: TimeGrid, k: int, f: np.ndarray, disc: SimpleNamespace = None) -> float:
+    """Residual of (Psi_t f)(t) = -Theta'Theta f(t) + (Khat^* Psi_t f)(t) at t_k."""
+    n, N = grid.n, model.n_state
+    k = node_index(k, n - 1)
+    disc = _discretize(model, grid) if disc is None else disc
+    fa = np.asarray(f, dtype=float).reshape(n, N).copy()
+    fa[:k] = 0.0
+    flat = fa.reshape(n * N)
+    act = psi_full_matrix(model, grid, k, disc) @ flat
+    lhs = act.reshape(n, N)[k]
+    cv = first_arg_columns(disc.band, k)
+    rhs = -(model.theta.T @ model.theta) @ fa[k] + model.f_mat.T @ (cv.T @ act)
+    return float(np.max(np.abs(lhs - rhs)))

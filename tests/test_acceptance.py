@@ -32,16 +32,11 @@ from vmk import (
 from vmk.affine import gamma_affine
 from vmk.grid import g0_nodes
 from vmk.markowitz import tail_rate_integrals
-from vmk.quadratic import (
-    QuadraticEvaluator,
-    boundary_relation_residual,
-    gamma_quadratic,
-    psi_full_matrix,
-    riccati_derivative_residual,
-)
+from vmk.quadratic import QuadraticEvaluator, gamma_quadratic
 
-from oracles import (IntegralOperator, cell_table, discretize, invert_id_minus, markovian_riccati_ode, resolvent,
-                     sigma_operator, star)
+from oracles import (IntegralOperator, boundary_relation_residual, cell_table, discretize, invert_id_minus,
+                     markovian_riccati_ode, psi_full_matrix, resolvent, riccati_derivative_residual, sigma_operator,
+                     star)
 
 
 def report(capsys, num, ok, detail):

@@ -18,9 +18,7 @@ from vmk import (
     make_grid,
     two_asset_model,
 )
-from vmk.kernels import first_arg_columns
-
-from oracles import band_per_cell, fold_per_cell
+from oracles import band_per_cell, first_arg_columns, fold_per_cell
 
 
 class TestTimeGrid:

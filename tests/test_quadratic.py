@@ -31,24 +31,18 @@ from vmk import (
     two_asset_model,
     wishart_model,
 )
-from vmk import errors, quadratic
+import oracles
+from vmk import cli, errors, quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
-from vmk.kernels import band_coefficients, first_arg_columns, folded_cells
+from vmk.kernels import band_coefficients, fold, folded_cells, resolvent_band
 from vmk.montecarlo import correlate_drivers
 from vmk.markowitz import integrated_rate
-from vmk.quadratic import (
-    RCOND_MIN,
-    _bd_right,
-    asset_positions,
-    boundary_relation_residual,
-    gamma_quadratic,
-    psi_full_matrix,
-    riccati_derivative_residual,
-)
+from vmk.quadratic import RCOND_MIN, _bd_right, asset_positions, gamma_quadratic, z2_maps
 
-from oracles import (_volterra_solve, adjoint, dense_factors, full_matrix, identity_operator, invert_id_minus,
-                     kernel_operator, kernel_value, markovian_riccati_ode, min_sym_eigenvalue, positions_per_row,
-                     sigma_operator, star)
+from oracles import (_volterra_solve, adjoint, boundary_relation_residual, dense_factors, dense_t, first_arg_columns,
+                     full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
+                     markovian_riccati_ode, min_sym_eigenvalue, per_node_sweep, positions_per_row, psi_full_matrix,
+                     riccati_derivative_residual, sigma_operator, star, sweep_solution)
 
 SQ2 = math.sqrt(2.0)
 # d/dt P = theta^2 + 2 P^2 backward from 0 gives P_0 = -tanh(sqrt2 theta T)/sqrt2
@@ -103,7 +97,7 @@ def dense_psi(model, grid, k, disc, rcond_min=RCOND_MIN):
 
 
 def dense_sweep(model, grid, disc, stops=(), rcond_min=RCOND_MIN):
-    """Drop-in for quadratic._psi_sweep built on the dense oracle.
+    """Drop-in for ``oracles.per_node_sweep`` built on the dense oracle.
 
     act_k = Psi_k [c_k | 1] and G_k = -c_k' Psi_k c_k come from the dense Psi_k,
     which is yielded at the ``stops`` and at node 0; the margin slot carries the
@@ -119,47 +113,14 @@ def dense_sweep(model, grid, disc, stops=(), rcond_min=RCOND_MIN):
         yield k, psi if k in stops or k == 0 else None, act, -c.T @ act[:, :N], rcond
 
 
-def per_node_sweep(model, grid, disc, stops=()):
-    """Drop-in for quadratic._psi_sweep: the rank-N Woodbury update applied to Psi at every node.
+def random_model(rng, N, d, leverage=(0.75, 0.95)):
+    """Model with leverage rows |C_k| drawn from ``leverage``, nonzero drift and nonzero rate.
 
-    Same recursion, margins, blow-up times and yielded Psi_k (at the ``stops``
-    and at node 0) as the blocked sweep, with no delayed update: the product
-    act_k = Psi_k [c_k | 1] is taken against the current Psi_k and
-    Psi_{k-1} = Psi_k + 2 B X B' is formed before the next node.
+    The default draws |C_k|^2 > 1/2, so M0 is indefinite.
     """
-    n, N = grid.n, model.n_state
-    m0 = model.m0
-    eye = np.eye(N)
-    m1 = dense_factors(disc)[1]
-    psi = -m1.T @ m1
-    for k in range(n, -1, -1):
-        lo = k * N
-        c = first_arg_columns(disc.band @ model.eta, k)[lo:]
-        act = psi[:, lo:] @ np.concatenate([c, np.tile(eye, (n - k, 1))], axis=1)
-        b = act[:, :N]
-        g = -c.T @ b[lo:]
-        if k == 0:
-            yield k, psi, act, g, np.inf
-            return
-        t = float(grid.nodes[k - 1])
-        if not np.all(np.isfinite(g)):
-            raise RiccatiBlowUpError(f"operator Riccati solution lost finiteness at t={t:.6g}", time=t)
-        ev, vec = np.linalg.eigh(0.5 * (g + g.T))
-        root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
-        lam, u = np.linalg.eigh(eye + 2.0 * root @ m0 @ root)
-        yield k, psi if k in stops else None, act, g, float(lam[0])
-        if lam[0] < RCOND_MIN:
-            raise RiccatiBlowUpError(f"deflating matrix loses definiteness at t={t:.6g}", time=t)
-        v = m0 @ root @ u
-        x = m0 - 2.0 * (v / lam) @ v.T
-        psi += (2.0 * b @ x) @ b.T
-
-
-def random_model(rng, N, d):
-    """Model with indefinite M0 (|C_k|^2 > 1/2), nonzero drift and nonzero rate."""
     comps = [ExponentialKernel(beta=rng.uniform(0.2, 2.0)), FractionalKernel(rng.uniform(0.1, 0.9))]
     corr = rng.standard_normal((N, d))
-    corr *= rng.uniform(0.75, 0.95, size=(N, 1)) / np.linalg.norm(corr, axis=1, keepdims=True)
+    corr *= rng.uniform(*leverage, size=(N, 1)) / np.linalg.norm(corr, axis=1, keepdims=True)
     return QuadraticModel(
         kernel=DiagonalKernel(comps[:N]) if N > 1 else comps[1],
         theta=rng.uniform(-0.8, 0.8, size=(d, N)),
@@ -173,8 +134,8 @@ def random_model(rng, N, d):
 
 
 def raw_psi(model, grid, k, disc):
-    """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off the sweep ``quadratic._psi_sweep``."""
-    for j, psi, *_ in quadratic._psi_sweep(model, grid, disc, (k,)):
+    """Unrestricted Psi_k = -m1' W_k^{-1} m1 read off ``oracles.per_node_sweep``."""
+    for j, psi, *_ in per_node_sweep(model, grid, disc, (k,)):
         if j == k:
             return psi.copy()
 
@@ -189,111 +150,160 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / (scale if scale > 0.0 else 1.0))
 
 
+SOLUTION_FIELDS = ("phi", "phidot", "p_path", "z2_det", "premium_profile")
+PANEL = quadratic._PANEL_ROWS
+
+
+def assert_matches_sweep(fast, want, tol=1e-10):
+    """Every output of the factor route within ``tol`` of a sweep's (``oracles.sweep_solution``)."""
+    assert fast.gamma0 == pytest.approx(want.gamma0, rel=tol)
+    for name in SOLUTION_FIELDS:
+        assert rel_err(getattr(fast, name), getattr(want, name)) <= tol, name
+    assert rel_err(z2_maps(fast), want.z2_maps) <= tol
+
+
+def quadratic_forms(sol, psi, k, curves):
+    """Gamma_k = exp(phi_k + dt <g, Psi_k g>) of each curve, with Psi_k restricted to [t_k, T]."""
+    flat = curves.reshape(len(curves), -1)
+    return np.exp(sol.phi[k] + sol.grid.dt * np.einsum("pi,ij,pj->p", flat, psi, flat))
+
+
 class TestDenseOracle:
+    """The factor route and the per-node sweep against the dense route, on grids whose T ends past one panel."""
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("N", [1, 2])
-    def test_recursion_matches_dense_route(self, monkeypatch, N, d, seed):
+    def test_recursion_matches_dense_route(self, N, d, seed):
         m = random_model(np.random.default_rng(100 * N + 10 * d + seed), N, d)
         assert m.m0_min_eig < 0.0
-        g = make_grid(0.6, 24)
+        g = make_grid(0.6, PANEL // d + 1 + seed)  # T holds one panel of rows, or one block more
         disc = quadratic._discretize(m, g)
         fast = solve_operator_riccati(m, g)
-        fast_psi = {(k, r): psi_at(m, g, k, disc, r) for k in (0, g.n // 2, g.n) for r in (True, False)}
-        monkeypatch.setattr(quadratic, "_psi_sweep", dense_sweep)
-        dense = solve_operator_riccati(m, g)
-        for (k, r), got in fast_psi.items():
-            assert rel_err(got, psi_at(m, g, k, disc, r)) <= 1e-10, (k, r)
-        assert fast.gamma0 == pytest.approx(dense.gamma0, rel=1e-10)
-        for name in ("phi", "phidot", "p_path", "z2_maps", "z2_det", "premium_profile"):
-            assert rel_err(getattr(fast, name), getattr(dense, name)) <= 1e-10, name
+        assert_matches_sweep(fast, sweep_solution(m, g, dense_sweep))
+        curves = fast.g0s[None, : g.n] + 0.2 * np.random.default_rng(seed).standard_normal((2, g.n, N))
+        for k in (0, g.n // 2, g.n):
+            psi = dense_psi(m, g, k, disc)[0]
+            assert rel_err(psi_at(m, g, k, disc, False), psi) <= 1e-10, k
+            psi[: k * N] = 0.0
+            psi[:, : k * N] = 0.0
+            assert rel_err(psi_at(m, g, k, disc, True), psi) <= 1e-10, k
+            assert rel_err(gamma_quadratic(fast, k, curves), quadratic_forms(fast, psi, k, curves)) <= 1e-10, k
 
-    def test_blow_up_time_matches_dense_route(self, monkeypatch):
+    def test_blow_up_time_matches_dense_route(self):
         m = TestBlowUp().blow_model()
         g = make_grid(2.0, 300)
         with pytest.raises(RiccatiBlowUpError) as fast:
             solve_operator_riccati(m, g)
-        monkeypatch.setattr(quadratic, "_psi_sweep", dense_sweep)
         with pytest.raises(RiccatiBlowUpError) as dense:
-            solve_operator_riccati(m, g)
+            sweep_solution(m, g, dense_sweep)
         assert fast.value.time == dense.value.time
 
 
-B = quadratic._SWEEP_BLOCK
-SWEEP = quadratic._psi_sweep
+def check_against_per_node_sweep(m, g):
+    """The solve, z2_maps, the margins and Gamma at several nodes against the per-node sweep."""
+    disc = quadratic._discretize(m, g)
+    fast = solve_operator_riccati(m, g)
+    want = sweep_solution(m, g)
+    assert_matches_sweep(fast, want)
+    assert fast.min_rcond == pytest.approx(want.min_rcond, rel=1e-10)
+    curves = fast.g0s[None, : g.n] + 0.2 * np.random.default_rng(g.n).standard_normal((3, g.n, m.n_state))
+    for k in sorted({0, 1, g.n // 2, g.n - 1, g.n}):
+        psi = psi_full_matrix(m, g, k, disc)
+        assert rel_err(gamma_quadratic(fast, k, curves), quadratic_forms(fast, psi, k, curves)) <= 1e-10, k
+        if k == g.n:
+            continue
+        alpha = optimal_control_quadratic(m, fast, k, curves, 1.2, 1.5)
+        z2 = 2.0 * curves.reshape(3, -1) @ want.z2_maps[k]
+        lam = curves[:, k] @ m.theta.T
+        assert rel_err(alpha, -(lam + z2 @ m.corr) * (1.2 - 1.5)) <= 1e-10, k
 
 
-def counted_sweep(calls):
-    """Stand-in for ``quadratic._psi_sweep`` that records each call in ``calls``."""
-    return lambda *args: calls.append(args) or SWEEP(*args)
-
-
-def sweep_outputs(sweep, model, grid, disc, stops=()):
-    """(k, act, G, margin) at every node of ``sweep``, with Psi_k taken (and the update flushed) at the ``stops``."""
-    out = []
-    for k, psi, act, g, lam in sweep(model, grid, disc, stops):
-        out.append((k, act.copy(), g.copy(), lam))
-    return out
+def blow_up_row(m, g):
+    """(time, row): the solve's blow-up time, and the first row of T whose leading block is not positive definite."""
+    with pytest.raises(RiccatiBlowUpError) as exc:
+        solve_operator_riccati(m, g)
+    k = round(exc.value.time / g.dt) + 1  # the node whose step fails: W_{k-1} is T's leading n - k blocks
+    return exc.value.time, (g.n - 1 - k) * m.n_assets
 
 
 class TestBlockedSweep:
-    """The blocked delayed-update sweep against the per-node sweep at the block edges."""
+    """The blocked factorization of T against the per-node sweep at the panel edges."""
 
-    @pytest.mark.parametrize("n", [B - 1, B, B + 1])
+    @pytest.mark.parametrize("n", [31, 32, 33])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("N", [1, 2])
-    def test_matches_per_node_sweep(self, monkeypatch, N, d, n):
+    def test_matches_per_node_sweep(self, N, d, n):
         m = random_model(np.random.default_rng(300 + 100 * N + 10 * d), N, d)
-        g = make_grid(0.6, n)
-        disc = quadratic._discretize(m, g)
-        edge = max(n - B + 1, 1)  # last node of the first block, or one node past the start
-        nodes = sorted({0, edge - 1, edge, edge + 1, n // 2, n})
-        blocked = solve_operator_riccati(m, g)
-        got = {k: psi_full_matrix(m, g, k, disc) for k in nodes}
-        runs = [sweep_outputs(quadratic._psi_sweep, m, g, disc, f) for f in ((), (edge + 1,), (n // 2,))]
-        monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
-        oracle = solve_operator_riccati(m, g)
-        for k in nodes:
-            assert rel_err(got[k], psi_full_matrix(m, g, k, disc)) <= 1e-10, k
-        want = sweep_outputs(per_node_sweep, m, g, disc)
-        for run in runs:
-            for (k, act, gk, lam), (j, act1, gk1, lam1) in zip(run, want, strict=True):
-                assert k == j
-                assert rel_err(act, act1) <= 1e-10, k
-                assert rel_err(gk, gk1) <= 1e-10, k
-                assert lam == pytest.approx(lam1, rel=1e-10), k
-        assert blocked.min_rcond == pytest.approx(oracle.min_rcond, rel=1e-10)
-        assert blocked.gamma0 == pytest.approx(oracle.gamma0, rel=1e-10)
-        for name in ("phi", "phidot", "p_path", "z2_maps", "z2_det", "premium_profile"):
-            assert rel_err(getattr(blocked, name), getattr(oracle, name)) <= 1e-10, name
+        check_against_per_node_sweep(m, make_grid(0.6, n))
 
-    def test_mid_block_blow_up_and_psi_next_to_the_pole(self, monkeypatch):
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_per_node_sweep_at_panel_rows(self, N, d, edge):
+        # T has (n - 1) d rows: one block short of a panel, one panel, or one block past it
+        m = random_model(np.random.default_rng(500 + 100 * N + 10 * d), N, d)
+        g = make_grid(0.6, PANEL // d + edge + 1)
+        assert (g.n - 1) * d == PANEL + edge * d
+        check_against_per_node_sweep(m, g)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_time_varying_curve_matches_per_node_sweep(self, N, d):
+        # Z2 and Gamma_0 of a curve read each node's images from one solve, across a panel edge
+        base = random_model(np.random.default_rng(600 + 10 * N + d), N, d)
+        m = QuadraticModel(kernel=base.kernel, theta=base.theta, eta=base.eta, corr=base.corr, drift=base.drift,
+                           g0=lambda t: 0.3 * np.cos(3.0 * t + np.arange(N)), rate=base.rate, enforce_psd=False)
+        check_against_per_node_sweep(m, make_grid(0.6, PANEL // d + 2))
+
+    def test_mid_block_blow_up_and_psi_next_to_the_pole(self):
         m = TestBlowUp().blow_model()
         g = make_grid(2.0, 80)
         disc = quadratic._discretize(m, g)
-        with pytest.raises(RiccatiBlowUpError) as blocked:
-            solve_operator_riccati(m, g)
-        k = round(blocked.value.time / g.dt) + 1  # the node whose step fails
-        assert (g.n - k) % B > 1  # pending updates not yet flushed
-        psi = psi_full_matrix(m, g, k, disc)
-        monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
+        time, row = blow_up_row(m, g)
+        assert 0 < row % PANEL < PANEL - 1  # inside the first panel
         with pytest.raises(RiccatiBlowUpError) as oracle:
+            sweep_solution(m, g)
+        assert time == oracle.value.time
+        k = round(time / g.dt) + 1
+        psi = dense_psi(m, g, k, disc)[0]
+        psi[:k] = 0.0  # one state factor
+        psi[:, :k] = 0.0
+        assert rel_err(psi_full_matrix(m, g, k, disc), psi) <= 1e-10
+
+    @pytest.mark.parametrize("n, where", [(117, 0), (232, 0), (115, PANEL - 1), (230, PANEL - 1)])
+    def test_blow_up_on_a_panel_edge_row(self, n, where):
+        # the failing row opens (where = 0) or closes (PANEL - 1) a panel past the first
+        m = TestBlowUp().blow_model()
+        g = make_grid(2.0, n)
+        time, row = blow_up_row(m, g)
+        assert row % PANEL == where and row >= PANEL - 1
+        disc = quadratic._discretize(m, g)
+        t = quadratic._build_t(quadratic._convolve(disc.m1_band, disc.band @ m.eta), m.m0)
+        assert quadratic._cholesky(t, PANEL) == row - row % PANEL  # the panel holding the row fails
+        with pytest.raises(RiccatiBlowUpError) as oracle:
+            sweep_solution(m, g)
+        assert time == oracle.value.time
+
+    def test_loss_of_finiteness_at_the_same_time(self):
+        m = scalar_model(theta=1e160)  # G_{n-1} = Q[0]'Q[0] overflows
+        g = make_grid(1.0, 100)
+        with np.errstate(over="ignore"), pytest.raises(RiccatiBlowUpError, match="lost finiteness") as fast:
             solve_operator_riccati(m, g)
-        assert blocked.value.time == oracle.value.time
-        assert rel_err(psi, psi_full_matrix(m, g, k, disc)) <= 1e-10
+        with np.errstate(over="ignore"), pytest.raises(RiccatiBlowUpError, match="lost finiteness") as oracle:
+            sweep_solution(m, g)
+        assert fast.value.time == oracle.value.time
 
     @pytest.mark.parametrize("N, d", [(1, 1), (2, 2)])
     def test_psi_only_at_the_stops(self, N, d):
         m = random_model(np.random.default_rng(400 + 10 * N + d), N, d)
-        g = make_grid(0.6, 80)
+        g = make_grid(0.6, 40)
         disc = quadratic._discretize(m, g)
-        stops = (g.n, g.n - 5, g.n // 2, 0)  # g.n - 5 lies inside the first block
-        want = {k: psi.copy() for k, psi, *_ in per_node_sweep(m, g, disc, stops) if psi is not None}
-        assert sorted(want) == sorted(stops)
+        stops = (g.n, g.n - 5, g.n // 2, 0)
         seen = []
-        for k, psi, *_ in quadratic._psi_sweep(m, g, disc, stops):
+        for k, psi, *_ in per_node_sweep(m, g, disc, stops):
             if k in stops:
-                assert rel_err(psi, want[k]) <= 1e-10, k
+                assert rel_err(psi, dense_psi(m, g, k, disc)[0]) <= 1e-10, k
                 seen.append(k)
             else:
                 assert psi is None, k
@@ -301,18 +311,63 @@ class TestBlockedSweep:
 
     def test_derivative_residual_takes_one_sweep(self, monkeypatch):
         m = mixed_model()
-        g = make_grid(0.8, 80)
+        g = make_grid(0.8, 40)
         disc = quadratic._discretize(m, g)
         calls = []
-        counted = counted_sweep(calls)
-        # at k = n - B, Psi_{k+1} is the first block's last node and Psi_k the next block's first
-        for k in (g.n - B, g.n - B - 1, g.n // 2):
+        for k in (g.n - 2, g.n // 2, 0):
             calls.clear()
-            monkeypatch.setattr(quadratic, "_psi_sweep", counted)
+            monkeypatch.setattr(oracles, "per_node_sweep", lambda *a: calls.append(a) or per_node_sweep(*a))
             res = riccati_derivative_residual(m, g, k, disc)
             assert len(calls) == 1, k
-            monkeypatch.setattr(quadratic, "_psi_sweep", per_node_sweep)
+            monkeypatch.setattr(oracles, "per_node_sweep", dense_sweep)
             assert res == pytest.approx(riccati_derivative_residual(m, g, k, disc), rel=1e-10), k
+
+
+class TestTOracle:
+    """T against its dense definition, and the identities the factor route reads off it."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(7)
+        out = [(random_model(rng, N, d, leverage=lev), 0.6) for N in (1, 2) for d in (1, 2)
+               for lev in ((0.1, 0.6), (0.75, 0.95))]
+        return out + [(two_asset_model(theta=(0.65, 0.30)), 1.5)]
+
+    def test_instances_cover_both_signs_of_m0(self):
+        signs = {m.m0_min_eig > 0.0 for m, _ in self.instances()}
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("which", range(9))
+    def test_identities(self, which):
+        m, horizon = self.instances()[which]
+        g = make_grid(horizon, 12)
+        n, N, d = g.n, m.n_state, m.n_assets
+        disc = quadratic._discretize(m, g)
+        t = dense_t(m, disc)
+        q = quadratic._convolve(disc.m1_band, disc.band @ m.eta)
+        built = quadratic._build_t(q, m.m0)
+        assert rel_err(np.tril(built), np.tril(t)) <= 1e-12
+        a, m1 = dense_factors(disc)
+        aeta = _bd_right(a, m.eta, n)
+        c = np.linalg.cholesky(t)
+        y = np.linalg.solve(c, q[1:].reshape(-1, N))
+        gk = {k: g_k for k, _, _, g_k, _ in per_node_sweep(m, g, disc)}
+        logdet = {}
+        for k in range(n):
+            qk = m1 @ aeta[:, k * N :]  # q_j = m1 K(., t_j) eta for j > k
+            w = np.eye(n * d) + 2.0 * qk @ np.kron(np.eye(n - k), m.m0) @ qk.T
+            mb = (n - 1 - k) * d
+            if mb:
+                assert rel_err(w[(k + 1) * d :, (k + 1) * d :], t[:mb, :mb]) <= 1e-12, k
+            assert rel_err(w[: (k + 1) * d], np.eye(n * d)[: (k + 1) * d]) == 0.0, k
+            prefix = q[0].T @ q[0] + y[:mb].T @ y[:mb]
+            assert rel_err(prefix, gk[k]) <= 1e-12, k
+            sign, logdet[k] = np.linalg.slogdet(w)
+            assert sign == 1.0, k
+        logdet[n] = 0.0
+        for k in range(1, n + 1):
+            s_k = np.eye(N) + 2.0 * m.m0 @ gk[k]  # det S_k = det(Id + 2 M0 G_k)
+            assert abs(logdet[k - 1] - logdet[k] - math.log(np.linalg.det(s_k))) <= 1e-12, k
 
 
 @pytest.mark.parametrize("kind", ["fractional", "exponential", "diagonal"])
@@ -424,13 +479,13 @@ def stepper_premium_paths(ev, z):
     dt = grid.dt
     db, dw = correlate_drivers(z, model.corr)
     P = z.shape[0]
-    band = sol.disc.band
+    band, maps = sol.disc.band, z2_maps(sol)
     curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
     lam = np.zeros((P, n, d))
     prem = np.zeros((P, n, d))
     for k in range(n):
         yk = curve[:, k, :]
-        z2 = 2.0 * curve[:, :n, :].reshape(P, n * N) @ sol.z2_maps[k]
+        z2 = 2.0 * curve[:, :n, :].reshape(P, n * N) @ maps[k]
         lam[:, k, :] = yk @ model.theta.T
         prem[:, k, :] = lam[:, k, :] + z2 @ model.corr
         incr = yk @ model.drift.T * dt + dw[:, k, :] @ model.eta.T
@@ -454,6 +509,29 @@ class TestPremiumMapOracle:
         for name, a, b in zip(("db", "lam", "prem", "state"), got, want):
             assert a.shape == b.shape, name
             assert rel_err(a, b) <= 1e-10, name
+
+
+    @pytest.mark.parametrize("which", ["two_asset", "negative_eta"])
+    def test_zero_drift_skips_the_identity_resolvent(self, which, monkeypatch):
+        """At zero drift R is the identity: skipping its product leaves every bit of the state columns."""
+        if which == "two_asset":
+            m, g = two_asset_model(theta=(0.65, 0.30)), make_grid(1.5, 300)
+        else:
+            rng = np.random.default_rng(11)
+            base = random_model(rng, 2, 2)
+            m = QuadraticModel(kernel=base.kernel, theta=base.theta, eta=-np.abs(base.eta), corr=base.corr,
+                               g0=base.g0, rate=base.rate, enforce_psd=False)
+            g = make_grid(0.6, 40)
+        assert not np.any(m.drift)
+        sol = solve_operator_riccati(m, g)
+        n, N = g.n, m.n_state
+        # the state columns the map forms before R = fold(resolvent band of (band, D)) applies
+        y = np.empty((n * N, n * N + 1))
+        y[:, 0] = sol.g0s[:n].reshape(n * N)
+        np.divide(_bd_right(folded_cells(m.kernel, g), m.eta, n), g.dt, out=y[:, 1:])
+        assert (fold(resolvent_band(sol.disc.band, m.drift)) @ y).tobytes() == y.tobytes()
+        monkeypatch.setattr(quadratic, "resolvent_band", lambda *a: pytest.fail("identity resolvent applied"))
+        QuadraticEvaluator(m, g, sol)
 
 
 class TestScalarOracle:
@@ -621,19 +699,22 @@ class TestGammaFunctional:
         assert all(0.0 < v <= 1.0 + 1e-12 for v in vals)
 
     def test_many_nodes_take_one_sweep(self, monkeypatch):
+        """Every node is read off the solution's one factor: no factorization or sweep runs again."""
         m = mixed_model()
         g = make_grid(0.8, 80)
         sol = solve_operator_riccati(m, g)
         curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(5).standard_normal((3, g.n, 2))
-        # unsorted, repeated, and on both sides of the first block edge
-        nodes = [5, g.n - B, 0, g.n, g.n - B - 1, g.n // 2, 5]
+        # unsorted and repeated, on both sides of the first panel edge of T (79 d rows)
+        nodes = [5, g.n - PANEL, 0, g.n, g.n - PANEL - 1, g.n // 2, 5]
         want = np.array([gamma_quadratic(sol, k, curves) for k in nodes])
-        calls = []
-        monkeypatch.setattr(quadratic, "_psi_sweep", counted_sweep(calls))
+        for name in ("_build_t", "_cholesky"):
+            monkeypatch.setattr(quadratic, name, lambda *a: pytest.fail("factored again"))
         got = gamma_quadratic(sol, nodes, curves)
-        assert len(calls) == 1
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(gamma_quadratic(sol, nodes, curves[1]), want[:, 1], rtol=1e-12, atol=0.0)
+        for k in (g.n - PANEL, g.n - PANEL - 1):
+            psi = psi_full_matrix(m, g, k, sol.disc)
+            assert rel_err(want[nodes.index(k)], quadratic_forms(sol, psi, k, curves)) <= 1e-10, k
         for bad in ([0, g.n + 1], [-1], g.n + 1, [], [[0, 1]], 2.0):
             with pytest.raises(InvalidArgumentError, match=rf"\[0, {g.n}\]"):
                 gamma_quadratic(sol, bad, curves)
@@ -752,7 +833,8 @@ class TestMemoryGuard:
     def test_traced_peaks_within_guard(self, which, n):
         m = two_asset_model() if which == "two_asset" else self.one_factor_model()
         g = make_grid(1.0, n)
-        dense = 8 * (n * m.n_state) ** 2
+        N, d = m.n_state, m.n_assets
+        dense, solve_unit, curve_unit = 8 * (n * N) ** 2, 8 * (n * d) ** 2, 8 * n * n * d * N
         tracemalloc.start()
         try:
             lambda_max_covariance(m, g, a=0.1)
@@ -764,50 +846,81 @@ class TestMemoryGuard:
             held -= before
             solve_peak -= before
             peaks = {}
-            for name, call in [("map", lambda: QuadraticEvaluator(m, g, sol)),
-                               ("psi", lambda: psi_full_matrix(m, g, n // 2, sol.disc)),
-                               ("gamma", lambda: gamma_quadratic(sol, [0, n // 2], sol.g0s[:n])),
-                               ("residual", lambda: riccati_derivative_residual(m, g, n // 2, sol.disc))]:
+            calls = [("map", lambda: QuadraticEvaluator(m, g, sol)),
+                     ("gamma", lambda: gamma_quadratic(sol, [0, n // 2], sol.g0s[:n])),
+                     ("control", lambda: optimal_control_quadratic(m, sol, n // 2, sol.g0s[:n], 1.0, 1.5)),
+                     ("psi", lambda: psi_full_matrix(m, g, n // 2, sol.disc)),
+                     ("residual", lambda: riccati_derivative_residual(m, g, n // 2, sol.disc))]
+            for name, call in calls:
                 tracemalloc.reset_peak()
                 call()
                 peaks[name] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert solve_peak <= quadratic.DENSE_ARRAYS * dense
-        assert held <= 1.1 * dense
+        assert solve_peak <= quadratic.DENSE_ARRAYS * solve_unit
+        assert held <= 1.1 * solve_unit  # the factor of T
         assert cov_peak <= quadratic.COVARIANCE_ARRAYS * dense
         assert peaks["map"] <= quadratic.MAP_ARRAYS * dense  # the map's count includes the solution it reads
-        for name, count in [("psi", quadratic.DENSE_ARRAYS), ("gamma", quadratic.DENSE_ARRAYS),
-                            ("residual", quadratic.RESIDUAL_ARRAYS)]:
+        for name in ("gamma", "control"):
+            assert peaks[name] - held <= quadratic.CURVE_ARRAYS * curve_unit, name
+        for name, count in [("psi", oracles.SWEEP_ARRAYS), ("residual", oracles.RESIDUAL_ARRAYS)]:
             assert peaks[name] - held <= count * dense, name
         assert set(vars(sol.disc)) == {"band", "m1_band"}
+
+    def test_solve_and_strategy_hold_no_state_sized_array(self, tmp_path):
+        """N = 2, d = 1: quadratic-solve peaks at two (d n)^2 arrays, a half of one (N n)^2 array."""
+        n = 400
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"grid: {{T: 1.0, n: {n}}}\n"
+            "quadratic:\n"
+            "  kernel: {type: diagonal, components: [{type: fractional, h: 0.2}, {type: exponential, beta: 1.0}]}\n"
+            "  theta: [[0.5, 0.4]]\n  eta: [[1.0, 0.0], [0.0, 1.0]]\n  corr: [[-0.5], [0.3]]\n"
+            "  drift: [[-0.4, 0.0], [0.1, -0.2]]\n  g0: [0.2, 0.1]\n"
+            f"output: {{directory: \"{tmp_path / 'out'}\"}}\n"
+        )
+        kind, model = cli.cfgmod.build_model(cli.cfgmod.load_config(str(cfg)))
+        assert (kind, model.n_state, model.n_assets) == ("quadratic", 2, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert cli.main(["quadratic-solve", "--config", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n**2  # (d n)^2 with d = 1; one (N n)^2 array would be 4 of them
+        assert (tmp_path / "out" / "strategy.csv").exists()
 
     @pytest.mark.parametrize("name", ["solve", "psi_full_matrix", "boundary_relation_residual",
                                       "riccati_derivative_residual", "gamma_quadratic", "covariance", "premium_map"])
     def test_each_dense_user_checks_its_count(self, name, monkeypatch):
-        """At its count of (N n)^2 floats each dense user runs; one byte under, it refuses before sweeping.
+        """At its count of (n)^2 floats (N = d = 1) each dense user runs; one byte under, it refuses before allocating.
 
-        The sweep's readers are checked also when the caller passes the solution's ``disc``.
+        The Psi readers are checked also when the caller passes the solution's ``disc``.
         """
         m, g = scalar_model(), make_grid(1.0, 8)
         sol = solve_operator_riccati(m, g)
         flat = np.ones((g.n, 1))
-        count, call, guarded = {
-            "solve": (quadratic.DENSE_ARRAYS, lambda: solve_operator_riccati(m, g), "_psi_sweep"),
-            "psi_full_matrix": (quadratic.DENSE_ARRAYS, lambda: psi_full_matrix(m, g, 3, sol.disc), "_psi_sweep"),
-            "boundary_relation_residual": (quadratic.DENSE_ARRAYS,
-                                           lambda: boundary_relation_residual(m, g, 3, flat, sol.disc), "_psi_sweep"),
-            "riccati_derivative_residual": (quadratic.RESIDUAL_ARRAYS,
-                                            lambda: riccati_derivative_residual(m, g, 3, sol.disc), "_psi_sweep"),
-            "gamma_quadratic": (quadratic.DENSE_ARRAYS, lambda: gamma_quadratic(sol, 3, flat), "_psi_sweep"),
-            "covariance": (quadratic.COVARIANCE_ARRAYS, lambda: lambda_max_covariance(m, g, a=0.1), "folded_cells"),
-            "premium_map": (quadratic.MAP_ARRAYS, lambda: QuadraticEvaluator(m, g, sol), "_premium_map"),
+        count, call, (module, guarded) = {
+            "solve": (quadratic.DENSE_ARRAYS, lambda: solve_operator_riccati(m, g), (quadratic, "_build_t")),
+            "psi_full_matrix": (oracles.SWEEP_ARRAYS, lambda: psi_full_matrix(m, g, 3, sol.disc),
+                                (oracles, "per_node_sweep")),
+            "boundary_relation_residual": (oracles.SWEEP_ARRAYS,
+                                           lambda: boundary_relation_residual(m, g, 3, flat, sol.disc),
+                                           (oracles, "per_node_sweep")),
+            "riccati_derivative_residual": (oracles.RESIDUAL_ARRAYS,
+                                            lambda: riccati_derivative_residual(m, g, 3, sol.disc),
+                                            (oracles, "per_node_sweep")),
+            "gamma_quadratic": (quadratic.CURVE_ARRAYS, lambda: gamma_quadratic(sol, 3, flat), (quadratic, "fold")),
+            "covariance": (quadratic.COVARIANCE_ARRAYS, lambda: lambda_max_covariance(m, g, a=0.1),
+                           (quadratic, "folded_cells")),
+            "premium_map": (quadratic.MAP_ARRAYS, lambda: QuadraticEvaluator(m, g, sol), (quadratic, "_premium_map")),
         }[name]
         need = count * 8 * g.n**2
         monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need)
         call()
         monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need - 1)
-        monkeypatch.setattr(quadratic, guarded, lambda *a, **k: pytest.fail("allocated over the limit"))
+        monkeypatch.setattr(module, guarded, lambda *a, **k: pytest.fail("allocated over the limit"))
         with pytest.raises(MemoryCapError) as exc:
             call()
         assert exc.value.limit == need - 1
