@@ -338,9 +338,13 @@ class AffineEvaluator:
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths).
 
         The variance drivers are correlated one slot block at a time
-        straight into the stepper's buffer, so no (P, n, d) dW exists, and
-        sqrt(V+) is taken in lambda's buffer: the premium is read off it
-        before it is scaled by theta in place.
+        straight into the stepper's buffer, and dB is copied out of z in
+        the same blocks, so no (P, n, d) dW exists and the returned dB
+        is not a view of z.  Every reference this call holds to z is
+        dropped before the stepper allocates the curve: when the caller
+        passes the draws without keeping a name for them, as ``run_mc``
+        does, z is freed there.  sqrt(V+) is taken in lambda's buffer: the
+        premium is read off it before it is scaled by theta in place.
         """
         P = z.shape[0]
         n, d = self.grid.n, self.model.dim
@@ -348,9 +352,12 @@ class AffineEvaluator:
             raise InvalidArgumentError(f"z must have shape (P, {n}, {2 * d}), got {z.shape}")
         corr = np.diag(self.model.rho)
         u = _slot_major(P, n, d)
+        db = np.empty((P, n, d))
         for k0 in range(0, n, _SLOT_BLOCK):
-            _, dw = correlate_drivers(z[:, k0 : k0 + _SLOT_BLOCK], corr)
+            db_blk, dw = correlate_drivers(z[:, k0 : k0 + _SLOT_BLOCK], corr)
+            db[:, k0 : k0 + _SLOT_BLOCK] = db_blk
             u[k0 : k0 + _SLOT_BLOCK, :, :P] = dw.transpose(1, 2, 0)
+        del z, db_blk, dw  # db_blk is a view of z: both go before the curve is allocated
         v = _step_forward_variance(self.model, self.grid, u, P)
         del u  # freed before lambda and the premium are allocated
         # path-major like the drivers, so the per-path sums downstream do
@@ -359,4 +366,4 @@ class AffineEvaluator:
         np.sqrt(lam, out=lam)
         prem = self.loadings[None, :, :] * lam
         lam *= self.model.theta
-        return z[:, :, :d], lam, prem, v
+        return db, lam, prem, v

@@ -32,7 +32,7 @@ from .affine import (
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
-from .errors import ConfigError, ModelAssumptionError, RiccatiBlowUpError, VmkError
+from .errors import ConfigError, ModelAssumptionError, RiccatiBlowUpError, VmkError, check_memory
 from .grid import g0_nodes, make_grid
 from .markowitz import a_of_p, frontier, integrated_rate, value_v, xi_star
 from .montecarlo import run_mc
@@ -43,6 +43,11 @@ from .quadratic import (
     lambda_max_covariance,
     solve_operator_riccati,
 )
+
+# Rows per block of _write_csv: a block's values as Python objects take
+# about 32 bytes each on top of the 8 of the array, so they are formatted
+# a block at a time.
+_CSV_ROWS = 4096
 
 
 def _fmt(value) -> str:
@@ -69,23 +74,23 @@ def _write_csv(path: str, header, columns) -> None:
     ``%d``, as ``_fmt`` prints their values; any other column goes through
     ``_fmt`` value by value and is quoted as ``csv.writer`` quotes.  For a
     table of two or more columns the bytes are those of ``csv.writer``
-    given the ``_fmt`` strings.  The file's directory is made if missing.
+    given the ``_fmt`` strings.  Rows are formatted ``_CSV_ROWS`` at a
+    time, so the Python values of only one block exist at once.  The
+    file's directory is made if missing.
     """
-    formats, values = [], []
-    for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-        if kind in "fiu":
-            formats.append("%.12g" if kind == "f" else "%d")
-            values.append(col.tolist())
-        else:
-            formats.append("%s")
-            values.append([_quote(_fmt(v)) for v in col])
-    row_fmt = ",".join(formats) + "\r\n"
+    numeric = [isinstance(col, np.ndarray) and col.dtype.kind in "fiu" for col in columns]
+    row_fmt = ",".join(("%.12g" if col.dtype.kind == "f" else "%d") if num else "%s"
+                       for col, num in zip(columns, numeric)) + "\r\n"
+    n_rows = min((len(col) for col in columns), default=0)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_quote(h) for h in header) + "\r\n")
-        fh.writelines(row_fmt % row for row in zip(*values))
+        for r0 in range(0, n_rows, _CSV_ROWS):
+            values = [col[r0 : r0 + _CSV_ROWS].tolist() if num
+                      else [_quote(_fmt(v)) for v in col[r0 : r0 + _CSV_ROWS]]
+                      for col, num in zip(columns, numeric)]
+            fh.writelines(row_fmt % row for row in zip(*values))
     os.replace(tmp, path)
 
 
@@ -156,7 +161,21 @@ def _cmd_frontier(run, cfg, out_dir: str) -> None:
                ["m", "std", "variance", "xi_star", "gamma0"], table.T)
 
 
+def _dump_bytes(run, paths: int) -> int:
+    """Bytes ``paths`` dumped paths take while paths.csv is written.
+
+    Per path and node: the kept wealth, amounts and state run_mc returns,
+    and one float per column of paths.csv.
+    """
+    d, n_state = run.premium.shape[1], run.curve.shape[1]
+    kept, written = 1 + d + n_state, 3 + 2 * d + n_state
+    return 8 * paths * (run.grid.n + 1) * (kept + written)
+
+
 def _cmd_simulate(run, cfg, out_dir: str) -> None:
+    dumped = min(cfg.mc.dump_paths, cfg.mc.paths)
+    check_memory(f"dumping {dumped} paths at n = {run.grid.n}", _dump_bytes(run, dumped),
+                 "use a smaller mc.dump_paths")
     m_value = cfg.m_values[0]
     xi = xi_star(run.gamma0, run.x0, m_value, run.int_r)
     target_v = value_v(run.gamma0, run.x0, m_value, run.int_r)
@@ -185,7 +204,11 @@ def _cmd_simulate(run, cfg, out_dir: str) -> None:
 
 
 def _write_paths_csv(path: str, run, kept) -> None:
-    """One row per kept path and node; amounts and positions are NaN at the horizon."""
+    """One row per kept path and node; amounts and positions are NaN at the horizon.
+
+    Positions are solved for a block of paths at a time, so their
+    temporaries stay within about ``_CSV_ROWS`` rows.
+    """
     n = run.grid.n
     P, _, d = kept.alpha.shape
     n_state = kept.state.shape[2]
@@ -196,8 +219,11 @@ def _write_paths_csv(path: str, run, kept) -> None:
     alpha = np.full((P, n + 1, d), np.nan)
     alpha[:, :n] = kept.alpha
     pi = np.full((P, n + 1, d), np.nan)
-    pi[:, :n] = _positions(run, kept.state[:, :n].reshape(P * n, n_state),
-                           kept.alpha.reshape(P * n, d)).reshape(P, n, d)
+    step = max(1, _CSV_ROWS // n)
+    for p0 in range(0, P, step):
+        block = slice(p0, p0 + step)
+        pi[block, :n] = _positions(run, kept.state[block, :n].reshape(-1, n_state),
+                                   kept.alpha[block].reshape(-1, d)).reshape(-1, n, d)
     n_rows = P * (n + 1)
     columns = [np.repeat(np.arange(P), n + 1), np.tile(run.grid.nodes, P), kept.x.reshape(n_rows),
                *alpha.reshape(n_rows, d).T, *pi.reshape(n_rows, d).T, *kept.state.reshape(n_rows, n_state).T]

@@ -15,9 +15,11 @@ so no additional discretization error enters beyond the premium
 evaluation itself.
 
 ``run_mc`` streams the paths in chunks and frees each chunk before the
-next.  One chunk of m paths holds only what the stages return: the raw
-drivers z (m, n, n_factors), the evaluator's lambda, premium and state
-paths, and the evaluator's own temporaries while it runs.  Wealth is
+next.  One chunk of m paths holds only what the stages return: dB, the
+evaluator's lambda, premium and state paths, and the evaluator's own
+temporaries while it runs.  The raw drivers z (m, n, n_factors) are
+passed straight to the evaluator, which copies dB out of them and frees
+them once it has read them.  Wealth is
 advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and
 the (m, n, d) amounts never exist for the whole chunk; only the terminal
 wealth, the Gamma samples and the kept paths leave it.  The chunk's size
@@ -42,9 +44,10 @@ from .markowitz import tail_rate_integrals
 _WEALTH_ROWS = 256
 # (chunk, n, n_factors) float arrays, the size of the drivers z, alive at
 # once in one run_mc chunk, rounded up from the traced peaks of 4096-path
-# chunks: 2.7 on the affine-simulate model (z, the stepper's driver and
-# curve buffers, lambda, premium) and 2.7 on the quad-simulate model (z, the
-# premium map's product, lambda).
+# chunks: 2.19 on the affine-simulate model (z, dB and the stepper's driver
+# buffer while correlating; dB, the stepper's driver and curve buffers,
+# lambda and premium after) and 2.5 on the quad-simulate model (z, dW and
+# the premium map's product).
 CHUNK_ARRAYS = 4
 
 
@@ -203,9 +206,13 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
     ``evaluator`` provides n_factors and premium_paths(z) -> (dB, lambda,
-    premium, state paths).  Chunking does not change any draw; the samples
-    are bit-for-bit chunk-invariant for the affine evaluator and equal to
-    roundoff for the quadratic one (see the module docstring).  The first
+    premium, state paths).  Each chunk's draws are passed to premium_paths
+    with no name bound to them here; CPython moves call arguments into the
+    callee's frame, so the evaluator holds their only reference and frees
+    them as soon as it has read them.  Chunking does not change any draw;
+    the samples are bit-for-bit chunk-invariant for the affine evaluator
+    and equal to roundoff for the quadratic one (see the module
+    docstring).  The first
     ``keep_paths`` paths are returned in full (wealth, amounts, state) for
     dumping.  With ``antithetic`` the path count must be even and at least
     4, and the standard errors come from the antithetic pairs.  Raises
@@ -225,8 +232,10 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     done = 0
     while done < paths:
         m = min(chunk, paths - done)
-        z = simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done)
-        db, lam, prem, state = evaluator.premium_paths(z)
+        # no name is bound to the draws: the call moves them into the
+        # evaluator's frame, which then holds their only reference
+        db, lam, prem, state = evaluator.premium_paths(
+            simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done))
         gamma[done : done + m] = gamma_factors(grid, rate, prem)
         for r0 in range(0, m, _WEALTH_ROWS):
             r1 = min(r0 + _WEALTH_ROWS, m)
@@ -239,7 +248,7 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
                     pieces[name].append(rows[:take].copy())
         done += m
         # free this chunk before the next one draws and steps its own
-        del z, db, lam, prem, state, w
+        del db, lam, prem, state, w
     kept = None
     if keep_paths > 0:
         kept = SimpleNamespace(**{name: np.concatenate(rows) for name, rows in pieces.items()})

@@ -609,12 +609,21 @@ class QuadraticEvaluator:
 
         Correlates the drivers, applies the premium map in one matrix
         product and reads lambda = Theta Y off the state at the left nodes.
+        dB is copied out of z after the product, once dW is freed, and
+        every reference this call holds to z is dropped before lambda is
+        allocated: when the caller passes the draws without keeping a name
+        for them, as ``run_mc`` does, z is freed there.
         """
         model, n, N = self.model, self.grid.n, self.model.n_state
-        db, dw = correlate_drivers(z, model.corr)
+        dw = correlate_drivers(z, model.corr)[1]
         P = z.shape[0]
         out = dw.reshape(P, n * N) @ self.lmap
-        del dw  # so z, the product and lambda, not dW too, make the chunk's peak
+        # dW is freed first, so the dB copy can take its block.  Freeing z
+        # before the product raised the peak RSS instead: the product is N
+        # columns wider than z and cannot take z's block
+        del dw
+        db = z[:, :, : model.n_assets].copy()
+        del z
         out += self.c0
         state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
         prem = out[:, (n + 1) * N :].reshape(P, n, model.n_assets)

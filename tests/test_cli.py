@@ -15,7 +15,7 @@ import vmk.config
 import vmk.errors
 import vmk.montecarlo
 import vmk.quadratic
-from vmk.cli import _write_csv, main
+from vmk.cli import _CSV_ROWS, _write_csv, main
 from vmk.quadratic import two_asset_model, volatility_matrix
 
 from oracles import write_csv_rows
@@ -233,6 +233,19 @@ class TestColumnWriter:
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _CSV_ROWS + 1])
+    def test_row_blocks_keep_the_bytes(self, tmp_path, extra):
+        n_rows = _CSV_ROWS + extra
+        rng = np.random.default_rng(extra + 2)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        floats[::97] = np.nan
+        ints = rng.integers(-(2**62), 2**62, n_rows)
+        text = [["a,b", 'q"t', "", 0.5, 7][i % 5] for i in range(n_rows)]
+        header = ["f", "i", "text"]
+        _write_csv(str(tmp_path / "columns.csv"), header, [floats, ints, text])
+        write_csv_rows(str(tmp_path / "rows.csv"), header, list(zip(floats, ints, text)))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
 
 class TestFrontier:
     def test_rows_and_closed_form_value(self, tmp_path):
@@ -309,6 +322,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "Monte Carlo chunk" in err and "mc.chunk" in err and str(limit) in err
         assert not (out / "mc.csv").exists()
+
+    def test_oversized_dump_refused_before_the_first_draw(self, tmp_path, capsys, monkeypatch):
+        # 50 paths x 201 nodes x (3 kept + 6 written floats) x 8 bytes; a
+        # 16-path chunk needs 204800
+        need = 50 * 201 * 9 * 8
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 100\n  chunk: 16\n  dump_paths: 50\n")
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
+        assert main(["simulate", "--config", cfg]) == 0
+        _, rows = read_csv(out / "paths.csv")
+        assert len(rows) == 50 * 201
+        for name in ("mc.csv", "paths.csv"):
+            (out / name).unlink()
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "mc.dump_paths" in err and str(need) in err and str(need - 1) in err
+        assert not (out / "mc.csv").exists() and not (out / "paths.csv").exists()
 
 
     def test_path_positions_match_strategy(self, tmp_path):

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vmk.affine
 import vmk.errors
 import vmk.montecarlo
 from vmk import (
@@ -352,9 +354,11 @@ class TestRunMCMemory:
         # a second chunk that still held the first alive read 1.7-1.8x
         assert peaks[1] <= 1.2 * peaks[0]
 
-    def test_one_chunk_holds_at_most_six_variance_arrays(self):
-        # z (two arrays), the stepper's curve, lambda and premium, plus
-        # one wealth block; whole-chunk wealth, dW and sqrt(V+) read 8.1
+    def test_one_chunk_holds_under_five_variance_arrays(self):
+        # z (two arrays), dB and the stepper's driver buffer while the
+        # drivers are correlated; dB, the curve, lambda and premium after,
+        # plus one wealth block (4.38).  With z held for the whole chunk
+        # it read 5.38, with whole-chunk wealth, dW and sqrt(V+) 8.1
         P, n = 4096, 400
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, n))
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
@@ -364,11 +368,12 @@ class TestRunMCMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * P * n * 8
+        assert peak <= 4.75 * P * n * 8
 
     def test_quadratic_chunk_drops_dw_before_lambda(self):
-        # N = d = 1: z (two P n arrays), the premium map's product (two) and
-        # lambda, plus one wealth block; dW held next to lambda read 6.0
+        # N = d = 1: z (two P n arrays), dW and the premium map's product
+        # (two) while the map is applied (5.01); z held next to lambda read
+        # 5.34, dW too 6.0
         P, n = 4096, 250
         ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
                                                drift=-0.3, g0=0.3), make_grid(0.5, n))
@@ -379,7 +384,7 @@ class TestRunMCMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * P * n * 8
+        assert peak <= 5.25 * P * n * 8
 
     @pytest.mark.parametrize("paths", [100, 10])
     def test_oversized_chunk_refused_before_the_first_draw(self, paths, monkeypatch):
@@ -394,6 +399,56 @@ class TestRunMCMemory:
         with pytest.raises(MemoryCapError, match="mc.chunk") as exc:
             run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
         assert exc.value.limit == need - 1
+
+
+class TestDrawsReleased:
+    """The evaluators drop every reference to the raw draws once they have read them."""
+
+    @staticmethod
+    def record_draws(monkeypatch, refs):
+        def draw(*args, **kwargs):
+            z = simulate_drivers(*args, **kwargs)
+            refs.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", draw)
+        return draw
+
+    @staticmethod
+    def assert_freed_before(monkeypatch, module, name, refs):
+        orig = getattr(module, name)
+
+        def check(*args, **kwargs):
+            alive = not refs or refs[-1]() is not None
+            assert not alive, f"the draws are alive when {name} runs"
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, check)
+
+    @pytest.mark.parametrize("route", ["run_mc", "premium_paths"])
+    @pytest.mark.parametrize("factors", ["one", "two"])
+    def test_affine_draws_freed_before_the_stepper(self, factors, route, monkeypatch):
+        g = make_grid(1.0, 40)
+        ev = AffineEvaluator(gemm_models()[factors], g)
+        refs = []
+        draw = self.record_draws(monkeypatch, refs)
+        self.assert_freed_before(monkeypatch, vmk.affine, "_step_forward_variance", refs)
+        if route == "run_mc":
+            res = run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20, keep_paths=5)
+            assert len(refs) == 3 and res.wealth.paths == 50
+        else:
+            db, _, _, _ = ev.premium_paths(draw(g, ev.n_factors, 20, 3))
+            assert len(refs) == 1
+            np.testing.assert_array_equal(db, simulate_drivers(g, ev.n_factors, 20, 3)[:, :, : ev.model.dim])
+
+    def test_quadratic_draws_freed_before_gamma(self, monkeypatch):
+        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
+                                               drift=-0.3, g0=0.3), make_grid(0.5, 30))
+        refs = []
+        self.record_draws(monkeypatch, refs)
+        self.assert_freed_before(monkeypatch, vmk.montecarlo, "gamma_factors", refs)
+        assert run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20).wealth.paths == 50
+        assert len(refs) == 3
 
 
 class TestRunMCMatchesStages:
