@@ -17,6 +17,7 @@ against forward variance curves.
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -25,11 +26,12 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     RiccatiBlowUpError,
+    check_memory,
 )
 from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
-from .montecarlo import correlate_drivers
+from .montecarlo import _WEALTH_ROWS, correlate_drivers, take_floats
 
 RICCATI_CAP = 1e6
 GAMMA_BOUND_TOL = 1e-8
@@ -228,28 +230,31 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     n, d = grid.n, model.dim
     if dw.shape != (P, n, d):
         raise InvalidArgumentError(f"dw must have shape (P, {n}, {d}), got {dw.shape}")
-    u = _slot_major(P, n, d)
+    u = np.empty((n, d, _padded(P)))
     u[:, :, :P] = dw.transpose(1, 2, 0)
-    return _step_forward_variance(model, grid, u, P)
+    return _step_forward_variance(model, grid, u, np.empty((n + 1, d, u.shape[2])), P)
 
 
-def _slot_major(P: int, n: int, d: int) -> np.ndarray:
-    """Zero driver buffer (n, d, P padded to a multiple of ``_PATH_PAD``) for the stepper."""
-    return np.zeros((n, d, -(-P // _PATH_PAD) * _PATH_PAD))
+def _padded(P: int) -> int:
+    """P rounded up to a multiple of ``_PATH_PAD``."""
+    return -(-P // _PATH_PAD) * _PATH_PAD
 
 
-def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, P: int) -> np.ndarray:
-    """The stepper of ``simulate_forward_variance`` on P paths of a ``_slot_major`` buffer of dW.
+def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, v: np.ndarray, P: int) -> np.ndarray:
+    """The stepper of ``simulate_forward_variance`` on P paths, slot-major and padded.
 
-    Step j overwrites dW_j in u with its increment u_j.
+    u (n, d, padded) holds dW in its first P columns, and step j
+    overwrites dW_j with its increment u_j; the curve is written into v
+    (n + 1, d, padded), whose contents are ignored.  The padding columns
+    of both are zeroed here, so reused buffers step as fresh ones.
     """
     n, d = grid.n, model.dim
     dt = grid.dt
     w = _band_diag(model, grid) / dt
     nu = model.nu[:, None]
     drift = model.drift[:, :, None]
-    padded = u.shape[2]
-    v = np.zeros((n + 1, d, padded))
+    u[:, :, P:] = 0.0
+    v[:, :, P:] = 0.0
     v[:, :, :P] = g0_nodes(model.g0, grid, d)[:, :, None]
     for k0 in range(0, n + 1, _SLOT_BLOCK):
         k1 = min(k0 + _SLOT_BLOCK, n + 1)
@@ -334,36 +339,88 @@ class AffineEvaluator:
         self.n_factors = 2 * model.dim
         self.loadings = premium_loading(model, self.psi, grid, np.arange(grid.n))
 
-    def premium_paths(self, z: np.ndarray):
+    def _workspace_floats(self, width: int):
+        """Floats of the draws, driver and dB buffers of a workspace for ``width`` paths.
+
+        The draws buffer holds z (width, n, 2d), and later the slot-major
+        curve (n + 1, d, padded width) followed by the premium.
+        """
+        n, d = self.grid.n, self.model.dim
+        padded = _padded(width)
+        return max(2 * width * n * d, (n + 1) * d * padded + width * n * d), n * d * padded, width * n * d
+
+    def chunk_bytes(self, width: int) -> int:
+        """Bytes one ``run_mc`` chunk of ``width`` paths needs: its workspace and the temporaries beside it.
+
+        The workspace is counted exactly.  The temporaries are counted as
+        four slot blocks (``_SLOT_BLOCK``, d, padded width) or two wealth
+        blocks (wealth rows, n + 1, d + 2), whichever is larger: the traced
+        peak above the workspace read up to 3.13 slot blocks (correlation
+        and stepping, 4096-path chunks) and up to 1.33 wealth blocks (its
+        amounts, wealth and drift), 1.93 at n = 40 and 20 paths, where
+        fixed overheads weigh most.  Over one- and two-factor models at
+        n = 20 to 1000 and chunks of 1 to 4096 paths the count read 0.95
+        to 1.70 times the traced peak of ``run_mc``, under 1 only at 9
+        paths or fewer, by a few kilobytes.
+        """
+        n, d = self.grid.n, self.model.dim
+        slot_blocks = 4 * _SLOT_BLOCK * d * _padded(width)
+        wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
+        return 8 * (sum(self._workspace_floats(width)) + max(slot_blocks, wealth_blocks))
+
+    def workspace(self, width: int) -> SimpleNamespace:
+        """The flat buffers ``premium_paths`` writes every chunk of up to ``width`` paths into.
+
+        Raises MemoryCapError, before allocating anything, when one chunk
+        (``chunk_bytes``) would not fit in physical memory.
+        """
+        check_memory(f"one Monte Carlo chunk of {width} paths at n = {self.grid.n}", self.chunk_bytes(width),
+                     "use a smaller mc.chunk")
+        draws, drivers, db = (np.empty(size) for size in self._workspace_floats(width))
+        return SimpleNamespace(draws=draws, drivers=drivers, db=db)
+
+    def premium_paths(self, z: np.ndarray, work: SimpleNamespace = None):
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths).
 
         The variance drivers are correlated one slot block at a time
         straight into the stepper's buffer, and dB is copied out of z in
         the same blocks, so no (P, n, d) dW exists and the returned dB
-        is not a view of z.  Every reference this call holds to z is
-        dropped before the stepper allocates the curve: when the caller
-        passes the draws without keeping a name for them, as ``run_mc``
-        does, z is freed there.  sqrt(V+) is taken in lambda's buffer: the
+        is not a view of z.  sqrt(V+) is taken in lambda's buffer: the
         premium is read off it before it is scaled by theta in place.
+
+        With ``work``, a ``workspace`` for at least P paths, every array
+        is a view of the workspace: dB and the driver buffer have their
+        own buffers, the curve and the premium are written into the
+        draws buffer, over z once it is read when z is a view of it (as
+        in ``run_mc``), and lambda over the driver buffer once the curve
+        is stepped.  The outputs then last only until the next call with
+        the same workspace.  Without it every array is allocated, in the
+        same order, and every reference this call holds to z is dropped
+        before the curve is allocated: when the caller passes the draws
+        without keeping a name for them, z is freed there.
         """
         P = z.shape[0]
         n, d = self.grid.n, self.model.dim
         if z.shape != (P, n, 2 * d):
             raise InvalidArgumentError(f"z must have shape (P, {n}, {2 * d}), got {z.shape}")
+        draws, drivers, db_buf = (None, None, None) if work is None else (work.draws, work.drivers, work.db)
+        padded = _padded(P)
         corr = np.diag(self.model.rho)
-        u = _slot_major(P, n, d)
-        db = np.empty((P, n, d))
+        u = take_floats(drivers, (n, d, padded))
+        db = take_floats(db_buf, (P, n, d))
         for k0 in range(0, n, _SLOT_BLOCK):
             db_blk, dw = correlate_drivers(z[:, k0 : k0 + _SLOT_BLOCK], corr)
             db[:, k0 : k0 + _SLOT_BLOCK] = db_blk
             u[k0 : k0 + _SLOT_BLOCK, :, :P] = dw.transpose(1, 2, 0)
-        del z, db_blk, dw  # db_blk is a view of z: both go before the curve is allocated
-        v = _step_forward_variance(self.model, self.grid, u, P)
-        del u  # freed before lambda and the premium are allocated
+        # db_blk is a view of z: without a workspace both are freed before
+        # the curve is allocated
+        del z, db_blk, dw
+        v = _step_forward_variance(self.model, self.grid, u, take_floats(draws, (n + 1, d, padded)), P)
+        del u  # without a workspace, freed before lambda and the premium are allocated
         # path-major like the drivers, so the per-path sums downstream do
         # not depend on the stepper's slot-major layout
-        lam = np.maximum(v[:, :n, :], 0.0, order="C")
+        lam = np.maximum(v[:, :n, :], 0.0, out=take_floats(drivers, (P, n, d)))
         np.sqrt(lam, out=lam)
-        prem = self.loadings[None, :, :] * lam
+        prem = np.multiply(self.loadings[None, :, :], lam, out=take_floats(draws, (P, n, d), (n + 1) * d * padded))
         lam *= self.model.theta
         return db, lam, prem, v

@@ -14,16 +14,19 @@ exponential step of the induced geometric dynamics of the discounted gap,
 so no additional discretization error enters beyond the premium
 evaluation itself.
 
-``run_mc`` streams the paths in chunks and frees each chunk before the
-next.  One chunk of m paths holds only what the stages return: dB, the
-evaluator's lambda, premium and state paths, and the evaluator's own
-temporaries while it runs.  The raw drivers z (m, n, n_factors) are
-passed straight to the evaluator, which copies dB out of them and frees
-them once it has read them.  Wealth is
-advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and
-the (m, n, d) amounts never exist for the whole chunk; only the terminal
-wealth, the Gamma samples and the kept paths leave it.  The chunk's size
-is checked against physical memory before the first draw.
+``run_mc`` streams the paths in chunks.  One chunk of m paths holds only
+what the stages return: dB, the evaluator's lambda, premium and state
+paths, and the evaluator's own temporaries while it runs.  The affine
+evaluator hands out one workspace, allocated before the first draw and
+reused by every chunk: the raw drivers z (m, n, 2d) are drawn into it,
+and the curve, lambda and premium are written over them once they are
+read, so a chunk holds 4 m n d floats and later chunks allocate none of
+them.  The quadratic evaluator has no workspace: z is passed straight
+to it, and it copies dB out of z and frees z once it has read it.
+Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1)
+wealth and the (m, n, d) amounts never exist for the whole chunk; only
+the terminal wealth, the Gamma samples and the kept paths leave it.  The
+chunk's size is checked against physical memory before the first draw.
 """
 
 import math
@@ -32,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_memory
+from .errors import InvalidArgumentError
 from .grid import TimeGrid, g0_nodes
 from .markowitz import tail_rate_integrals
 
@@ -42,17 +45,20 @@ from .markowitz import tail_rate_integrals
 # 2-core Xeon), while the chunk's traced peak grows with the block:
 # 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
 _WEALTH_ROWS = 256
-# (chunk, n, n_factors) float arrays, the size of the drivers z, alive at
-# once in one run_mc chunk, rounded up from the traced peaks of 4096-path
-# chunks: 2.19 on the affine-simulate model (z, dB and the stepper's driver
-# buffer while correlating; dB, the stepper's driver and curve buffers,
-# lambda and premium after) and 2.5 on the quad-simulate model (z, dW and
-# the premium map's product).
-CHUNK_ARRAYS = 4
+
+
+def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
+    """A new float array of ``shape``, or, given a flat buffer, its floats from ``offset`` on viewed as one."""
+    if buf is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if offset + size > buf.size:
+        raise InvalidArgumentError(f"a buffer of {buf.size} floats cannot hold {size} from float {offset} on")
+    return buf[offset : offset + size].reshape(shape)
 
 
 def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
-                     antithetic: bool = False, start: int = 0) -> np.ndarray:
+                     antithetic: bool = False, start: int = 0, out: np.ndarray = None) -> np.ndarray:
     """Brownian increments of shape (paths, n, n_factors), step variance dt.
 
     Path p draws from its own Philox stream keyed by (seed, start + p);
@@ -64,10 +70,14 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
     uint64 from seed mod 2^64, never through float64, so no seed below 2^64
     is rounded onto another seed's key; a negative seed names the stream of
     seed + 2^64.
+
+    With ``out``, a flat float buffer, the draws are written into its
+    leading paths * n * n_factors floats and returned as a view of them;
+    the values are the same either way.
     """
     if paths < 1 or n_factors < 1:
         raise InvalidArgumentError("paths and n_factors must be positive")
-    out = np.empty((paths, grid.n, n_factors))
+    out = take_floats(out, (paths, grid.n, n_factors))
     key = np.array([seed % 2**64, start // 2 if antithetic else start], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
@@ -205,37 +215,45 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
            antithetic: bool = False, chunk: int = 4096, keep_paths: int = 0) -> SimpleNamespace:
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
-    ``evaluator`` provides n_factors and premium_paths(z) -> (dB, lambda,
-    premium, state paths).  Each chunk's draws are passed to premium_paths
+    ``evaluator`` provides n_factors, workspace(width) and premium_paths(z)
+    -> (dB, lambda, premium, state paths).  ``workspace`` checks that one
+    chunk of ``width`` paths fits in physical memory, raising
+    MemoryCapError before the first draw when it does not, and returns the
+    buffers every chunk reuses, or None.  With a workspace each chunk's
+    draws are written into it and premium_paths(z, workspace) returns views
+    of it, so no chunk after the first allocates its drivers, curve or
+    premium.  Without one each chunk's draws are passed to premium_paths
     with no name bound to them here; CPython moves call arguments into the
     callee's frame, so the evaluator holds their only reference and frees
     them as soon as it has read them.  Chunking does not change any draw;
     the samples are bit-for-bit chunk-invariant for the affine evaluator
     and equal to roundoff for the quadratic one (see the module
-    docstring).  The first
-    ``keep_paths`` paths are returned in full (wealth, amounts, state) for
-    dumping.  With ``antithetic`` the path count must be even and at least
-    4, and the standard errors come from the antithetic pairs.  Raises
-    MemoryCapError before the first draw when one chunk would not fit in
-    physical memory.
+    docstring).  The first ``keep_paths`` paths are returned in full
+    (wealth, amounts, state) for dumping, copied block by block into
+    arrays allocated once.  With ``antithetic`` the path count must be
+    even and at least 4, and the standard errors come from the antithetic
+    pairs.
     """
     if antithetic and (paths % 2 or paths < 4):
         raise InvalidArgumentError(f"antithetic sampling needs an even path count of at least 4, got {paths}")
     grid = evaluator.grid
     rate = evaluator.model.rate
-    width = min(chunk, paths)
-    check_memory(f"one Monte Carlo chunk of {width} paths at n = {grid.n}",
-                 CHUNK_ARRAYS * 8 * width * grid.n * evaluator.n_factors, "use a smaller mc.chunk")
+    work = evaluator.workspace(min(chunk, paths))
+    draws = None if work is None else work.draws
+    # the workspace route binds z in the lambda's frame, which is harmless:
+    # z is a view of the workspace
+    premium_paths = evaluator.premium_paths if work is None else lambda z: evaluator.premium_paths(z, work)
     terminal = np.empty(paths)
     gamma = np.empty(paths)
-    pieces = {"x": [], "alpha": [], "state": []}
+    kept = None
     done = 0
     while done < paths:
         m = min(chunk, paths - done)
-        # no name is bound to the draws: the call moves them into the
-        # evaluator's frame, which then holds their only reference
-        db, lam, prem, state = evaluator.premium_paths(
-            simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done))
+        # no name is bound to the draws: without a workspace the call
+        # moves them into the evaluator's frame, which then holds their
+        # only reference
+        db, lam, prem, state = premium_paths(
+            simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done, out=draws))
         gamma[done : done + m] = gamma_factors(grid, rate, prem)
         for r0 in range(0, m, _WEALTH_ROWS):
             r1 = min(r0 + _WEALTH_ROWS, m)
@@ -243,15 +261,17 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
             terminal[done + r0 : done + r1] = w.terminal
             take = min(keep_paths - done, r1) - r0
             if take > 0:
-                # copies, so the kept rows do not pin this chunk's buffers
-                for name, rows in (("x", w.x), ("alpha", w.alpha), ("state", state[r0:r1])):
-                    pieces[name].append(rows[:take].copy())
+                rows = {"x": w.x, "alpha": w.alpha, "state": state[r0:r1]}
+                if kept is None:
+                    kept = SimpleNamespace(**{name: np.empty((min(keep_paths, paths),) + a.shape[1:])
+                                              for name, a in rows.items()})
+                for name, a in rows.items():
+                    getattr(kept, name)[done + r0 : done + r0 + take] = a[:take]
+                del rows
+            del w  # freed before the next block allocates its own
         done += m
         # free this chunk before the next one draws and steps its own
-        del db, lam, prem, state, w
-    kept = None
-    if keep_paths > 0:
-        kept = SimpleNamespace(**{name: np.concatenate(rows) for name, rows in pieces.items()})
+        del db, lam, prem, state
     stats = _pair_stats if antithetic else mc_stats
     return SimpleNamespace(
         wealth=stats(terminal),

@@ -67,6 +67,10 @@ DENSE_ARRAYS = 3
 CURVE_ARRAYS = 2
 COVARIANCE_ARRAYS = 4
 MAP_ARRAYS = 6
+# (chunk, n, d + N) float arrays, the size of the drivers z, alive at once in
+# one run_mc chunk, rounded up from the traced peak of a 4096-path chunk on
+# the quad-simulate model: 2.5 (z, dW and the premium map's product).
+CHUNK_ARRAYS = 4
 # Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
 _PANEL_ROWS = 64
 
@@ -604,6 +608,15 @@ class QuadraticEvaluator:
         _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n * model.n_state, grid.n * model.n_state)
         self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
+    def workspace(self, width: int) -> None:
+        """None: a quadratic chunk allocates its arrays as it goes, lambda taking the block z frees.
+
+        Raises MemoryCapError when ``CHUNK_ARRAYS`` arrays the size of the
+        drivers of ``width`` paths would not fit in physical memory.
+        """
+        check_memory(f"one Monte Carlo chunk of {width} paths at n = {self.grid.n}",
+                     CHUNK_ARRAYS * 8 * width * self.grid.n * self.n_factors, "use a smaller mc.chunk")
+
     def premium_paths(self, z: np.ndarray):
         """Raw increments (P, n, d+N) -> (dB, lambda, premium, state paths).
 
@@ -612,7 +625,8 @@ class QuadraticEvaluator:
         dB is copied out of z after the product, once dW is freed, and
         every reference this call holds to z is dropped before lambda is
         allocated: when the caller passes the draws without keeping a name
-        for them, as ``run_mc`` does, z is freed there.
+        for them, as ``run_mc`` does (this evaluator has no workspace), z
+        is freed there.
         """
         model, n, N = self.model, self.grid.n, self.model.n_state
         dw = correlate_drivers(z, model.corr)[1]

@@ -13,12 +13,16 @@ the whole-array wealth step, the columnar writer and the batched ``asset_positio
 Last, the quadratic route as a backward sweep over dense (N n)^2 operators, which the one
 Cholesky factor of T replaced: the dense T, the per-node rank-N Woodbury sweep, the solution
 read off a sweep, and the Psi readers that check the paper's derivative and boundary relations.
+Beside them, the peak resident memory of a snippet run in a child interpreter.
 """
 
 import csv
 import math
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -374,6 +378,45 @@ def staged_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     x, alpha, state = (np.concatenate([k[i] for k in kept])[:keep_paths] for i in range(3))
     return SimpleNamespace(terminal=np.concatenate(terminal), gamma_samples=np.concatenate(gamma),
                            kept=SimpleNamespace(x=x, alpha=alpha, state=state))
+
+
+# Runs argv[2] in a child interpreter, kills it after argv[1] seconds and
+# prints the child's ru_maxrss (KiB) and exit code from os.wait4.
+_RSS_LAUNCHER = """
+import os, subprocess, sys, threading
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[2]])
+timer = threading.Timer(float(sys.argv[1]), proc.kill)
+timer.start()
+try:
+    _, status, usage = os.wait4(proc.pid, 0)
+finally:
+    timer.cancel()
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss, proc.returncode)
+"""
+
+
+def child_peak_rss(snippet: str, timeout: float = 120.0) -> int:
+    """Peak resident set size in bytes of a child interpreter running ``snippet``, with ``src`` on its path.
+
+    Read from ``ru_maxrss`` as ``os.wait4`` returns it for the child (KiB on
+    Linux), the measure perfbench's ``peak_rss_mb`` takes.  Linux starts a
+    child's ru_maxrss at the peak of the process it was started from, so a
+    child started straight from a test process that has held more would
+    report that; the snippet is started from a small launcher interpreter
+    instead.  A child that fails or is killed after ``timeout`` seconds
+    raises RuntimeError.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, str(timeout), snippet], env=env,
+                         capture_output=True, text=True, timeout=timeout + 30.0)
+    if run.returncode != 0:
+        raise RuntimeError(f"the launcher failed: {run.stderr}")
+    maxrss, code = (int(v) for v in run.stdout.split())
+    if code != 0:
+        raise RuntimeError(f"the child interpreter exited with {code}: {run.stderr}")
+    return maxrss * 1024
 
 
 def write_csv_rows(path: str, header, rows) -> None:

@@ -313,7 +313,7 @@ class TestSimulate:
         assert not (out / "mc.csv").exists()
 
     def test_mc_chunk_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 100000  # bytes; one 64-path chunk at n = 200 holds 204800 per driver array
+        limit = 100000  # bytes; one 64-path chunk at n = 200 needs 1027584
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
         cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 100\n  chunk: 64\n")
@@ -325,7 +325,7 @@ class TestSimulate:
 
     def test_oversized_dump_refused_before_the_first_draw(self, tmp_path, capsys, monkeypatch):
         # 50 paths x 201 nodes x (3 kept + 6 written floats) x 8 bytes; a
-        # 16-path chunk needs 204800
+        # 16-path chunk needs 256896
         need = 50 * 201 * 9 * 8
         cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 100\n  chunk: 16\n  dump_paths: 50\n")
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)

@@ -32,9 +32,10 @@ from vmk import (
 )
 from vmk.affine import gamma0_affine
 from vmk.markowitz import integrated_rate, xi_star
-from vmk.montecarlo import CHUNK_ARRAYS, _WEALTH_ROWS, gamma_factors
+from vmk.montecarlo import _WEALTH_ROWS, gamma_factors
+from vmk.quadratic import CHUNK_ARRAYS
 
-from oracles import staged_mc, step_wealth
+from oracles import child_peak_rss, staged_mc, step_wealth
 
 
 def premium_free_model(rate=0.0):
@@ -307,6 +308,20 @@ class TestAffineChunkInvariance:
         np.testing.assert_array_equal(got.kept.state, full.kept.state)
         np.testing.assert_array_equal(got.kept.x, full.kept.x)
 
+    @pytest.mark.parametrize("factors", ["one", "two"])
+    def test_stale_workspace_steps_as_a_fresh_one(self, factors):
+        # 20 paths padded to 24 in a 24-path workspace holding infinities:
+        # stale padding would reach the stepper as inf - inf
+        ev = AffineEvaluator(gemm_models()[factors], make_grid(1.0, 40))
+        work = ev.workspace(24)
+        for buf in (work.draws, work.drivers, work.db):
+            buf.fill(np.inf)
+        z = simulate_drivers(ev.grid, ev.n_factors, 20, 3)
+        with np.errstate(all="raise"):
+            got = ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, 20, 3, out=work.draws), work)
+        for a, b in zip(got, ev.premium_paths(z)):
+            np.testing.assert_array_equal(a, b)
+
     SCRIPT = (
         "import hashlib, sys\n"
         "from vmk import AffineEvaluator, make_grid, run_mc\n"
@@ -355,10 +370,12 @@ class TestRunMCMemory:
         assert peaks[1] <= 1.2 * peaks[0]
 
     def test_one_chunk_holds_under_five_variance_arrays(self):
-        # z (two arrays), dB and the stepper's driver buffer while the
-        # drivers are correlated; dB, the curve, lambda and premium after,
-        # plus one wealth block (4.38).  With z held for the whole chunk
-        # it read 5.38, with whole-chunk wealth, dW and sqrt(V+) 8.1
+        # the workspace (4.0: the draws buffer, which later holds the
+        # curve and premium, the driver buffer, which later holds lambda,
+        # and dB) and one wealth block (4.25).  With the stages' own
+        # arrays and z dropped once correlated it read 4.38, with z held
+        # for the whole chunk 5.38, with whole-chunk wealth, dW and
+        # sqrt(V+) 8.1
         P, n = 4096, 400
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, n))
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
@@ -368,7 +385,7 @@ class TestRunMCMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.75 * P * n * 8
+        assert peak <= 4.3 * P * n * 8
 
     def test_quadratic_chunk_drops_dw_before_lambda(self):
         # N = d = 1: z (two P n arrays), dW and the premium map's product
@@ -386,12 +403,27 @@ class TestRunMCMemory:
             tracemalloc.stop()
         assert peak <= 5.25 * P * n * 8
 
+    def test_dumped_rows_held_once(self):
+        # the kept wealth, amounts and state are 3 floats per kept path and
+        # node (2.98); per-block copies concatenated at the end read 5.1
+        n, kept = 50, 2000
+        ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, n))
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64, keep_paths=64)  # first-call allocations
+        peaks = []
+        for keep in (0, kept):
+            tracemalloc.start()
+            try:
+                run_mc(ev, paths=kept, seed=1, x0=1.0, xi_star_val=1.5, chunk=250, keep_paths=keep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3.5 * kept * (n + 1) * 8
+
     @pytest.mark.parametrize("paths", [100, 10])
     def test_oversized_chunk_refused_before_the_first_draw(self, paths, monkeypatch):
         g = make_grid(0.5, 20)
         ev = AffineEvaluator(risky_model(), g)
-        width = min(64, paths)
-        need = CHUNK_ARRAYS * 8 * width * g.n * ev.n_factors
+        need = ev.chunk_bytes(min(64, paths))
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
         assert run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == paths
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
@@ -399,6 +431,33 @@ class TestRunMCMemory:
         with pytest.raises(MemoryCapError, match="mc.chunk") as exc:
             run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
         assert exc.value.limit == need - 1
+
+    def test_quadratic_oversized_chunk_refused_before_the_first_draw(self, monkeypatch):
+        g = make_grid(0.5, 20)
+        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
+                                               drift=-0.3, g0=0.3), g)
+        need = CHUNK_ARRAYS * 8 * 64 * g.n * ev.n_factors
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
+        assert run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == 100
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
+        with pytest.raises(MemoryCapError, match="mc.chunk"):
+            run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
+
+    # A chunk is the affine-simulate benchmark's: n = 400, 4096 paths, one
+    # rough factor.  Three chunks peak 0.025 driver arrays (P n 2d floats)
+    # above one; with z freed per chunk, and the later chunks' arrays on
+    # the heap, 0.34
+    RSS_SCRIPT = (
+        "from vmk import AffineEvaluator, AffineModel, FractionalKernel, make_grid, run_mc\n"
+        "model = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8, g0=0.16)\n"
+        "ev = AffineEvaluator(model, make_grid(1.0, 400))\n"
+        "run_mc(ev, paths={paths}, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096)\n"
+    )
+
+    def test_later_chunks_do_not_raise_the_peak_rss(self):
+        one, three = (child_peak_rss(self.RSS_SCRIPT.format(paths=paths)) for paths in (4096, 3 * 4096))
+        assert three - one <= 0.25 * 4096 * 400 * 2 * 8
 
 
 class TestDrawsReleased:
@@ -430,13 +489,30 @@ class TestDrawsReleased:
     def test_affine_draws_freed_before_the_stepper(self, factors, route, monkeypatch):
         g = make_grid(1.0, 40)
         ev = AffineEvaluator(gemm_models()[factors], g)
-        refs = []
-        draw = self.record_draws(monkeypatch, refs)
-        self.assert_freed_before(monkeypatch, vmk.affine, "_step_forward_variance", refs)
         if route == "run_mc":
+            # the draws live in the workspace on purpose: every chunk draws
+            # into the first chunk's buffer, and the curve is written over it
+            draws, curves = [], []
+
+            def draw(*args, **kwargs):
+                draws.append(simulate_drivers(*args, **kwargs))
+                return draws[-1]
+
+            def step(*args, **kwargs):
+                curves.append(stepper(*args, **kwargs))
+                return curves[-1]
+
+            stepper = vmk.affine._step_forward_variance
+            monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", draw)
+            monkeypatch.setattr(vmk.affine, "_step_forward_variance", step)
             res = run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20, keep_paths=5)
-            assert len(refs) == 3 and res.wealth.paths == 50
+            assert len(draws) == len(curves) == 3 and res.wealth.paths == 50
+            for a in draws[1:] + curves:
+                assert np.shares_memory(a, draws[0])
         else:
+            refs = []
+            draw = self.record_draws(monkeypatch, refs)
+            self.assert_freed_before(monkeypatch, vmk.affine, "_step_forward_variance", refs)
             db, _, _, _ = ev.premium_paths(draw(g, ev.n_factors, 20, 3))
             assert len(refs) == 1
             np.testing.assert_array_equal(db, simulate_drivers(g, ev.n_factors, 20, 3)[:, :, : ev.model.dim])
@@ -458,9 +534,14 @@ class TestRunMCMatchesStages:
     KEEP = _WEALTH_ROWS + 9  # crosses a row-block boundary
 
     @pytest.mark.parametrize("antithetic", [False, True])
-    @pytest.mark.parametrize("family", ["quadratic", "affine"])
+    @pytest.mark.parametrize("family", ["quadratic", "affine", "affine-two"])
     def test_bit_identical(self, family, antithetic):
-        ev, xi = calibration_evaluators()[family]
+        # two factors, and a last chunk of 20 paths padded to 24 in the
+        # workspace the first chunk's lambda was written into
+        if family == "affine-two":
+            ev, xi = AffineEvaluator(gemm_models()["two"], make_grid(1.0, 100)), 1.8
+        else:
+            ev, xi = calibration_evaluators()[family]
         args = dict(paths=2 * self.CHUNK + 20, seed=9, x0=1.0, xi_star_val=xi, antithetic=antithetic,
                     chunk=self.CHUNK, keep_paths=self.KEEP)
         got = run_mc(ev, **args)
