@@ -22,27 +22,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidArgumentError,
-    RiccatiBlowUpError,
-    check_memory,
-)
+from .errors import InternalConsistencyError, InvalidArgumentError, RiccatiBlowUpError
 from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, tail_rate_integrals
-from .montecarlo import _WEALTH_ROWS, correlate_drivers, take_floats
+from .montecarlo import _SLOT_BLOCK, _WEALTH_ROWS, chunk_workspace, correlate_into, take_floats
 
 RICCATI_CAP = 1e6
 GAMMA_BOUND_TOL = 1e-8
-# Slots per block of the forward-variance stepper.  A block takes the
-# history of all earlier steps as one GEMM per factor and then steps its own
-# slots elementwise: the elementwise work grows with the block, and a GEMM
-# with fewer rows runs further below BLAS speed.  The stepper alone on one
-# 4096-path chunk at n = 400 measured 16 -> 0.066 s, 24 -> 0.070 s,
-# 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc over two
-# such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
-_SLOT_BLOCK = 32
 # The path axis is padded with zero paths to a multiple of this, so every
 # GEMM has at least this many columns and its column count is a multiple
 # of it: OpenBLAS then computes each path's column with the same kernel
@@ -369,58 +356,37 @@ class AffineEvaluator:
         return 8 * (sum(self._workspace_floats(width)) + max(slot_blocks, wealth_blocks))
 
     def workspace(self, width: int) -> SimpleNamespace:
-        """The flat buffers ``premium_paths`` writes every chunk of up to ``width`` paths into.
-
-        Raises MemoryCapError, before allocating anything, when one chunk
-        (``chunk_bytes``) would not fit in physical memory.
-        """
-        check_memory(f"one Monte Carlo chunk of {width} paths at n = {self.grid.n}", self.chunk_bytes(width),
-                     "use a smaller mc.chunk")
-        draws, drivers, db = (np.empty(size) for size in self._workspace_floats(width))
-        return SimpleNamespace(draws=draws, drivers=drivers, db=db)
+        """The buffers ``premium_paths`` writes chunks of up to ``width`` paths into, checked by ``chunk_bytes``."""
+        return chunk_workspace(self.grid, width, self.chunk_bytes(width), self._workspace_floats(width))
 
     def premium_paths(self, z: np.ndarray, work: SimpleNamespace = None):
-        """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths).
+        """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths), views of ``work``.
 
-        The variance drivers are correlated one slot block at a time
-        straight into the stepper's buffer, and dB is copied out of z in
-        the same blocks, so no (P, n, d) dW exists and the returned dB
-        is not a view of z.  sqrt(V+) is taken in lambda's buffer: the
-        premium is read off it before it is scaled by theta in place.
-
-        With ``work``, a ``workspace`` for at least P paths, every array
-        is a view of the workspace: dB and the driver buffer have their
-        own buffers, the curve and the premium are written into the
-        draws buffer, over z once it is read when z is a view of it (as
-        in ``run_mc``), and lambda over the driver buffer once the curve
-        is stepped.  The outputs then last only until the next call with
-        the same workspace.  Without it every array is allocated, in the
-        same order, and every reference this call holds to z is dropped
-        before the curve is allocated: when the caller passes the draws
-        without keeping a name for them, z is freed there.
+        ``work`` is a ``workspace`` for at least P paths, by default a new
+        one for P.  The drivers are correlated one slot block at a time
+        into its dB buffer and straight into the stepper's driver buffer,
+        so no (P, n, d) dW exists.  The curve and the premium are written
+        into the draws buffer, over z once it is read when z is a view of
+        it (as in ``run_mc``), and lambda over the driver buffer once the
+        curve is stepped: sqrt(V+) is taken there, and the premium is read
+        off it before it is scaled by theta in place.  The outputs last
+        until the next call with the same workspace.
         """
         P = z.shape[0]
         n, d = self.grid.n, self.model.dim
         if z.shape != (P, n, 2 * d):
             raise InvalidArgumentError(f"z must have shape (P, {n}, {2 * d}), got {z.shape}")
-        draws, drivers, db_buf = (None, None, None) if work is None else (work.draws, work.drivers, work.db)
+        work = self.workspace(P) if work is None else work
         padded = _padded(P)
-        corr = np.diag(self.model.rho)
-        u = take_floats(drivers, (n, d, padded))
-        db = take_floats(db_buf, (P, n, d))
-        for k0 in range(0, n, _SLOT_BLOCK):
-            db_blk, dw = correlate_drivers(z[:, k0 : k0 + _SLOT_BLOCK], corr)
-            db[:, k0 : k0 + _SLOT_BLOCK] = db_blk
-            u[k0 : k0 + _SLOT_BLOCK, :, :P] = dw.transpose(1, 2, 0)
-        # db_blk is a view of z: without a workspace both are freed before
-        # the curve is allocated
-        del z, db_blk, dw
-        v = _step_forward_variance(self.model, self.grid, u, take_floats(draws, (n + 1, d, padded)), P)
-        del u  # without a workspace, freed before lambda and the premium are allocated
+        u = take_floats(work.drivers, (n, d, padded))
+        db = take_floats(work.db, (P, n, d))
+        correlate_into(z, np.diag(self.model.rho), db, u[:, :, :P].transpose(2, 0, 1))
+        v = _step_forward_variance(self.model, self.grid, u, take_floats(work.draws, (n + 1, d, padded)), P)
         # path-major like the drivers, so the per-path sums downstream do
         # not depend on the stepper's slot-major layout
-        lam = np.maximum(v[:, :n, :], 0.0, out=take_floats(drivers, (P, n, d)))
+        lam = np.maximum(v[:, :n, :], 0.0, out=take_floats(work.drivers, (P, n, d)))
         np.sqrt(lam, out=lam)
-        prem = np.multiply(self.loadings[None, :, :], lam, out=take_floats(draws, (P, n, d), (n + 1) * d * padded))
+        prem = np.multiply(self.loadings[None, :, :], lam,
+                           out=take_floats(work.draws, (P, n, d), (n + 1) * d * padded))
         lam *= self.model.theta
         return db, lam, prem, v

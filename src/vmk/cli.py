@@ -68,30 +68,41 @@ def _quote(text: str) -> str:
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """Write a table given column by column, one ``%`` format per row.
+    """``_write_csv_blocks`` on a table of one block."""
+    _write_csv_blocks(path, header, [columns])
+
+
+def _write_csv_blocks(path: str, header, blocks) -> None:
+    """Write a table given as an iterable of row blocks, each column by column, one ``%`` format per row.
 
     A float array is printed with ``%.12g`` and an integer array with
     ``%d``, as ``_fmt`` prints their values; any other column goes through
     ``_fmt`` value by value and is quoted as ``csv.writer`` quotes.  For a
     table of two or more columns the bytes are those of ``csv.writer``
     given the ``_fmt`` strings.  Rows are formatted ``_CSV_ROWS`` at a
-    time, so the Python values of only one block exist at once.  The
-    file's directory is made if missing.
+    time and a block is read only once the rows before it are written, so
+    a generator can build the columns block by block.  A block that raises
+    leaves no file behind; the file's directory is made if missing.
     """
-    numeric = [isinstance(col, np.ndarray) and col.dtype.kind in "fiu" for col in columns]
-    row_fmt = ",".join(("%.12g" if col.dtype.kind == "f" else "%d") if num else "%s"
-                       for col, num in zip(columns, numeric)) + "\r\n"
-    n_rows = min((len(col) for col in columns), default=0)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_quote(h) for h in header) + "\r\n")
-        for r0 in range(0, n_rows, _CSV_ROWS):
-            values = [col[r0 : r0 + _CSV_ROWS].tolist() if num
-                      else [_quote(_fmt(v)) for v in col[r0 : r0 + _CSV_ROWS]]
-                      for col, num in zip(columns, numeric)]
-            fh.writelines(row_fmt % row for row in zip(*values))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(_quote(h) for h in header) + "\r\n")
+            for columns in blocks:
+                numeric = [isinstance(col, np.ndarray) and col.dtype.kind in "fiu" for col in columns]
+                row_fmt = ",".join(("%.12g" if col.dtype.kind == "f" else "%d") if num else "%s"
+                                   for col, num in zip(columns, numeric)) + "\r\n"
+                n_rows = min((len(col) for col in columns), default=0)
+                for r0 in range(0, n_rows, _CSV_ROWS):
+                    values = [col[r0 : r0 + _CSV_ROWS].tolist() if num
+                              else [_quote(_fmt(v)) for v in col[r0 : r0 + _CSV_ROWS]]
+                              for col, num in zip(columns, numeric)]
+                    fh.writelines(row_fmt % row for row in zip(*values))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _run(kind: str, model, grid, cfg) -> SimpleNamespace:
@@ -206,8 +217,9 @@ def _cmd_simulate(run, cfg, out_dir: str) -> None:
 def _write_paths_csv(path: str, run, kept) -> None:
     """One row per kept path and node; amounts and positions are NaN at the horizon.
 
-    Positions are solved for a block of paths at a time, so their
-    temporaries stay within about ``_CSV_ROWS`` rows.
+    Written about ``_CSV_ROWS`` rows at a time: a block of paths has its
+    columns built and its positions solved just before it is formatted,
+    so beyond the kept arrays only one block's columns exist at once.
     """
     n = run.grid.n
     P, _, d = kept.alpha.shape
@@ -216,18 +228,22 @@ def _write_paths_csv(path: str, run, kept) -> None:
               + [f"alpha_{i + 1}" for i in range(d)]
               + [f"pi_{i + 1}" for i in range(d)]
               + [f"Y_{j + 1}" for j in range(n_state)])
-    alpha = np.full((P, n + 1, d), np.nan)
-    alpha[:, :n] = kept.alpha
-    pi = np.full((P, n + 1, d), np.nan)
-    step = max(1, _CSV_ROWS // n)
-    for p0 in range(0, P, step):
-        block = slice(p0, p0 + step)
-        pi[block, :n] = _positions(run, kept.state[block, :n].reshape(-1, n_state),
-                                   kept.alpha[block].reshape(-1, d)).reshape(-1, n, d)
-    n_rows = P * (n + 1)
-    columns = [np.repeat(np.arange(P), n + 1), np.tile(run.grid.nodes, P), kept.x.reshape(n_rows),
-               *alpha.reshape(n_rows, d).T, *pi.reshape(n_rows, d).T, *kept.state.reshape(n_rows, n_state).T]
-    _write_csv(path, header, columns)
+
+    def blocks():
+        step = max(1, _CSV_ROWS // (n + 1))
+        for p0 in range(0, P, step):
+            block = slice(p0, min(p0 + step, P))
+            m = block.stop - p0
+            alpha, pi = np.full((2, m, n + 1, d), np.nan)
+            alpha[:, :n] = kept.alpha[block]
+            pi[:, :n] = _positions(run, kept.state[block, :n].reshape(-1, n_state),
+                                   kept.alpha[block].reshape(-1, d)).reshape(m, n, d)
+            rows = m * (n + 1)
+            yield [np.repeat(np.arange(p0, block.stop), n + 1), np.tile(run.grid.nodes, m),
+                   kept.x[block].reshape(rows), *alpha.reshape(rows, d).T, *pi.reshape(rows, d).T,
+                   *kept.state[block].reshape(rows, n_state).T]
+
+    _write_csv_blocks(path, header, blocks())
 
 
 def _cmd_sweep(cfg, kind: str, out_dir: str) -> None:

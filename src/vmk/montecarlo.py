@@ -14,19 +14,17 @@ exponential step of the induced geometric dynamics of the discounted gap,
 so no additional discretization error enters beyond the premium
 evaluation itself.
 
-``run_mc`` streams the paths in chunks.  One chunk of m paths holds only
-what the stages return: dB, the evaluator's lambda, premium and state
-paths, and the evaluator's own temporaries while it runs.  The affine
-evaluator hands out one workspace, allocated before the first draw and
-reused by every chunk: the raw drivers z (m, n, 2d) are drawn into it,
-and the curve, lambda and premium are written over them once they are
-read, so a chunk holds 4 m n d floats and later chunks allocate none of
-them.  The quadratic evaluator has no workspace: z is passed straight
-to it, and it copies dB out of z and frees z once it has read it.
-Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1)
-wealth and the (m, n, d) amounts never exist for the whole chunk; only
-the terminal wealth, the Gamma samples and the kept paths leave it.  The
-chunk's size is checked against physical memory before the first draw.
+``run_mc`` streams the paths in chunks through one workspace that the
+evaluator allocates before the first draw and every chunk reuses: the
+raw drivers z (m, n, d + N) are drawn into its draws buffer and
+correlated into its dB and driver buffers (``correlate_into``), and the
+evaluator writes the state and premium paths over z and lambda over the
+drivers once it has read them, so no chunk after the first allocates any
+of them.  Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the
+(m, n+1) wealth and the (m, n, d) amounts never exist for the whole
+chunk; only the terminal wealth, the Gamma samples and the kept paths
+leave it.  The chunk's size is checked against physical memory before
+the first draw.
 """
 
 import math
@@ -35,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_memory
 from .grid import TimeGrid, g0_nodes
 from .markowitz import tail_rate_integrals
 
@@ -45,6 +43,15 @@ from .markowitz import tail_rate_integrals
 # 2-core Xeon), while the chunk's traced peak grows with the block:
 # 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
 _WEALTH_ROWS = 256
+# Slots per block of the driver correlation and of the affine
+# forward-variance stepper.  A stepper block takes the history of all
+# earlier steps as one GEMM per factor and then steps its own slots
+# elementwise: the elementwise work grows with the block, and a GEMM with
+# fewer rows runs further below BLAS speed.  The stepper alone on one
+# 4096-path chunk at n = 400 measured 16 -> 0.066 s, 24 -> 0.070 s,
+# 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc over two
+# such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
+_SLOT_BLOCK = 32
 
 
 def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
@@ -55,6 +62,17 @@ def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
     if offset + size > buf.size:
         raise InvalidArgumentError(f"a buffer of {buf.size} floats cannot hold {size} from float {offset} on")
     return buf[offset : offset + size].reshape(shape)
+
+
+def chunk_workspace(grid: TimeGrid, width: int, need: int, floats) -> SimpleNamespace:
+    """The flat draws, drivers and dB buffers, of ``floats`` floats each, that every chunk of a run reuses.
+
+    Raises MemoryCapError, before allocating anything, when ``need`` bytes
+    for one chunk of ``width`` paths would not fit in physical memory.
+    """
+    check_memory(f"one Monte Carlo chunk of {width} paths at n = {grid.n}", need, "use a smaller mc.chunk")
+    draws, drivers, db = (np.empty(size) for size in floats)
+    return SimpleNamespace(draws=draws, drivers=drivers, db=db)
 
 
 def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
@@ -109,6 +127,17 @@ def correlate_drivers(z: np.ndarray, corr: np.ndarray):
     dw = np.multiply(z[:, :, d:], np.sqrt(np.maximum(1.0 - row_sq, 0.0)))
     dw += db @ corr.T
     return db, dw
+
+
+def correlate_into(z: np.ndarray, corr: np.ndarray, db: np.ndarray, dw: np.ndarray) -> None:
+    """``correlate_drivers`` written into db (P, n, d) and dw (P, n, N), ``_SLOT_BLOCK`` slots at a time.
+
+    Only one block's temporaries exist at once, and dw may be any view,
+    such as the affine stepper's slot-major buffer transposed.
+    """
+    for k0 in range(0, z.shape[1], _SLOT_BLOCK):
+        blk = slice(k0, k0 + _SLOT_BLOCK)
+        db[:, blk], dw[:, blk] = correlate_drivers(z[:, blk], corr)
 
 
 @dataclass(frozen=True)
@@ -215,19 +244,14 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
            antithetic: bool = False, chunk: int = 4096, keep_paths: int = 0) -> SimpleNamespace:
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
-    ``evaluator`` provides n_factors, workspace(width) and premium_paths(z)
-    -> (dB, lambda, premium, state paths).  ``workspace`` checks that one
-    chunk of ``width`` paths fits in physical memory, raising
+    ``evaluator`` provides n_factors, workspace(width) and premium_paths(z,
+    workspace) -> (dB, lambda, premium, state paths).  ``workspace`` checks
+    that one chunk of ``width`` paths fits in physical memory, raising
     MemoryCapError before the first draw when it does not, and returns the
-    buffers every chunk reuses, or None.  With a workspace each chunk's
-    draws are written into it and premium_paths(z, workspace) returns views
-    of it, so no chunk after the first allocates its drivers, curve or
-    premium.  Without one each chunk's draws are passed to premium_paths
-    with no name bound to them here; CPython moves call arguments into the
-    callee's frame, so the evaluator holds their only reference and frees
-    them as soon as it has read them.  Chunking does not change any draw;
-    the samples are bit-for-bit chunk-invariant for the affine evaluator
-    and equal to roundoff for the quadratic one (see the module
+    buffers every chunk reuses: each chunk's draws are written into them
+    and premium_paths returns views of them.  Chunking does not change any
+    draw; the samples are bit-for-bit chunk-invariant for the affine
+    evaluator and equal to roundoff for the quadratic one (see the module
     docstring).  The first ``keep_paths`` paths are returned in full
     (wealth, amounts, state) for dumping, copied block by block into
     arrays allocated once.  With ``antithetic`` the path count must be
@@ -239,21 +263,14 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     grid = evaluator.grid
     rate = evaluator.model.rate
     work = evaluator.workspace(min(chunk, paths))
-    draws = None if work is None else work.draws
-    # the workspace route binds z in the lambda's frame, which is harmless:
-    # z is a view of the workspace
-    premium_paths = evaluator.premium_paths if work is None else lambda z: evaluator.premium_paths(z, work)
     terminal = np.empty(paths)
     gamma = np.empty(paths)
     kept = None
     done = 0
     while done < paths:
         m = min(chunk, paths - done)
-        # no name is bound to the draws: without a workspace the call
-        # moves them into the evaluator's frame, which then holds their
-        # only reference
-        db, lam, prem, state = premium_paths(
-            simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done, out=draws))
+        z = simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done, out=work.draws)
+        db, lam, prem, state = evaluator.premium_paths(z, work)
         gamma[done : done + m] = gamma_factors(grid, rate, prem)
         for r0 in range(0, m, _WEALTH_ROWS):
             r1 = min(r0 + _WEALTH_ROWS, m)
@@ -270,8 +287,6 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
                 del rows
             del w  # freed before the next block allocates its own
         done += m
-        # free this chunk before the next one draws and steps its own
-        del db, lam, prem, state
     stats = _pair_stats if antithetic else mc_stats
     return SimpleNamespace(
         wealth=stats(terminal),

@@ -57,7 +57,7 @@ from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
 from .markowitz import tail_rate_integrals
-from .montecarlo import correlate_drivers
+from .montecarlo import chunk_workspace, correlate_into, take_floats
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
@@ -67,9 +67,8 @@ DENSE_ARRAYS = 3
 CURVE_ARRAYS = 2
 COVARIANCE_ARRAYS = 4
 MAP_ARRAYS = 6
-# (chunk, n, d + N) float arrays, the size of the drivers z, alive at once in
-# one run_mc chunk, rounded up from the traced peak of a 4096-path chunk on
-# the quad-simulate model: 2.5 (z, dW and the premium map's product).
+# (chunk, n, d + N) float arrays, the size of the drivers z, per run_mc chunk: a 4096-path chunk
+# on the quad-simulate model traces at 2.13, its workspace (2.0) and one correlation or wealth block.
 CHUNK_ARRAYS = 4
 # Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
 _PANEL_ROWS = 64
@@ -608,40 +607,40 @@ class QuadraticEvaluator:
         _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n * model.n_state, grid.n * model.n_state)
         self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
-    def workspace(self, width: int) -> None:
-        """None: a quadratic chunk allocates its arrays as it goes, lambda taking the block z frees.
+    def workspace(self, width: int) -> SimpleNamespace:
+        """The buffers ``premium_paths`` writes every chunk of up to ``width`` paths into.
 
-        Raises MemoryCapError when ``CHUNK_ARRAYS`` arrays the size of the
-        drivers of ``width`` paths would not fit in physical memory.
+        Per path: draws, max(n (d + N), (n + 1) N + n d) floats for z and
+        then the premium map's product; drivers, n max(N, d) for dW and then
+        lambda; dB, n d.  One chunk is checked as ``CHUNK_ARRAYS`` arrays the
+        size of its drivers.
         """
-        check_memory(f"one Monte Carlo chunk of {width} paths at n = {self.grid.n}",
-                     CHUNK_ARRAYS * 8 * width * self.grid.n * self.n_factors, "use a smaller mc.chunk")
+        n, N, d = self.grid.n, self.model.n_state, self.model.n_assets
+        return chunk_workspace(self.grid, width, CHUNK_ARRAYS * 8 * width * n * self.n_factors,
+                               [width * max(n * (d + N), (n + 1) * N + n * d), width * n * max(N, d), width * n * d])
 
-    def premium_paths(self, z: np.ndarray):
-        """Raw increments (P, n, d+N) -> (dB, lambda, premium, state paths).
+    def premium_paths(self, z: np.ndarray, work: SimpleNamespace = None):
+        """Raw increments (P, n, d+N) -> (dB, lambda, premium, state paths), views of ``work``.
 
-        Correlates the drivers, applies the premium map in one matrix
-        product and reads lambda = Theta Y off the state at the left nodes.
-        dB is copied out of z after the product, once dW is freed, and
-        every reference this call holds to z is dropped before lambda is
-        allocated: when the caller passes the draws without keeping a name
-        for them, as ``run_mc`` does (this evaluator has no workspace), z
-        is freed there.
+        ``work`` is a ``workspace`` for at least P paths, by default a new
+        one for P.  The correlated drivers go into its dB and driver
+        buffers, the premium map's product into the draws buffer, over z
+        once it is read when z is a view of it (as in ``run_mc``), and
+        lambda = Theta Y, read off the state at the left nodes, over dW.
+        The outputs last until the next call with the same workspace.
         """
-        model, n, N = self.model, self.grid.n, self.model.n_state
-        dw = correlate_drivers(z, model.corr)[1]
+        model, n, N, d = self.model, self.grid.n, self.model.n_state, self.model.n_assets
         P = z.shape[0]
-        out = dw.reshape(P, n * N) @ self.lmap
-        # dW is freed first, so the dB copy can take its block.  Freeing z
-        # before the product raised the peak RSS instead: the product is N
-        # columns wider than z and cannot take z's block
-        del dw
-        db = z[:, :, : model.n_assets].copy()
-        del z
+        if z.shape != (P, n, d + N):
+            raise InvalidArgumentError(f"z must have shape (P, {n}, {d + N}), got {z.shape}")
+        work = self.workspace(P) if work is None else work
+        db, dw = take_floats(work.db, (P, n, d)), take_floats(work.drivers, (P, n, N))
+        correlate_into(z, model.corr, db, dw)
+        out = np.matmul(dw.reshape(P, n * N), self.lmap, out=take_floats(work.draws, (P, self.lmap.shape[1])))
         out += self.c0
         state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
-        prem = out[:, (n + 1) * N :].reshape(P, n, model.n_assets)
-        lam = state[:, :n] @ model.theta.T
+        prem = out[:, (n + 1) * N :].reshape(P, n, d)
+        lam = np.matmul(state[:, :n], model.theta.T, out=take_floats(work.drivers, (P, n, d)))
         return db, lam, prem, state
 
 

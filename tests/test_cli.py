@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,32 @@ class TestSimulate:
         assert "mc.dump_paths" in err and str(need) in err and str(need - 1) in err
         assert not (out / "mc.csv").exists() and not (out / "paths.csv").exists()
 
+    def test_path_dump_written_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # The writer's traced peak per dumped path and node, taken as the
+        # slope between two dump sizes so that one block's columns and
+        # formatted rows cancel: the kept wealth, amounts and state (3.02)
+        # and nothing per path beside them.  Whole-dump columns read 7.02
+        # (7.17 at 20000 dumped paths taken alone).
+        n, sizes = 100, (500, 2500)
+        peaks = []
+        write = vmk.cli._write_paths_csv
+
+        def traced_write(*args):
+            tracemalloc.reset_peak()
+            write(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        cfgs = [write_cfg(tmp_path, AFFINE_CFG + f"mc:\n  paths: {paths}\n  dump_paths: {paths}\n",
+                          name=f"cfg{paths}.yaml")[0] for paths in sizes]
+        assert main(["simulate", "--config", cfgs[0], "--grid-n", str(n)]) == 0  # first-call allocations
+        monkeypatch.setattr(vmk.cli, "_write_paths_csv", traced_write)
+        for cfg in cfgs:
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg, "--grid-n", str(n)]) == 0
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) * (n + 1) * 8) <= 3.5
 
     def test_path_positions_match_strategy(self, tmp_path):
         y0 = (1.0e-14, 0.3)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,11 @@ def premium_free_model(rate=0.0):
         g0=0.04,
         rate=rate,
     )
+
+
+def quad_simulate_model():
+    """The quad-simulate benchmark's model: one rough factor with drift."""
+    return QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5, drift=-0.3, g0=0.3)
 
 
 def risky_model():
@@ -203,10 +207,7 @@ class TestRunMC:
 
     def test_quadratic_chunking_agrees_to_roundoff(self):
         # one matrix product per chunk: BLAS sums depend on the row count
-        model = QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
-                               drift=-0.3, g0=0.3)
-        g = make_grid(0.5, 20)
-        ev = QuadraticEvaluator(model, g)
+        ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 20))
         a = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=7, keep_paths=10)
         b = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=4096, keep_paths=10)
         np.testing.assert_allclose(a.terminal, b.terminal, rtol=1e-12)
@@ -248,8 +249,7 @@ class TestRunMC:
 
 def calibration_evaluators():
     """The one-factor quadratic and affine benchmark models at n = 20, with their xi* for m = 1.05."""
-    quad = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
-                                             drift=-0.3, g0=0.3), make_grid(0.5, 20))
+    quad = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 20))
     aff_model = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8, g0=0.16,
                             rate=0.02)
     aff = AffineEvaluator(aff_model, make_grid(1.0, 20))
@@ -283,6 +283,14 @@ def gemm_models():
         nu=[0.4, 0.3], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
     )
     return {"one": one, "two": two}
+
+
+def route_evaluator(family, n):
+    """A one- or two-factor affine evaluator on ``gemm_models``, or the quad-simulate model's, at n steps."""
+    g = make_grid(1.0, n)
+    if family == "quadratic":
+        return QuadraticEvaluator(quad_simulate_model(), g)
+    return AffineEvaluator(gemm_models()[family], g)
 
 
 class TestAffineChunkInvariance:
@@ -355,8 +363,7 @@ class TestRunMCMemory:
         if family == "affine":
             ev = AffineEvaluator(gemm_models()["one"], g)
         else:
-            ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0,
-                                                   corr=-0.5, drift=-0.3, g0=0.3), g)
+            ev = QuadraticEvaluator(quad_simulate_model(), g)
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         peaks = []
         for paths in (512, 1024):
@@ -387,13 +394,14 @@ class TestRunMCMemory:
             tracemalloc.stop()
         assert peak <= 4.3 * P * n * 8
 
-    def test_quadratic_chunk_drops_dw_before_lambda(self):
-        # N = d = 1: z (two P n arrays), dW and the premium map's product
-        # (two) while the map is applied (5.01); z held next to lambda read
-        # 5.34, dW too 6.0
+    def test_quadratic_chunk_holds_its_workspace(self):
+        # N = d = 1: the workspace (4.0: the draws buffer, which later
+        # holds the premium map's product, the driver buffer, dW and then
+        # lambda, and dB) with one correlation or wealth block (4.27);
+        # allocating z, dW, the product and lambda as the chunk went read
+        # 5.01, with z held next to lambda 5.34
         P, n = 4096, 250
-        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
-                                               drift=-0.3, g0=0.3), make_grid(0.5, n))
+        ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, n))
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         tracemalloc.start()
         try:
@@ -401,7 +409,7 @@ class TestRunMCMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.25 * P * n * 8
+        assert peak <= 4.5 * P * n * 8
 
     def test_dumped_rows_held_once(self):
         # the kept wealth, amounts and state are 3 floats per kept path and
@@ -434,8 +442,7 @@ class TestRunMCMemory:
 
     def test_quadratic_oversized_chunk_refused_before_the_first_draw(self, monkeypatch):
         g = make_grid(0.5, 20)
-        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
-                                               drift=-0.3, g0=0.3), g)
+        ev = QuadraticEvaluator(quad_simulate_model(), g)
         need = CHUNK_ARRAYS * 8 * 64 * g.n * ev.n_factors
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
         assert run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == 100
@@ -444,87 +451,70 @@ class TestRunMCMemory:
         with pytest.raises(MemoryCapError, match="mc.chunk"):
             run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
 
-    # A chunk is the affine-simulate benchmark's: n = 400, 4096 paths, one
-    # rough factor.  Three chunks peak 0.025 driver arrays (P n 2d floats)
-    # above one; with z freed per chunk, and the later chunks' arrays on
-    # the heap, 0.34
+    # A chunk is the affine-simulate benchmark's (n = 400, 4096 paths, one
+    # rough factor) or the quad-simulate benchmark's (n = 250, 4096 paths).
+    # Three chunks peak 0.025 affine and 0.03-0.07 quadratic driver arrays
+    # (P n (d + N) floats) above one; with affine z freed per chunk, and the
+    # later chunks' arrays on the heap, 0.34
     RSS_SCRIPT = (
-        "from vmk import AffineEvaluator, AffineModel, FractionalKernel, make_grid, run_mc\n"
-        "model = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8, g0=0.16)\n"
-        "ev = AffineEvaluator(model, make_grid(1.0, 400))\n"
+        "from vmk import AffineEvaluator, AffineModel, FractionalKernel, QuadraticEvaluator, QuadraticModel,"
+        " make_grid, run_mc\n"
+        "ev = {evaluator}\n"
         "run_mc(ev, paths={paths}, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096)\n"
     )
+    EVALUATORS = {
+        "AffineEvaluator(AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8,"
+        " g0=0.16), make_grid(1.0, 400))": 4096 * 400 * 2,
+        "QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,"
+        " drift=-0.3, g0=0.3), make_grid(0.5, 250))": 4096 * 250 * 2,
+    }
 
     def test_later_chunks_do_not_raise_the_peak_rss(self):
-        one, three = (child_peak_rss(self.RSS_SCRIPT.format(paths=paths)) for paths in (4096, 3 * 4096))
-        assert three - one <= 0.25 * 4096 * 400 * 2 * 8
+        for evaluator, driver_floats in self.EVALUATORS.items():
+            one, three = (child_peak_rss(self.RSS_SCRIPT.format(evaluator=evaluator, paths=paths))
+                          for paths in (4096, 3 * 4096))
+            assert three - one <= 0.25 * driver_floats * 8, evaluator
 
 
-class TestDrawsReleased:
-    """The evaluators drop every reference to the raw draws once they have read them."""
-
-    @staticmethod
-    def record_draws(monkeypatch, refs):
-        def draw(*args, **kwargs):
-            z = simulate_drivers(*args, **kwargs)
-            refs.append(weakref.ref(z))
-            return z
-
-        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", draw)
-        return draw
+class TestOneChunkRoute:
+    """Both evaluators run every chunk in the workspace run_mc takes before its first draw."""
 
     @staticmethod
-    def assert_freed_before(monkeypatch, module, name, refs):
-        orig = getattr(module, name)
+    def recorded(fn, calls):
+        def call(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
 
-        def check(*args, **kwargs):
-            alive = not refs or refs[-1]() is not None
-            assert not alive, f"the draws are alive when {name} runs"
-            return orig(*args, **kwargs)
+        return call
 
-        monkeypatch.setattr(module, name, check)
+    @pytest.mark.parametrize("family", ["one", "two", "quadratic"])
+    def test_every_chunk_runs_in_the_first_workspace(self, family, monkeypatch):
+        ev = route_evaluator(family, 40)
+        works, draws, outputs = [], [], []
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", self.recorded(simulate_drivers, draws))
+        monkeypatch.setattr(ev, "workspace", self.recorded(ev.workspace, works))
+        monkeypatch.setattr(ev, "premium_paths", self.recorded(ev.premium_paths, outputs))
+        res = run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20, keep_paths=5)
+        assert len(works) == 1 and len(draws) == len(outputs) == 3 and res.wealth.paths == 50
+        work = works[0]
+        for z, (db, lam, prem, state) in zip(draws, outputs):
+            for a, buf in ((z, work.draws), (db, work.db), (lam, work.drivers), (prem, work.draws),
+                           (state, work.draws)):
+                assert np.shares_memory(a, buf)
 
-    @pytest.mark.parametrize("route", ["run_mc", "premium_paths"])
-    @pytest.mark.parametrize("factors", ["one", "two"])
-    def test_affine_draws_freed_before_the_stepper(self, factors, route, monkeypatch):
-        g = make_grid(1.0, 40)
-        ev = AffineEvaluator(gemm_models()[factors], g)
-        if route == "run_mc":
-            # the draws live in the workspace on purpose: every chunk draws
-            # into the first chunk's buffer, and the curve is written over it
-            draws, curves = [], []
+    @pytest.mark.parametrize("family", ["one", "two", "quadratic"])
+    def test_a_new_workspace_gives_the_same_bits(self, family):
+        ev = route_evaluator(family, 40)
+        work = ev.workspace(24)
+        got = ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, 20, 3, out=work.draws), work)
+        for a, b in zip(got, ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, 20, 3))):
+            np.testing.assert_array_equal(a, b)
 
-            def draw(*args, **kwargs):
-                draws.append(simulate_drivers(*args, **kwargs))
-                return draws[-1]
-
-            def step(*args, **kwargs):
-                curves.append(stepper(*args, **kwargs))
-                return curves[-1]
-
-            stepper = vmk.affine._step_forward_variance
-            monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", draw)
-            monkeypatch.setattr(vmk.affine, "_step_forward_variance", step)
-            res = run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20, keep_paths=5)
-            assert len(draws) == len(curves) == 3 and res.wealth.paths == 50
-            for a in draws[1:] + curves:
-                assert np.shares_memory(a, draws[0])
-        else:
-            refs = []
-            draw = self.record_draws(monkeypatch, refs)
-            self.assert_freed_before(monkeypatch, vmk.affine, "_step_forward_variance", refs)
-            db, _, _, _ = ev.premium_paths(draw(g, ev.n_factors, 20, 3))
-            assert len(refs) == 1
-            np.testing.assert_array_equal(db, simulate_drivers(g, ev.n_factors, 20, 3)[:, :, : ev.model.dim])
-
-    def test_quadratic_draws_freed_before_gamma(self, monkeypatch):
-        ev = QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,
-                                               drift=-0.3, g0=0.3), make_grid(0.5, 30))
-        refs = []
-        self.record_draws(monkeypatch, refs)
-        self.assert_freed_before(monkeypatch, vmk.montecarlo, "gamma_factors", refs)
-        assert run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20).wealth.paths == 50
-        assert len(refs) == 3
+    @pytest.mark.parametrize("shape", [(5, 21, 2), (5, 20)])
+    @pytest.mark.parametrize("family", ["one", "quadratic"])  # both read d + N = 2 factors
+    def test_malformed_draws_refused(self, family, shape):
+        with pytest.raises(InvalidArgumentError, match=r"\(P, 20, 2\)"):
+            route_evaluator(family, 20).premium_paths(np.zeros(shape))
 
 
 class TestRunMCMatchesStages:
