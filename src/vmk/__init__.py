@@ -20,6 +20,7 @@ from .affine import (
 from .errors import (
     ConfigError,
     DegenerateMarketError,
+    GammaUnderflowError,
     InternalConsistencyError,
     InvalidArgumentError,
     MemoryCapError,

@@ -25,17 +25,11 @@ import numpy as np
 from .errors import InternalConsistencyError, InvalidArgumentError, RiccatiBlowUpError
 from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
-from .markowitz import a_of_p, tail_rate_integrals
-from .montecarlo import _SLOT_BLOCK, _WEALTH_ROWS, chunk_workspace, correlate_into, take_floats
+from .markowitz import a_of_p, gamma_from_log, tail_rate_integrals
+from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, take_floats
 
 RICCATI_CAP = 1e6
 GAMMA_BOUND_TOL = 1e-8
-# The path axis is padded with zero paths to a multiple of this, so every
-# GEMM has at least this many columns and its column count is a multiple
-# of it: OpenBLAS then computes each path's column with the same kernel
-# whatever the chunk size (other column counts reach its edge kernels or,
-# for one path, gemv, whose sums round differently).
-_PATH_PAD = 8
 
 
 def _per_factor(value, name: str, d: int) -> np.ndarray:
@@ -207,11 +201,12 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     rest of the block.  The history is the same P n^2 d / 2 multiply-adds
     as stepping the whole curve, run by BLAS-3.
 
-    The path axis is padded with zero paths to a multiple of ``_PATH_PAD``,
-    which makes every path's column of the product come from the same BLAS
-    kernel.  Each path's values are therefore bit-for-bit independent of P,
-    of the chunk a path falls in and of the BLAS thread count; they do
-    depend on the block size, which sets the GEMM summation order.
+    The path axis is padded with zero paths to a multiple of
+    ``montecarlo._PATH_PAD``, which makes every path's column of the
+    product come from the same BLAS kernel.  Each path's values are
+    therefore bit-for-bit independent of P, of the chunk a path falls in
+    and of the BLAS thread count; they do depend on the block size, which
+    sets the GEMM summation order.
     """
     P = dw.shape[0]
     n, d = grid.n, model.dim
@@ -220,11 +215,6 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     u = np.empty((n, d, _padded(P)))
     u[:, :, :P] = dw.transpose(1, 2, 0)
     return _step_forward_variance(model, grid, u, np.empty((n + 1, d, u.shape[2])), P)
-
-
-def _padded(P: int) -> int:
-    """P rounded up to a multiple of ``_PATH_PAD``."""
-    return -(-P // _PATH_PAD) * _PATH_PAD
 
 
 def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, v: np.ndarray, P: int) -> np.ndarray:
@@ -269,7 +259,8 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
         Gamma_t = exp(2 int_t^T r + sum_i int_t^T F_i(psi(T-s)) g_t^i(s) ds)
 
     with the left rule on [t, T] and verifies the structural bound
-    0 < Gamma_t <= e^{2 int_t^T r} up to ``GAMMA_BOUND_TOL`` relative slack.
+    0 < Gamma_t <= e^{2 int_t^T r} up to ``GAMMA_BOUND_TOL`` relative slack,
+    once ``gamma_from_log`` has refused a Gamma_t that underflows.
     """
     n, d = grid.n, model.dim
     t_index = node_index(t_index, n)
@@ -283,7 +274,7 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
     idx = n - np.arange(t_index, n)
     expo = grid.dt * np.einsum("jd,pjd->p", fall[idx], g[:, t_index:n, :])
     tail = tail_rate_integrals(model.rate, grid)[t_index]
-    gam = np.exp(2.0 * tail + expo)
+    gam = gamma_from_log(2.0 * tail + expo)
     hi = np.exp(2.0 * tail)
     if np.any(gam > hi * (1.0 + GAMMA_BOUND_TOL)) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
         worst = float(np.max(gam / hi))
@@ -323,11 +314,11 @@ class AffineEvaluator:
         self.model = model
         self.grid = grid
         self.psi = solve_riccati_volterra(model, grid) if psi is None else psi
-        self.n_factors = 2 * model.dim
+        self.n_assets, self.n_state, self.n_factors = model.dim, model.dim, 2 * model.dim
         self.loadings = premium_loading(model, self.psi, grid, np.arange(grid.n))
 
-    def _workspace_floats(self, width: int):
-        """Floats of the draws, driver and dB buffers of a workspace for ``width`` paths.
+    def workspace_floats(self, width: int):
+        """Floats of the draws, driver and dB buffers of a ``run_mc`` workspace for ``width`` paths.
 
         The draws buffer holds z (width, n, 2d), and later the slot-major
         curve (n + 1, d, padded width) followed by the premium.
@@ -336,36 +327,13 @@ class AffineEvaluator:
         padded = _padded(width)
         return max(2 * width * n * d, (n + 1) * d * padded + width * n * d), n * d * padded, width * n * d
 
-    def chunk_bytes(self, width: int) -> int:
-        """Bytes one ``run_mc`` chunk of ``width`` paths needs: its workspace and the temporaries beside it.
-
-        The workspace is counted exactly.  The temporaries are counted as
-        four slot blocks (``_SLOT_BLOCK``, d, padded width) or two wealth
-        blocks (wealth rows, n + 1, d + 2), whichever is larger: the traced
-        peak above the workspace read up to 3.13 slot blocks (correlation
-        and stepping, 4096-path chunks) and up to 1.33 wealth blocks (its
-        amounts, wealth and drift), 1.93 at n = 40 and 20 paths, where
-        fixed overheads weigh most.  Over one- and two-factor models at
-        n = 20 to 1000 and chunks of 1 to 4096 paths the count read 0.95
-        to 1.70 times the traced peak of ``run_mc``, under 1 only at 9
-        paths or fewer, by a few kilobytes.
-        """
-        n, d = self.grid.n, self.model.dim
-        slot_blocks = 4 * _SLOT_BLOCK * d * _padded(width)
-        wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
-        return 8 * (sum(self._workspace_floats(width)) + max(slot_blocks, wealth_blocks))
-
-    def workspace(self, width: int) -> SimpleNamespace:
-        """The buffers ``premium_paths`` writes chunks of up to ``width`` paths into, checked by ``chunk_bytes``."""
-        return chunk_workspace(self.grid, width, self.chunk_bytes(width), self._workspace_floats(width))
-
     def premium_paths(self, z: np.ndarray, work: SimpleNamespace = None):
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths), views of ``work``.
 
-        ``work`` is a ``workspace`` for at least P paths, by default a new
-        one for P.  The drivers are correlated one slot block at a time
-        into its dB buffer and straight into the stepper's driver buffer,
-        so no (P, n, d) dW exists.  The curve and the premium are written
+        ``work`` is a ``montecarlo.chunk_workspace`` for at least P paths,
+        by default a new one for P.  The drivers are correlated one slot
+        block at a time into its dB buffer and straight into the stepper's
+        driver buffer, so no (P, n, d) dW exists.  The curve and the premium are written
         into the draws buffer, over z once it is read when z is a view of
         it (as in ``run_mc``), and lambda over the driver buffer once the
         curve is stepped: sqrt(V+) is taken there, and the premium is read
@@ -376,7 +344,7 @@ class AffineEvaluator:
         n, d = self.grid.n, self.model.dim
         if z.shape != (P, n, 2 * d):
             raise InvalidArgumentError(f"z must have shape (P, {n}, {2 * d}), got {z.shape}")
-        work = self.workspace(P) if work is None else work
+        work = chunk_workspace(self, P) if work is None else work
         padded = _padded(P)
         u = take_floats(work.drivers, (n, d, padded))
         db = take_floats(work.db, (P, n, d))

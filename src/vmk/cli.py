@@ -32,7 +32,8 @@ from .affine import (
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
-from .errors import ConfigError, ModelAssumptionError, RiccatiBlowUpError, VmkError, check_memory
+from .errors import (ConfigError, DegenerateMarketError, GammaUnderflowError, InvalidArgumentError,
+                     ModelAssumptionError, RiccatiBlowUpError, VmkError)
 from .grid import g0_nodes, make_grid
 from .markowitz import a_of_p, frontier, integrated_rate, value_v, xi_star
 from .montecarlo import run_mc
@@ -172,21 +173,7 @@ def _cmd_frontier(run, cfg, out_dir: str) -> None:
                ["m", "std", "variance", "xi_star", "gamma0"], table.T)
 
 
-def _dump_bytes(run, paths: int) -> int:
-    """Bytes ``paths`` dumped paths take while paths.csv is written.
-
-    Per path and node: the kept wealth, amounts and state run_mc returns,
-    and one float per column of paths.csv.
-    """
-    d, n_state = run.premium.shape[1], run.curve.shape[1]
-    kept, written = 1 + d + n_state, 3 + 2 * d + n_state
-    return 8 * paths * (run.grid.n + 1) * (kept + written)
-
-
 def _cmd_simulate(run, cfg, out_dir: str) -> None:
-    dumped = min(cfg.mc.dump_paths, cfg.mc.paths)
-    check_memory(f"dumping {dumped} paths at n = {run.grid.n}", _dump_bytes(run, dumped),
-                 "use a smaller mc.dump_paths")
     m_value = cfg.m_values[0]
     xi = xi_star(run.gamma0, run.x0, m_value, run.int_r)
     target_v = value_v(run.gamma0, run.x0, m_value, run.int_r)
@@ -277,10 +264,15 @@ def _cmd_check(cfg, kind: str, model, grid) -> None:
     gamma0, bound = run.gamma0, float(np.exp(2.0 * run.int_r))
     print(f"gamma0: {_fmt(gamma0)}")
     print(f"gamma0_bound_exp_2intr: {_fmt(bound)}")
-    print(f"h1_condition_0_lt_gamma0_lt_bound: {0.0 < gamma0 < bound}")
     m_value = cfg.m_values[0]
-    print(f"xi_star(m={_fmt(m_value)}): {_fmt(xi_star(gamma0, run.x0, m_value, run.int_r))}")
-    print(f"value_V(m={_fmt(m_value)}): {_fmt(value_v(gamma0, run.x0, m_value, run.int_r))}")
+    args = (gamma0, run.x0, m_value, run.int_r)
+    try:  # H1 is the rule xi_star and value_V apply; where it fails, a degenerate market, they print nan
+        xi, target_v, h1 = xi_star(*args), value_v(*args), True
+    except (DegenerateMarketError, InvalidArgumentError):
+        xi, target_v, h1 = float("nan"), float("nan"), False
+    print(f"h1_condition_0_lt_gamma0_lt_bound: {h1}")
+    print(f"xi_star(m={_fmt(m_value)}): {_fmt(xi)}")
+    print(f"value_V(m={_fmt(m_value)}): {_fmt(target_v)}")
     if kind == "affine":
         report = theta_condition_check_affine(model, grid, run.psi, a_used, chk.p)
         for key in sorted(report):
@@ -302,6 +294,9 @@ def _cmd_check(cfg, kind: str, model, grid) -> None:
 
 
 _HINTS = (
+    (GammaUnderflowError,
+     "hint: Gamma underflows when the risk premium is large over the whole horizon; "
+     "shorten grid.T or reduce theta"),
     (ModelAssumptionError,
      "hint: check the correlation rows (|C_k| <= 1) and the deflated driver "
      "covariance; set enforce_psd: false only if the indefinite case is intended"),
@@ -355,9 +350,9 @@ def main(argv=None) -> int:
         return 0
     except VmkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for klass, hint in _HINTS:
-            if isinstance(exc, klass):
-                print(hint, file=sys.stderr)
+        hint = next((hint for klass, hint in _HINTS if isinstance(exc, klass)), None)
+        if hint is not None:
+            print(hint, file=sys.stderr)
         return 2
 
 

@@ -28,6 +28,10 @@ class ModelAssumptionError(VmkError):
     """Model coefficients violate a structural assumption."""
 
 
+class GammaUnderflowError(ModelAssumptionError):
+    """Gamma = exp(log Gamma) underflows double precision to zero."""
+
+
 class DegenerateMarketError(VmkError):
     """The mean-variance problem degenerates (no risk premium to trade on)."""
 

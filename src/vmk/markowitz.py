@@ -11,7 +11,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .errors import DegenerateMarketError, InvalidArgumentError
+from .errors import DegenerateMarketError, GammaUnderflowError, InvalidArgumentError
 from .grid import TimeGrid, g0_nodes
 
 DEGENERACY_TOL = 1e-12
@@ -49,6 +49,16 @@ def a_of_p(p: float, c_matrix, norm: str = "frobenius") -> float:
     else:
         raise InvalidArgumentError(f"unknown norm reading {norm!r}")
     return float(max(p * (3.0 + cn), 3.0 * (8.0 * p * p - 2.0 * p) * (1.0 + cn * cn)))
+
+
+def gamma_from_log(log_gamma):
+    """Gamma = exp(log_gamma); raises GammaUnderflowError when some Gamma underflows double precision to zero."""
+    low = float(np.min(log_gamma))
+    if np.exp(low) == 0.0:
+        raise GammaUnderflowError(
+            f"strategy value Gamma = exp({low:.4g}) underflows double precision; the mean-variance problem is "
+            "numerically degenerate at this horizon and volatility scale")
+    return np.exp(log_gamma)
 
 
 def _check_gamma0(gamma0: float, int_r: float) -> float:

@@ -14,8 +14,9 @@ exponential step of the induced geometric dynamics of the discounted gap,
 so no additional discretization error enters beyond the premium
 evaluation itself.
 
-``run_mc`` streams the paths in chunks through one workspace that the
-evaluator allocates before the first draw and every chunk reuses: the
+``run_mc`` streams the paths in chunks through one workspace, which
+``chunk_workspace`` allocates once it has checked the run's one budget,
+``chunk_bytes``, before the first draw, and which every chunk reuses: the
 raw drivers z (m, n, d + N) are drawn into its draws buffer and
 correlated into its dB and driver buffers (``correlate_into``), and the
 evaluator writes the state and premium paths over z and lambda over the
@@ -23,8 +24,7 @@ drivers once it has read them, so no chunk after the first allocates any
 of them.  Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the
 (m, n+1) wealth and the (m, n, d) amounts never exist for the whole
 chunk; only the terminal wealth, the Gamma samples and the kept paths
-leave it.  The chunk's size is checked against physical memory before
-the first draw.
+leave it.
 """
 
 import math
@@ -52,6 +52,10 @@ _WEALTH_ROWS = 256
 # 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc over two
 # such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
 _SLOT_BLOCK = 32
+# The affine stepper pads the path axis with zero paths to a multiple of this, so OpenBLAS computes
+# each path's GEMM column with one kernel whatever the chunk size (other column counts reach its
+# edge kernels or, for one path, gemv, whose sums round differently).
+_PATH_PAD = 8
 
 
 def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
@@ -64,14 +68,40 @@ def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
     return buf[offset : offset + size].reshape(shape)
 
 
-def chunk_workspace(grid: TimeGrid, width: int, need: int, floats) -> SimpleNamespace:
-    """The flat draws, drivers and dB buffers, of ``floats`` floats each, that every chunk of a run reuses.
+def _padded(width: int) -> int:
+    """``width`` paths rounded up to a multiple of ``_PATH_PAD``."""
+    return -(-width // _PATH_PAD) * _PATH_PAD
 
-    Raises MemoryCapError, before allocating anything, when ``need`` bytes
-    for one chunk of ``width`` paths would not fit in physical memory.
+
+def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
+    """Bytes of a ``run_mc`` run of ``paths`` paths (at least ``width`` and ``keep``) in chunks of ``width``.
+
+    In floats: the evaluator's ``workspace_floats(width)``; 2 samples per
+    path; (n + 1)(1 + S) + n d per kept path, with d = ``n_assets`` and
+    S = ``n_state``; and the largest temporaries: four ``_SLOT_BLOCK``-slot
+    blocks of the S state drivers, two ``_WEALTH_ROWS``-row wealth blocks,
+    or the sample statistics' 3 per path (traced at 2, 2.5 with antithetic
+    pairs).  README reads it against traced peaks.
     """
-    check_memory(f"one Monte Carlo chunk of {width} paths at n = {grid.n}", need, "use a smaller mc.chunk")
-    draws, drivers, db = (np.empty(size) for size in floats)
+    n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
+    total = max(paths, width, keep)
+    kept = keep * ((n + 1) * (1 + S) + n * d)
+    slot_blocks = 4 * _SLOT_BLOCK * S * _padded(width)
+    wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
+    temporaries = max(slot_blocks, wealth_blocks, 3 * total)
+    return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries)
+
+
+def chunk_workspace(evaluator, width: int, keep: int = 0, paths: int = 0) -> SimpleNamespace:
+    """The flat draws, drivers and dB buffers that every chunk of up to ``width`` paths reuses.
+
+    Raises MemoryCapError, before allocating anything, when ``chunk_bytes``
+    of the run would not fit in physical memory.
+    """
+    check_memory(f"a run of {max(paths, width, keep)} paths at n = {evaluator.grid.n} in Monte Carlo chunks of "
+                 f"{width}, keeping {keep} paths", chunk_bytes(evaluator, width, keep, paths),
+                 "use a smaller mc.chunk" + (" or mc.dump_paths" if keep else ""))
+    draws, drivers, db = (np.empty(size) for size in evaluator.workspace_floats(width))
     return SimpleNamespace(draws=draws, drivers=drivers, db=db)
 
 
@@ -244,25 +274,24 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
            antithetic: bool = False, chunk: int = 4096, keep_paths: int = 0) -> SimpleNamespace:
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
-    ``evaluator`` provides n_factors, workspace(width) and premium_paths(z,
-    workspace) -> (dB, lambda, premium, state paths).  ``workspace`` checks
-    that one chunk of ``width`` paths fits in physical memory, raising
-    MemoryCapError before the first draw when it does not, and returns the
-    buffers every chunk reuses: each chunk's draws are written into them
-    and premium_paths returns views of them.  Chunking does not change any
-    draw; the samples are bit-for-bit chunk-invariant for the affine
-    evaluator and equal to roundoff for the quadratic one (see the module
-    docstring).  The first ``keep_paths`` paths are returned in full
-    (wealth, amounts, state) for dumping, copied block by block into
-    arrays allocated once.  With ``antithetic`` the path count must be
-    even and at least 4, and the standard errors come from the antithetic
-    pairs.
+    ``evaluator`` provides n_factors, what ``chunk_bytes`` reads and
+    premium_paths(z, workspace) -> (dB, lambda, premium, state paths),
+    views of the ``chunk_workspace`` every chunk's draws are written into;
+    MemoryCapError is raised before the first draw when the run's budget
+    would not fit in physical memory.  Chunking does not change any draw;
+    the samples are bit-for-bit chunk-invariant for the affine evaluator
+    and equal to roundoff for the quadratic one (see the module docstring).
+    The first ``keep_paths`` paths are returned in full (wealth, amounts,
+    state) for dumping, copied block by block into arrays allocated once.
+    With ``antithetic`` the path count must be even and at least 4, and the
+    standard errors come from the antithetic pairs.
     """
     if antithetic and (paths % 2 or paths < 4):
         raise InvalidArgumentError(f"antithetic sampling needs an even path count of at least 4, got {paths}")
     grid = evaluator.grid
     rate = evaluator.model.rate
-    work = evaluator.workspace(min(chunk, paths))
+    keep = min(max(keep_paths, 0), paths)
+    work = chunk_workspace(evaluator, min(chunk, paths), keep, paths)
     terminal = np.empty(paths)
     gamma = np.empty(paths)
     kept = None
@@ -276,11 +305,11 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
             r1 = min(r0 + _WEALTH_ROWS, m)
             w = simulate_wealth(grid, rate, x0, xi_star_val, db[r0:r1], lam[r0:r1], prem[r0:r1])
             terminal[done + r0 : done + r1] = w.terminal
-            take = min(keep_paths - done, r1) - r0
+            take = min(keep - done, r1) - r0
             if take > 0:
                 rows = {"x": w.x, "alpha": w.alpha, "state": state[r0:r1]}
                 if kept is None:
-                    kept = SimpleNamespace(**{name: np.empty((min(keep_paths, paths),) + a.shape[1:])
+                    kept = SimpleNamespace(**{name: np.empty((keep,) + a.shape[1:])
                                               for name, a in rows.items()})
                 for name, a in rows.items():
                     getattr(kept, name)[done + r0 : done + r0 + take] = a[:take]

@@ -56,7 +56,7 @@ from .errors import (
 from .grid import TimeGrid, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
-from .markowitz import tail_rate_integrals
+from .markowitz import gamma_from_log, tail_rate_integrals
 from .montecarlo import chunk_workspace, correlate_into, take_floats
 
 PSD_TOL = 1e-10
@@ -67,9 +67,6 @@ DENSE_ARRAYS = 3
 CURVE_ARRAYS = 2
 COVARIANCE_ARRAYS = 4
 MAP_ARRAYS = 6
-# (chunk, n, d + N) float arrays, the size of the drivers z, per run_mc chunk: a 4096-path chunk
-# on the quad-simulate model traces at 2.13, its workspace (2.0) and one correlation or wealth block.
-CHUNK_ARRAYS = 4
 # Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
 _PANEL_ROWS = 64
 
@@ -355,6 +352,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         finite: W_{k-1} loses positive definiteness, which is how finite-time
         blow-up shows on the grid.  Carries t_{k-1} for the first such node
         from the horizon, which the factorization's first failing panel holds.
+    GammaUnderflowError
+        When Gamma_0 underflows double precision (``gamma_from_log``).
     """
     n, N, d, dt = grid.n, model.n_state, model.n_assets, grid.dt
     _check_dense_memory("the quadratic solve", DENSE_ARRAYS, n * d, n * d)
@@ -393,15 +392,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     phi = np.zeros(n + 1)
     for k in range(n - 1, -1, -1):
         phi[k] = phi[k + 1] - 0.5 * dt * (phidot[k] + phidot[k + 1])
-    log_gamma0 = phi[0] + quad0
-    gamma0 = float(np.exp(log_gamma0))
+    gamma0 = float(gamma_from_log(phi[0] + quad0))
     hi = float(np.exp(2.0 * tail_rate_integrals(model.rate, grid)[0]))
-    if gamma0 == 0.0 and log_gamma0 < -600.0:
-        raise ModelAssumptionError(
-            f"strategy value Gamma_0 = exp({log_gamma0:.4g}) underflows double "
-            "precision; the mean-variance problem is numerically degenerate at "
-            "this horizon and volatility scale"
-        )
     if not np.isfinite(gamma0) or gamma0 <= 0.0 or gamma0 > hi * (1.0 + 1e-8):
         msg = (
             f"Gamma_0 = {gamma0:.6g} violates the (0, e^(2 int r)] bound "
@@ -603,37 +595,36 @@ class QuadraticEvaluator:
         self.model = model
         self.grid = grid
         self.solution = solve_operator_riccati(model, grid) if solution is None else solution
-        self.n_factors = model.n_assets + model.n_state
+        self.n_assets, self.n_state, self.n_factors = model.n_assets, model.n_state, model.n_assets + model.n_state
         _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n * model.n_state, grid.n * model.n_state)
         self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
-    def workspace(self, width: int) -> SimpleNamespace:
-        """The buffers ``premium_paths`` writes every chunk of up to ``width`` paths into.
+    def workspace_floats(self, width: int):
+        """Floats of the draws, driver and dB buffers of a ``run_mc`` workspace for ``width`` paths.
 
-        Per path: draws, max(n (d + N), (n + 1) N + n d) floats for z and
-        then the premium map's product; drivers, n max(N, d) for dW and then
-        lambda; dB, n d.  One chunk is checked as ``CHUNK_ARRAYS`` arrays the
-        size of its drivers.
+        Per path: draws, max(n (d + N), (n + 1) N + n d) for z and then the
+        premium map's product; drivers, n max(N, d) for dW and then lambda;
+        dB, n d.
         """
-        n, N, d = self.grid.n, self.model.n_state, self.model.n_assets
-        return chunk_workspace(self.grid, width, CHUNK_ARRAYS * 8 * width * n * self.n_factors,
-                               [width * max(n * (d + N), (n + 1) * N + n * d), width * n * max(N, d), width * n * d])
+        n, N, d = self.grid.n, self.n_state, self.n_assets
+        return width * max(n * (d + N), (n + 1) * N + n * d), width * n * max(N, d), width * n * d
 
     def premium_paths(self, z: np.ndarray, work: SimpleNamespace = None):
         """Raw increments (P, n, d+N) -> (dB, lambda, premium, state paths), views of ``work``.
 
-        ``work`` is a ``workspace`` for at least P paths, by default a new
-        one for P.  The correlated drivers go into its dB and driver
-        buffers, the premium map's product into the draws buffer, over z
-        once it is read when z is a view of it (as in ``run_mc``), and
-        lambda = Theta Y, read off the state at the left nodes, over dW.
-        The outputs last until the next call with the same workspace.
+        ``work`` is a ``montecarlo.chunk_workspace`` for at least P paths,
+        by default a new one for P.  The correlated drivers go into its dB
+        and driver buffers, the premium map's product into the draws
+        buffer, over z once it is read when z is a view of it (as in
+        ``run_mc``), and lambda = Theta Y, read off the state at the left
+        nodes, over dW.  The outputs last until the next call with the
+        same workspace.
         """
         model, n, N, d = self.model, self.grid.n, self.model.n_state, self.model.n_assets
         P = z.shape[0]
         if z.shape != (P, n, d + N):
             raise InvalidArgumentError(f"z must have shape (P, {n}, {d + N}), got {z.shape}")
-        work = self.workspace(P) if work is None else work
+        work = chunk_workspace(self, P) if work is None else work
         db, dw = take_floats(work.db, (P, n, d)), take_floats(work.drivers, (P, n, N))
         correlate_into(z, model.corr, db, dw)
         out = np.matmul(dw.reshape(P, n * N), self.lmap, out=take_floats(work.draws, (P, self.lmap.shape[1])))

@@ -13,6 +13,7 @@ from vmk import (
     ConstantKernel,
     ExponentialKernel,
     FractionalKernel,
+    GammaUnderflowError,
     InvalidArgumentError,
     RiccatiBlowUpError,
     gamma0_affine,
@@ -289,6 +290,13 @@ class TestMeanCurveOracle:
 
 
 class TestGammaAndControls:
+    def test_gamma0_underflow_reported_as_model_limit(self):
+        # Gamma_0 = exp(-1014) underflows: a model limit, as in the quadratic family
+        model = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.0, rho=0.0, theta=60.0, g0=0.5)
+        grid = make_grid(1.0, 50)
+        with pytest.raises(GammaUnderflowError, match=r"Gamma = exp\(-1014\) underflows double precision"):
+            gamma0_affine(model, grid, solve_riccati_volterra(model, grid))
+
     def test_gamma0_closed_form(self):
         # Gamma_0 = exp(v0 psi(T)) when the kernel is constant and rates vanish
         v0 = 0.8

@@ -16,7 +16,9 @@ import vmk.config
 import vmk.errors
 import vmk.montecarlo
 import vmk.quadratic
+from vmk.affine import AffineEvaluator
 from vmk.cli import _CSV_ROWS, _write_csv, main
+from vmk.montecarlo import chunk_bytes
 from vmk.quadratic import two_asset_model, volatility_matrix
 
 from oracles import write_csv_rows
@@ -325,10 +327,11 @@ class TestSimulate:
         assert not (out / "mc.csv").exists()
 
     def test_oversized_dump_refused_before_the_first_draw(self, tmp_path, capsys, monkeypatch):
-        # 50 paths x 201 nodes x (3 kept + 6 written floats) x 8 bytes; a
-        # 16-path chunk needs 256896
-        need = 50 * 201 * 9 * 8
+        # one budget for the 16-path chunk and the 50 kept paths of 100
         cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 100\n  chunk: 16\n  dump_paths: 50\n")
+        c = vmk.config.load_config(cfg)
+        _, model = vmk.config.build_model(c)
+        need = chunk_bytes(AffineEvaluator(model, vmk.config.build_grid(c)), 16, 50, paths=100)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
         assert main(["simulate", "--config", cfg]) == 0
         _, rows = read_csv(out / "paths.csv")
@@ -341,6 +344,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "mc.dump_paths" in err and str(need) in err and str(need - 1) in err
         assert not (out / "mc.csv").exists() and not (out / "paths.csv").exists()
+
+    def test_dump_that_fits_runs(self, tmp_path, monkeypatch):
+        # 20000 dumped paths at n = 100 in 256-path chunks: the whole
+        # command traces at 51.4 MB.  Counting every dumped path's kept and
+        # written floats, 145440000 bytes, refused it at 1.25 times that peak
+        limit = int(1.25 * 51.4e6)
+        cfg, out = write_cfg(tmp_path, AFFINE_CFG + "mc:\n  paths: 20000\n  chunk: 256\n  dump_paths: 20000\n")
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
+        assert main(["simulate", "--config", cfg, "--grid-n", "100"]) == 0
+        assert (out / "paths.csv").stat().st_size > 0
 
     def test_path_dump_written_a_block_at_a_time(self, tmp_path, monkeypatch):
         # The writer's traced peak per dumped path and node, taken as the
@@ -498,6 +511,21 @@ class TestCheck:
         assert "gamma0_bound_exp_2intr: 1" in text
 
 
+    # theta 1e-7 leaves 1 - Gamma_0 e^(-2 int r) = 8.9e-16 below DEGENERACY_TOL, theta 0 leaves 0
+    DEGENERATE_CFG = ('grid:\n  T: 1.0\n  n: 50\naffine:\n  kernels: [{type: fractional, h: 0.1}]\n  drift: -1.0\n'
+                      '  nu: 0.4\n  rho: -0.5\n  theta: %s\n  g0: 0.16\nmarkowitz:\n  m: 1.1\n')
+
+    @pytest.mark.parametrize("theta", ["1e-7", "0"])
+    def test_degenerate_market_reported_in_full(self, tmp_path, capsys, theta):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(self.DEGENERATE_CFG % theta)
+        assert main(["check", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("h1_condition_0_lt_gamma0_lt_bound: False", "xi_star(m=1.1): nan", "value_V(m=1.1): nan"):
+            assert line in lines
+        assert lines[-1].startswith("mean_reversion_a_bound[1]: ")
+
+
 T_SWEEP = "sweep:\n  parameter: T\n  values: [0.4, 0.6]\n"
 
 
@@ -617,6 +645,19 @@ class TestConfigErrors:
         assert err[0].startswith("error: correlation rows must satisfy |C_k| <= 1")
         assert err[1].startswith("hint: check the correlation rows")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, old, new", [
+        ("affine", "theta: 1.0\n  g0: 0.8", "theta: 60.0\n  g0: 0.5"),
+        ("quadratic", "theta: [[1.0]]", "theta: [[2000.0]]"),
+    ])
+    def test_gamma_underflow_is_a_model_limit(self, tmp_path, capsys, kind, old, new):
+        body = {"affine": AFFINE_CFG.replace("nu: 1.4142135623730951", "nu: 0.0"), "quadratic": QUADRATIC_CFG}[kind]
+        cfg, out = write_cfg(tmp_path, body.replace(old, new))
+        assert main([f"{kind}-solve", "--config", cfg, "--grid-n", "50"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: strategy value Gamma = exp(") and "underflows double precision" in err[0]
+        assert err[1].startswith("hint: ") and "correlation" not in err[1] and "enforce_psd" not in err[1]
+        assert len(err) == 2 and not out.exists()
 
     def test_bad_grid_override(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, QUADRATIC_CFG)

@@ -28,11 +28,12 @@ from vmk import (
     run_mc,
     simulate_drivers,
     simulate_wealth,
+    two_asset_model,
+    wishart_model,
 )
 from vmk.affine import gamma0_affine
 from vmk.markowitz import integrated_rate, xi_star
-from vmk.montecarlo import _WEALTH_ROWS, gamma_factors
-from vmk.quadratic import CHUNK_ARRAYS
+from vmk.montecarlo import _WEALTH_ROWS, chunk_bytes, chunk_workspace, gamma_factors
 
 from oracles import child_peak_rss, staged_mc, step_wealth
 
@@ -321,7 +322,7 @@ class TestAffineChunkInvariance:
         # 20 paths padded to 24 in a 24-path workspace holding infinities:
         # stale padding would reach the stepper as inf - inf
         ev = AffineEvaluator(gemm_models()[factors], make_grid(1.0, 40))
-        work = ev.workspace(24)
+        work = chunk_workspace(ev, 24)
         for buf in (work.draws, work.drivers, work.db):
             buf.fill(np.inf)
         z = simulate_drivers(ev.grid, ev.n_factors, 20, 3)
@@ -428,28 +429,18 @@ class TestRunMCMemory:
         assert peaks[1] - peaks[0] <= 3.5 * kept * (n + 1) * 8
 
     @pytest.mark.parametrize("paths", [100, 10])
-    def test_oversized_chunk_refused_before_the_first_draw(self, paths, monkeypatch):
+    @pytest.mark.parametrize("family", ["affine", "quadratic"])
+    def test_oversized_chunk_refused_before_the_first_draw(self, family, paths, monkeypatch):
         g = make_grid(0.5, 20)
-        ev = AffineEvaluator(risky_model(), g)
-        need = ev.chunk_bytes(min(64, paths))
+        ev = AffineEvaluator(risky_model(), g) if family == "affine" else QuadraticEvaluator(quad_simulate_model(), g)
+        need = chunk_bytes(ev, min(64, paths), paths=paths)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
         assert run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == paths
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
         with pytest.raises(MemoryCapError, match="mc.chunk") as exc:
             run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
-        assert exc.value.limit == need - 1
-
-    def test_quadratic_oversized_chunk_refused_before_the_first_draw(self, monkeypatch):
-        g = make_grid(0.5, 20)
-        ev = QuadraticEvaluator(quad_simulate_model(), g)
-        need = CHUNK_ARRAYS * 8 * 64 * g.n * ev.n_factors
-        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need)
-        assert run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == 100
-        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
-        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
-        with pytest.raises(MemoryCapError, match="mc.chunk"):
-            run_mc(ev, paths=100, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
+        assert exc.value.limit == need - 1 and "mc.dump_paths" not in str(exc.value)
 
     # A chunk is the affine-simulate benchmark's (n = 400, 4096 paths, one
     # rough factor) or the quad-simulate benchmark's (n = 250, 4096 paths).
@@ -476,6 +467,67 @@ class TestRunMCMemory:
             assert three - one <= 0.25 * driver_floats * 8, evaluator
 
 
+def sweep_evaluator(name, n):
+    """``route_evaluator``, or one on the two-asset preset or a d = 2 Wishart model, at n steps."""
+    if name == "two-asset":
+        return QuadraticEvaluator(two_asset_model(), make_grid(0.5, n))
+    if name == "wishart":
+        model = wishart_model(ExponentialKernel(beta=1.0), theta=[[0.5, 0.1], [0.0, 0.4]], eta=0.3 * np.eye(2),
+                              rho=[-0.3, -0.2], g0_mat=0.2 * np.eye(2))
+        return QuadraticEvaluator(model, make_grid(0.5, n))
+    return route_evaluator(name, n)
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """One budget, ``chunk_bytes``, holds a run's chunk workspace and its kept paths together."""
+
+    def test_chunk_and_kept_paths_checked_together(self, monkeypatch):
+        # 4096-path chunks at n = 100 count 17334272 bytes, and 2383 kept
+        # paths about as much again.  Checked apart, each fit that limit,
+        # while run_mc traces at 21.9 MB
+        limit = 17334272
+        ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, 100))
+        args = dict(paths=8192, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096, keep_paths=2383)
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
+        assert traced_peak(run_mc, ev, **args) > 1.2 * limit
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
+        with pytest.raises(MemoryCapError, match="mc.chunk or mc.dump_paths") as exc:
+            run_mc(ev, **args)
+        assert str(chunk_bytes(ev, 4096, 2383, 8192)) in str(exc.value)
+
+    # (model, n, chunk W, kept paths K): one- and two-factor affine, the
+    # quad-simulate model, the two-asset preset and a d = 2 Wishart model
+    SWEEP = [
+        ("one", 20, 2, 0), ("one", 200, 2, 0), ("one", 400, 256, 0), ("one", 20, 256, 20000),
+        ("one", 100, 4096, 2383), ("two", 400, 2, 0), ("two", 50, 256, 20000), ("two", 200, 1024, 0),
+        ("quadratic", 200, 2, 0), ("quadratic", 250, 4096, 0), ("quadratic", 50, 256, 20000),
+        ("two-asset", 400, 1024, 0), ("two-asset", 20, 256, 20000), ("two-asset", 100, 64, 500),
+        ("wishart", 100, 1024, 0), ("wishart", 20, 4096, 2383), ("wishart", 100, 7, 500),
+    ]
+
+    @pytest.mark.parametrize("name, n, width, keep", SWEEP)
+    def test_budget_holds_the_traced_peak(self, name, n, width, keep):
+        # short only of fixed overheads, such as the stepper's gathered
+        # history rows, and only at small chunks: by 0.15 MB at 2 paths
+        # (n = 200, one factor) and 0.27 MB (n = 400, two factors)
+        ev = sweep_evaluator(name, n)
+        paths = max(width, keep)
+        run_mc(ev, paths=16, seed=1, x0=1.0, xi_star_val=1.5, chunk=8, keep_paths=8)  # first-call allocations
+        peak = traced_peak(run_mc, ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=width, keep_paths=keep)
+        budget = chunk_bytes(ev, width, keep, paths)
+        assert budget >= (peak if width >= 256 else peak - 0.5e6)
+
+
 class TestOneChunkRoute:
     """Both evaluators run every chunk in the workspace run_mc takes before its first draw."""
 
@@ -492,7 +544,7 @@ class TestOneChunkRoute:
         ev = route_evaluator(family, 40)
         works, draws, outputs = [], [], []
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", self.recorded(simulate_drivers, draws))
-        monkeypatch.setattr(ev, "workspace", self.recorded(ev.workspace, works))
+        monkeypatch.setattr(vmk.montecarlo, "chunk_workspace", self.recorded(chunk_workspace, works))
         monkeypatch.setattr(ev, "premium_paths", self.recorded(ev.premium_paths, outputs))
         res = run_mc(ev, paths=50, seed=3, x0=1.0, xi_star_val=1.8, chunk=20, keep_paths=5)
         assert len(works) == 1 and len(draws) == len(outputs) == 3 and res.wealth.paths == 50
@@ -505,7 +557,7 @@ class TestOneChunkRoute:
     @pytest.mark.parametrize("family", ["one", "two", "quadratic"])
     def test_a_new_workspace_gives_the_same_bits(self, family):
         ev = route_evaluator(family, 40)
-        work = ev.workspace(24)
+        work = chunk_workspace(ev, 24)
         got = ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, 20, 3, out=work.draws), work)
         for a, b in zip(got, ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, 20, 3))):
             np.testing.assert_array_equal(a, b)
