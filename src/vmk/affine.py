@@ -22,14 +22,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidArgumentError, RiccatiBlowUpError
-from .grid import TimeGrid, g0_nodes, node_index
+from .errors import InvalidArgumentError, RiccatiBlowUpError
+from .grid import TimeGrid, curve_rows, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
-from .markowitz import a_of_p, gamma_from_log, tail_rate_integrals
+from .markowitz import a_of_p, feedback_control, gamma_from_log, tail_rate_integrals
 from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, take_floats
 
 RICCATI_CAP = 1e6
-GAMMA_BOUND_TOL = 1e-8
 
 
 def _per_factor(value, name: str, d: int) -> np.ndarray:
@@ -69,7 +68,7 @@ class AffineModel:
         if np.any(nu < 0.0):
             raise InvalidArgumentError("nu must be nonnegative")
         if np.any(np.abs(rho) > 1.0):
-            raise InvalidArgumentError("leverage correlations must lie in [-1, 1]")
+            raise InvalidArgumentError("rho (leverage correlations) must lie in [-1, 1]")
         if np.any(np.abs(rho) > 1.0 / np.sqrt(2.0) + 1e-12):
             warnings.warn(
                 "some |rho_i| exceeds 1/sqrt(2); the Riccati quadratic coefficient "
@@ -258,29 +257,17 @@ def gamma_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray, g_curve: n
 
         Gamma_t = exp(2 int_t^T r + sum_i int_t^T F_i(psi(T-s)) g_t^i(s) ds)
 
-    with the left rule on [t, T] and verifies the structural bound
-    0 < Gamma_t <= e^{2 int_t^T r} up to ``GAMMA_BOUND_TOL`` relative slack,
-    once ``gamma_from_log`` has refused a Gamma_t that underflows.
+    with the left rule on [t, T], checked by ``gamma_from_log`` against
+    underflow and the bound 0 < Gamma_t <= e^{2 int_t^T r}.
     """
     n, d = grid.n, model.dim
     t_index = node_index(t_index, n)
-    g = np.asarray(g_curve, dtype=float)
-    single = g.ndim == 2
-    if single:
-        g = g[None, :, :]
-    if g.ndim != 3 or g.shape[1:] != (n + 1, d):
-        raise InvalidArgumentError(f"curves must be ({n + 1}, {d}) or (P, {n + 1}, {d}), got {np.shape(g_curve)}")
+    g, single = curve_rows(g_curve, (n + 1, d))
     fall = riccati_F(model, psi)
     idx = n - np.arange(t_index, n)
     expo = grid.dt * np.einsum("jd,pjd->p", fall[idx], g[:, t_index:n, :])
     tail = tail_rate_integrals(model.rate, grid)[t_index]
-    gam = gamma_from_log(2.0 * tail + expo)
-    hi = np.exp(2.0 * tail)
-    if np.any(gam > hi * (1.0 + GAMMA_BOUND_TOL)) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
-        worst = float(np.max(gam / hi))
-        raise InternalConsistencyError(
-            f"Gamma violates the (0, e^(2 int r)] bound: max ratio {worst:.6g}"
-        )
+    gam = gamma_from_log(2.0 * tail + expo, tail)
     return float(gam[0]) if single else gam
 
 
@@ -294,12 +281,8 @@ def optimal_control_affine(model: AffineModel, psi: np.ndarray, grid: TimeGrid, 
 
     v_t may be (d,) or (P, d); x_t scalar or (P,).  Returns matching shape.
     """
-    load = premium_loading(model, psi, grid, t_index)
     vplus = np.maximum(np.asarray(v_t, dtype=float), 0.0)
-    gap = np.asarray(x_t, dtype=float) - float(xi_discounted)
-    if gap.ndim == 0:
-        return -load * np.sqrt(vplus) * float(gap)
-    return -load[None, :] * np.sqrt(vplus) * gap[:, None]
+    return feedback_control(premium_loading(model, psi, grid, t_index) * np.sqrt(vplus), x_t, xi_discounted)
 
 
 def gamma0_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray) -> float:

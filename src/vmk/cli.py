@@ -68,12 +68,7 @@ def _quote(text: str) -> str:
     return text
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """``_write_csv_blocks`` on a table of one block."""
-    _write_csv_blocks(path, header, [columns])
-
-
-def _write_csv_blocks(path: str, header, blocks) -> None:
+def _write_csv(path: str, header, blocks) -> None:
     """Write a table given as an iterable of row blocks, each column by column, one ``%`` format per row.
 
     A float array is printed with ``%.12g`` and an integer array with
@@ -162,15 +157,15 @@ def _cmd_solve(run, cfg, out_dir: str) -> None:
     pi = _positions(run, run.curve, alpha)
     d = alpha.shape[1]
     s_header = ["t"] + [f"alpha_{i + 1}" for i in range(d)] + [f"pi_{i + 1}" for i in range(d)]
-    _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, ric_cols)
-    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, [nodes, *alpha.T, *pi.T])
+    _write_csv(os.path.join(out_dir, "riccati.csv"), ric_header, [ric_cols])
+    _write_csv(os.path.join(out_dir, "strategy.csv"), s_header, [[nodes, *alpha.T, *pi.T]])
 
 
 def _cmd_frontier(run, cfg, out_dir: str) -> None:
     points = frontier(run.gamma0, run.x0, cfg.m_values, run.int_r)
     table = np.array([[p.m, p.std, p.variance, p.xi_star, p.gamma0] for p in points])
     _write_csv(os.path.join(out_dir, "frontier.csv"),
-               ["m", "std", "variance", "xi_star", "gamma0"], table.T)
+               ["m", "std", "variance", "xi_star", "gamma0"], [table.T])
 
 
 def _cmd_simulate(run, cfg, out_dir: str) -> None:
@@ -196,7 +191,7 @@ def _cmd_simulate(run, cfg, out_dir: str) -> None:
         ["gamma0_mc", result.gamma.mean, result.gamma.se_mean],
         ["gamma0_closed", run.gamma0, ""],
     ]
-    _write_csv(os.path.join(out_dir, "mc.csv"), ["quantity", "value", "se"], list(zip(*rows)))
+    _write_csv(os.path.join(out_dir, "mc.csv"), ["quantity", "value", "se"], [list(zip(*rows))])
     if cfg.mc.dump_paths > 0:
         _write_paths_csv(os.path.join(out_dir, "paths.csv"), run, result.kept)
 
@@ -230,7 +225,7 @@ def _write_paths_csv(path: str, run, kept) -> None:
                    kept.x[block].reshape(rows), *alpha.reshape(rows, d).T, *pi.reshape(rows, d).T,
                    *kept.state[block].reshape(rows, n_state).T]
 
-    _write_csv_blocks(path, header, blocks())
+    _write_csv(path, header, blocks())
 
 
 def _cmd_sweep(cfg, kind: str, out_dir: str) -> None:
@@ -246,8 +241,8 @@ def _cmd_sweep(cfg, kind: str, out_dir: str) -> None:
         times.append(np.tile(grid.nodes, d))
         amounts.append(alpha.T.ravel())
     _write_csv(os.path.join(out_dir, "sweep.csv"), ["parameter", "value", "asset", "t", "alpha"],
-               [[cfg.sweep.parameter] * len(values), values, np.concatenate(assets), np.concatenate(times),
-                np.concatenate(amounts)])
+               [[[cfg.sweep.parameter] * len(values), values, np.concatenate(assets), np.concatenate(times),
+                 np.concatenate(amounts)]])
 
 
 def _cmd_check(cfg, kind: str, model, grid) -> None:

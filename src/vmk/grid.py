@@ -78,3 +78,15 @@ def node_index(k, last: int, many: bool = False):
         what = "an integer, or a nonempty sequence of them," if many else "an integer"
         raise InvalidArgumentError(f"node index must be {what} in [0, {last}]")
     return nodes if many else int(nodes)
+
+
+def curve_rows(g, shape: tuple):
+    """Curve samples as a stack (P,) + shape and whether one curve of ``shape`` was given; refuses other shapes."""
+    rows = np.asarray(g, dtype=float)
+    single = rows.ndim == len(shape)
+    if single:
+        rows = rows[None]
+    if rows.shape[1:] != shape:
+        raise InvalidArgumentError(f"curve samples must be {shape} or (P, {', '.join(map(str, shape))}), "
+                                   f"got {np.shape(g)}")
+    return rows, single

@@ -6,15 +6,17 @@ efficient frontier.  Everything here is model agnostic: the stochastic
 volatility modules only need to hand over Gamma_0 and the rate.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, List
 
 import numpy as np
 
-from .errors import DegenerateMarketError, GammaUnderflowError, InvalidArgumentError
+from .errors import DegenerateMarketError, GammaUnderflowError, InternalConsistencyError, InvalidArgumentError
 from .grid import TimeGrid, g0_nodes
 
 DEGENERACY_TOL = 1e-12
+GAMMA_BOUND_TOL = 1e-8
 
 
 def integrated_rate(rate, grid: TimeGrid) -> float:
@@ -51,14 +53,32 @@ def a_of_p(p: float, c_matrix, norm: str = "frobenius") -> float:
     return float(max(p * (3.0 + cn), 3.0 * (8.0 * p * p - 2.0 * p) * (1.0 + cn * cn)))
 
 
-def gamma_from_log(log_gamma):
-    """Gamma = exp(log_gamma); raises GammaUnderflowError when some Gamma underflows double precision to zero."""
+def gamma_from_log(log_gamma, tail, lenient: bool = False):
+    """Gamma = exp(log_gamma); a GammaUnderflowError where it underflows double precision to zero.
+
+    A Gamma not finite or above e^{2 tail}, tail = int_t^T r broadcast against log_gamma, by more than
+    ``GAMMA_BOUND_TOL`` relative slack is an InternalConsistencyError, or with ``lenient`` (a quadratic
+    model whose deflated covariance is indefinite) a RuntimeWarning.
+    """
     low = float(np.min(log_gamma))
     if np.exp(low) == 0.0:
         raise GammaUnderflowError(
             f"strategy value Gamma = exp({low:.4g}) underflows double precision; the mean-variance problem is "
             "numerically degenerate at this horizon and volatility scale")
-    return np.exp(log_gamma)
+    gam = np.exp(log_gamma)
+    hi = np.exp(2.0 * tail)
+    if np.any(gam > hi * (1.0 + GAMMA_BOUND_TOL)) or not np.all(np.isfinite(gam)):
+        msg = f"Gamma violates the (0, e^(2 int r)] bound: max ratio {float(np.max(gam / hi)):.6g}"
+        if not lenient:
+            raise InternalConsistencyError(msg)
+        warnings.warn(msg + "; expected once the deflated covariance loses positive semidefiniteness",
+                      RuntimeWarning, stacklevel=3)
+    return gam
+
+
+def feedback_control(premium, x_t, xi_discounted):
+    """Optimal amounts alpha = -premium (X - xi* e^{-int r}) for premium rows (..., d) and a wealth or (P,) wealths."""
+    return -premium * (np.asarray(x_t, dtype=float) - float(xi_discounted))[..., None]
 
 
 def _check_gamma0(gamma0: float, int_r: float) -> float:

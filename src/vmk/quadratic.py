@@ -53,10 +53,10 @@ from .errors import (
     RiccatiBlowUpError,
     check_memory,
 )
-from .grid import TimeGrid, g0_nodes, node_index
+from .grid import TimeGrid, curve_rows, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
-from .markowitz import gamma_from_log, tail_rate_integrals
+from .markowitz import feedback_control, gamma_from_log, tail_rate_integrals
 from .montecarlo import chunk_workspace, correlate_into, take_floats
 
 PSD_TOL = 1e-10
@@ -237,6 +237,12 @@ def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
     return b
 
 
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric matrix or of each in a stack (..., N, N); negative eigenvalues read as 0."""
+    ev, vec = np.linalg.eigh(a)
+    return (vec * np.sqrt(np.maximum(ev, 0.0))[..., None, :]) @ np.swapaxes(vec, -1, -2)
+
+
 def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, failed) -> np.ndarray:
     """lambda_min(S_k) at the nodes k = n, ..., 1 (inf at node 0); raises at t_{k-1} for the first failing k from n.
 
@@ -250,8 +256,7 @@ def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, fai
     finite = np.isfinite(g[nodes]).all(axis=(1, 2))
     stop = len(nodes) if finite.all() else int(finite.argmin())
     lam = np.full(n + 1, np.inf)
-    ev, vec = np.linalg.eigh(0.5 * (g[nodes[:stop]] + g[nodes[:stop]].transpose(0, 2, 1)))
-    root = (vec * np.sqrt(np.maximum(ev, 0.0))[:, None, :]) @ vec.transpose(0, 2, 1)
+    root = _psd_sqrt(0.5 * (g[nodes[:stop]] + g[nodes[:stop]].transpose(0, 2, 1)))
     lam[nodes[:stop]] = np.linalg.eigvalsh(np.eye(m0.shape[0]) + 2.0 * root @ m0 @ root)[:, 0]
     low = lam[nodes[:stop]] < RCOND_MIN
     lost = stop < len(nodes) or (failed is not None and not np.all(np.isfinite(failed)))
@@ -354,6 +359,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         from the horizon, which the factorization's first failing panel holds.
     GammaUnderflowError
         When Gamma_0 underflows double precision (``gamma_from_log``).
+    InternalConsistencyError
+        When Gamma_0 breaks its bound; a RuntimeWarning if ``model.psd_violated``.
     """
     n, N, d, dt = grid.n, model.n_state, model.n_assets, grid.dt
     _check_dense_memory("the quadratic solve", DENSE_ARRAYS, n * d, n * d)
@@ -389,21 +396,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     else:
         z2_det[:n], quad0 = _curve_terms(factor, q_image, disc.m1_band, g0s[:n], dt)
     premium_profile = g0s @ model.theta.T + z2_det @ model.corr
-    phi = np.zeros(n + 1)
-    for k in range(n - 1, -1, -1):
-        phi[k] = phi[k + 1] - 0.5 * dt * (phidot[k] + phidot[k + 1])
-    gamma0 = float(gamma_from_log(phi[0] + quad0))
-    hi = float(np.exp(2.0 * tail_rate_integrals(model.rate, grid)[0]))
-    if not np.isfinite(gamma0) or gamma0 <= 0.0 or gamma0 > hi * (1.0 + 1e-8):
-        msg = (
-            f"Gamma_0 = {gamma0:.6g} violates the (0, e^(2 int r)] bound "
-            f"(upper {hi:.6g})"
-        )
-        if model.psd_violated:
-            warnings.warn(msg + "; expected once the deflated covariance loses "
-                          "positive semidefiniteness", RuntimeWarning, stacklevel=2)
-        else:
-            raise InternalConsistencyError(msg)
+    phi = tail_rate_integrals(-phidot, grid)  # phi_n = 0, trapezoid steps back; -phidot keeps phi_n at +0.0
+    gamma0 = float(gamma_from_log(phi[0] + quad0, tail_rate_integrals(rn, grid)[0], model.psd_violated))
     return QuadraticSolution(
         model=model, grid=grid, phi=phi, phidot=phidot, p_path=p_path, z2_det=z2_det,
         premium_profile=premium_profile, gamma0=gamma0, min_rcond=float(lam.min()), factor=factor,
@@ -423,34 +417,23 @@ def _curve_images(sol: QuadraticSolution, m1: np.ndarray, k: int, g: np.ndarray)
     return u
 
 
-def _curve_rows(sol: QuadraticSolution, g_rows: np.ndarray):
-    """Curve samples as (P, n, N) and whether one curve (n, N) was given; refuses any other shape."""
-    n, N = sol.grid.n, sol.model.n_state
-    g = np.asarray(g_rows, dtype=float)
-    single = g.ndim == 2
-    if single:
-        g = g[None, :, :]
-    if g.shape[1:] != (n, N):
-        raise InvalidArgumentError(f"curve samples must be (P, {n}, {N}), got {g.shape}")
-    return g, single
-
-
 def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
     """Gamma at node k, or at each node of the sequence k, for curve samples g_rows of shape (n, N) or (P, n, N).
 
     Gamma_k = exp(phi_k + <g, Psi_k g>) with the curve rows before node k
     masked, <g, Psi_k g> = -dt |u|^2 read from the solution's factor (see
-    ``_curve_images``).  Returns a float for one node and one curve, else
-    an array over the paths (P,), the nodes (len(k),) or both (len(k), P).
+    ``_curve_images``) and checked by ``gamma_from_log``.  Returns a float for
+    one node and one curve, else an array over the paths (P,), the nodes (len(k),) or both (len(k), P).
     """
     grid, model = sol.grid, sol.model
     n = grid.n
-    g, single = _curve_rows(sol, g_rows)
+    g, single = curve_rows(g_rows, (n, model.n_state))
     nodes = node_index(k, n, many=True)
     _check_dense_memory("the Gamma functional", CURVE_ARRAYS, n * model.n_assets, n * model.n_state)
     m1 = fold(sol.disc.m1_band)
     quad = {j: -grid.dt * np.sum(_curve_images(sol, m1, j, g) ** 2, axis=1) for j in set(nodes.flat)}
-    gam = np.exp(np.array([sol.phi[j] + quad[j] for j in nodes.flat])).reshape(nodes.shape + (-1,))
+    log_gam = np.array([sol.phi[j] + quad[j] for j in nodes.flat]).reshape(nodes.shape + (-1,))
+    gam = gamma_from_log(log_gam, tail_rate_integrals(model.rate, grid)[nodes][..., None], model.psd_violated)
     if single:
         gam = gam[..., 0]
     return float(gam) if gam.ndim == 0 else gam
@@ -463,7 +446,7 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
     only slots at or after t_index are read.  x_t is scalar or (P,).
     """
     n, d = sol.grid.n, model.n_assets
-    g, single = _curve_rows(sol, g_t)
+    g, single = curve_rows(g_t, (n, model.n_state))
     t_index = node_index(t_index, n)
     if t_index == n:
         y = g[:, n - 1, :]
@@ -474,12 +457,7 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
     _check_dense_memory("the quadratic control", CURVE_ARRAYS, n * d, n * model.n_state)
     u = _curve_images(sol, fold(sol.disc.m1_band), t_index, g)
     z2 = -2.0 * u @ sol.q_image[: (n - t_index) * d]
-    prem = y @ model.theta.T + z2 @ model.corr
-    gap = np.asarray(x_t, dtype=float) - float(xi_discounted)
-    if gap.ndim == 0:
-        alpha = -prem * float(gap)
-    else:
-        alpha = -prem * gap[:, None]
+    alpha = feedback_control(y @ model.theta.T + z2 @ model.corr, x_t, xi_discounted)
     return alpha[0] if single else alpha
 
 
@@ -691,9 +669,8 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> di
     _check_dense_memory("the covariance spectrum", COVARIANCE_ARRAYS, n * N, n * N)
     horizon, dt = grid.horizon, grid.dt
     band = band_coefficients(model.kernel, grid)
-    ev, vec = np.linalg.eigh(model.u_mat)
-    root = (vec * np.sqrt(np.maximum(ev, 0.0))) @ vec.T
-    b = _bd_right(fold(resolvent_band(band, model.drift)) @ folded_cells(model.kernel, grid), model.eta @ root, n)
+    b = _bd_right(fold(resolvent_band(band, model.drift)) @ folded_cells(model.kernel, grid),
+                  model.eta @ _psd_sqrt(model.u_mat), n)
     weight = dt * (n / horizon**2 + n - 1 - np.maximum.outer(np.arange(n), np.arange(n)))
     gram = b.T @ b
     gram.reshape(n, N, n, N)[...] *= weight[:, None, :, None]

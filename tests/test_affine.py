@@ -14,6 +14,7 @@ from vmk import (
     ExponentialKernel,
     FractionalKernel,
     GammaUnderflowError,
+    InternalConsistencyError,
     InvalidArgumentError,
     RiccatiBlowUpError,
     gamma0_affine,
@@ -324,6 +325,15 @@ class TestGammaAndControls:
         with pytest.raises(InvalidArgumentError, match=r"\(9, 1\) or \(P, 9, 1\)"):
             gamma_affine(model, grid, psi, curve, 0)
 
+    def test_gamma_above_its_bound_is_refused(self):
+        # F(psi) < 0 on the tanh model, so a negative curve lifts Gamma_0 above e^(2 int r) = 1
+        model = tanh_model()
+        grid = make_grid(1.0, 64)
+        psi = solve_riccati_volterra(model, grid)
+        curve = -g0_nodes(model.g0, grid, model.dim)
+        with pytest.raises(InternalConsistencyError, match=r"\(0, e\^\(2 int r\)\] bound: max ratio"):
+            gamma_affine(model, grid, psi, curve, 0)
+
     def test_premium_loading_terminal_is_theta(self):
         model = tanh_model()
         grid = make_grid(1.0, 64)
@@ -344,6 +354,21 @@ class TestGammaAndControls:
         load = premium_loading(model, psi, grid, 10)
         np.testing.assert_allclose(a1, -load * 0.3 * (1.0 - 1.5), rtol=1e-13)
         np.testing.assert_allclose(a2 - a1, -load * 0.3, rtol=1e-12)
+
+    def test_wealth_vector_rows_equal_scalar_calls(self):
+        model = AffineModel(kernels=(FractionalKernel(0.3), ExponentialKernel(1.0)), drift=np.diag([-0.5, -1.0]),
+                            nu=[0.3, 0.5], rho=[-0.5, 0.2], theta=[0.4, 0.6], g0=[0.04, 0.09])
+        grid = make_grid(1.0, 32)
+        psi = solve_riccati_volterra(model, grid)
+        rng = np.random.default_rng(7)
+        v_paths = rng.normal(0.05, 0.05, (5, 2))  # some negative, read as 0
+        x_paths = rng.normal(1.0, 0.2, 5)
+        rows = optimal_control_affine(model, psi, grid, 9, v_paths, x_paths, 1.3)
+        want = [optimal_control_affine(model, psi, grid, 9, v, x, 1.3) for v, x in zip(v_paths, x_paths)]
+        np.testing.assert_array_equal(rows, want)
+        shared = optimal_control_affine(model, psi, grid, 9, v_paths[0], x_paths, 1.3)  # one variance, many wealths
+        np.testing.assert_array_equal(shared, [optimal_control_affine(model, psi, grid, 9, v_paths[0], x, 1.3)
+                                               for x in x_paths])
 
 
 class TestDiagnostics:

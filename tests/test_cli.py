@@ -231,7 +231,7 @@ class TestColumnWriter:
         text = ["", "plain", "x\ry", (1, 2), np.float64(-0.0), np.uint8(200), None, "[1]"]
         header = ["f", "i", "mixed,quoted", 'q"t']
         columns = [floats, ints, mixed, text]
-        _write_csv(str(tmp_path / "columns.csv"), header, columns)
+        _write_csv(str(tmp_path / "columns.csv"), header, [columns])
         write_csv_rows(str(tmp_path / "rows.csv"), header, [list(row) for row in zip(*columns)])
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
@@ -245,9 +245,19 @@ class TestColumnWriter:
         ints = rng.integers(-(2**62), 2**62, n_rows)
         text = [["a,b", 'q"t', "", 0.5, 7][i % 5] for i in range(n_rows)]
         header = ["f", "i", "text"]
-        _write_csv(str(tmp_path / "columns.csv"), header, [floats, ints, text])
+        _write_csv(str(tmp_path / "columns.csv"), header, [[floats, ints, text]])
         write_csv_rows(str(tmp_path / "rows.csv"), header, list(zip(floats, ints, text)))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_block_that_raises_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield [np.arange(3.0)]
+            assert (tmp_path / "out" / "t.csv.tmp").is_file()  # the first block is on disk
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            _write_csv(str(tmp_path / "out" / "t.csv"), ["x"], blocks())
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestFrontier:

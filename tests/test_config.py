@@ -1,5 +1,7 @@
 """Config kernel specs build the library kernel, bad specs name their key, and no value at any key escapes as an untyped error."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -16,6 +18,7 @@ from vmk import (
     folded_cells,
     make_grid,
 )
+from vmk.cli import main
 from vmk.config import build_model, load_config
 
 BODY = """\
@@ -137,3 +140,87 @@ def test_affine_boolean_is_not_a_number(tmp_path, key, value):
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"'affine\.{key}' must be a finite number"):
         load_config(str(path))
+
+
+def _config_text(base, edit):
+    """The property base ``base`` with ``edit`` applied to a copy of its raw mapping, as YAML."""
+    raw = {name: dict(body) for name, body in {**PROPERTY_COMMON, **PROPERTY_BASES[base]}.items()}
+    edit(raw)
+    return yaml.safe_dump(raw)
+
+
+def _drop(section, key):
+    return lambda raw: raw[section].pop(key)
+
+
+def _set(section, key, value):
+    return lambda raw: raw[section].__setitem__(key, value)
+
+
+# (config text, or None for no file; a pattern the error message must match, naming the offending key)
+LOAD_REFUSALS = {
+    "unreadable-file": (None, r"cannot read config file \S*cfg\.yaml"),
+    "invalid-yaml": ("grid: [1, 2\n", r"config file \S*cfg\.yaml is not valid YAML"),
+    "missing-grid": (_config_text("affine", lambda raw: raw.pop("grid")), r"missing required section 'grid'"),
+    "missing-grid-T": (_config_text("affine", _drop("grid", "T")), r"'grid\.T' is required"),
+    "missing-affine-kernels": (_config_text("affine", _drop("affine", "kernels")), r"'affine\.kernels' is required"),
+    "missing-affine-theta": (_config_text("affine", _drop("affine", "theta")), r"'affine\.theta' is required"),
+    "empty-affine-kernels": (_config_text("affine", _set("affine", "kernels", [])),
+                             r"'affine\.kernels' must be a nonempty list"),
+    **{f"missing-quadratic-{key}": (_config_text("explicit", _drop("quadratic", key)),
+                                    rf"'quadratic\.{key}' is required") for key in ("kernel", "theta", "eta", "corr")},
+    "unknown-preset": (_config_text("preset", _set("quadratic", "preset", "three_asset")),
+                       r"unknown quadratic preset 'three_asset'"),
+    "empty-markowitz-m": (_config_text("affine", lambda raw: raw.__setitem__("markowitz", {"m": []})),
+                          r"'markowitz\.m' must be a number or nonempty list"),
+    "sweep-without-parameter": (_config_text("affine", _drop("sweep", "parameter")),
+                                r"'sweep' needs both 'parameter' and 'values'"),
+    "sweep-without-values": (_config_text("affine", _drop("sweep", "values")),
+                             r"'sweep' needs both 'parameter' and 'values'"),
+    "sweep-empty-values": (_config_text("affine", _set("sweep", "values", [])),
+                           r"'sweep\.values' must be a nonempty list"),
+    "sweep-bad-parameter": (_config_text("affine", _set("sweep", "parameter", "zeta")),
+                            r"'sweep\.parameter' = 'zeta' does not name an existing config key"),
+}
+
+
+@pytest.mark.parametrize("text, pattern", LOAD_REFUSALS.values(), ids=LOAD_REFUSALS.keys())
+def test_load_config_refusal_named(tmp_path, capsys, text, pattern):
+    path = tmp_path / "cfg.yaml"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search(r"^error: .*" + pattern, captured.err), captured.err
+
+
+TWO_FACTORS = [{"type": "fractional", "h": 0.3}, {"type": "exponential", "beta": 1.0}]
+# model refusals a config can reach: (base, edit of the raw mapping, pattern naming the key)
+MODEL_REFUSALS = {
+    "affine-drift-shape": ("affine", _set("affine", "drift", [[-0.5, 0.0], [0.0, -0.5]]),
+                           r"drift matrix must be \(1, 1\)"),
+    "affine-drift-off-diagonal": ("affine", lambda raw: raw["affine"].update(
+        kernels=TWO_FACTORS, drift=[[-0.5, -0.1], [0.0, -0.5]]), r"off-diagonal drift entries must be nonnegative"),
+    "affine-nu-length": ("affine", _set("affine", "nu", [0.3, 0.3]), r"nu must be a number or a length-1 list"),
+    "affine-rho-length": ("affine", _set("affine", "rho", [0.1, 0.2, 0.3]), r"rho must be a number or a length-1 list"),
+    "affine-theta-length": ("affine", _set("affine", "theta", [[0.4, 0.4]]),
+                            r"theta must be a number or a length-1 list"),
+    "affine-nu-negative": ("affine", _set("affine", "nu", -0.3), r"nu must be nonnegative"),
+    "affine-rho-range": ("affine", _set("affine", "rho", 1.5), r"rho \(leverage correlations\) must lie in \[-1, 1\]"),
+    "quadratic-theta-shape": ("explicit", _set("quadratic", "theta", [[0.5, 0.5]]), r"theta must be \(d, 1\)"),
+    "quadratic-eta-shape": ("explicit", _set("quadratic", "eta", [[1.0, 0.0]]), r"eta must be \(1, 1\)"),
+    "quadratic-corr-shape": ("explicit", _set("quadratic", "corr", [[-0.3, 0.1]]), r"corr must be \(1, 1\)"),
+    "quadratic-drift-shape": ("explicit", _set("quadratic", "drift", [[-0.2], [0.0]]), r"drift must be \(1, 1\)"),
+    "quadratic-indefinite": ("explicit", lambda raw: raw["quadratic"].update(
+        kernel={"type": "diagonal", "components": TWO_FACTORS}, theta=[[0.5, 0.5]], eta=np.eye(2).tolist(),
+        corr=[[0.8], [0.8]], drift=None), r"driver covariance .* not positive semidefinite .*enforce_psd=False"),
+}
+
+
+@pytest.mark.parametrize("base, edit, pattern", MODEL_REFUSALS.values(), ids=MODEL_REFUSALS.keys())
+def test_model_refusal_named(tmp_path, capsys, base, edit, pattern):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(_config_text(base, edit), encoding="utf-8")
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search(r"^error: " + pattern, captured.err), captured.err

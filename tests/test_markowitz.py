@@ -7,6 +7,8 @@ import pytest
 
 from vmk import (
     DegenerateMarketError,
+    GammaUnderflowError,
+    InternalConsistencyError,
     InvalidArgumentError,
     a_of_p,
     frontier,
@@ -16,7 +18,7 @@ from vmk import (
     xi_star,
 )
 from vmk.grid import g0_nodes
-from vmk.markowitz import tail_rate_integrals
+from vmk.markowitz import gamma_from_log, tail_rate_integrals
 
 
 class TestRates:
@@ -61,6 +63,30 @@ def test_rate_forms_sample_bit_identically():
     assert all(v.shape == (8,) and v.tobytes() == nodes[0].tobytes() for v in nodes)
     curve = lambda t: 0.01 + 0.02 * t * t
     assert g0_nodes(curve, g, name="rate").tobytes() == g0_nodes(np.array([curve(t) for t in g.nodes]), g, name="rate").tobytes()
+
+
+class TestGammaRule:
+    """``gamma_from_log``, the one underflow and bound rule of both model families."""
+
+    def test_values_within_the_bound_pass(self):
+        tail = np.array([[0.1], [0.05]])  # one tail per row, broadcast over the columns
+        log_gamma = np.array([[0.2, -1.0], [0.1 + 1e-9, -3.0]])  # at the bound, and within its slack
+        np.testing.assert_array_equal(gamma_from_log(log_gamma, tail), np.exp(log_gamma))
+
+    @pytest.mark.parametrize("log_gamma", [0.3, np.inf, np.nan])
+    def test_breach_raises(self, log_gamma):
+        with pytest.raises(InternalConsistencyError, match=r"\(0, e\^\(2 int r\)\] bound"):
+            gamma_from_log(np.array([-1.0, log_gamma]), 0.1)
+
+    def test_breach_only_warns_when_lenient(self):
+        with pytest.warns(RuntimeWarning, match=r"bound: max ratio 1\.10517"):
+            gam = gamma_from_log(np.array([-1.0, 0.3]), 0.1, lenient=True)
+        np.testing.assert_array_equal(gam, np.exp([-1.0, 0.3]))
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_underflow_raises_even_when_lenient(self, lenient):
+        with pytest.raises(GammaUnderflowError, match=r"exp\(-800\) underflows"):
+            gamma_from_log(np.array([0.0, -800.0]), 0.0, lenient)
 
 
 class TestMomentExponent:

@@ -1,18 +1,20 @@
 """Every top-level name and every method defined in the package is used by the
 package, and every name a module imports is used in that module.
 
-A top-level name counts as used when it appears as a whole word in another
-part of ``src/vmk`` (the package ``__init__`` and the definition itself
-excluded) or when the package ``__init__`` exports it.  A non-dunder method
-or property of a class counts as used when ``.name`` appears anywhere in
-``src/vmk`` outside its own definition.  A mention in the tests or in the
-benchmark harness does not count: code that only they run belongs in
-``tests/oracles.py`` or in the test file itself.  The package ``__init__``
-is exempt from the top-level and import checks because it only re-exports.
+Uses are read from the syntax tree, so a mention in a docstring, a comment
+or a message does not count.  A top-level name counts as used when some
+module of ``src/vmk`` other than the package ``__init__`` loads it as a name
+or an attribute outside the name's own definition.  A non-dunder method or
+property of a class counts as used when some module loads it as an
+attribute outside its own definition.  Re-exporting a name from the package
+``__init__`` is not a use: the paper-level API that no command calls is
+listed in ``PUBLIC_API``, and the scan must flag exactly those names.  A
+use in the tests or in the benchmark harness does not count either: code
+that only they run belongs in ``tests/oracles.py`` or in the test file
+itself.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +22,22 @@ PACKAGE = ROOT / "src" / "vmk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 INIT = ast.parse((PACKAGE / "__init__.py").read_text())
 EXPORTS = {a.asname or a.name for node in INIT.body if isinstance(node, ast.ImportFrom) for a in node.names}
+# Exported for library users and the tests; no command calls them.
+PUBLIC_API = {"simulate_forward_variance", "optimal_control_affine", "optimal_control_quadratic",
+              "gamma_quadratic", "wishart_model"}
+
+
+def _loads(tree, skip=(0, 0)):
+    """(names, attribute names) the tree loads, leaving out the nodes on the lines skip[0] to skip[1]."""
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load) or skip[0] <= node.lineno <= skip[1]:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def _definitions(tree):
@@ -36,19 +54,18 @@ def _definitions(tree):
 
 
 def test_every_top_level_name_is_referenced():
-    sources = {p: p.read_text() for p in MODULES}
-    unused = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for name, first, last in _definitions(ast.parse(text)):
-            if name in EXPORTS:
-                continue
-            own = "\n".join(lines[: first - 1] + lines[last:])
-            corpus = [own] + [t for p, t in sources.items() if p != path]
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(t) for t in corpus):
-                unused.append(f"{path.name}:{first} {name}")
-    assert not unused, "defined but never referenced: " + ", ".join(unused)
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    unused = {}
+    for path, tree in trees.items():
+        elsewhere = set().union(*(set().union(*_loads(t)) for p, t in trees.items() if p != path))
+        for name, first, last in _definitions(tree):
+            if name not in elsewhere and name not in set().union(*_loads(tree, (first, last))):
+                unused[name] = f"{path.name}:{first} {name}"
+    assert PUBLIC_API <= EXPORTS, "PUBLIC_API names a name the package does not export"
+    flagged = {name: where for name, where in unused.items() if name not in PUBLIC_API}
+    assert not flagged, "defined but never referenced: " + ", ".join(flagged.values())
+    stale = PUBLIC_API - set(unused)
+    assert not stale, "PUBLIC_API lists names the package itself uses: " + ", ".join(sorted(stale))
 
 
 def _methods(tree):
@@ -61,15 +78,12 @@ def _methods(tree):
 
 
 def test_every_method_is_referenced():
-    sources = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    trees = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     unused = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for cls, name, first, last in _methods(ast.parse(text)):
-            own = "\n".join(lines[: first - 1] + lines[last:])
-            corpus = [own] + [t for p, t in sources.items() if p != path]
-            attribute = re.compile(rf"\.{re.escape(name)}\b")
-            if not any(attribute.search(t) for t in corpus):
+    for path, tree in trees.items():
+        elsewhere = set().union(*(_loads(t)[1] for p, t in trees.items() if p != path))
+        for cls, name, first, last in _methods(tree):
+            if name not in elsewhere and name not in _loads(tree, (first, last))[1]:
                 unused.append(f"{path.name}:{first} {cls}.{name}")
     assert not unused, "method defined but never referenced: " + ", ".join(sorted(unused))
 

@@ -1,5 +1,6 @@
 """Quadratic Gaussian-state models and the operator Riccati solver."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,6 +16,8 @@ from vmk import (
     DiagonalKernel,
     ExponentialKernel,
     FractionalKernel,
+    GammaUnderflowError,
+    InternalConsistencyError,
     InvalidArgumentError,
     MemoryCapError,
     ModelAssumptionError,
@@ -729,6 +732,61 @@ class TestGammaFunctional:
         prem = sol.premium_profile[3]
         np.testing.assert_allclose(a1, -prem * (1.0 - 1.5), rtol=1e-12)
         np.testing.assert_allclose(a2 - a1, -prem, rtol=1e-12)
+
+    def test_control_wealth_vector_rows_equal_scalar_calls(self):
+        m = mixed_model()
+        g = make_grid(0.8, 24)
+        sol = solve_operator_riccati(m, g)
+        rng = np.random.default_rng(11)
+        curves = sol.g0s[None, : g.n] + 0.1 * rng.standard_normal((4, g.n, 2))
+        x_paths = rng.normal(1.0, 0.2, 4)
+        rows = optimal_control_quadratic(m, sol, 6, curves, x_paths, 1.4)
+        # the same curve stack, so only the wealth gap differs between the calls
+        want = [optimal_control_quadratic(m, sol, 6, curves, x, 1.4)[p] for p, x in enumerate(x_paths)]
+        np.testing.assert_array_equal(rows, want)
+
+    def test_underflowing_curve_is_a_model_limit(self):
+        m = QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5, drift=-0.3, g0=0.3)
+        sol = solve_operator_riccati(m, make_grid(0.5, 20))
+        with pytest.raises(GammaUnderflowError, match="underflows double precision"):
+            gamma_quadratic(sol, 0, np.full((20, 1), 1e4))
+        with pytest.raises(GammaUnderflowError, match="underflows double precision"):
+            gamma_quadratic(sol, [0, 10], np.stack([sol.g0s[:20], np.full((20, 1), 1e4)]))
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_bound_breach_raises_unless_the_model_is_indefinite(self, lenient):
+        m = two_asset_model() if lenient else mixed_model()
+        assert m.psd_violated == lenient
+        g = make_grid(0.5, 20)
+        sol = solve_operator_riccati(m, g)
+        lifted = dataclasses.replace(sol, phi=sol.phi + 1.0)  # Gamma_k > e^(2 int r) at every node
+        if lenient:
+            with pytest.warns(RuntimeWarning, match=r"bound: max ratio .*positive semidefiniteness"):
+                gamma_quadratic(lifted, [0, 5], sol.g0s[: g.n])
+        else:
+            with pytest.raises(InternalConsistencyError, match=r"\(0, e\^\(2 int r\)\] bound"):
+                gamma_quadratic(lifted, [0, 5], sol.g0s[: g.n])
+
+
+@pytest.mark.parametrize("reader", ["gamma_affine", "gamma_quadratic", "optimal_control_quadratic"])
+@pytest.mark.parametrize("shape", [lambda n, N: (n + 2, N), lambda n, N: (3, n, N + 1), lambda n, N: (n,),
+                                   lambda n, N: (2, 3, n, N), lambda n, N: ()],
+                         ids=["rows", "stack-factors", "flat", "nested-stack", "scalar"])
+def test_malformed_curve_samples_refused(reader, shape):
+    """Both families refuse curve samples by one rule, whose message names the two shapes it takes."""
+    g = make_grid(0.5, 8)
+    if reader == "gamma_affine":
+        m = AffineModel(kernels=(FractionalKernel(0.3),), drift=-0.5, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
+        n, N = g.n + 1, 1
+        call = lambda c: gamma_affine(m, g, solve_riccati_volterra(m, g), c, 0)
+    else:
+        m = mixed_model()
+        sol = solve_operator_riccati(m, g)
+        n, N = g.n, 2
+        call = {"gamma_quadratic": lambda c: gamma_quadratic(sol, 0, c),
+                "optimal_control_quadratic": lambda c: optimal_control_quadratic(m, sol, 0, c, 1.0, 1.5)}[reader]
+    with pytest.raises(InvalidArgumentError, match=rf"curve samples must be \({n}, {N}\) or \(P, {n}, {N}\)"):
+        call(np.full(shape(n, N), 0.1))
 
 
 def dense_covariance_report(model, grid, a):
