@@ -18,7 +18,7 @@ against forward variance curves.
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +42,12 @@ def _per_factor(value, name: str, d: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AffineModel:
     kernels: Tuple[Kernel, ...]
-    drift: np.ndarray
+    drift: Optional[np.ndarray]
     nu: np.ndarray
     rho: np.ndarray
     theta: np.ndarray
     g0: object
     rate: object = 0.0
-    x0: float = 1.0
 
     def __post_init__(self):
         kernels = tuple(self.kernels)
@@ -58,7 +57,7 @@ class AffineModel:
         for k in kernels:
             if k.dim != 1:
                 raise InvalidArgumentError("affine kernels must be scalar Volterra convolution kernels")
-        drift = np.atleast_2d(np.asarray(self.drift, dtype=float))
+        drift = np.zeros((d, d)) if self.drift is None else np.atleast_2d(np.asarray(self.drift, dtype=float))
         if drift.shape != (d, d):
             raise InvalidArgumentError(f"drift matrix must be ({d}, {d}), got {drift.shape}")
         off = drift - np.diag(np.diag(drift))

@@ -2,11 +2,14 @@
 
 Configs are YAML mappings with a grid section, exactly one model section
 (affine or quadratic), and optional markowitz, mc, sweep, check and
-output sections.  Everything is validated up front with the offending
-key named, so a malformed file fails before any computation or output.
+output sections.  Each section is read by ``_read`` against its schema,
+which declares every key once, with its reader and its default, so a
+malformed file fails before any computation or output with the offending
+key named.
 """
 
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,32 +21,40 @@ from .grid import TimeGrid, g0_nodes, make_grid
 from .kernels import ConstantKernel, DiagonalKernel, ExponentialKernel, FractionalKernel
 from .quadratic import QuadraticModel, two_asset_model
 
-_TOP_KEYS = {"grid", "affine", "quadratic", "markowitz", "mc", "sweep", "check", "output"}
-_GRID_KEYS = {"T", "n"}
-_AFFINE_KEYS = {"kernels", "drift", "nu", "rho", "theta", "g0", "rate", "x0"}
-_QUAD_PRESET_KEYS = {"preset", "hurst", "eta", "leverage", "stock_corr", "theta", "y0", "rate", "x0"}
-_QUAD_EXPLICIT_KEYS = {"kernel", "theta", "eta", "corr", "drift", "g0", "rate", "x0", "enforce_psd"}
-_MARKOWITZ_KEYS = {"m", "x0"}
-_MC_KEYS = {"paths", "seed", "antithetic", "dump_paths", "chunk"}
-_SWEEP_KEYS = {"parameter", "values"}
-_CHECK_KEYS = {"p", "a", "coarse_n", "c"}
-_OUTPUT_KEYS = {"directory"}
-_KERNEL_KEYS = {
-    "fractional": {"type", "h", "scale"},
-    "exponential": {"type", "beta", "scale"},
-    "constant": {"type", "value"},
-    "diagonal": {"type", "components"},
-}
+# The default of a key that must be given.
+REQUIRED = object()
 
 
-def _section(obj, where: str, allowed: set = None) -> dict:
+def _section(obj, where: str, allowed=None) -> dict:
     """obj when it is a mapping whose keys all lie in ``allowed`` (any keys when None), else a ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"section '{where}' must be a mapping, got {type(obj).__name__}")
-    unknown = set(obj) - allowed if allowed is not None else ()
+    unknown = set(obj).difference(allowed) if allowed is not None else ()
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{where}'; allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in section '{where}'; "
+                          f"allowed: {sorted(allowed)}")
     return obj
+
+
+def _read(obj, where: str, schema: dict) -> dict:
+    """Section ``obj`` read through ``schema``, {key: (reader, default)}, as {key: value}.
+
+    Keys outside the schema are refused.  A key that is absent or null takes
+    its default, and is a ConfigError when that is ``REQUIRED``; any other
+    value is ``reader(value, "<where>.<key>")``.  The top level is read with
+    ``where`` empty, and its keys are named as sections.
+    """
+    section = _section(obj, where or "<top level>", schema)
+    values = {}
+    for key, (reader, default) in schema.items():
+        name = f"{where}.{key}" if where else key
+        if section.get(key) is not None:
+            values[key] = reader(section[key], name)
+        elif default is REQUIRED:
+            raise ConfigError(f"'{name}' is required" if where else f"missing required section '{name}'")
+        else:
+            values[key] = default
+    return values
 
 
 def _has_boolean(value) -> bool:
@@ -125,36 +136,99 @@ def _array(value, where: str) -> np.ndarray:
     return _number(value, where, lambda v: np.asarray(v, dtype=float))
 
 
-def _scalar_kernel(spec: dict, where: str):
-    ktype = _section(spec, where).get("type")
-    if ktype not in ("fractional", "exponential", "constant"):
-        raise ConfigError(f"'{where}.type' must be fractional, exponential or constant, got {ktype!r}")
-    _section(spec, where, _KERNEL_KEYS[ktype])
-    if ktype == "fractional":
-        if "h" not in spec:
-            raise ConfigError(f"'{where}' needs key 'h'")
-        return FractionalKernel(_number(spec["h"], f"{where}.h"),
-                                scale=_number(spec.get("scale", 1.0), f"{where}.scale"))
-    if ktype == "exponential":
-        if "beta" not in spec:
-            raise ConfigError(f"'{where}' needs key 'beta'")
-        return ExponentialKernel(_number(spec["beta"], f"{where}.beta"),
-                                 scale=_number(spec.get("scale", 1.0), f"{where}.scale"))
-    return ConstantKernel(_number(spec.get("value", 1.0), f"{where}.value"))
+def _text(value, where: str) -> str:
+    return str(value)
 
 
-def _matrix_kernel(spec: dict, where: str):
+def _list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{where}' must be a nonempty list")
+    return value
+
+
+def _targets(value, where: str) -> tuple:
+    """A number or a nonempty list of numbers, as a tuple."""
+    targets = tuple(_number(v, where) for v in (value if isinstance(value, list) else [value]))
+    if not targets:
+        raise ConfigError(f"'{where}' must be a number or nonempty list")
+    return targets
+
+
+def _pair(value, where: str) -> tuple:
+    pair = _array(value, where)
+    if pair.shape not in ((), (2,)):
+        raise ConfigError(f"'{where}' must be a number or a pair of numbers, got {value!r}")
+    return tuple(float(v) for v in np.broadcast_to(pair, (2,)))
+
+
+def _preset(value, where: str) -> str:
+    if value != "two_asset":
+        raise ConfigError(f"unknown quadratic preset {value!r}; only 'two_asset' exists")
+    return value
+
+
+def _kernels(value, where: str) -> tuple:
+    """A nonempty list of scalar kernel specs, as a tuple of kernels."""
+    return tuple(_kernel(spec, f"{where}[{i}]") for i, spec in enumerate(_list(value, where)))
+
+
+# Kernel specs, type: (builder, schema); every spec also has its 'type'.
+_KERNELS = {
+    "fractional": (FractionalKernel, {"h": (_number, REQUIRED), "scale": (_number, 1.0)}),
+    "exponential": (ExponentialKernel, {"beta": (_number, REQUIRED), "scale": (_number, 1.0)}),
+    "constant": (lambda value: ConstantKernel(value), {"value": (_number, 1.0)}),
+}
+# The explicit quadratic state kernel may also be diagonal, or constant with a matrix in place of its value.
+_STATE_KERNELS = {**_KERNELS, "diagonal": (DiagonalKernel, {"components": (_kernels, REQUIRED)})}
+_CONSTANT_MATRIX = (ConstantKernel, {"matrix": (_array, REQUIRED)})
+
+
+def _kernel(spec, where: str, state: bool = False):
+    """The kernel a spec names: a scalar kernel, or with ``state`` the quadratic state kernel."""
     ktype = _section(spec, where).get("type")
-    if ktype == "diagonal":
-        _section(spec, where, _KERNEL_KEYS["diagonal"])
-        comps = spec.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise ConfigError(f"'{where}.components' must be a nonempty list")
-        return DiagonalKernel([_scalar_kernel(c, f"{where}.components[{i}]") for i, c in enumerate(comps)])
-    if ktype == "constant" and "matrix" in spec:
-        _section(spec, where, _KERNEL_KEYS["constant"] | {"matrix"})
-        return ConstantKernel(_array(spec["matrix"], f"{where}.matrix"))
-    return _scalar_kernel(spec, where)
+    kinds = _STATE_KERNELS if state else _KERNELS
+    if not isinstance(ktype, str) or ktype not in kinds:
+        *most, last = kinds
+        raise ConfigError(f"'{where}.type' must be {', '.join(most)} or {last}, got {ktype!r}")
+    build, schema = _CONSTANT_MATRIX if state and ktype == "constant" and "matrix" in spec else kinds[ktype]
+    params = _read(spec, where, {"type": (_text, REQUIRED), **schema})
+    del params["type"]
+    return build(**params)
+
+
+_TOP = {"grid": (_section, REQUIRED), "affine": (_section, None), "quadratic": (_section, None),
+        "markowitz": (_section, {}), "mc": (_section, {}), "sweep": (_section, None), "check": (_section, {}),
+        "output": (_section, {})}
+_GRID = {"T": (_horizon, REQUIRED), "n": (partial(_integer, low=2), None)}  # n None: 200 max(1, T), in load_config
+_MARKOWITZ = {"m": (_targets, (1.05,)), "x0": (_number, 1.0)}
+_MC = {"paths": (mc_paths, 10000), "seed": (mc_seed, 0), "antithetic": (_boolean, False),
+       "dump_paths": (partial(_integer, low=0), 0), "chunk": (partial(_integer, low=1), 4096)}
+_SWEEP = {"parameter": (_text, REQUIRED), "values": (_list, REQUIRED)}
+_CHECK = {"p": (_number, 3.0), "a": (_number, None), "coarse_n": (partial(_integer, low=2), 20), "c": (_number, 1.0)}
+_OUTPUT = {"directory": (_text, "out")}
+_AFFINE = {"kernels": (_kernels, REQUIRED), "drift": (_array, None), "nu": (_array, 1.0), "rho": (_array, 0.0),
+           "theta": (_array, REQUIRED), "g0": (_array, 0.04), "rate": (_number, 0.0)}
+_QUADRATIC = {"kernel": (partial(_kernel, state=True), REQUIRED), "theta": (_array, REQUIRED),
+              "eta": (_array, REQUIRED), "corr": (_array, REQUIRED), "drift": (_array, None), "g0": (_array, 0.0),
+              "rate": (_number, 0.0), "enforce_psd": (_boolean, True)}
+_TWO_ASSET = {"preset": (_preset, REQUIRED), "hurst": (_pair, (0.08, 0.4)), "eta": (_pair, (1.0, 1.0)),
+              "leverage": (_pair, (-0.7, -0.7)), "stock_corr": (_number, 0.7), "theta": (_pair, (0.65, 0.65)),
+              "y0": (_pair, (0.3, 0.3)), "rate": (_number, 0.0)}
+
+
+def _model_schema(kind: str, sec) -> tuple:
+    """(builder, schema) of a model section: affine, the two_asset preset or explicit quadratic."""
+    if kind == "affine":
+        return AffineModel, _AFFINE
+    if "preset" in sec:
+        return (lambda preset, **params: two_asset_model(**params)), _TWO_ASSET
+    return QuadraticModel, _QUADRATIC
+
+
+def model_from_section(kind: str, sec):
+    """The model of a raw model section, built by keyword from its schema."""
+    build, schema = _model_schema(kind, sec)
+    return build(**_read(sec, kind, schema))
 
 
 def load_config(path: str, n: int = None) -> SimpleNamespace:
@@ -172,83 +246,31 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    raw = _section(raw if raw is not None else {}, "<top level>", _TOP_KEYS)
-    if "grid" not in raw:
-        raise ConfigError("missing required section 'grid'")
-    grid_sec = _section(raw["grid"], "grid", _GRID_KEYS)
-    if "T" not in grid_sec:
-        raise ConfigError("'grid.T' is required")
-    horizon = _horizon(grid_sec["T"], "grid.T")
-    if grid_sec.get("n") is None:
-        grid_n = _number(200 * max(1.0, horizon), "grid.n", round)
-    else:
-        grid_n = _integer(grid_sec["n"], "grid.n", 2)
+    top = _read(raw if raw is not None else {}, "", _TOP)
+    grid_sec = _read(top["grid"], "grid", _GRID)
+    horizon = grid_sec["T"]
+    grid_n = grid_sec["n"] if grid_sec["n"] is not None else _number(200 * max(1.0, horizon), "grid.n", round)
 
-    model_kind = "affine" if "affine" in raw else "quadratic"
-    if ("affine" in raw) == ("quadratic" in raw):
+    if (top["affine"] is None) == (top["quadratic"] is None):
         raise ConfigError("exactly one of the sections 'affine' or 'quadratic' is required")
-    model_sec = _section(raw[model_kind], model_kind)
-    if model_kind == "affine":
-        _section(model_sec, "affine", _AFFINE_KEYS)
-        for key in ("kernels", "theta"):
-            if key not in model_sec:
-                raise ConfigError(f"'affine.{key}' is required")
-        if not isinstance(model_sec["kernels"], list) or not model_sec["kernels"]:
-            raise ConfigError("'affine.kernels' must be a nonempty list")
-    elif "preset" in model_sec:
-        _section(model_sec, "quadratic", _QUAD_PRESET_KEYS)
-        if model_sec["preset"] != "two_asset":
-            raise ConfigError(f"unknown quadratic preset {model_sec['preset']!r}; only 'two_asset' exists")
-    else:
-        _section(model_sec, "quadratic", _QUAD_EXPLICIT_KEYS)
-        for key in ("kernel", "theta", "eta", "corr"):
-            if key not in model_sec:
-                raise ConfigError(f"'quadratic.{key}' is required (or use preset: two_asset)")
-
-    mk = _section(raw.get("markowitz", {}), "markowitz", _MARKOWITZ_KEYS)
-    m_raw = mk.get("m", 1.05)
-    m_values = [_number(v, "markowitz.m") for v in (m_raw if isinstance(m_raw, list) else [m_raw])]
-    if not m_values:
-        raise ConfigError("'markowitz.m' must be a number or nonempty list")
-    mk_x0 = None if mk.get("x0") is None else _number(mk["x0"], "markowitz.x0")
-
-    mc = _section(raw.get("mc", {}), "mc", _MC_KEYS)
-    antithetic = _boolean(mc.get("antithetic", False), "mc.antithetic")
-    mc_ns = SimpleNamespace(
-        paths=mc_paths(mc.get("paths", 10000), "mc.paths", antithetic),
-        seed=mc_seed(mc.get("seed", 0)),
-        antithetic=antithetic,
-        dump_paths=_integer(mc.get("dump_paths", 0), "mc.dump_paths", 0),
-        chunk=_integer(mc.get("chunk", 4096), "mc.chunk", 1),
-    )
+    model_kind = "affine" if top["affine"] is not None else "quadratic"
+    model_sec = top[model_kind]
+    mk = _read(top["markowitz"], "markowitz", _MARKOWITZ)
+    mc = SimpleNamespace(**_read(top["mc"], "mc", _MC))
+    mc.paths = mc_paths(mc.paths, "mc.paths", mc.antithetic)  # the pair rule of antithetic runs
 
     sweep = None
-    if "sweep" in raw:
-        sw = _section(raw["sweep"], "sweep", _SWEEP_KEYS)
-        if "parameter" not in sw or "values" not in sw:
-            raise ConfigError("'sweep' needs both 'parameter' and 'values'")
-        if not isinstance(sw["values"], list) or not sw["values"]:
-            raise ConfigError("'sweep.values' must be a nonempty list")
-        param = str(sw["parameter"])
-        valid = {"T"} | set(model_sec.keys())
-        if model_kind == "quadratic" and "preset" in model_sec:
-            valid |= _QUAD_PRESET_KEYS - {"preset"}
-        if param not in valid:
+    if top["sweep"] is not None:
+        sweep = SimpleNamespace(**_read(top["sweep"], "sweep", _SWEEP), runs=[])
+        valid = {"T", *_model_schema(model_kind, model_sec)[1]}
+        if sweep.parameter not in valid:
             raise ConfigError(
-                f"'sweep.parameter' = {param!r} does not name an existing config key; "
+                f"'sweep.parameter' = {sweep.parameter!r} does not name an existing config key; "
                 f"valid here: {sorted(valid)}"
             )
-        sweep = SimpleNamespace(parameter=param, values=list(sw["values"]), runs=[])
 
-    chk = _section(raw.get("check", {}), "check", _CHECK_KEYS)
-    check_ns = SimpleNamespace(
-        p=_number(chk.get("p", 3.0), "check.p"),
-        a=(None if chk.get("a") is None else _number(chk["a"], "check.a")),
-        coarse_n=_integer(chk.get("coarse_n", 20), "check.coarse_n", 2),
-        c=_number(chk.get("c", 1.0), "check.c"),
-    )
-
-    out = _section(raw.get("output", {}), "output", _OUTPUT_KEYS)
+    check = SimpleNamespace(**_read(top["check"], "check", _CHECK))
+    out = _read(top["output"], "output", _OUTPUT)
     model = model_from_section(model_kind, model_sec)  # model values fail here, before any output
     for i, v in enumerate(sweep.values if sweep else []):
         if sweep.parameter == "T":
@@ -276,66 +298,17 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
         n=n,
         model_kind=model_kind,
         model=model,
-        m_values=m_values,
-        mk_x0=mk_x0,
-        mc=mc_ns,
+        m_values=mk["m"],
+        x0=mk["x0"],
+        mc=mc,
         sweep=sweep,
-        check=check_ns,
-        out_dir=str(out.get("directory", "out")),
+        check=check,
+        out_dir=out["directory"],
     )
 
 
 def build_grid(cfg: SimpleNamespace) -> TimeGrid:
     return make_grid(cfg.horizon, cfg.n)
-
-
-def _affine_from_section(sec: dict) -> AffineModel:
-    kernels = [_scalar_kernel(k, f"affine.kernels[{i}]") for i, k in enumerate(sec["kernels"])]
-    d = len(kernels)
-    return AffineModel(
-        kernels=tuple(kernels),
-        drift=_array(sec.get("drift", np.zeros((d, d))), "affine.drift"),
-        nu=_array(sec.get("nu", 1.0), "affine.nu"),
-        rho=_array(sec.get("rho", 0.0), "affine.rho"),
-        theta=_array(sec["theta"], "affine.theta"),
-        g0=_array(sec.get("g0", 0.04), "affine.g0"),
-        rate=_number(sec.get("rate", 0.0), "affine.rate"),
-        x0=_number(sec.get("x0", 1.0), "affine.x0"),
-    )
-
-
-def _quadratic_from_section(sec: dict) -> QuadraticModel:
-    if "preset" in sec:
-        kwargs = {}
-        for key in ("hurst", "eta", "leverage", "theta", "y0"):
-            if key in sec:
-                val = _array(sec[key], f"quadratic.{key}")
-                if val.shape not in ((), (2,)):
-                    raise ConfigError(f"'quadratic.{key}' must be a number or a pair of numbers, got {sec[key]!r}")
-                kwargs[key] = tuple(float(v) for v in np.broadcast_to(val, (2,)))
-        for key in ("stock_corr", "rate", "x0"):
-            if key in sec:
-                kwargs[key] = _number(sec[key], f"quadratic.{key}")
-        return two_asset_model(**kwargs)
-    kernel = _matrix_kernel(sec["kernel"], "quadratic.kernel")
-    return QuadraticModel(
-        kernel=kernel,
-        theta=_array(sec["theta"], "quadratic.theta"),
-        eta=_array(sec["eta"], "quadratic.eta"),
-        corr=_array(sec["corr"], "quadratic.corr"),
-        drift=(None if sec.get("drift") is None else _array(sec["drift"], "quadratic.drift")),
-        g0=_array(sec.get("g0", 0.0), "quadratic.g0"),
-        rate=_number(sec.get("rate", 0.0), "quadratic.rate"),
-        x0=_number(sec.get("x0", 1.0), "quadratic.x0"),
-        enforce_psd=_boolean(sec.get("enforce_psd", True), "quadratic.enforce_psd"),
-    )
-
-
-def model_from_section(kind: str, sec: dict):
-    """Instantiate a model from a raw config section."""
-    if kind == "affine":
-        return _affine_from_section(sec)
-    return _quadratic_from_section(sec)
 
 
 def build_model(cfg: SimpleNamespace):
@@ -344,4 +317,5 @@ def build_model(cfg: SimpleNamespace):
 
 
 def wealth_x0(cfg: SimpleNamespace, model) -> float:
-    return float(cfg.mk_x0) if cfg.mk_x0 is not None else float(model.x0)
+    """The initial wealth, ``markowitz.x0``, the same for every model."""
+    return float(cfg.x0)

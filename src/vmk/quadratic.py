@@ -80,7 +80,6 @@ class QuadraticModel:
     drift: Optional[np.ndarray] = None
     g0: object = 0.0
     rate: object = 0.0
-    x0: float = 1.0
     loadings: Optional[np.ndarray] = None
     enforce_psd: bool = True
 
@@ -249,7 +248,9 @@ def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, fai
     G_k is read for k >= ``first``; a node fails when G_k is not finite or its
     margin is below ``RCOND_MIN``.  ``failed`` is None when T was factored, else
     the block its factorization failed on, which is node ``first``'s when every
-    G_k read passes: a loss of definiteness if finite, of finiteness if not.
+    G_k read passes: a loss of finiteness if not finite, and if finite a
+    roundoff failure (InternalConsistencyError), as node ``first``'s margin
+    then holds.
     """
     n = grid.n
     nodes = np.arange(n, max(first, 1) - 1, -1)
@@ -260,13 +261,21 @@ def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, fai
     lam[nodes[:stop]] = np.linalg.eigvalsh(np.eye(m0.shape[0]) + 2.0 * root @ m0 @ root)[:, 0]
     low = lam[nodes[:stop]] < RCOND_MIN
     lost = stop < len(nodes) or (failed is not None and not np.all(np.isfinite(failed)))
-    if low.any() or (failed is not None and not lost):
-        k = int(nodes[low.argmax()]) if low.any() else int(nodes[-1])
+    if low.any():
+        k = int(nodes[low.argmax()])
         t = float(grid.nodes[k - 1])
         raise RiccatiBlowUpError(
             "operator Riccati solution blows up: the deflating matrix loses positive "
             f"definiteness at t={t:.6g} (lambda_min {lam[k]:.3e})",
             time=t,
+        )
+    if failed is not None and not lost:
+        k = int(nodes[-1])
+        raise InternalConsistencyError(
+            f"the quadratic solve failed to roundoff, not the model: the Cholesky factorization of T broke "
+            f"down at t={float(grid.nodes[k - 1]):.6g}, where the deflating matrix keeps its margin "
+            f"(lambda_min {lam[k]:.3e} >= {RCOND_MIN:g}); another grid.n may solve it (a strongly "
+            "mean-reverting drift needs a fine grid; a large positive drift may fail on every grid)"
         )
     if lost:
         t = float(grid.nodes[nodes[min(stop, len(nodes) - 1)] - 1])
@@ -360,7 +369,10 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     GammaUnderflowError
         When Gamma_0 underflows double precision (``gamma_from_log``).
     InternalConsistencyError
-        When Gamma_0 breaks its bound; a RuntimeWarning if ``model.psd_violated``.
+        When the factorization fails at a node whose margin holds (roundoff,
+        not the model, as when the drift resolvent is unstable on the grid),
+        or when Gamma_0 breaks its bound, which only warns (RuntimeWarning)
+        if ``model.psd_violated``.
     """
     n, N, d, dt = grid.n, model.n_state, model.n_assets, grid.dt
     _check_dense_memory("the quadratic solve", DENSE_ARRAYS, n * d, n * d)
@@ -697,7 +709,7 @@ def lambda_max_covariance(model: QuadraticModel, grid: TimeGrid, a: float) -> di
 
 
 def two_asset_model(hurst=(0.08, 0.4), eta=(1.0, 1.0), leverage=(-0.7, -0.7), stock_corr: float = 0.7,
-                    theta=(0.65, 0.65), y0=(0.3, 0.3), rate: float = 0.0, x0: float = 1.0) -> QuadraticModel:
+                    theta=(0.65, 0.65), y0=(0.3, 0.3), rate: float = 0.0) -> QuadraticModel:
     """Two-asset rough-plus-smooth benchmark model.
 
     Each asset i has a scalar fractional state factor with its own Hurst
@@ -739,13 +751,13 @@ def two_asset_model(hurst=(0.08, 0.4), eta=(1.0, 1.0), leverage=(-0.7, -0.7), st
             loadings[i, j, i] = beta[i, j]
     return QuadraticModel(
         kernel=kernel, theta=theta_mat, eta=eta_mat, corr=corr, drift=None,
-        g0=np.asarray(y0, dtype=float), rate=rate, x0=x0, loadings=loadings,
+        g0=np.asarray(y0, dtype=float), rate=rate, loadings=loadings,
         enforce_psd=False,
     )
 
 
 def wishart_model(kernel_scalar: Kernel, theta: np.ndarray, eta: np.ndarray, rho: np.ndarray,
-                  g0_mat: np.ndarray, rate: float = 0.0, x0: float = 1.0) -> QuadraticModel:
+                  g0_mat: np.ndarray, rate: float = 0.0) -> QuadraticModel:
     """Matrix-state variant flattened to a vector quadratic model.
 
     The d x d matrix state is vectorized column-major to N = d^2 factors;
@@ -776,5 +788,5 @@ def wishart_model(kernel_scalar: Kernel, theta: np.ndarray, eta: np.ndarray, rho
     g0_flat = np.asarray(g0_mat, dtype=float).reshape(N, order="F")
     return QuadraticModel(
         kernel=kernel, theta=theta_big, eta=eta_big, corr=corr, drift=None,
-        g0=g0_flat, rate=rate, x0=x0, enforce_psd=True,
+        g0=g0_flat, rate=rate, enforce_psd=True,
     )

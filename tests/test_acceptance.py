@@ -158,9 +158,9 @@ def test_criterion_05_wealth_targets_both_model_classes(capsys):
     psi = solve_riccati_volterra(affine, grid)
     gam = gamma0_affine(affine, grid, psi)
     int_r = integrated_rate(affine.rate, grid)
-    xi = xi_star(gam, affine.x0, m_target, int_r)
-    tv = value_v(gam, affine.x0, m_target, int_r)
-    res = run_mc(AffineEvaluator(affine, grid, psi=psi), 10000, 1, affine.x0, xi)
+    xi = xi_star(gam, 1.0, m_target, int_r)
+    tv = value_v(gam, 1.0, m_target, int_r)
+    res = run_mc(AffineEvaluator(affine, grid, psi=psi), 10000, 1, 1.0, xi)
     dm = abs(res.wealth.mean - m_target) / res.wealth.se_mean
     dv = abs(res.wealth.variance - tv) / res.wealth.se_variance
     ok = ok and dm <= 3.0 and dv <= 3.0
@@ -169,9 +169,9 @@ def test_criterion_05_wealth_targets_both_model_classes(capsys):
     quad = scalar_markovian(theta=1.0, corr=-0.4, drift=-0.5, g0=0.6, rate=0.02)
     sol = solve_operator_riccati(quad, grid)
     int_r = integrated_rate(quad.rate, grid)
-    xi = xi_star(sol.gamma0, quad.x0, m_target, int_r)
-    tv = value_v(sol.gamma0, quad.x0, m_target, int_r)
-    res = run_mc(QuadraticEvaluator(quad, grid, solution=sol), 10000, 0, quad.x0, xi)
+    xi = xi_star(sol.gamma0, 1.0, m_target, int_r)
+    tv = value_v(sol.gamma0, 1.0, m_target, int_r)
+    res = run_mc(QuadraticEvaluator(quad, grid, solution=sol), 10000, 0, 1.0, xi)
     dm = abs(res.wealth.mean - m_target) / res.wealth.se_mean
     dv = abs(res.wealth.variance - tv) / res.wealth.se_variance
     ok = ok and dm <= 3.0 and dv <= 3.0

@@ -1,6 +1,8 @@
-"""Config kernel specs build the library kernel, bad specs name their key, and no value at any key escapes as an untyped error."""
+"""Config kernel specs build the library kernel, bad specs name their key, a null key reads as its default,
+and no value at any key escapes as an untyped error."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from vmk import (
     VmkError,
     folded_cells,
     make_grid,
+    two_asset_model,
 )
 from vmk.cli import main
 from vmk.config import build_model, load_config
@@ -56,13 +59,15 @@ def test_spec_matches_library_kernel(tmp_path, spec, kernel):
 
 
 @pytest.mark.parametrize("spec, key", [
-    ("{type: fractional, scale: 0.7}", "'quadratic.kernel' needs key 'h'"),
-    ("{type: exponential}", "'quadratic.kernel' needs key 'beta'"),
+    ("{type: fractional, scale: 0.7}", "'quadratic.kernel.h' is required"),
+    ("{type: exponential}", "'quadratic.kernel.beta' is required"),
     ("{type: gaussian}", "quadratic.kernel.type"),
     ("{type: diagonal, components: []}", "quadratic.kernel.components"),
     ("{type: diagonal, components: [{type: exponential}]}", "quadratic.kernel.components[0]"),
     ("{type: diagonal, components: [{type: constant, matrix: [[5.0]]}]}",
      "['matrix'] in section 'quadratic.kernel.components[0]'"),
+    ("{type: constant, value: 5.0, matrix: [[1.0]]}", "['value'] in section 'quadratic.kernel'"),
+    ("{type: [fractional], h: 0.3}", "'quadratic.kernel.type' must be fractional, exponential, constant or diagonal"),
 ])
 def test_bad_spec_names_key(tmp_path, spec, key):
     with pytest.raises(ConfigError) as info:
@@ -81,24 +86,25 @@ def test_affine_scalar_kernel_refuses_matrix(tmp_path):
 PROPERTY_BASES = {
     "affine": {
         "affine": {"kernels": [{"type": "fractional", "h": 0.3}], "drift": [[-0.5]], "nu": 0.3, "rho": -0.5,
-                   "theta": 0.4, "g0": 0.04, "rate": 0.01, "x0": 1.0},
+                   "theta": 0.4, "g0": 0.04, "rate": 0.01},
         "sweep": {"parameter": "theta", "values": [0.5]},
     },
     "explicit": {
         "quadratic": {"kernel": {"type": "exponential", "beta": 1.0}, "theta": [[0.5]], "eta": [[1.0]],
-                      "corr": [[-0.3]], "drift": [[-0.2]], "g0": 0.3, "rate": 0.0, "x0": 1.0, "enforce_psd": True},
+                      "corr": [[-0.3]], "drift": [[-0.2]], "g0": 0.3, "rate": 0.0, "enforce_psd": True},
     },
     "preset": {
         "quadratic": {"preset": "two_asset", "hurst": [0.1, 0.4], "eta": [1.0, 1.0], "leverage": [-0.7, -0.7],
-                      "stock_corr": 0.5, "theta": [0.65, 0.65], "y0": [0.3, 0.3], "rate": 0.0, "x0": 1.0},
+                      "stock_corr": 0.5, "theta": [0.65, 0.65], "y0": [0.3, 0.3], "rate": 0.0},
     },
 }
 PROPERTY_COMMON = {
     "grid": {"T": 1.0, "n": 8},
+    "markowitz": {"x0": 1.0},
     "mc": {"paths": 100, "seed": 1, "antithetic": False, "dump_paths": 0, "chunk": 64},
     "check": {"p": 3.0, "a": 0.1, "coarse_n": 10, "c": 1.0},
 }
-# (base, section, key): every grid, model, mc and check key of each base, and the sweep values
+# (base, section, key): every grid, markowitz, model, mc and check key of each base, and the sweep values
 PROPERTY_SLOTS = [
     (base, section, key)
     for base, sections in PROPERTY_BASES.items()
@@ -174,13 +180,17 @@ LOAD_REFUSALS = {
     "empty-markowitz-m": (_config_text("affine", lambda raw: raw.__setitem__("markowitz", {"m": []})),
                           r"'markowitz\.m' must be a number or nonempty list"),
     "sweep-without-parameter": (_config_text("affine", _drop("sweep", "parameter")),
-                                r"'sweep' needs both 'parameter' and 'values'"),
-    "sweep-without-values": (_config_text("affine", _drop("sweep", "values")),
-                             r"'sweep' needs both 'parameter' and 'values'"),
+                                r"'sweep\.parameter' is required"),
+    "sweep-without-values": (_config_text("affine", _drop("sweep", "values")), r"'sweep\.values' is required"),
     "sweep-empty-values": (_config_text("affine", _set("sweep", "values", [])),
                            r"'sweep\.values' must be a nonempty list"),
     "sweep-bad-parameter": (_config_text("affine", _set("sweep", "parameter", "zeta")),
                             r"'sweep\.parameter' = 'zeta' does not name an existing config key"),
+    "unknown-mixed-keys": (_config_text("affine", lambda raw: raw["grid"].update({1: 2, "foo": 3})),
+                           r"unknown key\(s\) \[1, 'foo'\] in section 'grid'"),
+    "sweep-null-values": (_config_text("affine", _set("sweep", "values", None)), r"'sweep\.values' is required"),
+    **{f"{base}-model-x0": (_config_text(base, _set(section, "x0", 1.0)), rf"\['x0'\] in section '{section}'")
+       for base, section in (("affine", "affine"), ("explicit", "quadratic"), ("preset", "quadratic"))},
 }
 
 
@@ -224,3 +234,57 @@ def test_model_refusal_named(tmp_path, capsys, base, edit, pattern):
     assert main(["check", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and re.search(r"^error: " + pattern, captured.err), captured.err
+
+
+# the keys each property base must give; every other key may be left out
+REQUIRED_KEYS = {"affine": {"T", "kernels", "theta"}, "explicit": {"T", "kernel", "theta", "eta", "corr"},
+                 "preset": {"T", "preset"}}
+
+
+@pytest.mark.parametrize("base, section, key", [slot for slot in PROPERTY_SLOTS if slot[1] != "sweep"])
+def test_null_reads_as_absent(tmp_path, capsys, base, section, key):
+    """A key given as null is refused as required, or reads as its default: the report is that of the key left out."""
+    path = tmp_path / "cfg.yaml"
+
+    def report(edit):
+        path.write_text(_config_text(base, edit), encoding="utf-8")
+        return main(["check", "--config", str(path)]), capsys.readouterr()
+
+    code, null = report(_set(section, key, None))
+    if key in REQUIRED_KEYS[base]:
+        assert code == 2 and re.search(rf"^error: '{section}\.{key}' is required", null.err), null.err
+    else:
+        assert (code, null) == report(_drop(section, key))
+        assert code == 0, null.err
+
+
+def test_null_mc_paths_runs_the_default(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(_config_text("affine", lambda raw: raw.update(grid={"T": 1.0, "n": 2}, mc={"paths": None})))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = dict(line.split(",")[:2] for line in (tmp_path / "out" / "mc.csv").read_text().splitlines())
+    assert rows["paths"] == "10000"
+
+
+def test_null_output_directory_is_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.yaml").write_text(_config_text("affine", _set("grid", "n", 4)) + "output: {directory: null}\n")
+    assert main(["frontier", "--config", "cfg.yaml"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "out"]
+    assert (tmp_path / "out" / "frontier.csv").is_file()
+
+
+def test_sweep_parameter_is_any_model_key(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(_config_text("affine", lambda raw: (raw["affine"].pop("rate"),
+                                                        raw.update(sweep={"parameter": "rate", "values": [0.0, 0.05]}))))
+    assert [model.rate for _, model in load_config(str(path)).sweep.runs] == [0.0, 0.05]
+
+
+def test_preset_defaults_are_the_builders(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("grid: {T: 1.0, n: 8}\nquadratic: {preset: two_asset}\n", encoding="utf-8")
+    got, want = build_model(load_config(str(path)))[1], two_asset_model()
+    assert got.kernel == want.kernel and got.rate == want.rate
+    for name in ("theta", "eta", "corr", "g0", "loadings"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -668,6 +668,21 @@ class TestBlowUp:
                 m.theta, m.eta, m.corr, m.drift, m.u_mat, 0.0, 2.0, 400
             )
 
+    @pytest.mark.parametrize("n", [20, 40, 80])
+    def test_roundoff_failure_is_not_a_blow_up(self, n):
+        # m0_min_eig 0.43, so the exact solution cannot blow up; the explicit drift resolvent
+        # grows on these grids until T's factorization fails where every margin still holds
+        m = QuadraticModel(kernel=ExponentialKernel(0.416), theta=[[1.11]], eta=[[0.0048]], corr=[[0.536]],
+                           drift=[[-19.15]], g0=0.547, rate=0.194)
+        with pytest.raises(InternalConsistencyError) as exc:
+            solve_operator_riccati(m, make_grid(14.2, n))
+        assert not isinstance(exc.value, RiccatiBlowUpError)
+        message = str(exc.value)
+        assert "failed to roundoff, not the model" in message and "grid.n" in message
+        margin = float(message.split("lambda_min ")[1].split()[0])
+        assert margin >= RCOND_MIN
+        assert solve_operator_riccati(m, make_grid(14.2, 160)).gamma0 > 0.0
+
     def test_solution_before_pole_matches_tangent(self):
         sol = solve_operator_riccati(self.blow_model(), make_grid(0.9, 300))
         want = -math.tan(SQ2 * 0.9) / SQ2
