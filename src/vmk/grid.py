@@ -81,12 +81,14 @@ def node_index(k, last: int, many: bool = False):
 
 
 def curve_rows(g, shape: tuple):
-    """Curve samples as a stack (P,) + shape and whether one curve of ``shape`` was given; refuses other shapes."""
+    """Curve samples as a (P,) + shape stack and whether one curve was given; refuses other shapes, NaN and inf."""
     rows = np.asarray(g, dtype=float)
     single = rows.ndim == len(shape)
     if single:
         rows = rows[None]
-    if rows.shape[1:] != shape:
+    if rows.shape[1:] != shape or not len(rows):  # an empty stack holds no curve
         raise InvalidArgumentError(f"curve samples must be {shape} or (P, {', '.join(map(str, shape))}), "
                                    f"got {np.shape(g)}")
+    if not np.all(np.isfinite(rows)):
+        raise InvalidArgumentError("curve samples contain non-finite values")
     return rows, single

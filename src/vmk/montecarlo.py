@@ -79,14 +79,16 @@ def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     In floats: the evaluator's ``workspace_floats(width)``; 2 samples per
     path; (n + 1)(1 + S) + n d per kept path, with d = ``n_assets`` and
     S = ``n_state``; and the largest temporaries: four ``_SLOT_BLOCK``-slot
-    blocks of the S state drivers, two ``_WEALTH_ROWS``-row wealth blocks,
-    or the sample statistics' 3 per path (traced at 2, 2.5 with antithetic
-    pairs).  README reads it against traced peaks.
+    blocks of the S state drivers with the affine stepper's history gather
+    (its lag indices and gathered kernel rows, 2 n per slot), two
+    ``_WEALTH_ROWS``-row wealth blocks, or the sample statistics' 3 per path
+    (traced at 2, 2.5 with antithetic pairs).  README reads it against
+    traced peaks.
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)
     kept = keep * ((n + 1) * (1 + S) + n * d)
-    slot_blocks = 4 * _SLOT_BLOCK * S * _padded(width)
+    slot_blocks = _SLOT_BLOCK * (4 * S * _padded(width) + 2 * n)
     wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
     temporaries = max(slot_blocks, wealth_blocks, 3 * total)
     return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries)
@@ -141,33 +143,24 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
     return out
 
 
-def correlate_drivers(z: np.ndarray, corr: np.ndarray):
-    """Map raw increments (P, n, d + N) to stock and state drivers (dB, dW).
+def correlate_into(z: np.ndarray, corr: np.ndarray, db: np.ndarray, dw: np.ndarray) -> None:
+    """Map raw increments z (P, n, d + N) to stock and state drivers, written into db (P, n, d) and dw (P, n, N).
 
     dW = dB C' + sqrt(1 - |C_k|^2) dB_perp row by row, with C the (N, d)
-    correlation matrix; the affine family passes diag(rho).
+    correlation matrix; the affine family passes diag(rho).  The slots are
+    written ``_SLOT_BLOCK`` at a time, so only one block's dB C' exists at
+    once, and dw may be any view, such as the affine stepper's slot-major
+    buffer transposed.
     """
     N, d = corr.shape
     if z.shape[2] != d + N:
         raise InvalidArgumentError(f"need {d + N} driving factors, got {z.shape[2]}")
-    db = z[:, :, :d]
-    row_sq = np.sum(corr * corr, axis=1)
-    # the scaled z_perp first and dB C' added in place: one (P, n, N)
-    # temporary, and the same sums, since IEEE addition commutes
-    dw = np.multiply(z[:, :, d:], np.sqrt(np.maximum(1.0 - row_sq, 0.0)))
-    dw += db @ corr.T
-    return db, dw
-
-
-def correlate_into(z: np.ndarray, corr: np.ndarray, db: np.ndarray, dw: np.ndarray) -> None:
-    """``correlate_drivers`` written into db (P, n, d) and dw (P, n, N), ``_SLOT_BLOCK`` slots at a time.
-
-    Only one block's temporaries exist at once, and dw may be any view,
-    such as the affine stepper's slot-major buffer transposed.
-    """
+    scale = np.sqrt(np.maximum(1.0 - np.sum(corr * corr, axis=1), 0.0))
     for k0 in range(0, z.shape[1], _SLOT_BLOCK):
         blk = slice(k0, k0 + _SLOT_BLOCK)
-        db[:, blk], dw[:, blk] = correlate_drivers(z[:, blk], corr)
+        db[:, blk] = z[:, blk, :d]
+        np.multiply(z[:, blk, d:], scale, out=dw[:, blk])  # then dB C' added: IEEE addition commutes
+        dw[:, blk] += db[:, blk] @ corr.T
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,9 @@ from .montecarlo import chunk_workspace, correlate_into, take_floats
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
 # Dense float arrays alive at once, rounded up from traced peaks (see README): (d n)^2 in the
-# solve, (d n, N n) in the Gamma and control readers, (N n)^2 in the spectrum and premium map.
+# solve, (d n, max(P, N n)) in the Gamma and control readers of P curves, (N n)^2 in the spectrum and premium map.
 DENSE_ARRAYS = 3
-CURVE_ARRAYS = 2
+CURVE_ARRAYS = 4
 COVARIANCE_ARRAYS = 4
 MAP_ARRAYS = 6
 # Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
@@ -166,8 +166,7 @@ def _discretize(model: QuadraticModel, grid: TimeGrid) -> SimpleNamespace:
     """Shared lag bands: the kernel's ``band`` (n, N, N) and ``m1_band`` (n, d, N).
 
     m1 = kron(I_n, Theta) (Id - Khat)^{-1}, Khat = a kron(I_n, F), is
-    fold(m1_band), Theta times the resolvent band of (band, F); each
-    reader folds what it needs.
+    fold(m1_band), Theta times the resolvent band of (band, F).
     """
     band = band_coefficients(model.kernel, grid)
     return SimpleNamespace(band=band, m1_band=model.theta @ resolvent_band(band, model.f_mat))
@@ -225,14 +224,18 @@ def _cholesky(t: np.ndarray, rows: int) -> int:
     return size
 
 
-def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place, by panel inverses; C is the leading len(b) rows of c."""
+def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False, needed=None) -> np.ndarray:
+    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place, by panel inverses; C is the leading len(b) rows of c.
+
+    With ``needed`` (non-increasing), a forward solve gives column j its first needed[j] rows and leaves the rest wrong.
+    """
     size, rows = b.shape[0], _PANEL_ROWS
     for r0 in reversed(range(0, size, rows)) if trans else range(0, size, rows):
         r1 = min(r0 + rows, size)
-        b[r0:r1] -= c[r1:size, r0:r1].T @ b[r1:] if trans else c[r0:r1, :r0] @ b[:r0]
+        x = b[r0:r1] if needed is None else b[r0:r1, : np.count_nonzero(needed > r0)]
+        x -= c[r1:size, r0:r1].T @ b[r1:] if trans else c[r0:r1, :r0] @ b[:r0, : x.shape[1]]
         inv = np.linalg.inv(c[r0:r1, r0:r1])
-        b[r0:r1] = (inv.T if trans else inv) @ b[r0:r1]
+        x[...] = (inv.T if trans else inv) @ x
     return b
 
 
@@ -283,23 +286,37 @@ def _node_margins(grid: TimeGrid, m0: np.ndarray, g: np.ndarray, first: int, fai
     return lam
 
 
-def _curve_terms(factor: np.ndarray, q_image: np.ndarray, m1_band: np.ndarray, g: np.ndarray, dt: float):
-    """(Z2 at the nodes 0, ..., n - 1, dt <g, Psi_0 g>) for a time-varying curve g (n, N).
+def _curve_reads(factor: np.ndarray, m1_band: np.ndarray, q_image: np.ndarray, g: np.ndarray, nodes):
+    """|u|^2 (nodes.shape + (P,)) and -2 u q_image (nodes.shape + (P, Q)) at ``nodes`` for curves g (P, n, N).
 
-    u[i, :, k] = (m1 g_k)[k + i], g_k the curve from node k, gives
-    Z2_k = -2 u_k' W_k^{-1} q_k and <g, Psi_0 g> = -u_0' W_0^{-1} u_0; one solve
-    against the factor serves every node, each reading its first n - 1 - k blocks.
+    u = [(m1 g_k)[k]; C_m^{-1} (m1 g_k)[k+1:]], g_k the curves masked before k, gives <g_k, Psi_k g_k> = -|u|^2
+    and, for the solution's (n d, N) q_image, the volatility adjustment Z2 = -2 u q_image; Q may be 0.
+    One sweep from the horizon back adds m1_band g[s] to the rows from s on, which then hold m1 g_s; a triangular
+    inverse's leading block inverts the leading block, so one solve serves a batch of nodes, whose images hold at
+    most (d n) max(P, N n) floats.
     """
-    n, d = g.shape[0], m1_band.shape[1]
-    u = np.zeros((n, d, n))
-    u[0] = m1_band[0] @ g.T
-    for i in range(1, n):  # (m1 g_k)[k + i] = (m1 g_{k+1})[k + i] + m1_band[i] g[k]
-        u[i, :, : n - i] = u[i - 1, :, 1 : n - i + 1] + m1_band[i] @ g[: n - i].T
-    w = _tri_solve(factor, u[1:].reshape((n - 1) * d, n)).reshape(n - 1, d, n)
-    quad0 = -dt * float(u[0, :, 0] @ u[0, :, 0] + np.sum(w[:, :, 0] ** 2))
-    for a in range(n - 1):
-        w[a, :, n - 1 - a :] = 0.0
-    return -2.0 * (u[0].T @ q_image[:d] + w.reshape((n - 1) * d, n).T @ q_image[d:]), quad0
+    (P, n, N), (d, Q) = g.shape, (m1_band.shape[1], q_image.shape[1])
+    band, gt = m1_band.reshape(n * d, N), g.transpose(1, 2, 0)
+    order, where = np.unique(nodes, return_inverse=True)
+    sq, z2 = np.empty((len(order), P)), np.empty((len(order), P, Q))
+    acc, s, hi = np.zeros((n * d, P)), n, len(order)
+    while hi:  # the batch order[lo:hi], met from the horizon back, holds the most nodes that fit
+        lo = int(np.argmax((hi - np.arange(hi)) * P * d * (n - order[:hi]) <= d * n * max(P, N * n)))
+        u = np.zeros((d * (n - order[lo]), (hi - lo) * P))  # P columns per node
+        for b in reversed(range(hi - lo)):
+            while s > order[lo + b]:
+                s -= 1
+                acc[s * d :] += band[: (n - s) * d] @ gt[s].copy()  # a contiguous copy multiplies faster
+            u[: (n - s) * d, b * P : (b + 1) * P] = acc[s * d :]
+        _tri_solve(factor, u[d:], needed=np.repeat(d * (n - 1 - order[lo:hi]), P))
+        top = n - order[hi - 1]  # the blocks before it hold every node's image
+        for a, c in enumerate(np.searchsorted(order[lo:hi], n - np.arange(top, len(u) // d)) * P, top):
+            u[a * d : (a + 1) * d, c:] = 0.0  # block a lies past W_k's factor for the nodes k >= n - a
+        sq[lo:hi] = np.einsum("rc,rc->c", u, u).reshape(-1, P)
+        z2[lo:hi] = -2.0 * (u.T @ q_image[: len(u)]).reshape(hi - lo, P, Q)
+        del u  # freed before the next batch allocates its own
+        hi = lo
+    return sq[where], z2[where]
 
 
 @dataclass(frozen=True)
@@ -406,7 +423,8 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         z2_det[:n] = -2.0 * gram[m_of_k, N:, :N].transpose(0, 2, 1) @ g0s[0]
         quad0 = float(g0s[0] @ p_path[0] @ g0s[0])
     else:
-        z2_det[:n], quad0 = _curve_terms(factor, q_image, disc.m1_band, g0s[:n], dt)
+        sq, z2 = _curve_reads(factor, disc.m1_band, q_image, g0s[None, :n], np.arange(n))
+        z2_det[:n], quad0 = z2[:, 0], -dt * float(sq[0, 0])
     premium_profile = g0s @ model.theta.T + z2_det @ model.corr
     phi = tail_rate_integrals(-phidot, grid)  # phi_n = 0, trapezoid steps back; -phidot keeps phi_n at +0.0
     gamma0 = float(gamma_from_log(phi[0] + quad0, tail_rate_integrals(rn, grid)[0], model.psd_violated))
@@ -417,34 +435,21 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
     )
 
 
-def _curve_images(sol: QuadraticSolution, m1: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
-    """u = [(m1 g_k)[k]; C_m^{-1} (m1 g_k)[k+1:]], shape (P, (n - k) d), for curves g (P, n, N) masked before node k.
-
-    m1 is fold(m1_band); <g_k, Psi_k g_k> = -|u|^2, <g_k, Psi_k K(., t_k) eta> = -u q_image[: (n - k) d].
-    """
-    n, d, N = sol.grid.n, sol.model.n_assets, sol.model.n_state
-    rows = (n - k) * d
-    u = g[:, k:].reshape(len(g), -1) @ m1[:rows, : (n - k) * N].T
-    u[:, d:] = _tri_solve(sol.factor, u[:, d:].T.copy()).T
-    return u
-
-
 def gamma_quadratic(sol: QuadraticSolution, k, g_rows: np.ndarray):
     """Gamma at node k, or at each node of the sequence k, for curve samples g_rows of shape (n, N) or (P, n, N).
 
     Gamma_k = exp(phi_k + <g, Psi_k g>) with the curve rows before node k
     masked, <g, Psi_k g> = -dt |u|^2 read from the solution's factor (see
-    ``_curve_images``) and checked by ``gamma_from_log``.  Returns a float for
+    ``_curve_reads``) and checked by ``gamma_from_log``.  Returns a float for
     one node and one curve, else an array over the paths (P,), the nodes (len(k),) or both (len(k), P).
     """
     grid, model = sol.grid, sol.model
     n = grid.n
     g, single = curve_rows(g_rows, (n, model.n_state))
     nodes = node_index(k, n, many=True)
-    _check_dense_memory("the Gamma functional", CURVE_ARRAYS, n * model.n_assets, n * model.n_state)
-    m1 = fold(sol.disc.m1_band)
-    quad = {j: -grid.dt * np.sum(_curve_images(sol, m1, j, g) ** 2, axis=1) for j in set(nodes.flat)}
-    log_gam = np.array([sol.phi[j] + quad[j] for j in nodes.flat]).reshape(nodes.shape + (-1,))
+    _check_dense_memory("the Gamma functional", CURVE_ARRAYS, n * model.n_assets, max(len(g), n * model.n_state))
+    sq, _ = _curve_reads(sol.factor, sol.disc.m1_band, sol.q_image[:, :0], g, nodes)  # no Z2
+    log_gam = sol.phi[nodes][..., None] - grid.dt * sq
     gam = gamma_from_log(log_gam, tail_rate_integrals(model.rate, grid)[nodes][..., None], model.psd_violated)
     if single:
         gam = gam[..., 0]
@@ -466,9 +471,8 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
                       RuntimeWarning, stacklevel=2)
     else:
         y = g[:, t_index, :]
-    _check_dense_memory("the quadratic control", CURVE_ARRAYS, n * d, n * model.n_state)
-    u = _curve_images(sol, fold(sol.disc.m1_band), t_index, g)
-    z2 = -2.0 * u @ sol.q_image[: (n - t_index) * d]
+    _check_dense_memory("the quadratic control", CURVE_ARRAYS, n * d, max(len(g), n * model.n_state))
+    _, z2 = _curve_reads(sol.factor, sol.disc.m1_band, sol.q_image, g, t_index)
     alpha = feedback_control(y @ model.theta.T + z2 @ model.corr, x_t, xi_discounted)
     return alpha[0] if single else alpha
 

@@ -7,9 +7,10 @@ composition is matrix multiplication and the adjoint is the transpose.  Beside i
 per-cell kernel band and its gathered fold, the quadratic solve's dense factors a and m1
 folded from its lag bands, the dense LU Volterra solve that the resolvent
 band replaced, the cell table of a kernel piecewise constant on the grid, the quadratic
-covariance operator, the Markovian matrix Riccati ODE and the affine mean variance.
-Then the per-step wealth loop, the per-value CSV writer and the per-row positions solve that
-the whole-array wealth step, the columnar writer and the batched ``asset_positions`` replaced.
+covariance operator, the Markovian matrix Riccati ODE, the affine mean variance and the
+driver correlation into new arrays.  Then the per-step wealth loop, the per-value CSV writer
+and the per-row positions solve that the whole-array wealth step, the columnar writer and the
+batched ``asset_positions`` replaced.
 Last, the quadratic route as a backward sweep over dense (N n)^2 operators, which the one
 Cholesky factor of T replaced: the dense T, the per-node rank-N Woodbury sweep, the solution
 read off a sweep, and the Psi readers that check the paper's derivative and boundary relations.
@@ -33,7 +34,7 @@ from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes, node_index
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, fold, folded_cells
 from vmk.markowitz import tail_rate_integrals
-from vmk.montecarlo import gamma_factors, simulate_drivers, simulate_wealth
+from vmk.montecarlo import correlate_into, gamma_factors, simulate_drivers, simulate_wealth
 from vmk.quadratic import (RCOND_MIN, QuadraticModel, _bd_left, _bd_right, _check_dense_memory, _discretize,
                            volatility_matrix)
 
@@ -340,6 +341,14 @@ def mean_forward_variance(model: AffineModel, grid: TimeGrid) -> np.ndarray:
     a = folded_cells(DiagonalKernel(model.kernels), grid)
     g0 = g0_nodes(model.g0, grid, d)[:-1].reshape(n * d)
     return _volterra_solve(a, model.drift, g0, n).reshape(n, d)
+
+
+def correlate_drivers(z: np.ndarray, corr: np.ndarray):
+    """(dB, dW) of raw increments z (P, n, d + N), written by ``montecarlo.correlate_into`` into new arrays."""
+    N, d = corr.shape
+    db, dw = np.empty(z.shape[:2] + (d,)), np.empty(z.shape[:2] + (N,))
+    correlate_into(z, corr, db, dw)
+    return db, dw
 
 
 def step_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,

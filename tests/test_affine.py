@@ -34,10 +34,9 @@ from vmk.affine import (
 )
 from vmk.grid import g0_nodes
 from vmk.markowitz import integrated_rate
-from vmk.montecarlo import correlate_drivers
 from vmk.montecarlo import simulate_drivers
 
-from oracles import mean_forward_variance
+from oracles import correlate_drivers, mean_forward_variance
 
 TANH1 = 0.7615941559557649
 

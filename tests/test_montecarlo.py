@@ -491,19 +491,20 @@ class TestMemoryBudget:
     """One budget, ``chunk_bytes``, holds a run's chunk workspace and its kept paths together."""
 
     def test_chunk_and_kept_paths_checked_together(self, monkeypatch):
-        # 4096-path chunks at n = 100 count 17334272 bytes, and 2383 kept
-        # paths about as much again.  Checked apart, each fit that limit,
-        # while run_mc traces at 21.9 MB
-        limit = 17334272
+        # 4096-path chunks of 8192 paths at n = 100 count 17516544 bytes,
+        # the limit, and 3200 kept paths 7731200 bytes of kept floats.
+        # Checked apart, each fits that limit, while run_mc traces at 22.2 MB
+        limit = 17516544
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, 100))
-        args = dict(paths=8192, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096, keep_paths=2383)
+        args = dict(paths=8192, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096, keep_paths=3200)
+        assert chunk_bytes(ev, 4096, 0, 8192) <= limit and 8 * 3200 * (101 * 2 + 100) <= limit
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         assert traced_peak(run_mc, ev, **args) > 1.2 * limit
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
         with pytest.raises(MemoryCapError, match="mc.chunk or mc.dump_paths") as exc:
             run_mc(ev, **args)
-        assert str(chunk_bytes(ev, 4096, 2383, 8192)) in str(exc.value)
+        assert str(chunk_bytes(ev, 4096, 3200, 8192)) in str(exc.value)
 
     # (model, n, chunk W, kept paths K): one- and two-factor affine, the
     # quad-simulate model, the two-asset preset and a d = 2 Wishart model
@@ -517,15 +518,15 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("name, n, width, keep", SWEEP)
     def test_budget_holds_the_traced_peak(self, name, n, width, keep):
-        # short only of fixed overheads, such as the stepper's gathered
-        # history rows, and only at small chunks: by 0.15 MB at 2 paths
-        # (n = 200, one factor) and 0.27 MB (n = 400, two factors)
+        # short only of fixed overheads, and only at small chunks: by
+        # 0.055 MB at 2 paths (n = 200, one factor) and 0.096 MB (n = 400,
+        # two factors) once the stepper's gathered history rows are counted
         ev = sweep_evaluator(name, n)
         paths = max(width, keep)
         run_mc(ev, paths=16, seed=1, x0=1.0, xi_star_val=1.5, chunk=8, keep_paths=8)  # first-call allocations
         peak = traced_peak(run_mc, ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=width, keep_paths=keep)
         budget = chunk_bytes(ev, width, keep, paths)
-        assert budget >= (peak if width >= 256 else peak - 0.5e6)
+        assert budget >= (peak if width >= 256 else peak - 0.15e6)
 
 
 class TestOneChunkRoute:

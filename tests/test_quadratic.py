@@ -38,12 +38,11 @@ import oracles
 from vmk import cli, errors, quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, fold, folded_cells, resolvent_band
-from vmk.montecarlo import correlate_drivers
 from vmk.markowitz import integrated_rate
 from vmk.quadratic import RCOND_MIN, _bd_right, asset_positions, gamma_quadratic, z2_maps
 
-from oracles import (_volterra_solve, adjoint, boundary_relation_residual, dense_factors, dense_t, first_arg_columns,
-                     full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
+from oracles import (_volterra_solve, adjoint, boundary_relation_residual, correlate_drivers, dense_factors, dense_t,
+                     first_arg_columns, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
                      markovian_riccati_ode, min_sym_eigenvalue, per_node_sweep, positions_per_row, psi_full_matrix,
                      riccati_derivative_residual, sigma_operator, star, sweep_solution)
 
@@ -737,6 +736,49 @@ class TestGammaFunctional:
             with pytest.raises(InvalidArgumentError, match=rf"\[0, {g.n}\]"):
                 gamma_quadratic(sol, bad, curves)
 
+    def test_one_batch_takes_one_solve_and_no_reader_folds(self, monkeypatch):
+        """Images that fit one batch take one triangular solve; the readers sweep m1's band and never fold it."""
+        m = mixed_model()
+        g = make_grid(0.8, 80)
+        sol = solve_operator_riccati(m, g)
+        curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(6).standard_normal((8, g.n, 2))
+        tri_solve, solves, folds = quadratic._tri_solve, [], []
+        monkeypatch.setattr(quadratic, "_tri_solve", lambda *a, **k: solves.append(a) or tri_solve(*a, **k))
+        monkeypatch.setattr(quadratic, "fold", lambda *a, **k: folds.append(a) or fold(*a, **k))
+        gamma_quadratic(sol, range(g.n + 1), sol.g0s[: g.n])
+        assert len(solves) == 1
+        gamma_quadratic(sol, [0, g.n // 2], curves)
+        optimal_control_quadratic(m, sol, 3, curves, 1.0, 1.5)
+        assert folds == []
+
+    def test_forward_solve_gives_each_column_its_needed_rows(self):
+        """A forward solve told each column's need matches the full solve on those rows, at and off panel edges."""
+        sol = solve_operator_riccati(mixed_model(), make_grid(0.8, 150))
+        size = sol.factor.shape[0]
+        b = np.random.default_rng(8).standard_normal((size, 6))
+        needed = np.array([size, 130, PANEL + 1, PANEL, PANEL - 1, 0])
+        full = quadratic._tri_solve(sol.factor, b.copy())
+        got = quadratic._tri_solve(sol.factor, b.copy(), needed=needed)
+        for j, rows in enumerate(needed):
+            np.testing.assert_allclose(got[:rows, j], full[:rows, j], rtol=1e-12, atol=1e-14)
+        # a column is skipped from the first panel it needs none of, and its rows there stay as they were
+        np.testing.assert_array_equal(got[PANEL:, 3:], b[PANEL:, 3:])
+        np.testing.assert_array_equal(got[2 * PANEL :, 2], b[2 * PANEL :, 2])
+
+    def test_batches_of_many_curves_read_as_node_by_node(self, monkeypatch):
+        """More curves than N n at every node split into batches of at most (d n) max(P, N n) floats."""
+        m = mixed_model()
+        g = make_grid(0.8, 40)
+        sol = solve_operator_riccati(m, g)
+        P = 3 * g.n * m.n_state
+        curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(7).standard_normal((P, g.n, 2))
+        want = np.array([gamma_quadratic(sol, k, curves) for k in range(g.n + 1)])
+        tri_solve, sizes = quadratic._tri_solve, []
+        monkeypatch.setattr(quadratic, "_tri_solve", lambda c, b, **k: sizes.append(b.size) or tri_solve(c, b, **k))
+        np.testing.assert_allclose(gamma_quadratic(sol, range(g.n + 1), curves), want, rtol=1e-12, atol=0.0)
+        assert 1 < len(sizes) < g.n + 1
+        assert max(sizes) <= m.n_assets * g.n * max(P, m.n_state * g.n)
+
     def test_control_scales_linearly_in_wealth_gap(self):
         m = scalar_model()
         g = make_grid(1.0, 20)
@@ -783,25 +825,42 @@ class TestGammaFunctional:
                 gamma_quadratic(lifted, [0, 5], sol.g0s[: g.n])
 
 
-@pytest.mark.parametrize("reader", ["gamma_affine", "gamma_quadratic", "optimal_control_quadratic"])
-@pytest.mark.parametrize("shape", [lambda n, N: (n + 2, N), lambda n, N: (3, n, N + 1), lambda n, N: (n,),
-                                   lambda n, N: (2, 3, n, N), lambda n, N: ()],
-                         ids=["rows", "stack-factors", "flat", "nested-stack", "scalar"])
-def test_malformed_curve_samples_refused(reader, shape):
-    """Both families refuse curve samples by one rule, whose message names the two shapes it takes."""
-    g = make_grid(0.5, 8)
+CURVE_READERS = ["gamma_affine", "gamma_quadratic", "optimal_control_quadratic"]
+
+
+def curve_reader(reader, n_cells):
+    """(call on curve samples, rows, factors) of one curve reader of either family at node 0."""
+    g = make_grid(0.5, n_cells)
     if reader == "gamma_affine":
         m = AffineModel(kernels=(FractionalKernel(0.3),), drift=-0.5, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
-        n, N = g.n + 1, 1
-        call = lambda c: gamma_affine(m, g, solve_riccati_volterra(m, g), c, 0)
-    else:
-        m = mixed_model()
-        sol = solve_operator_riccati(m, g)
-        n, N = g.n, 2
-        call = {"gamma_quadratic": lambda c: gamma_quadratic(sol, 0, c),
-                "optimal_control_quadratic": lambda c: optimal_control_quadratic(m, sol, 0, c, 1.0, 1.5)}[reader]
+        return lambda c: gamma_affine(m, g, solve_riccati_volterra(m, g), c, 0), g.n + 1, 1
+    m = mixed_model()
+    sol = solve_operator_riccati(m, g)
+    call = {"gamma_quadratic": lambda c: gamma_quadratic(sol, 0, c),
+            "optimal_control_quadratic": lambda c: optimal_control_quadratic(m, sol, 0, c, 1.0, 1.5)}[reader]
+    return call, g.n, 2
+
+
+@pytest.mark.parametrize("reader", CURVE_READERS)
+@pytest.mark.parametrize("shape", [lambda n, N: (n + 2, N), lambda n, N: (3, n, N + 1), lambda n, N: (n,),
+                                   lambda n, N: (2, 3, n, N), lambda n, N: (), lambda n, N: (0, n, N)],
+                         ids=["rows", "stack-factors", "flat", "nested-stack", "scalar", "empty-stack"])
+def test_malformed_curve_samples_refused(reader, shape):
+    """Both families refuse curve samples by one rule, whose message names the two shapes it takes."""
+    call, n, N = curve_reader(reader, 8)
     with pytest.raises(InvalidArgumentError, match=rf"curve samples must be \({n}, {N}\) or \(P, {n}, {N}\)"):
         call(np.full(shape(n, N), 0.1))
+
+
+@pytest.mark.parametrize("reader", CURVE_READERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_curve_samples_refused(reader, bad):
+    """A NaN or infinite sample is the caller's error, refused by the same rule before any reader reads it."""
+    call, n, N = curve_reader(reader, 20)
+    curves = np.full((2, n, N), 0.1)
+    curves[1, n // 2, N - 1] = bad
+    with pytest.raises(InvalidArgumentError, match="curve samples contain non-finite values"):
+        call(curves)
 
 
 def dense_covariance_report(model, grid, a):
@@ -908,6 +967,8 @@ class TestMemoryGuard:
         g = make_grid(1.0, n)
         N, d = m.n_state, m.n_assets
         dense, solve_unit, curve_unit = 8 * (n * N) ** 2, 8 * (n * d) ** 2, 8 * n * n * d * N
+        many = np.full((2 * N * n, n, N), 0.2)  # more curves than N n: the curve unit is d n P floats
+        many_unit = 8 * n * d * len(many)
         tracemalloc.start()
         try:
             lambda_max_covariance(m, g, a=0.1)
@@ -922,6 +983,8 @@ class TestMemoryGuard:
             calls = [("map", lambda: QuadraticEvaluator(m, g, sol)),
                      ("gamma", lambda: gamma_quadratic(sol, [0, n // 2], sol.g0s[:n])),
                      ("control", lambda: optimal_control_quadratic(m, sol, n // 2, sol.g0s[:n], 1.0, 1.5)),
+                     ("gamma_many", lambda: gamma_quadratic(sol, 0, many)),
+                     ("control_many", lambda: optimal_control_quadratic(m, sol, 0, many, 1.0, 1.5)),
                      ("psi", lambda: psi_full_matrix(m, g, n // 2, sol.disc)),
                      ("residual", lambda: riccati_derivative_residual(m, g, n // 2, sol.disc))]
             for name, call in calls:
@@ -934,8 +997,9 @@ class TestMemoryGuard:
         assert held <= 1.1 * solve_unit  # the factor of T
         assert cov_peak <= quadratic.COVARIANCE_ARRAYS * dense
         assert peaks["map"] <= quadratic.MAP_ARRAYS * dense  # the map's count includes the solution it reads
-        for name in ("gamma", "control"):
-            assert peaks[name] - held <= quadratic.CURVE_ARRAYS * curve_unit, name
+        for name, unit in [("gamma", curve_unit), ("control", curve_unit), ("gamma_many", many_unit),
+                           ("control_many", many_unit)]:
+            assert peaks[name] - held <= quadratic.CURVE_ARRAYS * unit, name
         for name, count in [("psi", oracles.SWEEP_ARRAYS), ("residual", oracles.RESIDUAL_ARRAYS)]:
             assert peaks[name] - held <= count * dense, name
         assert set(vars(sol.disc)) == {"band", "m1_band"}
@@ -965,7 +1029,8 @@ class TestMemoryGuard:
         assert (tmp_path / "out" / "strategy.csv").exists()
 
     @pytest.mark.parametrize("name", ["solve", "psi_full_matrix", "boundary_relation_residual",
-                                      "riccati_derivative_residual", "gamma_quadratic", "covariance", "premium_map"])
+                                      "riccati_derivative_residual", "gamma_quadratic", "optimal_control_quadratic",
+                                      "covariance", "premium_map"])
     def test_each_dense_user_checks_its_count(self, name, monkeypatch):
         """At its count of (n)^2 floats (N = d = 1) each dense user runs; one byte under, it refuses before allocating.
 
@@ -984,7 +1049,11 @@ class TestMemoryGuard:
             "riccati_derivative_residual": (oracles.RESIDUAL_ARRAYS,
                                             lambda: riccati_derivative_residual(m, g, 3, sol.disc),
                                             (oracles, "per_node_sweep")),
-            "gamma_quadratic": (quadratic.CURVE_ARRAYS, lambda: gamma_quadratic(sol, 3, flat), (quadratic, "fold")),
+            "gamma_quadratic": (quadratic.CURVE_ARRAYS, lambda: gamma_quadratic(sol, 3, flat),
+                                (quadratic, "_curve_reads")),
+            "optimal_control_quadratic": (quadratic.CURVE_ARRAYS,
+                                          lambda: optimal_control_quadratic(m, sol, 3, flat, 1.0, 1.5),
+                                          (quadratic, "_curve_reads")),
             "covariance": (quadratic.COVARIANCE_ARRAYS, lambda: lambda_max_covariance(m, g, a=0.1),
                            (quadratic, "folded_cells")),
             "premium_map": (quadratic.MAP_ARRAYS, lambda: QuadraticEvaluator(m, g, sol), (quadratic, "_premium_map")),
