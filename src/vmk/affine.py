@@ -26,7 +26,7 @@ from .errors import InvalidArgumentError, RiccatiBlowUpError
 from .grid import TimeGrid, curve_rows, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, feedback_control, gamma_from_log, tail_rate_integrals
-from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, take_floats
+from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, path_blocks, take_floats
 
 RICCATI_CAP = 1e6
 
@@ -313,14 +313,14 @@ class AffineEvaluator:
         """Raw increments (P, n, 2d) -> (dB, lambda, premium, state paths), views of ``work``.
 
         ``work`` is a ``montecarlo.chunk_workspace`` for at least P paths,
-        by default a new one for P.  The drivers are correlated one slot
+        by default a new one for P.  The drivers are correlated one path
         block at a time into its dB buffer and straight into the stepper's
         driver buffer, so no (P, n, d) dW exists.  The curve and the premium are written
         into the draws buffer, over z once it is read when z is a view of
         it (as in ``run_mc``), and lambda over the driver buffer once the
-        curve is stepped: sqrt(V+) is taken there, and the premium is read
-        off it before it is scaled by theta in place.  The outputs last
-        until the next call with the same workspace.
+        curve is stepped: block by block, sqrt(V+) is taken there, and the
+        premium is read off it before it is scaled by theta in place.  The
+        outputs last until the next call with the same workspace.
         """
         P = z.shape[0]
         n, d = self.grid.n, self.model.dim
@@ -332,11 +332,13 @@ class AffineEvaluator:
         db = take_floats(work.db, (P, n, d))
         correlate_into(z, np.diag(self.model.rho), db, u[:, :, :P].transpose(2, 0, 1))
         v = _step_forward_variance(self.model, self.grid, u, take_floats(work.draws, (n + 1, d, padded)), P)
-        # path-major like the drivers, so the per-path sums downstream do
-        # not depend on the stepper's slot-major layout
-        lam = np.maximum(v[:, :n, :], 0.0, out=take_floats(work.drivers, (P, n, d)))
-        np.sqrt(lam, out=lam)
-        prem = np.multiply(self.loadings[None, :, :], lam,
-                           out=take_floats(work.draws, (P, n, d), (n + 1) * d * padded))
-        lam *= self.model.theta
+        # path-major like the drivers, so the per-path sums downstream do not depend on the stepper's layout;
+        # read in its slot-major order, as reads along the slots, 8 W8 bytes (2^15 at W = 4096) apart, miss the cache
+        lam, prem = take_floats(work.drivers, (P, n, d)), take_floats(work.draws, (P, n, d), (n + 1) * d * padded)
+        for blk in path_blocks(P, n * 2 * d):
+            sq = lam[blk]
+            np.maximum(v[blk, :n].transpose(1, 2, 0), 0.0, out=sq.transpose(1, 2, 0))
+            np.sqrt(sq, out=sq)
+            np.multiply(self.loadings, sq, out=prem[blk])
+            sq *= self.model.theta
         return db, lam, prem, v

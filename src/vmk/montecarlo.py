@@ -21,10 +21,11 @@ raw drivers z (m, n, d + N) are drawn into its draws buffer and
 correlated into its dB and driver buffers (``correlate_into``), and the
 evaluator writes the state and premium paths over z and lambda over the
 drivers once it has read them, so no chunk after the first allocates any
-of them.  Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the
-(m, n+1) wealth and the (m, n, d) amounts never exist for the whole
-chunk; only the terminal wealth, the Gamma samples and the kept paths
-leave it.
+of them; the drawing, the correlation and the evaluators' reads of lambda
+and the premium run over cache-sized ``path_blocks``.  Wealth is advanced
+in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and the
+(m, n, d) amounts never exist for the whole chunk; only the terminal
+wealth, the Gamma samples and the kept paths leave it.
 """
 
 import math
@@ -43,19 +44,21 @@ from .markowitz import tail_rate_integrals
 # 2-core Xeon), while the chunk's traced peak grows with the block:
 # 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
 _WEALTH_ROWS = 256
-# Slots per block of the driver correlation and of the affine
-# forward-variance stepper.  A stepper block takes the history of all
-# earlier steps as one GEMM per factor and then steps its own slots
-# elementwise: the elementwise work grows with the block, and a GEMM with
-# fewer rows runs further below BLAS speed.  The stepper alone on one
-# 4096-path chunk at n = 400 measured 16 -> 0.066 s, 24 -> 0.070 s,
-# 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc over two
-# such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
+# Slots per block of the affine forward-variance stepper.  A block takes
+# the history of all earlier steps as one GEMM per factor and then steps
+# its own slots elementwise: the elementwise work grows with the block,
+# and a GEMM with fewer rows runs further below BLAS speed.  The stepper
+# alone on one 4096-path chunk at n = 400 measured 16 -> 0.066 s, 24 ->
+# 0.070 s, 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc
+# over two such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
 _SLOT_BLOCK = 32
 # The affine stepper pads the path axis with zero paths to a multiple of this, so OpenBLAS computes
 # each path's GEMM column with one kernel whatever the chunk size (other column counts reach its
 # edge kernels or, for one path, gemv, whose sums round differently).
 _PATH_PAD = 8
+# Floats of raw draws per ``path_blocks`` block (81 paths at n = 400, two drivers per step), which stays in cache
+# while drawn, correlated and read off: correlating 4096 paths took 16-22 ms at 16-256 paths a block, 41 by 32 slots.
+_BLOCK_FLOATS = 2**16
 
 
 def take_floats(buf, shape, offset: int = 0) -> np.ndarray:
@@ -73,24 +76,33 @@ def _padded(width: int) -> int:
     return -(-width // _PATH_PAD) * _PATH_PAD
 
 
+def path_blocks(paths: int, floats: int):
+    """Slices of ``range(paths)`` in blocks of ``_BLOCK_FLOATS // floats`` paths (at least one), ``floats`` per path."""
+    rows = max(_BLOCK_FLOATS // floats, 1)
+    return [slice(p0, min(p0 + rows, paths)) for p0 in range(0, paths, rows)]
+
+
 def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     """Bytes of a ``run_mc`` run of ``paths`` paths (at least ``width`` and ``keep``) in chunks of ``width``.
 
     In floats: the evaluator's ``workspace_floats(width)``; 2 samples per
     path; (n + 1)(1 + S) + n d per kept path, with d = ``n_assets`` and
-    S = ``n_state``; and the largest temporaries: four ``_SLOT_BLOCK``-slot
-    blocks of the S state drivers with the affine stepper's history gather
-    (its lag indices and gathered kernel rows, 2 n per slot), two
-    ``_WEALTH_ROWS``-row wealth blocks, or the sample statistics' 3 per path
-    (traced at 2, 2.5 with antithetic pairs).  README reads it against
-    traced peaks.
+    S = ``n_state``; and the largest temporaries: two ``path_blocks`` of raw
+    draws (dW and dB C', or the quadratic state lambda is read off, with
+    numpy's ufunc buffers), two ``_SLOT_BLOCK``-slot blocks of the S state
+    drivers with the affine stepper's history gather (its lag indices and
+    gathered kernel rows, 2 n per slot), two ``_WEALTH_ROWS``-row wealth
+    blocks, or the sample statistics' 3 per path (traced at 2, 2.5 with
+    antithetic pairs).  README reads it against traced peaks.
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)
     kept = keep * ((n + 1) * (1 + S) + n * d)
-    slot_blocks = _SLOT_BLOCK * (4 * S * _padded(width) + 2 * n)
+    first = path_blocks(width, n * evaluator.n_factors)[0]
+    path_floats = 2 * (first.stop - first.start) * n * evaluator.n_factors
+    slot_blocks = _SLOT_BLOCK * (2 * S * _padded(width) + 2 * n)
     wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
-    temporaries = max(slot_blocks, wealth_blocks, 3 * total)
+    temporaries = max(path_floats, slot_blocks, wealth_blocks, 3 * total)
     return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries)
 
 
@@ -132,14 +144,15 @@ def simulate_drivers(grid: TimeGrid, n_factors: int, paths: int, seed: int,
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    for p in range(paths):
-        idx = start + p
-        state["state"]["key"][1] = idx // 2 if antithetic else idx
-        bitgen.state = state
-        gen.standard_normal(out=out[p])
-        if antithetic and idx % 2 == 1:
-            np.negative(out[p], out=out[p])
-    out *= math.sqrt(grid.dt)
+    for blk in path_blocks(paths, grid.n * n_factors):
+        for p in range(blk.start, blk.stop):
+            idx = start + p
+            state["state"]["key"][1] = idx // 2 if antithetic else idx
+            bitgen.state = state
+            gen.standard_normal(out=out[p])
+            if antithetic and idx % 2 == 1:
+                np.negative(out[p], out=out[p])
+        out[blk] *= math.sqrt(grid.dt)  # while the block is in cache
     return out
 
 
@@ -147,20 +160,23 @@ def correlate_into(z: np.ndarray, corr: np.ndarray, db: np.ndarray, dw: np.ndarr
     """Map raw increments z (P, n, d + N) to stock and state drivers, written into db (P, n, d) and dw (P, n, N).
 
     dW = dB C' + sqrt(1 - |C_k|^2) dB_perp row by row, with C the (N, d)
-    correlation matrix; the affine family passes diag(rho).  The slots are
-    written ``_SLOT_BLOCK`` at a time, so only one block's dB C' exists at
-    once, and dw may be any view, such as the affine stepper's slot-major
+    correlation matrix; the affine family passes diag(rho).  Each of the
+    ``path_blocks`` takes dB C' as one matrix product and is written into
+    dw, which may be any view, such as the affine stepper's slot-major
     buffer transposed.
     """
     N, d = corr.shape
     if z.shape[2] != d + N:
         raise InvalidArgumentError(f"need {d + N} driving factors, got {z.shape[2]}")
+    if db.shape[:2] != z.shape[:2] or dw.shape[:2] != z.shape[:2]:
+        raise InvalidArgumentError(f"db and dw must lead with z's (P, n) {z.shape[:2]}, got {db.shape} and {dw.shape}")
     scale = np.sqrt(np.maximum(1.0 - np.sum(corr * corr, axis=1), 0.0))
-    for k0 in range(0, z.shape[1], _SLOT_BLOCK):
-        blk = slice(k0, k0 + _SLOT_BLOCK)
-        db[:, blk] = z[:, blk, :d]
-        np.multiply(z[:, blk, d:], scale, out=dw[:, blk])  # then dB C' added: IEEE addition commutes
-        dw[:, blk] += db[:, blk] @ corr.T
+    for blk in path_blocks(len(z), z[0].size):
+        b = db[blk]
+        b[...] = z[blk, :, :d]
+        w = np.multiply(z[blk, :, d:], scale)  # then dB C' added: IEEE addition commutes
+        w += np.dot(b.reshape(-1, d), corr.T).reshape(w.shape)  # dot: np.matmul takes gemv for N = 1, 3x slower
+        dw[blk] = w  # written in dw's memory order, so a slot-major dw is written in runs of paths
 
 
 @dataclass(frozen=True)

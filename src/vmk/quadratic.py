@@ -57,7 +57,7 @@ from .grid import TimeGrid, curve_rows, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
 from .markowitz import feedback_control, gamma_from_log, tail_rate_integrals
-from .montecarlo import chunk_workspace, correlate_into, take_floats
+from .montecarlo import chunk_workspace, correlate_into, path_blocks, take_floats
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
@@ -225,8 +225,9 @@ def _cholesky(t: np.ndarray, rows: int) -> int:
 
 
 def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False, needed=None) -> np.ndarray:
-    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place, by panel inverses; C is the leading len(b) rows of c.
+    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place; C is the leading len(b) rows of c, panels inverted.
 
+    A triangular inverse's leading block inverts the leading block, so a panel cut at len(b) reads its inverse's.
     With ``needed`` (non-increasing), a forward solve gives column j its first needed[j] rows and leaves the rest wrong.
     """
     size, rows = b.shape[0], _PANEL_ROWS
@@ -234,7 +235,7 @@ def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False, needed=None) -
         r1 = min(r0 + rows, size)
         x = b[r0:r1] if needed is None else b[r0:r1, : np.count_nonzero(needed > r0)]
         x -= c[r1:size, r0:r1].T @ b[r1:] if trans else c[r0:r1, :r0] @ b[:r0, : x.shape[1]]
-        inv = np.linalg.inv(c[r0:r1, r0:r1])
+        inv = c[r0:r1, r0:r1]
         x[...] = (inv.T if trans else inv) @ x
     return b
 
@@ -334,7 +335,8 @@ class QuadraticSolution:
     gamma0 : closed-form Gamma_0.
     min_rcond : smallest lambda_min(S_k) met from the horizon back.
     factor : ((n-1) d)^2 lower triangular Cholesky factor C of T, whose
-        leading (n - 1 - k) d rows factor W_k after node k.
+        leading (n - 1 - k) d rows factor W_k after node k; each diagonal
+        panel holds its inverse, taken once here for ``_tri_solve``.
     q_image : (n d, N) [Q[0]; C^{-1} Q[1:]]; its first (n - k) d rows are
         m1 K(., t_k) eta from node k over W_k's Cholesky factor there.
     disc : the lag bands ``band`` and ``m1_band`` of ``_discretize``.
@@ -405,6 +407,9 @@ def solve_operator_riccati(model: QuadraticModel, grid: TimeGrid) -> QuadraticSo
         rows += _cholesky(factor[rows : rows + panel, rows : rows + panel], d)
     blocks = rows // d
     y = np.concatenate([q, h], axis=2)  # [Q[0] | H[0]], then C^{-1} [Q[1:] | H[1:]] on the blocks factored
+    for r0 in range(0, rows, _PANEL_ROWS):  # inverted once for every later _tri_solve
+        r1 = min(r0 + _PANEL_ROWS, rows)
+        factor[r0:r1, r0:r1] = np.linalg.inv(factor[r0:r1, r0:r1])
     _tri_solve(factor, y[1:].reshape(-1, 2 * N)[:rows])
     y = y[: blocks + 1]
     gram = np.cumsum(np.einsum("adi,adj->aij", y, y), axis=0)  # [Q | H]' W_k^{-1} [Q | H] over m + 1 blocks
@@ -625,7 +630,9 @@ class QuadraticEvaluator:
         out += self.c0
         state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
         prem = out[:, (n + 1) * N :].reshape(P, n, d)
-        lam = np.matmul(state[:, :n], model.theta.T, out=take_floats(work.drivers, (P, n, d)))
+        lam = take_floats(work.drivers, (P, n, d))
+        for blk in path_blocks(P, n * (d + N)):  # one product per block, on a contiguous copy of its state
+            np.dot(state[blk, :n].reshape(-1, N), model.theta.T, out=lam[blk].reshape(-1, d))
         return db, lam, prem, state
 
 

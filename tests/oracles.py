@@ -8,7 +8,9 @@ per-cell kernel band and its gathered fold, the quadratic solve's dense factors 
 folded from its lag bands, the dense LU Volterra solve that the resolvent
 band replaced, the cell table of a kernel piecewise constant on the grid, the quadratic
 covariance operator, the Markovian matrix Riccati ODE, the affine mean variance and the
-driver correlation into new arrays.  Then the per-step wealth loop, the per-value CSV writer
+driver correlation into new arrays.  Then the driver correlation 32 slots of every path at a
+time and the evaluators' reads of lambda and the premium off the whole chunk, which the
+cache-sized path blocks replaced; the per-step wealth loop, the per-value CSV writer
 and the per-row positions solve that the whole-array wealth step, the columnar writer and the
 batched ``asset_positions`` replaced.
 Last, the quadratic route as a backward sweep over dense (N n)^2 operators, which the one
@@ -28,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from vmk.affine import AffineModel
+from vmk.affine import AffineEvaluator, AffineModel, simulate_forward_variance
 from vmk.cli import _fmt
 from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
 from vmk.grid import TimeGrid, g0_nodes, node_index
@@ -349,6 +351,44 @@ def correlate_drivers(z: np.ndarray, corr: np.ndarray):
     db, dw = np.empty(z.shape[:2] + (d,)), np.empty(z.shape[:2] + (N,))
     correlate_into(z, corr, db, dw)
     return db, dw
+
+
+def correlate_slots(z: np.ndarray, corr: np.ndarray, db: np.ndarray, dw: np.ndarray) -> None:
+    """``montecarlo.correlate_into`` 32 slots of every path at a time, with one BLAS call per path and block."""
+    N, d = corr.shape
+    scale = np.sqrt(np.maximum(1.0 - np.sum(corr * corr, axis=1), 0.0))
+    for k0 in range(0, z.shape[1], 32):
+        blk = slice(k0, k0 + 32)
+        db[:, blk] = z[:, blk, :d]
+        np.multiply(z[:, blk, d:], scale, out=dw[:, blk])
+        dw[:, blk] += db[:, blk] @ corr.T
+
+
+def whole_chunk_premium_paths(evaluator, z: np.ndarray):
+    """``premium_paths(z)`` of an affine or quadratic evaluator in new arrays, each stage on the whole chunk.
+
+    The drivers are correlated by ``correlate_slots``; the affine curve is stepped by
+    ``simulate_forward_variance`` and lambda and the premium are read off all of it at once, and the
+    quadratic lambda = Theta Y is one batched product over the paths.
+    """
+    P, n = z.shape[:2]
+    model = evaluator.model
+    if isinstance(evaluator, AffineEvaluator):
+        corr, N, d = np.diag(model.rho), model.dim, model.dim
+    else:
+        corr, N, d = model.corr, model.n_state, model.n_assets
+    db, dw = np.empty((P, n, d)), np.empty((P, n, N))
+    correlate_slots(z, corr, db, dw)
+    if isinstance(evaluator, AffineEvaluator):
+        v = simulate_forward_variance(model, evaluator.grid, dw)
+        lam = np.sqrt(np.maximum(v[:, :n, :], 0.0))
+        prem = evaluator.loadings[None, :, :] * lam
+        lam *= model.theta
+        return db, lam, prem, v
+    out = dw.reshape(P, n * N) @ evaluator.lmap
+    out += evaluator.c0
+    state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
+    return db, np.matmul(state[:, :n], model.theta.T), out[:, (n + 1) * N :].reshape(P, n, d), state
 
 
 def step_wealth(grid: TimeGrid, rate, x0: float, xi_star_val: float,

@@ -33,9 +33,9 @@ from vmk import (
 )
 from vmk.affine import gamma0_affine
 from vmk.markowitz import integrated_rate, xi_star
-from vmk.montecarlo import _WEALTH_ROWS, chunk_bytes, chunk_workspace, gamma_factors
+from vmk.montecarlo import _BLOCK_FLOATS, _WEALTH_ROWS, chunk_bytes, chunk_workspace, correlate_into, gamma_factors
 
-from oracles import child_peak_rss, staged_mc, step_wealth
+from oracles import child_peak_rss, correlate_slots, staged_mc, step_wealth, whole_chunk_premium_paths
 
 
 def premium_free_model(rate=0.0):
@@ -102,14 +102,16 @@ class TestDrivers:
     @pytest.mark.parametrize("start", [0, 1, 6, 13])
     def test_matches_a_fresh_generator_per_path(self, start, antithetic):
         g = make_grid(1.0, 16)
-        z = simulate_drivers(g, 3, paths=9, seed=5, antithetic=antithetic, start=start)
-        for p in range(9):
-            idx = start + p
-            gen = np.random.Generator(np.random.Philox(key=[5, idx // 2 if antithetic else idx]))
-            want = math.sqrt(g.dt) * gen.standard_normal((16, 3))
-            if antithetic and idx % 2 == 1:
-                want = -want
-            np.testing.assert_array_equal(z[p], want)
+        # one path block, and two whose second is scaled by sqrt(dt) on its own
+        for paths in (9, _BLOCK_FLOATS // (16 * 3) + 2):
+            z = simulate_drivers(g, 3, paths=paths, seed=5, antithetic=antithetic, start=start)
+            for p in range(paths):
+                idx = start + p
+                gen = np.random.Generator(np.random.Philox(key=[5, idx // 2 if antithetic else idx]))
+                want = math.sqrt(g.dt) * gen.standard_normal((16, 3))
+                if antithetic and idx % 2 == 1:
+                    want = -want
+                np.testing.assert_array_equal(z[p], want)
 
     def test_increment_scaling(self):
         g = make_grid(2.0, 32)
@@ -398,7 +400,7 @@ class TestRunMCMemory:
     def test_quadratic_chunk_holds_its_workspace(self):
         # N = d = 1: the workspace (4.0: the draws buffer, which later
         # holds the premium map's product, the driver buffer, dW and then
-        # lambda, and dB) with one correlation or wealth block (4.27);
+        # lambda, and dB) with one wealth block (4.22);
         # allocating z, dW, the product and lambda as the chunk went read
         # 5.01, with z held next to lambda 5.34
         P, n = 4096, 250
@@ -491,8 +493,8 @@ class TestMemoryBudget:
     """One budget, ``chunk_bytes``, holds a run's chunk workspace and its kept paths together."""
 
     def test_chunk_and_kept_paths_checked_together(self, monkeypatch):
-        # 4096-path chunks of 8192 paths at n = 100 count 17516544 bytes,
-        # the limit, and 3200 kept paths 7731200 bytes of kept floats.
+        # 4096-path chunks of 8192 paths at n = 100 count 15419392 bytes,
+        # under the limit, and 3200 kept paths 7731200 bytes of kept floats.
         # Checked apart, each fits that limit, while run_mc traces at 22.2 MB
         limit = 17516544
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, 100))
@@ -514,12 +516,13 @@ class TestMemoryBudget:
         ("quadratic", 200, 2, 0), ("quadratic", 250, 4096, 0), ("quadratic", 50, 256, 20000),
         ("two-asset", 400, 1024, 0), ("two-asset", 20, 256, 20000), ("two-asset", 100, 64, 500),
         ("wishart", 100, 1024, 0), ("wishart", 20, 4096, 2383), ("wishart", 100, 7, 500),
+        ("quadratic", 40, 900, 0),  # one path block of 819 paths and a ragged one of 81
     ]
 
     @pytest.mark.parametrize("name, n, width, keep", SWEEP)
     def test_budget_holds_the_traced_peak(self, name, n, width, keep):
         # short only of fixed overheads, and only at small chunks: by
-        # 0.055 MB at 2 paths (n = 200, one factor) and 0.096 MB (n = 400,
+        # 0.058 MB at 2 paths (n = 200, one factor) and 0.104 MB (n = 400,
         # two factors) once the stepper's gathered history rows are counted
         ev = sweep_evaluator(name, n)
         paths = max(width, keep)
@@ -527,6 +530,42 @@ class TestMemoryBudget:
         peak = traced_peak(run_mc, ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=width, keep_paths=keep)
         budget = chunk_bytes(ev, width, keep, paths)
         assert budget >= (peak if width >= 256 else peak - 0.15e6)
+
+
+class TestPathBlocks:
+    """Cache-sized path blocks give the bits of the slot-blocked correlation and the whole-chunk read-off."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", ["one", "two", "quadratic", "two-asset", "wishart"])
+    def test_premium_paths_match_whole_chunk_stages(self, name, antithetic):
+        ev = sweep_evaluator(name, 20)
+        block = _BLOCK_FLOATS // (ev.grid.n * ev.n_factors)
+        work = chunk_workspace(ev, 4096)
+        for P in (1, 7, block + 1, 4096):
+            z = simulate_drivers(ev.grid, ev.n_factors, P, 11, antithetic=antithetic)
+            want = whole_chunk_premium_paths(ev, z)
+            got = ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, P, 11, antithetic=antithetic,
+                                                    out=work.draws), work)
+            for field, a, b in zip(("dB", "lambda", "premium", "state"), got, want):
+                np.testing.assert_array_equal(a, b, err_msg=f"{field} at P = {P}")
+
+    @pytest.mark.parametrize("d, N", [(1, 1), (2, 2), (2, 3), (3, 2), (1, 2)])
+    def test_correlation_matches_slot_blocks(self, d, N):
+        rng = np.random.default_rng(d + 10 * N)
+        n = 50
+        P = _BLOCK_FLOATS // (n * (d + N)) + 1
+        z, corr = rng.standard_normal((P, n, d + N)), rng.uniform(-0.6, 0.6, (N, d)) / d
+        got, want = (np.empty((P, n, d)), np.empty((P, n, N))), (np.empty((P, n, d)), np.empty((P, n, N)))
+        correlate_into(z, corr, *got)
+        correlate_slots(z, corr, *want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("db_shape, dw_shape", [((5, 20, 1), (4, 20, 1)), ((5, 19, 1), (5, 20, 1)),
+                                                    ((6, 20, 1), (5, 20, 1)), ((5, 20, 1), (5, 21, 1))])
+    def test_outputs_must_match_the_draws(self, db_shape, dw_shape):
+        with pytest.raises(InvalidArgumentError, match=r"\(5, 20\)"):
+            correlate_into(np.zeros((5, 20, 2)), np.array([[0.5]]), np.empty(db_shape), np.empty(dw_shape))
 
 
 class TestOneChunkRoute:

@@ -751,6 +751,18 @@ class TestGammaFunctional:
         optimal_control_quadratic(m, sol, 3, curves, 1.0, 1.5)
         assert folds == []
 
+    def test_reads_invert_no_panel(self, monkeypatch):
+        """The solve inverts the factor's diagonal panels once; Gamma, the control and z2_maps invert none again."""
+        m = mixed_model()
+        g = make_grid(0.8, 80)  # T has 79 rows: a full panel and a cut one
+        sol = solve_operator_riccati(m, g)
+        curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(6).standard_normal((8, g.n, 2))
+        first = gamma_quadratic(sol, [0, 5, g.n // 2], curves)
+        monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: pytest.fail("a panel was inverted again"))
+        np.testing.assert_array_equal(gamma_quadratic(sol, [0, 5, g.n // 2], curves), first)
+        optimal_control_quadratic(m, sol, 3, curves, 1.0, 1.5)
+        z2_maps(sol)
+
     def test_forward_solve_gives_each_column_its_needed_rows(self):
         """A forward solve told each column's need matches the full solve on those rows, at and off panel edges."""
         sol = solve_operator_riccati(mixed_model(), make_grid(0.8, 150))
