@@ -16,13 +16,16 @@ import numpy as np
 import yaml
 
 from .affine import AffineModel
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, check_memory
 from .grid import TimeGrid, g0_nodes, make_grid
 from .kernels import ConstantKernel, DiagonalKernel, ExponentialKernel, FractionalKernel
 from .quadratic import QuadraticModel, two_asset_model
 
 # The default of a key that must be given.
 REQUIRED = object()
+# Bytes a run holds per grid node and state factor before any other memory check, rounded up from affine-solve
+# peaks of 101 (one factor) and 203 (two) traced at n = 4000-8000, a kernel band's Python list of about 32 included.
+_NODE_BYTES = 128
 
 
 def _section(obj, where: str, allowed=None) -> dict:
@@ -237,7 +240,8 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
     ``n``, the ``--grid-n`` flag, overrides ``grid.n``.  The model and
     one ``(horizon, model)`` pair per sweep value (``sweep.runs``) are built
     here, once, and every ``g0`` is checked against the final grid, so a
-    defect fails before any computation or output.
+    defect fails before any computation or output; a grid too large for
+    ``_NODE_BYTES`` per node and state factor raises MemoryCapError first.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,8 +292,11 @@ def load_config(path: str, n: int = None) -> SimpleNamespace:
     grid = make_grid(horizon, n)
     swept = [(f"sweep.values[{i}]", m) for i, (_, m) in enumerate(sweep.runs if sweep else [])]
     for where, m in [(f"{model_kind}.g0", model)] + swept:
+        dim = m.dim if model_kind == "affine" else m.n_state
+        check_memory(f"a grid of {n} cells x {dim} state factors", _NODE_BYTES * (n + 1) * dim,
+                     "use a smaller grid.n")  # before the first node-sized array
         try:
-            g0_nodes(m.g0, grid, m.dim if model_kind == "affine" else m.n_state)
+            g0_nodes(m.g0, grid, dim)
         except InvalidArgumentError as exc:
             raise ConfigError(f"'{where}': {exc}") from None
 

@@ -93,7 +93,9 @@ def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     drivers with the affine stepper's history gather (its lag indices and
     gathered kernel rows, 2 n per slot), two ``_WEALTH_ROWS``-row wealth
     blocks, or the sample statistics' 3 per path (traced at 2, 2.5 with
-    antithetic pairs).  README reads it against traced peaks.
+    antithetic pairs); and two ufunc buffers of ``np.getbufsize()`` floats,
+    which numpy adds to a small ufunc's result (up to 0.108 MB traced at
+    chunks of under 256 paths).  README reads it against traced peaks.
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)
@@ -103,7 +105,7 @@ def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     slot_blocks = _SLOT_BLOCK * (2 * S * _padded(width) + 2 * n)
     wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
     temporaries = max(path_floats, slot_blocks, wealth_blocks, 3 * total)
-    return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries)
+    return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries + 2 * np.getbufsize())
 
 
 def chunk_workspace(evaluator, width: int, keep: int = 0, paths: int = 0) -> SimpleNamespace:

@@ -224,19 +224,18 @@ def _cholesky(t: np.ndarray, rows: int) -> int:
     return size
 
 
-def _tri_solve(c: np.ndarray, b: np.ndarray, trans: bool = False, needed=None) -> np.ndarray:
-    """b <- C^{-1} b, or C^{-T} b with ``trans``, in place; C is the leading len(b) rows of c, panels inverted.
+def _tri_solve(c: np.ndarray, b: np.ndarray, needed=None) -> np.ndarray:
+    """b <- C^{-1} b in place by forward substitution; C is the leading len(b) rows of c, panels inverted.
 
     A triangular inverse's leading block inverts the leading block, so a panel cut at len(b) reads its inverse's.
-    With ``needed`` (non-increasing), a forward solve gives column j its first needed[j] rows and leaves the rest wrong.
+    With ``needed`` (non-increasing), column j gets its first needed[j] rows and the rest are left wrong.
     """
     size, rows = b.shape[0], _PANEL_ROWS
-    for r0 in reversed(range(0, size, rows)) if trans else range(0, size, rows):
+    for r0 in range(0, size, rows):
         r1 = min(r0 + rows, size)
         x = b[r0:r1] if needed is None else b[r0:r1, : np.count_nonzero(needed > r0)]
-        x -= c[r1:size, r0:r1].T @ b[r1:] if trans else c[r0:r1, :r0] @ b[:r0, : x.shape[1]]
-        inv = c[r0:r1, r0:r1]
-        x[...] = (inv.T if trans else inv) @ x
+        x -= c[r0:r1, :r0] @ b[:r0, : x.shape[1]]
+        x[...] = c[r0:r1, r0:r1] @ x
     return b
 
 
@@ -336,7 +335,8 @@ class QuadraticSolution:
     min_rcond : smallest lambda_min(S_k) met from the horizon back.
     factor : ((n-1) d)^2 lower triangular Cholesky factor C of T, whose
         leading (n - 1 - k) d rows factor W_k after node k; each diagonal
-        panel holds its inverse, taken once here for ``_tri_solve``.
+        panel holds its inverse, taken once here, so every later read (Gamma,
+        the control, the premium map) is one forward ``_tri_solve``.
     q_image : (n d, N) [Q[0]; C^{-1} Q[1:]]; its first (n - k) d rows are
         m1 K(., t_k) eta from node k over W_k's Cholesky factor there.
     disc : the lag bands ``band`` and ``m1_band`` of ``_discretize``.
@@ -482,34 +482,6 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
     return alpha[0] if single else alpha
 
 
-def z2_maps(sol: QuadraticSolution) -> np.ndarray:
-    """Linear maps from curve samples to half the volatility adjustment, shape (n+1, N n, N).
-
-    Z2(t_k) = 2 z2_maps[k]' g: z2_maps[k] is Psi_k K(., t_k) eta from node k,
-    -(m1' x_k) with x_k = W_k^{-1} q_k: Q[0], then C_m^{-T} y_Q[:m] on the next
-    m = n - 1 - k blocks.  A triangular inverse's leading block inverts the
-    leading block, so one back substitution against y_Q masked after m blocks
-    and one product with m1' give every map, returned as a transposed view.
-    """
-    n, N, d = sol.grid.n, sol.model.n_state, sol.model.n_assets
-    nN = n * N
-    x = np.empty((n, d, n, N))  # x[:, :, k] = x_k from block k on, zero past the horizon
-    x[0] = sol.q_image[:d, None, :]
-    x[1:] = sol.q_image[d:].reshape(n - 1, d, 1, N)
-    for a in range(n - 1):  # node k reads the first n - 1 - k blocks
-        x[1 + a, :, n - 1 - a :] = 0.0
-    _tri_solve(sol.factor, x[1:].reshape((n - 1) * d, nN), trans=True)
-    out = np.zeros(((n + 1) * N, nN))  # row block k: z2_maps[k]'
-    m1 = fold(sol.disc.m1_band)
-    np.matmul(x.reshape(n * d, nN).T, m1, out=out[:nN])  # row block k, block j: (m1' x_k)[k + j]'
-    del x, m1
-    for k in range(1, n):
-        out[k * N : (k + 1) * N, k * N :] = out[k * N : (k + 1) * N, : nN - k * N].copy()
-        out[k * N : (k + 1) * N, : k * N] = 0.0
-    out *= -1.0
-    return out.reshape(n + 1, N, nN).transpose(0, 2, 1)
-
-
 def volatility_matrix(model: QuadraticModel, y: np.ndarray) -> np.ndarray:
     """Stock volatility sigma(Y) with entries loadings[i, j] . Y, for one state or stacked states."""
     if model.loadings is None:
@@ -542,18 +514,35 @@ def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
         Y_n = g0_n + sum_j band[n-j-1] u_j,
         premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
 
-    with A the folded kernel, R the fold of the resolvent band of (band, D) and Z_k = ``z2_maps(sol)[k]``.
+    with A the folded kernel, R the fold of the resolvent band of (band, D)
+    and Z_k = Psi_k K(., t_k) eta from node k (Z2_k = 2 Z_k' g).  From node
+    k on, A[:, j] is band[l:], l = k - 1 - j, whose m1 image b[a] = sum_{t <= a}
+    m1_band[a - t] band[l + t] depends on l only, so block (k, j) of C' Z_k' A,
+    -C' x' q_image over the first n - k blocks of x = [b[0]; C^{-1} b[1:]]
+    (``_curve_reads``), comes from one forward solve over the (n - 1) N columns
+    and a prefix sum over the blocks.
     Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d); the
     state columns come first, node-major.
     """
     n, N, d = grid.n, model.n_state, model.n_assets
-    nN, dt, band = n * N, grid.dt, sol.disc.band
-    cz = (model.corr.T @ z2_maps(sol)[:n].transpose(0, 2, 1)).reshape(n * d, nN)  # rows C' Z_k'
+    nN, dt, band, m1_band = n * N, grid.dt, sol.disc.band, sol.disc.m1_band
+    cols = band[: n - 1].transpose(1, 0, 2).reshape(N, (n - 1) * N)  # [band[0] | band[1] | ...]
+    x = np.zeros((n, d, (n - 1) * N))  # block a of b for band[l:] in columns l N on; read while a + l <= n - 2
+    x[0] = m1_band[0] @ cols
+    for i in range(1, n - 1):  # b[i] for band[l:] is b[i - 1] for band[l + 1:] plus m1_band[i] band[l]
+        w = (n - 1 - i) * N
+        np.matmul(m1_band[i], cols[:, :w], out=x[i, :, :w])
+        x[i, :, :w] += x[i - 1, :, N : w + N]
+    _tri_solve(sol.factor, x[1:].reshape((n - 1) * d, -1), needed=np.repeat(d * np.arange(n - 2, -1, -1), N))
+    cq = -model.corr.T @ sol.q_image.reshape(n, d, N).transpose(0, 2, 1)  # -C' q_image[a]'
+    x[0] = cq[0] @ x[0]
+    for i in range(1, n):  # x[i] <- -C' sum_{s <= i} q_image[s]' x[s]
+        x[i] = cq[i] @ x[i] + x[i - 1]
+    cza = np.zeros((n * d, nN))  # rows C' Z_k' A; node k reads the prefix over its n - k blocks
+    for k in range(1, n):
+        cza.reshape(n, d, n, N)[k, :, :k] = x[n - 1 - k].reshape(d, n - 1, N)[:, k - 1 :: -1]
+    del x, cols, cq
     a = folded_cells(model.kernel, grid)
-    # keep the blocks j < k of C' Z_k' A: the curve at step k has seen u_j, j < k
-    cza = cz @ a
-    del cz
-    cza.reshape(n, d, n, N)[...] *= np.tri(n, k=-1)[:, None, :, None]
     # Column 0 is the deterministic state, the others its response to dW/dt.
     y = np.empty((nN, nN + 1))
     y[:, 0] = sol.g0s[:n].reshape(nN)

@@ -314,6 +314,21 @@ class TestSimulate:
         for r in interior:
             assert math.isfinite(float(r[3]))
 
+    @pytest.mark.parametrize("body, grid, command", [(AFFINE_CFG, "  T: 1.0\n  n: 200\n", "affine-solve"),
+                                                     (QUADRATIC_CFG, "  T: 0.5\n  n: 100\n", "quadratic-solve")],
+                             ids=["affine", "quadratic"])
+    def test_oversized_default_grid_refused(self, tmp_path, capsys, monkeypatch, body, grid, command):
+        # T = 10^7 and no grid.n: the default n = 2 10^9 is refused before the g0 check samples a node
+        limit = 10**9
+        monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
+        monkeypatch.setattr(vmk.config, "g0_nodes", lambda *a, **k: pytest.fail("sampled g0 over the limit"))
+        assert grid in body
+        cfg, out = write_cfg(tmp_path, body.replace(grid, "  T: 10000000\n"))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "grid of 2000000000 cells" in err and "grid.n" in err and str(limit) in err
+        assert not out.exists()
+
     def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
         limit = 400000  # bytes; the n = 100 solve needs 240000, the premium map 480000 (MAP_ARRAYS = 6)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)

@@ -521,15 +521,15 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("name, n, width, keep", SWEEP)
     def test_budget_holds_the_traced_peak(self, name, n, width, keep):
-        # short only of fixed overheads, and only at small chunks: by
-        # 0.058 MB at 2 paths (n = 200, one factor) and 0.104 MB (n = 400,
-        # two factors) once the stepper's gathered history rows are counted
+        # numpy's ufunc buffers, counted as a fixed two of np.getbufsize()
+        # floats, are most of the peak at small chunks: without them the
+        # budget read up to 0.108 MB short (n = 400, one factor, 1 path)
         ev = sweep_evaluator(name, n)
         paths = max(width, keep)
         run_mc(ev, paths=16, seed=1, x0=1.0, xi_star_val=1.5, chunk=8, keep_paths=8)  # first-call allocations
         peak = traced_peak(run_mc, ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=width, keep_paths=keep)
         budget = chunk_bytes(ev, width, keep, paths)
-        assert budget >= (peak if width >= 256 else peak - 0.15e6)
+        assert budget >= peak
 
 
 class TestPathBlocks:

@@ -1,5 +1,6 @@
 """Every top-level name and every method defined in the package is used by the
-package, and every name a module imports is used in that module.
+package, every name a module imports is used in that module, and every
+parameter with a default is passed by some call in the package.
 
 Uses are read from the syntax tree, so a mention in a docstring, a comment
 or a message does not count.  A top-level name counts as used when some
@@ -100,3 +101,63 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _defaulted_params(tree):
+    """(function, parameter, position or None) of each parameter with a default in a top-level function or method.
+
+    A function is named as calls name it: a method by its own name, ``__init__`` by its class's; a method's
+    positions are counted after self.
+    """
+    funcs = [(f, f.name, 0) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    funcs += [(f, c.name if f.name == "__init__" else f.name, 1) for c in tree.body if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)]
+    for func, name, skip in funcs:
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _calls(tree):
+    """(callee name, positions given, keywords given) of every call in the tree; None gives them all.
+
+    ``functools.partial(f, ...)`` is a call of f; a ``*args`` call gives every position and a ``**mapping``
+    call every keyword.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                func, args = args[0], args[1:]
+            keywords = {kw.arg for kw in node.keywords}
+            yield (getattr(func, "id", getattr(func, "attr", None)),
+                   None if any(isinstance(a, ast.Starred) for a in args) else len(args),
+                   None if None in keywords else keywords)
+
+
+def test_every_default_is_passed_by_some_call():
+    """Each parameter with a default is given by some call in the package, so no knob is left unturned.
+
+    Calls are matched by name, a method by its own name and ``__init__`` by its class's.  The functions
+    of ``PUBLIC_API`` and ``cli.main``'s ``argv`` are exempt: library users and the console script pass them.
+    """
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    calls = {}
+    for tree in trees.values():
+        for name, positions, keywords in _calls(tree):
+            calls.setdefault(name, []).append((positions, keywords))
+    dead = []
+    for path, tree in trees.items():
+        for name, param, index in _defaulted_params(tree):
+            if name in PUBLIC_API or (path.name, name, param) == ("cli.py", "main", "argv"):
+                continue
+            if not any(keywords is None or param in keywords
+                       or (index is not None and (positions is None or positions > index))
+                       for positions, keywords in calls.get(name, ())):
+                dead.append(f"{path.name} {name}.{param}")
+    assert not dead, "parameter whose default no call overrides: " + ", ".join(sorted(dead))

@@ -39,7 +39,7 @@ from vmk import cli, errors, quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
 from vmk.kernels import band_coefficients, fold, folded_cells, resolvent_band
 from vmk.markowitz import integrated_rate
-from vmk.quadratic import RCOND_MIN, _bd_right, asset_positions, gamma_quadratic, z2_maps
+from vmk.quadratic import RCOND_MIN, _bd_right, asset_positions, gamma_quadratic
 
 from oracles import (_volterra_solve, adjoint, boundary_relation_residual, correlate_drivers, dense_factors, dense_t,
                      first_arg_columns, full_matrix, identity_operator, invert_id_minus, kernel_operator, kernel_value,
@@ -157,11 +157,18 @@ PANEL = quadratic._PANEL_ROWS
 
 
 def assert_matches_sweep(fast, want, tol=1e-10):
-    """Every output of the factor route within ``tol`` of a sweep's (``oracles.sweep_solution``)."""
+    """Every output of the factor route within ``tol`` of a sweep's (``oracles.sweep_solution``).
+
+    The premium map is checked on a few paths against the stepper fed the sweep's ``z2_maps``.
+    """
     assert fast.gamma0 == pytest.approx(want.gamma0, rel=tol)
     for name in SOLUTION_FIELDS:
         assert rel_err(getattr(fast, name), getattr(want, name)) <= tol, name
-    assert rel_err(z2_maps(fast), want.z2_maps) <= tol
+    ev = QuadraticEvaluator(fast.model, fast.grid, fast)
+    z = simulate_drivers(fast.grid, ev.n_factors, 4, 0)
+    want_paths = stepper_premium_paths(ev, z, want.z2_maps)
+    for name, a, b in zip(("db", "lam", "prem", "state"), ev.premium_paths(z), want_paths):
+        assert rel_err(a, b) <= tol, name
 
 
 def quadratic_forms(sol, psi, k, curves):
@@ -203,7 +210,7 @@ class TestDenseOracle:
 
 
 def check_against_per_node_sweep(m, g):
-    """The solve, z2_maps, the margins and Gamma at several nodes against the per-node sweep."""
+    """The solve, the premium map, the margins and Gamma at several nodes against the per-node sweep."""
     disc = quadratic._discretize(m, g)
     fast = solve_operator_riccati(m, g)
     want = sweep_solution(m, g)
@@ -469,11 +476,12 @@ def test_every_out_of_range_node_refused(node_calls, name, below, offset, valid,
             call(valid[:at] + [k] + valid[at:])
 
 
-def stepper_premium_paths(ev, z):
+def stepper_premium_paths(ev, z, maps):
     """Oracle: the n-step forward-curve stepper that the premium map replaced.
 
     At step k the curve holds Y_j for j <= k and the forward curve beyond;
-    it reads lambda = Theta Y_k and the premium Theta Y_k + C' Z2_k, then
+    it reads lambda = Theta Y_k and the premium Theta Y_k + C' Z2_k, Z2_k = 2 maps[k]' g
+    with ``maps`` the ``z2_maps`` of ``oracles.sweep_solution``, then
     adds the band response to u_k = D Y_k + eta dW_k/dt to later slots.
     """
     model, grid, sol = ev.model, ev.grid, ev.solution
@@ -481,7 +489,7 @@ def stepper_premium_paths(ev, z):
     dt = grid.dt
     db, dw = correlate_drivers(z, model.corr)
     P = z.shape[0]
-    band, maps = sol.disc.band, z2_maps(sol)
+    band = sol.disc.band
     curve = np.tile(sol.g0s[None, :, :], (P, 1, 1))
     lam = np.zeros((P, n, d))
     prem = np.zeros((P, n, d))
@@ -502,16 +510,27 @@ class TestPremiumMapOracle:
     def test_map_matches_stepper(self, N, d, seed):
         m = random_model(np.random.default_rng(200 + 100 * N + 10 * d + seed), N, d)
         assert m.m0_min_eig < 0.0 and np.any(m.drift != 0.0) and m.rate != 0.0
-        g = make_grid(0.6, 24)
+        self.check_map(m, make_grid(0.6, 24), seed)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_map_matches_stepper_across_panels(self, N, d):
+        """T spans one full panel and one cut panel, so the forward solve's column needs cross a panel edge."""
+        m = random_model(np.random.default_rng(700 + 10 * N + d), N, d)
+        g = make_grid(0.6, 80 // d)
+        assert PANEL < (g.n - 1) * d < 2 * PANEL
+        self.check_map(m, g, 2)
+
+    @staticmethod
+    def check_map(m, g, seed):
         ev = quadratic.QuadraticEvaluator(m, g)
         z = simulate_drivers(g, ev.n_factors, 64, seed)
         got = ev.premium_paths(z)
-        want = stepper_premium_paths(ev, z)
-        assert got[3].shape == (64, g.n + 1, N)
+        want = stepper_premium_paths(ev, z, sweep_solution(m, g).z2_maps)
+        assert got[3].shape == (64, g.n + 1, m.n_state)
         for name, a, b in zip(("db", "lam", "prem", "state"), got, want):
             assert a.shape == b.shape, name
             assert rel_err(a, b) <= 1e-10, name
-
 
     @pytest.mark.parametrize("which", ["two_asset", "negative_eta"])
     def test_zero_drift_skips_the_identity_resolvent(self, which, monkeypatch):
@@ -752,7 +771,7 @@ class TestGammaFunctional:
         assert folds == []
 
     def test_reads_invert_no_panel(self, monkeypatch):
-        """The solve inverts the factor's diagonal panels once; Gamma, the control and z2_maps invert none again."""
+        """The solve inverts the factor's diagonal panels once; Gamma, the control and the premium map invert none."""
         m = mixed_model()
         g = make_grid(0.8, 80)  # T has 79 rows: a full panel and a cut one
         sol = solve_operator_riccati(m, g)
@@ -761,7 +780,7 @@ class TestGammaFunctional:
         monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: pytest.fail("a panel was inverted again"))
         np.testing.assert_array_equal(gamma_quadratic(sol, [0, 5, g.n // 2], curves), first)
         optimal_control_quadratic(m, sol, 3, curves, 1.0, 1.5)
-        z2_maps(sol)
+        QuadraticEvaluator(m, g, sol)
 
     def test_forward_solve_gives_each_column_its_needed_rows(self):
         """A forward solve told each column's need matches the full solve on those rows, at and off panel edges."""
