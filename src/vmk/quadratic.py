@@ -35,7 +35,8 @@ blow-up.  No (N n)^2 operator is formed by the solve.
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
 Monte Carlo evaluator assembles that map once per solution from the same
-discretization and evaluates a chunk of paths as one matrix product.
+lag bands and factor, with no fold, and evaluates a chunk of paths as one
+matrix product.
 """
 
 import math
@@ -61,12 +62,13 @@ from .montecarlo import chunk_workspace, correlate_into, path_blocks, take_float
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
-# Dense float arrays alive at once, rounded up from traced peaks (see README): (d n)^2 in the
-# solve, (d n, max(P, N n)) in the Gamma and control readers of P curves, (N n)^2 in the spectrum and premium map.
+# Dense float arrays alive at once, rounded up from traced peaks (see README): (d n)^2 in the solve,
+# (d n, max(P, N n)) in the Gamma and control readers of P curves, (N n)^2 in the spectrum, and the
+# map's own shape in the premium map, on top of the solution's ((n - 1) d)^2 factor.
 DENSE_ARRAYS = 3
 CURVE_ARRAYS = 4
 COVARIANCE_ARRAYS = 4
-MAP_ARRAYS = 6
+MAP_ARRAYS = 2
 # Rows per panel of the blocked Cholesky factorization of T and of its triangular solves.
 _PANEL_ROWS = 64
 
@@ -142,12 +144,6 @@ class QuadraticModel:
     def f_mat(self) -> np.ndarray:
         """Effective drift D - 2 eta C Theta entering the deflating kernel."""
         return self.drift - 2.0 * self.eta @ self.corr @ self.theta
-
-
-def _bd_left(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Blockwise kron(I_n, m) @ x for x of shape (m.shape[1] n, q)."""
-    q = x.shape[1]
-    return (m @ x.reshape(n, m.shape[1], q)).reshape(n * m.shape[0], q)
 
 
 def _bd_right(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -504,66 +500,61 @@ def asset_positions(model: QuadraticModel, y: np.ndarray, alpha: np.ndarray) -> 
 
 
 def _premium_map(model: QuadraticModel, grid: TimeGrid, sol: QuadraticSolution):
-    """Affine map (c0, L) with [state | premium] = c0 + dW_flat L.
+    """Affine map (c0, L) with [state | premium] = c0 + dW_flat L, built from lag bands.
 
-    dW_flat holds the state driver increments of one path as a row of
-    length N n (node-major).  With u = D Y + eta dW/dt the forward curve
-    at step k is g0 + sum_{j<k} A[:, j] u_j, so
-
-        Y_{:n} = R (g0 + A eta dW/dt),  R = (Id - A D)^{-1},
-        Y_n = g0_n + sum_j band[n-j-1] u_j,
-        premium_k = Theta Y_k + 2 C' Z_k' (g0 + sum_{j<k} A[:, j] u_j),
-
-    with A the folded kernel, R the fold of the resolvent band of (band, D)
-    and Z_k = Psi_k K(., t_k) eta from node k (Z2_k = 2 Z_k' g).  From node
-    k on, A[:, j] is band[l:], l = k - 1 - j, whose m1 image b[a] = sum_{t <= a}
-    m1_band[a - t] band[l + t] depends on l only, so block (k, j) of C' Z_k' A,
-    -C' x' q_image over the first n - k blocks of x = [b[0]; C^{-1} b[1:]]
-    (``_curve_reads``), comes from one forward solve over the (n - 1) N columns
-    and a prefix sum over the blocks.
-    Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d); the
-    state columns come first, node-major.
+    dW_flat holds the state driver increments of one path as a row of length
+    N n (node-major).  With u = D Y + e, A the folded kernel cells and Z_k =
+    Psi_k K(., t_k) eta from node k, premium_k = Theta Y_k + 2 C' Z_k' (g0 +
+    sum_{j<k} A[:, j] u_j).  An input e_j moves Y_{j+m} by s1[m] e_j, s1 the
+    lag band of (Id - A D)^{-1} A over n + 1 nodes, and leaves from node j + m
+    on the curve c_m: c_m[0] = s1[m], c_{m+1}[r] = c_m[r + 1] + band[r] D s1[m]
+    (D s1[0] read as I).  So the m1 images b_m = m1 c_m step by one recursion
+    from b_1 = mb, the lag band of m1 band, and as in ``_curve_reads`` one
+    forward solve over the columns of every b_m and a prefix sum over their
+    blocks give X[n - 1 - k], whose block m - 1 is -2 C' Z_k' c_m.  Block
+    (k, j < k) of the map is s1[k - j] eta / dt for the state and
+    (Theta s1[k - j] + X[n - 1 - k][k - 1 - j]) eta / dt for the premium; c0
+    is g0 plus the response to the inputs D g0_j, and C' z2_det for the
+    premium, so eta enters the driver blocks only.
+    Returns c0 of length (n+1) N + n d and L of shape (N n, (n+1) N + n d),
+    the transpose of one row-major buffer; the state columns come first,
+    node-major.
     """
     n, N, d = grid.n, model.n_state, model.n_assets
-    nN, dt, band, m1_band = n * N, grid.dt, sol.disc.band, sol.disc.m1_band
-    cols = band[: n - 1].transpose(1, 0, 2).reshape(N, (n - 1) * N)  # [band[0] | band[1] | ...]
-    x = np.zeros((n, d, (n - 1) * N))  # block a of b for band[l:] in columns l N on; read while a + l <= n - 2
-    x[0] = m1_band[0] @ cols
-    for i in range(1, n - 1):  # b[i] for band[l:] is b[i - 1] for band[l + 1:] plus m1_band[i] band[l]
-        w = (n - 1 - i) * N
-        np.matmul(m1_band[i], cols[:, :w], out=x[i, :, :w])
-        x[i, :, :w] += x[i - 1, :, N : w + N]
+    band, m1_band, drift, g0s = sol.disc.band, sol.disc.m1_band, model.drift, sol.g0s
+    zero = np.zeros((1, N, N))
+    s1 = _convolve(resolvent_band(np.concatenate([band, zero]), drift), np.concatenate([zero, band]))
+    mb = _convolve(m1_band, band)
+    step = np.concatenate([-m1_band[1:], mb[:-1]], axis=2)
+    cols = np.concatenate([s1, drift @ s1], axis=1)[: n - 1].transpose(1, 0, 2).reshape(2 * N, -1)
+    x = np.zeros((n, d, (n - 1) * N))  # column block m - 1 holds b_m; read while a + m <= n - 1
+    x[:, :, :N] = mb
+    for a in range(n - 3, -1, -1):  # b_{m+1}[a] = b_m[a + 1] - m1_band[a + 1] s1[m] + mb[a] D s1[m]
+        w = (n - 1 - a) * N
+        np.matmul(step[a], cols[:, N:w], out=x[a, :, N:w])
+        x[a, :, N:w] += x[a + 1, :, : w - N]
     _tri_solve(sol.factor, x[1:].reshape((n - 1) * d, -1), needed=np.repeat(d * np.arange(n - 2, -1, -1), N))
-    cq = -model.corr.T @ sol.q_image.reshape(n, d, N).transpose(0, 2, 1)  # -C' q_image[a]'
+    cq = -2.0 * model.corr.T @ sol.q_image.reshape(n, d, N).transpose(0, 2, 1)  # -2 C' q_image[a]'
     x[0] = cq[0] @ x[0]
-    for i in range(1, n):  # x[i] <- -C' sum_{s <= i} q_image[s]' x[s]
+    for i in range(1, n):  # X[i] = -2 C' sum_{s <= i} q_image[s]' x[s]; node k reads X[n - 1 - k]
         x[i] = cq[i] @ x[i] + x[i - 1]
-    cza = np.zeros((n * d, nN))  # rows C' Z_k' A; node k reads the prefix over its n - k blocks
-    for k in range(1, n):
-        cza.reshape(n, d, n, N)[k, :, :k] = x[n - 1 - k].reshape(d, n - 1, N)[:, k - 1 :: -1]
-    del x, cols, cq
-    a = folded_cells(model.kernel, grid)
-    # Column 0 is the deterministic state, the others its response to dW/dt.
-    y = np.empty((nN, nN + 1))
-    y[:, 0] = sol.g0s[:n].reshape(nN)
-    np.divide(_bd_right(a, model.eta, n), dt, out=y[:, 1:])
-    del a
-    if np.any(model.drift):  # at zero drift R is the identity
-        y = fold(resolvent_band(band, model.drift)) @ y
-    u = _bd_left(model.drift, y, n)
-    eta_dt = model.eta / dt
-    for j in range(n):  # eta dW_j/dt enters u_j
-        u[j * N : (j + 1) * N, 1 + j * N : 1 + (j + 1) * N] += eta_dt
-    prem = cza @ u
-    del cza
-    prem *= 2.0
-    prem += _bd_left(model.theta, y, n)
-    prem[:, 0] += (sol.z2_det[:n] @ model.corr).reshape(n * d)  # 2 C' Z_k' g0
-    last = band[::-1].transpose(1, 0, 2).reshape(N, nN) @ u
-    del u
-    last[:, 0] += sol.g0s[n]
-    c0 = np.concatenate([y[:, 0], last[:, 0], prem[:, 0]])
-    return c0, np.concatenate([y[:, 1:], last[:, 1:], prem[:, 1:]]).T
+    xb = x.reshape(n, d, n - 1, N)
+    eta_dt = model.eta / grid.dt
+    se = s1 @ eta_dt
+    tse = model.theta @ se
+    dg = g0s @ drift.T  # the deterministic input D g0_i
+    ybar = g0s + _convolve(s1, dg[:, :, None])[:, :, 0]
+    c0 = np.concatenate([ybar.reshape(-1), (ybar[:n] @ model.theta.T + sol.z2_det[:n] @ model.corr).reshape(-1)])
+    prem0 = c0[(n + 1) * N :].reshape(n, d)
+    rows = np.zeros(((n + 1) * N + n * d, n * N))
+    state, prem = rows[: (n + 1) * N].reshape(n + 1, N, n, N), rows[(n + 1) * N :].reshape(n, d, n, N)
+    for k in range(1, n + 1):  # block (k, j < k): the response k - j steps after an input at j
+        state[k, :, :k] = se[k:0:-1].transpose(1, 0, 2)
+        if k < n:
+            xk = xb[n - 1 - k, :, k - 1 :: -1]
+            prem[k, :, :k] = tse[k:0:-1].transpose(1, 0, 2) + xk @ eta_dt
+            prem0[k] += np.einsum("ajb,jb->a", xk, dg[:k])
+    return c0, rows.T
 
 
 class QuadraticEvaluator:
@@ -571,20 +562,24 @@ class QuadraticEvaluator:
 
     The state is Gaussian, so the state at every node and the premium
     Theta Y + C' Z2 at every left node are affine in the state driver
-    increments.  The evaluator builds that map once per solution (see
-    ``_premium_map``); each chunk of paths is then one matrix product.
+    increments.  The evaluator builds that map once per solution from the
+    solution's lag bands and factor (see ``_premium_map``); each chunk of
+    paths is then one matrix product.
 
-    Raises MemoryCapError before building the map when its dense
-    temporaries on top of the solution's arrays would not fit in physical
-    memory.
+    Raises MemoryCapError before building the map when ``MAP_ARRAYS``
+    arrays of the map's shape on top of the solution's factor would not
+    fit in physical memory.
     """
 
     def __init__(self, model: QuadraticModel, grid: TimeGrid, solution: QuadraticSolution = None):
         self.model = model
         self.grid = grid
         self.solution = solve_operator_riccati(model, grid) if solution is None else solution
-        self.n_assets, self.n_state, self.n_factors = model.n_assets, model.n_state, model.n_assets + model.n_state
-        _check_dense_memory("the quadratic premium map", MAP_ARRAYS, grid.n * model.n_state, grid.n * model.n_state)
+        n, N, d = grid.n, model.n_state, model.n_assets
+        self.n_assets, self.n_state, self.n_factors = d, N, d + N
+        rows, cols, side = n * N, (n + 1) * N + n * d, (n - 1) * d
+        check_memory(f"the quadratic premium map ({MAP_ARRAYS} arrays of {rows} x {cols} floats and the solution's "
+                     f"{side} x {side} factor)", 8 * (MAP_ARRAYS * rows * cols + side * side), "use a coarser grid")
         self.c0, self.lmap = _premium_map(model, grid, self.solution)
 
     def workspace_floats(self, width: int):

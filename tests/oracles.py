@@ -32,12 +32,12 @@ import numpy as np
 
 from vmk.affine import AffineEvaluator, AffineModel, simulate_forward_variance
 from vmk.cli import _fmt
-from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError
+from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError, check_memory
 from vmk.grid import TimeGrid, g0_nodes, node_index
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, fold, folded_cells
 from vmk.markowitz import tail_rate_integrals
 from vmk.montecarlo import correlate_into, gamma_factors, simulate_drivers, simulate_wealth
-from vmk.quadratic import (RCOND_MIN, QuadraticModel, _bd_left, _bd_right, _check_dense_memory, _discretize,
+from vmk.quadratic import (RCOND_MIN, QuadraticModel, _bd_right, _check_dense_memory, _discretize,
                            volatility_matrix)
 
 COND_LIMIT = 1e12
@@ -175,6 +175,12 @@ def op_apply(op: IntegralOperator, f: np.ndarray) -> np.ndarray:
         out = out + (fa @ op.ident.T).reshape(n * N)
     out = out.reshape(n, N)
     return out[:, 0] if squeeze else out
+
+
+def _bd_left(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Blockwise kron(I_n, m) @ x for x of shape (m.shape[1] n, q)."""
+    q = x.shape[1]
+    return (m @ x.reshape(n, m.shape[1], q)).reshape(n * m.shape[0], q)
 
 
 def star(a: IntegralOperator, b: IntegralOperator) -> IntegralOperator:
@@ -493,9 +499,11 @@ def positions_per_row(model: QuadraticModel, states: np.ndarray, alpha: np.ndarr
     return out
 
 
-# Dense (N n)^2 float arrays the per-node sweep's readers hold at once: Psi and the
-# rank-N update's product in the sweep, and 5.0 traced in riccati_derivative_residual.
-SWEEP_ARRAYS = 3
+# Dense (N n)^2 float arrays the per-node sweep's readers hold at once.  psi_full_matrix counts the
+# sweep's (d n, N n) fold of m1 apart, as d > N makes it the larger array: Psi and its restricted copy,
+# traced at 1.03 beside the fold (N = d) and 1.01 (N = 1, d = 2); riccati_derivative_residual peaks
+# after the fold is freed, at 5.0 traced.
+SWEEP_ARRAYS = 2
 RESIDUAL_ARRAYS = 6
 
 
@@ -612,8 +620,9 @@ def psi_full_matrix(model: QuadraticModel, grid: TimeGrid, k: int, disc: SimpleN
     Like every sweep reader, it checks its memory count before sweeping.
     """
     k = node_index(k, grid.n)
-    nN = grid.n * model.n_state
-    _check_dense_memory("the restricted Psi matrix", SWEEP_ARRAYS, nN, nN)
+    nN, dn = grid.n * model.n_state, grid.n * model.n_assets
+    check_memory(f"the restricted Psi matrix ({SWEEP_ARRAYS} arrays of {nN} x {nN} floats and m1's {dn} x {nN} fold)",
+                 8 * nN * (SWEEP_ARRAYS * nN + dn), "use a coarser grid")
     disc = _discretize(model, grid) if disc is None else disc
     return _restricted_psi(model, grid, disc, (k,))[0]
 

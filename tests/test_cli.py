@@ -330,7 +330,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_premium_map_over_memory_refused(self, tmp_path, capsys, monkeypatch):
-        limit = 400000  # bytes; the n = 100 solve needs 240000, the premium map 480000 (MAP_ARRAYS = 6)
+        limit = 400000  # bytes; the n = 100 solve needs 240000, the premium map 400008 (MAP_ARRAYS = 2)
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.quadratic, "_premium_map", lambda *a: pytest.fail("map built over the limit"))
         cfg, out = write_cfg(tmp_path, QUADRATIC_CFG + "mc:\n  paths: 10\n")

@@ -37,7 +37,7 @@ from vmk import (
 import oracles
 from vmk import cli, errors, quadratic
 from vmk.affine import gamma_affine, optimal_control_affine, premium_loading, solve_riccati_volterra
-from vmk.kernels import band_coefficients, fold, folded_cells, resolvent_band
+from vmk.kernels import band_coefficients, fold, folded_cells
 from vmk.markowitz import integrated_rate
 from vmk.quadratic import RCOND_MIN, _bd_right, asset_positions, gamma_quadratic
 
@@ -532,26 +532,33 @@ class TestPremiumMapOracle:
             assert a.shape == b.shape, name
             assert rel_err(a, b) <= 1e-10, name
 
-    @pytest.mark.parametrize("which", ["two_asset", "negative_eta"])
-    def test_zero_drift_skips_the_identity_resolvent(self, which, monkeypatch):
-        """At zero drift R is the identity: skipping its product leaves every bit of the state columns."""
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_map_matches_stepper_on_short_grids(self, N, d, n):
+        """At n = 2 the recursion over the m1 images is empty and the forward solve needs no rows."""
+        self.check_map(random_model(np.random.default_rng(40 + 10 * N + d + n), N, d), make_grid(0.6, n), n)
+
+    @pytest.mark.parametrize("which", ["two_asset", "negative_eta", "zero_eta"])
+    def test_map_matches_stepper_on_edge_models(self, which):
+        """Zero drift (the input's response is the kernel band alone), a negative eta and eta = 0."""
         if which == "two_asset":
             m, g = two_asset_model(theta=(0.65, 0.30)), make_grid(1.5, 300)
         else:
-            rng = np.random.default_rng(11)
-            base = random_model(rng, 2, 2)
-            m = QuadraticModel(kernel=base.kernel, theta=base.theta, eta=-np.abs(base.eta), corr=base.corr,
+            base = random_model(np.random.default_rng(11), 2, 2)
+            eta, drift = (-np.abs(base.eta), None) if which == "negative_eta" else (np.zeros((2, 2)), base.drift)
+            m = QuadraticModel(kernel=base.kernel, theta=base.theta, eta=eta, corr=base.corr, drift=drift,
                                g0=base.g0, rate=base.rate, enforce_psd=False)
             g = make_grid(0.6, 40)
-        assert not np.any(m.drift)
+        assert np.any(m.drift) == (which == "zero_eta") and np.any(m.eta) == (which != "zero_eta")
+        self.check_map(m, g, 3)
+
+    def test_build_forms_no_fold(self, monkeypatch):
+        """The map is built from lag bands: neither the folded kernel cells nor any fold is formed."""
+        m, g = random_model(np.random.default_rng(12), 2, 2), make_grid(0.6, 24)
         sol = solve_operator_riccati(m, g)
-        n, N = g.n, m.n_state
-        # the state columns the map forms before R = fold(resolvent band of (band, D)) applies
-        y = np.empty((n * N, n * N + 1))
-        y[:, 0] = sol.g0s[:n].reshape(n * N)
-        np.divide(_bd_right(folded_cells(m.kernel, g), m.eta, n), g.dt, out=y[:, 1:])
-        assert (fold(resolvent_band(sol.disc.band, m.drift)) @ y).tobytes() == y.tobytes()
-        monkeypatch.setattr(quadratic, "resolvent_band", lambda *a: pytest.fail("identity resolvent applied"))
+        for name in ("fold", "folded_cells"):
+            monkeypatch.setattr(quadratic, name, lambda *a, name=name: pytest.fail(f"{name} called"))
         QuadraticEvaluator(m, g, sol)
 
 
@@ -992,12 +999,22 @@ class TestMemoryGuard:
         return QuadraticModel(kernel=FractionalKernel(0.3), theta=np.array([[0.6]]), eta=np.eye(1),
                               corr=np.array([[-0.5]]), drift=np.array([[-0.4]]), g0=0.2)
 
-    @pytest.mark.parametrize("which, n", [("two_asset", 200), ("one_factor", 400)])
-    def test_traced_peaks_within_guard(self, which, n):
-        m = two_asset_model() if which == "two_asset" else self.one_factor_model()
+    @staticmethod
+    def one_factor_two_asset_model():
+        """N = 1 < d = 2: the forward solve's images outnumber the state's columns."""
+        return QuadraticModel(kernel=FractionalKernel(0.3), theta=np.array([[0.6], [0.3]]), eta=np.eye(1),
+                              corr=np.array([[-0.5, 0.3]]), drift=np.array([[-0.4]]), g0=0.2)
+
+    @pytest.mark.parametrize("which, n", [("two_asset", 200), ("one_factor", 400), ("one_factor_two_asset", 200)])
+    def test_traced_peaks_within_guard(self, which, n, monkeypatch):
+        m = {"two_asset": two_asset_model, "one_factor": self.one_factor_model,
+             "one_factor_two_asset": self.one_factor_two_asset_model}[which]()
         g = make_grid(1.0, n)
         N, d = m.n_state, m.n_assets
         dense, solve_unit, curve_unit = 8 * (n * N) ** 2, 8 * (n * d) ** 2, 8 * n * n * d * N
+        checked = {}  # the bytes each quadratic guard checks, by what it names
+        monkeypatch.setattr(quadratic, "check_memory",
+                            lambda what, need, advice: checked.update({what.split(" (")[0]: need}))
         many = np.full((2 * N * n, n, N), 0.2)  # more curves than N n: the curve unit is d n P floats
         many_unit = 8 * n * d * len(many)
         tracemalloc.start()
@@ -1027,12 +1044,12 @@ class TestMemoryGuard:
         assert solve_peak <= quadratic.DENSE_ARRAYS * solve_unit
         assert held <= 1.1 * solve_unit  # the factor of T
         assert cov_peak <= quadratic.COVARIANCE_ARRAYS * dense
-        assert peaks["map"] <= quadratic.MAP_ARRAYS * dense  # the map's count includes the solution it reads
+        assert peaks["map"] <= checked["the quadratic premium map"]  # the solution's factor and the build
         for name, unit in [("gamma", curve_unit), ("control", curve_unit), ("gamma_many", many_unit),
                            ("control_many", many_unit)]:
             assert peaks[name] - held <= quadratic.CURVE_ARRAYS * unit, name
-        for name, count in [("psi", oracles.SWEEP_ARRAYS), ("residual", oracles.RESIDUAL_ARRAYS)]:
-            assert peaks[name] - held <= count * dense, name
+        assert peaks["psi"] - held <= oracles.SWEEP_ARRAYS * dense + 8 * n * d * n * N  # and m1's fold
+        assert peaks["residual"] - held <= oracles.RESIDUAL_ARRAYS * dense
         assert set(vars(sol.disc)) == {"band", "m1_band"}
 
     def test_solve_and_strategy_hold_no_state_sized_array(self, tmp_path):
@@ -1065,6 +1082,9 @@ class TestMemoryGuard:
     def test_each_dense_user_checks_its_count(self, name, monkeypatch):
         """At its count of (n)^2 floats (N = d = 1) each dense user runs; one byte under, it refuses before allocating.
 
+        The premium map counts arrays of its own shape, n x (2 n + 1), on top of the solution's (n - 1)^2 factor,
+        and the Psi readers count the sweep's n x n fold of m1 apart from their arrays.
+
         The Psi readers are checked also when the caller passes the solution's ``disc``.
         """
         m, g = scalar_model(), make_grid(1.0, 8)
@@ -1089,7 +1109,9 @@ class TestMemoryGuard:
                            (quadratic, "folded_cells")),
             "premium_map": (quadratic.MAP_ARRAYS, lambda: QuadraticEvaluator(m, g, sol), (quadratic, "_premium_map")),
         }[name]
-        need = count * 8 * g.n**2
+        n = g.n
+        need = {"premium_map": 8 * ((n - 1) ** 2 + count * n * (2 * n + 1)), "psi_full_matrix": 8 * (count + 1) * n**2,
+                "boundary_relation_residual": 8 * (count + 1) * n**2}.get(name, count * 8 * n**2)
         monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need)
         call()
         monkeypatch.setattr(errors, "PHYS_MEM_BYTES", need - 1)
