@@ -6,8 +6,8 @@ draws do not depend on chunking.  Affine samples are chunk-invariant bit
 for bit as well, for any chunk size, number of factors and BLAS thread
 count (see ``affine.simulate_forward_variance``); quadratic samples
 agree across chunk sizes only to roundoff, because the quadratic premium
-is one matrix product per chunk and BLAS results depend on the row
-count.
+map is applied to each chunk in blocks of ``_MAP_ROWS`` paths and BLAS
+results depend on the rows a product is given.
 
 Wealth under the optimal feedback control is advanced with the exact
 exponential step of the induced geometric dynamics of the discounted gap,
@@ -25,7 +25,9 @@ of them; the drawing, the correlation and the evaluators' reads of lambda
 and the premium run over cache-sized ``path_blocks``.  Wealth is advanced
 in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and the
 (m, n, d) amounts never exist for the whole chunk; only the terminal
-wealth, the Gamma samples and the kept paths leave it.
+wealth, the Gamma samples and the kept paths leave it.  BLAS's working
+memory, outside tracemalloc and ``chunk_bytes``, is bounded by the
+quadratic map's ``_MAP_ROWS``-row products, not by the chunk.
 """
 
 import math
@@ -44,6 +46,10 @@ from .markowitz import tail_rate_integrals
 # 2-core Xeon), while the chunk's traced peak grows with the block:
 # 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
 _WEALTH_ROWS = 256
+# Paths per product of the quadratic premium map, whose OpenBLAS working memory grows with them: a 4096-path
+# quad-simulate chunk peaked at 75.5, 76.2, 77.2, 79.4 and 83.4 MB RSS at 256, 512, 1024, 2048 and 4096 rows,
+# and 512 rows took 1 ms of 16 more there, 2-3% on the two-asset preset at n = 300 (256: 5%; 2-core Xeon).
+_MAP_ROWS = 512
 # Slots per block of the affine forward-variance stepper.  A block takes
 # the history of all earlier steps as one GEMM per factor and then steps
 # its own slots elementwise: the elementwise work grows with the block,
@@ -85,24 +91,23 @@ def path_blocks(paths: int, floats: int):
 def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     """Bytes of a ``run_mc`` run of ``paths`` paths (at least ``width`` and ``keep``) in chunks of ``width``.
 
-    In floats: the evaluator's ``workspace_floats(width)``; 2 samples per
-    path; (n + 1)(1 + S) + n d per kept path, with d = ``n_assets`` and
-    S = ``n_state``; and the largest temporaries: two ``path_blocks`` of raw
-    draws (dW and dB C', or the quadratic state lambda is read off, with
-    numpy's ufunc buffers), two ``_SLOT_BLOCK``-slot blocks of the S state
-    drivers with the affine stepper's history gather (its lag indices and
-    gathered kernel rows, 2 n per slot), two ``_WEALTH_ROWS``-row wealth
-    blocks, or the sample statistics' 3 per path (traced at 2, 2.5 with
-    antithetic pairs); and two ufunc buffers of ``np.getbufsize()`` floats,
-    which numpy adds to a small ufunc's result (up to 0.108 MB traced at
-    chunks of under 256 paths).  README reads it against traced peaks.
+    In floats: the evaluator's ``workspace_floats(width)``; 2 samples per path; (n + 1)(1 + S) + n d
+    per kept path, with d = ``n_assets`` and S = ``n_state``; and the largest temporaries: two
+    ``path_blocks`` of raw draws (dW and dB C', or the quadratic state lambda is read off, with
+    numpy's ufunc buffers), two ``_SLOT_BLOCK``-slot blocks of the S state drivers with the affine
+    stepper's history gather (its lag indices and gathered kernel rows, or the lag indices of this
+    block and the last, 2 n per slot, and its n S kernel weights and n lag offsets), two
+    ``_WEALTH_ROWS``-row wealth blocks, or the sample statistics' 3 per path (traced at 2, 2.5 with
+    antithetic pairs); and two ufunc buffers of ``np.getbufsize()`` floats, which numpy adds to a
+    small ufunc's result (up to 0.108 MB traced at chunks of under 256 paths).  README reads it
+    against traced peaks.  BLAS working memory is outside it and tracemalloc (see ``_MAP_ROWS``).
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)
     kept = keep * ((n + 1) * (1 + S) + n * d)
     first = path_blocks(width, n * evaluator.n_factors)[0]
     path_floats = 2 * (first.stop - first.start) * n * evaluator.n_factors
-    slot_blocks = _SLOT_BLOCK * (2 * S * _padded(width) + 2 * n)
+    slot_blocks = _SLOT_BLOCK * (2 * S * _padded(width) + 2 * n) + (S + 1) * n
     wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
     temporaries = max(path_floats, slot_blocks, wealth_blocks, 3 * total)
     return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries + 2 * np.getbufsize())
@@ -196,7 +201,9 @@ def mc_stats(samples: np.ndarray) -> SampleStats:
     The standard error of the variance uses the fourth central moment,
     Var(s^2) = (mu4 - sigma^4 (n-3)/(n-1)) / n, which reads low for heavy-tailed samples at small n:
     at 64 paths the seed-to-seed spread of the terminal wealth variance is 1.89 (quadratic) and
-    1.42 (affine) times it.  Only the standard error of the mean is calibrated there.
+    1.42 (affine) times it.  Only the standard error of the mean is calibrated there.  Where the
+    samples' moment index s* <= 4 the fourth moment is infinite and se_variance is no standard
+    error at any n: quadratic terminal wealth has s* 3.56 (quad-simulate), 2.32 (two-asset, T 1.5).
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size

@@ -35,8 +35,8 @@ blow-up.  No (N n)^2 operator is formed by the solve.
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
 Monte Carlo evaluator assembles that map once per solution from the same
-lag bands and factor, with no fold, and evaluates a chunk of paths as one
-matrix product.
+lag bands and factor, with no fold, and applies it to a chunk of paths in
+products of ``_MAP_ROWS`` paths, which bound BLAS's working memory.
 """
 
 import math
@@ -58,7 +58,7 @@ from .grid import TimeGrid, curve_rows, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
 from .markowitz import feedback_control, gamma_from_log, tail_rate_integrals
-from .montecarlo import chunk_workspace, correlate_into, path_blocks, take_floats
+from .montecarlo import _MAP_ROWS, chunk_workspace, correlate_into, path_blocks, take_floats
 
 PSD_TOL = 1e-10
 RCOND_MIN = 1e-12
@@ -563,8 +563,8 @@ class QuadraticEvaluator:
     The state is Gaussian, so the state at every node and the premium
     Theta Y + C' Z2 at every left node are affine in the state driver
     increments.  The evaluator builds that map once per solution from the
-    solution's lag bands and factor (see ``_premium_map``); each chunk of
-    paths is then one matrix product.
+    solution's lag bands and factor (see ``_premium_map``) and applies it in
+    products of ``_MAP_ROWS`` paths, which bound BLAS's working memory.
 
     Raises MemoryCapError before building the map when ``MAP_ARRAYS``
     arrays of the map's shape on top of the solution's factor would not
@@ -597,11 +597,11 @@ class QuadraticEvaluator:
 
         ``work`` is a ``montecarlo.chunk_workspace`` for at least P paths,
         by default a new one for P.  The correlated drivers go into its dB
-        and driver buffers, the premium map's product into the draws
-        buffer, over z once it is read when z is a view of it (as in
-        ``run_mc``), and lambda = Theta Y, read off the state at the left
-        nodes, over dW.  The outputs last until the next call with the
-        same workspace.
+        and driver buffers, the premium map's products, ``_MAP_ROWS`` rows
+        each, into the draws buffer, over z once it is read when z is a view
+        of it (as in ``run_mc``), and lambda = Theta Y, read off the state at
+        the left nodes, over dW.  The outputs last until the next call with
+        the same workspace.
         """
         model, n, N, d = self.model, self.grid.n, self.model.n_state, self.model.n_assets
         P = z.shape[0]
@@ -610,8 +610,10 @@ class QuadraticEvaluator:
         work = chunk_workspace(self, P) if work is None else work
         db, dw = take_floats(work.db, (P, n, d)), take_floats(work.drivers, (P, n, N))
         correlate_into(z, model.corr, db, dw)
-        out = np.matmul(dw.reshape(P, n * N), self.lmap, out=take_floats(work.draws, (P, self.lmap.shape[1])))
-        out += self.c0
+        flat, out = dw.reshape(P, n * N), take_floats(work.draws, (P, self.lmap.shape[1]))
+        for blk in (slice(p0, p0 + _MAP_ROWS) for p0 in range(0, P, _MAP_ROWS)):
+            np.matmul(flat[blk], self.lmap, out=out[blk])
+            out[blk] += self.c0
         state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
         prem = out[:, (n + 1) * N :].reshape(P, n, d)
         lam = take_floats(work.drivers, (P, n, d))

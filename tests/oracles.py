@@ -36,7 +36,7 @@ from vmk.errors import InvalidArgumentError, RiccatiBlowUpError, VmkError, check
 from vmk.grid import TimeGrid, g0_nodes, node_index
 from vmk.kernels import ConstantKernel, DiagonalKernel, Kernel, fold, folded_cells
 from vmk.markowitz import tail_rate_integrals
-from vmk.montecarlo import correlate_into, gamma_factors, simulate_drivers, simulate_wealth
+from vmk.montecarlo import _MAP_ROWS, correlate_into, gamma_factors, simulate_drivers, simulate_wealth
 from vmk.quadratic import (RCOND_MIN, QuadraticModel, _bd_right, _check_dense_memory, _discretize,
                            volatility_matrix)
 
@@ -375,7 +375,8 @@ def whole_chunk_premium_paths(evaluator, z: np.ndarray):
 
     The drivers are correlated by ``correlate_slots``; the affine curve is stepped by
     ``simulate_forward_variance`` and lambda and the premium are read off all of it at once, and the
-    quadratic lambda = Theta Y is one batched product over the paths.
+    quadratic lambda = Theta Y is one batched product over the paths.  The quadratic map takes the
+    evaluator's ``_MAP_ROWS``-row products, since a BLAS product rounds by the rows it is given.
     """
     P, n = z.shape[:2]
     model = evaluator.model
@@ -391,7 +392,8 @@ def whole_chunk_premium_paths(evaluator, z: np.ndarray):
         prem = evaluator.loadings[None, :, :] * lam
         lam *= model.theta
         return db, lam, prem, v
-    out = dw.reshape(P, n * N) @ evaluator.lmap
+    flat = dw.reshape(P, n * N)
+    out = np.concatenate([flat[p0 : p0 + _MAP_ROWS] @ evaluator.lmap for p0 in range(0, P, _MAP_ROWS)])
     out += evaluator.c0
     state = out[:, : (n + 1) * N].reshape(P, n + 1, N)
     return db, np.matmul(state[:, :n], model.theta.T), out[:, (n + 1) * N :].reshape(P, n, d), state
@@ -451,7 +453,7 @@ print(usage.ru_maxrss, proc.returncode)
 """
 
 
-def child_peak_rss(snippet: str, timeout: float = 120.0) -> int:
+def child_peak_rss(snippet: str, timeout: float = 120.0, env: dict = None) -> int:
     """Peak resident set size in bytes of a child interpreter running ``snippet``, with ``src`` on its path.
 
     Read from ``ru_maxrss`` as ``os.wait4`` returns it for the child (KiB on
@@ -459,11 +461,13 @@ def child_peak_rss(snippet: str, timeout: float = 120.0) -> int:
     child's ru_maxrss at the peak of the process it was started from, so a
     child started straight from a test process that has held more would
     report that; the snippet is started from a small launcher interpreter
-    instead.  A child that fails or is killed after ``timeout`` seconds
-    raises RuntimeError.
+    instead.  ``env`` adds variables to the child's environment, such as a
+    BLAS thread count.  A child that fails or is killed after ``timeout``
+    seconds raises RuntimeError.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, str(timeout), snippet], env=env,
                          capture_output=True, text=True, timeout=timeout + 30.0)
     if run.returncode != 0:

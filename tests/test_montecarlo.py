@@ -33,9 +33,11 @@ from vmk import (
 )
 from vmk.affine import gamma0_affine
 from vmk.markowitz import integrated_rate, xi_star
-from vmk.montecarlo import _BLOCK_FLOATS, _WEALTH_ROWS, chunk_bytes, chunk_workspace, correlate_into, gamma_factors
+from vmk.montecarlo import (_BLOCK_FLOATS, _MAP_ROWS, _WEALTH_ROWS, chunk_bytes, chunk_workspace, correlate_into,
+                            gamma_factors)
 
-from oracles import child_peak_rss, correlate_slots, staged_mc, step_wealth, whole_chunk_premium_paths
+from oracles import (child_peak_rss, correlate_drivers, correlate_slots, staged_mc, step_wealth,
+                     whole_chunk_premium_paths)
 
 
 def premium_free_model(rate=0.0):
@@ -455,12 +457,23 @@ class TestRunMCMemory:
         "ev = {evaluator}\n"
         "run_mc(ev, paths={paths}, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096)\n"
     )
+    QUAD_SIMULATE = ("QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0,"
+                     " corr=-0.5, drift=-0.3, g0=0.3), make_grid(0.5, 250))")
     EVALUATORS = {
         "AffineEvaluator(AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8,"
         " g0=0.16), make_grid(1.0, 400))": 4096 * 400 * 2,
-        "QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0, corr=-0.5,"
-        " drift=-0.3, g0=0.3), make_grid(0.5, 250))": 4096 * 250 * 2,
+        QUAD_SIMULATE: 4096 * 250 * 2,
     }
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+    def test_premium_map_product_stays_near_its_workspace(self, env):
+        # BLAS working memory lies outside tracemalloc: one 4096-path chunk
+        # over a 64-path run read 9.4-9.6 MB above the workspace with the map
+        # applied to the chunk as one product, 2.3-2.5 MB in _MAP_ROWS blocks
+        ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 250))
+        one, small = (child_peak_rss(self.RSS_SCRIPT.format(evaluator=self.QUAD_SIMULATE, paths=paths), env=env)
+                      for paths in (4096, 64))
+        assert one - small <= 8 * sum(ev.workspace_floats(4096)) + 4e6
 
     def test_later_chunks_do_not_raise_the_peak_rss(self):
         for evaluator, driver_floats in self.EVALUATORS.items():
@@ -517,6 +530,7 @@ class TestMemoryBudget:
         ("two-asset", 400, 1024, 0), ("two-asset", 20, 256, 20000), ("two-asset", 100, 64, 500),
         ("wishart", 100, 1024, 0), ("wishart", 20, 4096, 2383), ("wishart", 100, 7, 500),
         ("quadratic", 40, 900, 0),  # one path block of 819 paths and a ragged one of 81
+        ("one", 400, 2, 500), ("one", 1600, 2, 500), ("two", 400, 2, 500),
     ]
 
     @pytest.mark.parametrize("name, n, width, keep", SWEEP)
@@ -541,13 +555,26 @@ class TestPathBlocks:
         ev = sweep_evaluator(name, 20)
         block = _BLOCK_FLOATS // (ev.grid.n * ev.n_factors)
         work = chunk_workspace(ev, 4096)
-        for P in (1, 7, block + 1, 4096):
+        for P in (1, 7, block + 1, _MAP_ROWS + 1, 2 * _MAP_ROWS + 7, 4096):
             z = simulate_drivers(ev.grid, ev.n_factors, P, 11, antithetic=antithetic)
             want = whole_chunk_premium_paths(ev, z)
             got = ev.premium_paths(simulate_drivers(ev.grid, ev.n_factors, P, 11, antithetic=antithetic,
                                                     out=work.draws), work)
             for field, a, b in zip(("dB", "lambda", "premium", "state"), got, want):
                 np.testing.assert_array_equal(a, b, err_msg=f"{field} at P = {P}")
+
+    @pytest.mark.parametrize("n", [20, 250])
+    @pytest.mark.parametrize("name", ["quadratic", "two-asset"])
+    def test_row_blocks_match_one_chunk_wide_product(self, name, n):
+        # the blocks move a value by roundoff only: up to 1.8e-15, 4.4e-16 of the largest value, at n = 250
+        ev = sweep_evaluator(name, n)
+        P = 2 * _MAP_ROWS + 7
+        z = simulate_drivers(ev.grid, ev.n_factors, P, 5)
+        _, dw = correlate_drivers(z, ev.model.corr)
+        want = dw.reshape(P, -1) @ ev.lmap + ev.c0
+        _, _, prem, state = ev.premium_paths(z)
+        got = np.concatenate([state.reshape(P, -1), prem.reshape(P, -1)], axis=1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("d, N", [(1, 1), (2, 2), (2, 3), (3, 2), (1, 2)])
     def test_correlation_matches_slot_blocks(self, d, N):
