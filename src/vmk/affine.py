@@ -23,20 +23,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, RiccatiBlowUpError
-from .grid import TimeGrid, curve_rows, g0_nodes, node_index
+from .grid import TimeGrid, coefficients, curve_rows, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, feedback_control, gamma_from_log, tail_rate_integrals
 from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, path_blocks, take_floats
 
 RICCATI_CAP = 1e6
-
-
-def _per_factor(value, name: str, d: int) -> np.ndarray:
-    """A number or d numbers as a (d,) vector, or InvalidArgumentError naming ``name``."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape not in ((), (1,), (d,)):
-        raise InvalidArgumentError(f"{name} must be a number or a length-{d} list, got shape {arr.shape}")
-    return np.broadcast_to(arr, (d,)).copy()
 
 
 @dataclass(frozen=True)
@@ -54,16 +46,13 @@ class AffineModel:
         d = len(kernels)
         if d == 0:
             raise InvalidArgumentError("affine model needs at least one variance factor")
-        for k in kernels:
-            if k.dim != 1:
-                raise InvalidArgumentError("affine kernels must be scalar Volterra convolution kernels")
-        drift = np.zeros((d, d)) if self.drift is None else np.atleast_2d(np.asarray(self.drift, dtype=float))
-        if drift.shape != (d, d):
-            raise InvalidArgumentError(f"drift matrix must be ({d}, {d}), got {drift.shape}")
+        if any(k.dim != 1 for k in kernels):
+            raise InvalidArgumentError("affine kernels must be scalar Volterra convolution kernels")
+        drift = np.zeros((d, d)) if self.drift is None else coefficients(self.drift, "drift matrix", (d, d))
         off = drift - np.diag(np.diag(drift))
         if np.any(off < 0.0):
             raise InvalidArgumentError("off-diagonal drift entries must be nonnegative")
-        nu, rho, theta = (_per_factor(getattr(self, name), name, d) for name in ("nu", "rho", "theta"))
+        nu, rho, theta = (coefficients(getattr(self, name), name, (d,)) for name in ("nu", "rho", "theta"))
         if np.any(nu < 0.0):
             raise InvalidArgumentError("nu must be nonnegative")
         if np.any(np.abs(rho) > 1.0):
@@ -75,11 +64,7 @@ class AffineModel:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "theta", theta)
+        vars(self).update(kernels=kernels, drift=drift, nu=nu, rho=rho, theta=theta)  # the fields are frozen
 
     @property
     def dim(self) -> int:
@@ -238,6 +223,7 @@ def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, v:
             lag = np.subtract.outer(np.arange(k0 - 1, k1 - 1), np.arange(k0))
             for i in range(d):
                 blk[:, i, :] += w[lag, i] @ u[:k0, i, :]
+            del lag  # before the next block's indices are built
         for j in range(k0, min(k1, n)):
             vplus = np.maximum(v[j], 0.0)
             lin = drift[:, 0] * vplus[0]
@@ -280,7 +266,8 @@ def optimal_control_affine(model: AffineModel, psi: np.ndarray, grid: TimeGrid, 
 
     v_t may be (d,) or (P, d); x_t scalar or (P,).  Returns matching shape.
     """
-    vplus = np.maximum(np.asarray(v_t, dtype=float), 0.0)
+    v, single = curve_rows(v_t, (model.dim,))
+    vplus = np.maximum(v[0] if single else v, 0.0)
     return feedback_control(premium_loading(model, psi, grid, t_index) * np.sqrt(vplus), x_t, xi_discounted)
 
 

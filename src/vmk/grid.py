@@ -36,13 +36,37 @@ def make_grid(horizon: float, n: int) -> TimeGrid:
     horizon : float
         Terminal time T, strictly positive.
     n : int
-        Number of cells, at least 2.
+        Number of cells, at least 2; an integral float is read as an int.
     """
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon!r}")
+    if not (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())):
+        raise InvalidArgumentError(f"grid cells must be an integer, got {n!r}")
     if n < 2:
         raise InvalidArgumentError(f"grid needs at least 2 cells, got {n}")
     return TimeGrid(float(horizon), int(n))
+
+
+def coefficients(value, name: str, shape: tuple = (), shown: str = None):
+    """A model or kernel coefficient as a float array of ``shape``, or as a float for shape ().
+
+    A number or a one-element list fills a (d,) vector, and a number or a row reads as a matrix
+    (np.atleast_2d).  A letter in ``shape`` takes any length, the same at each of its axes.  Any other
+    shape ("<name> must be <shown>", by default the shape) and any non-finite entry is an InvalidArgumentError.
+    """
+    arr = np.array(value, dtype=float)
+    if len(shape) == 1:
+        if arr.shape not in ((), (1,), shape):
+            raise InvalidArgumentError(f"{name} must be a number or a length-{shape[0]} list, got shape {arr.shape}")
+        arr = np.broadcast_to(arr, shape).copy()
+    arr = np.atleast_2d(arr) if len(shape) == 2 else arr
+    sizes = {}
+    if arr.ndim != len(shape) or any(sizes.setdefault(want, got) != got if isinstance(want, str) else want != got
+                                     for want, got in zip(shape, arr.shape)):
+        raise InvalidArgumentError(f"{name} must be {shown or str(shape or 'a number')}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{name} contains non-finite values")
+    return arr if shape else float(arr)
 
 
 def g0_nodes(g0, grid: TimeGrid, dim: int = None, name: str = "g0") -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import TimeGrid
+from .grid import TimeGrid, coefficients
 
 
 class Kernel:
@@ -54,6 +54,7 @@ class FractionalKernel(_ConvolutionScalar):
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
             raise InvalidArgumentError(f"fractional exponent h must lie in (0, 1], got {self.h}")
+        vars(self).update(scale=coefficients(self.scale, "scale"))  # the fields are frozen
 
     def _primitive(self, x):
         p = self.h + 0.5
@@ -68,6 +69,7 @@ class ExponentialKernel(_ConvolutionScalar):
     scale: float = 1.0
 
     def __post_init__(self):
+        vars(self).update(beta=coefficients(self.beta, "beta"), scale=coefficients(self.scale, "scale"))
         if self.beta < 0.0:
             raise InvalidArgumentError(f"decay rate beta must be nonnegative, got {self.beta}")
 
@@ -84,11 +86,8 @@ class ConstantKernel(Kernel):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.shape[0] != m.shape[1]:
-            raise InvalidArgumentError(f"constant kernel matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
+        m = coefficients(self.matrix, "constant kernel matrix", ("N", "N"), "square")
+        vars(self).update(matrix=m, dim=m.shape[0])
 
     def lag_band(self, grid):
         return self.matrix * np.diff(np.arange(grid.n + 1) * grid.dt)[:, None, None]

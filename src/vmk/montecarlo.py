@@ -95,12 +95,12 @@ def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     per kept path, with d = ``n_assets`` and S = ``n_state``; and the largest temporaries: two
     ``path_blocks`` of raw draws (dW and dB C', or the quadratic state lambda is read off, with
     numpy's ufunc buffers), two ``_SLOT_BLOCK``-slot blocks of the S state drivers with the affine
-    stepper's history gather (its lag indices and gathered kernel rows, or the lag indices of this
-    block and the last, 2 n per slot, and its n S kernel weights and n lag offsets), two
-    ``_WEALTH_ROWS``-row wealth blocks, or the sample statistics' 3 per path (traced at 2, 2.5 with
-    antithetic pairs); and two ufunc buffers of ``np.getbufsize()`` floats, which numpy adds to a
-    small ufunc's result (up to 0.108 MB traced at chunks of under 256 paths).  README reads it
-    against traced peaks.  BLAS working memory is outside it and tracemalloc (see ``_MAP_ROWS``).
+    stepper's history gather (its lag indices and gathered kernel rows, 2 n per slot, and its n S
+    kernel weights and n lag offsets), two ``_WEALTH_ROWS``-row wealth blocks, or the sample
+    statistics' 3 per path (traced at 2, 2.5 with antithetic pairs); and two ufunc buffers of
+    ``np.getbufsize()`` floats, which numpy adds to a small ufunc's result (up to 0.108 MB traced at
+    chunks of under 256 paths).  README reads it against traced peaks.  BLAS working memory is
+    outside it and tracemalloc (see ``_MAP_ROWS``).
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)

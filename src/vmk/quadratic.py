@@ -54,7 +54,7 @@ from .errors import (
     RiccatiBlowUpError,
     check_memory,
 )
-from .grid import TimeGrid, curve_rows, g0_nodes, node_index
+from .grid import TimeGrid, coefficients, curve_rows, g0_nodes, node_index
 from .kernels import (DiagonalKernel, FractionalKernel, Kernel, band_coefficients, fold, folded_cells,
                       kernel_l2_norm_sq, resolvent_band)
 from .markowitz import feedback_control, gamma_from_log, tail_rate_integrals
@@ -87,30 +87,17 @@ class QuadraticModel:
 
     def __post_init__(self):
         N = self.kernel.dim
-        theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
+        theta = coefficients(self.theta, "theta", ("d", N), f"(d, {N})")
         d = theta.shape[0]
-        if theta.shape != (d, N):
-            raise InvalidArgumentError(f"theta must be (d, {N}), got {theta.shape}")
-        eta = np.atleast_2d(np.asarray(self.eta, dtype=float))
-        if eta.shape != (N, N):
-            raise InvalidArgumentError(f"eta must be ({N}, {N}), got {eta.shape}")
-        corr = np.atleast_2d(np.asarray(self.corr, dtype=float))
-        if corr.shape != (N, d):
-            raise InvalidArgumentError(f"corr must be ({N}, {d}), got {corr.shape}")
+        eta = coefficients(self.eta, "eta", (N, N))
+        corr = coefficients(self.corr, "corr", (N, d))
         row_sq = np.sum(corr * corr, axis=1)
         if np.any(row_sq > 1.0 + 1e-12):
             raise ModelAssumptionError(
                 f"correlation rows must satisfy |C_k| <= 1; worst |C_k|^2 = {row_sq.max():.6g}"
             )
-        drift = self.drift
-        drift = np.zeros((N, N)) if drift is None else np.atleast_2d(np.asarray(drift, dtype=float))
-        if drift.shape != (N, N):
-            raise InvalidArgumentError(f"drift must be ({N}, {N}), got {drift.shape}")
-        loadings = self.loadings
-        if loadings is not None:
-            loadings = np.asarray(loadings, dtype=float)
-            if loadings.shape != (d, d, N):
-                raise InvalidArgumentError(f"loadings must be ({d}, {d}, {N}), got {loadings.shape}")
+        drift = np.zeros((N, N)) if self.drift is None else coefficients(self.drift, "drift", (N, N))
+        loadings = None if self.loadings is None else coefficients(self.loadings, "loadings", (d, d, N))
         cct = corr @ corr.T
         u_mat = cct - np.diag(np.diag(cct)) + np.eye(N)
         m0 = u_mat - 2.0 * cct
@@ -122,15 +109,8 @@ class QuadraticModel:
                 f"semidefinite (min eigenvalue {min_eig:.6g}); pass enforce_psd=False "
                 "to proceed at your own risk"
             )
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "loadings", loadings)
-        object.__setattr__(self, "u_mat", u_mat)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "m0_min_eig", min_eig)
-        object.__setattr__(self, "psd_violated", psd_violated)
+        vars(self).update(theta=theta, eta=eta, corr=corr, drift=drift, loadings=loadings,  # the fields are frozen
+                          u_mat=u_mat, m0=m0, m0_min_eig=min_eig, psd_violated=psd_violated)
 
     @property
     def n_state(self) -> int:
@@ -474,8 +454,8 @@ def optimal_control_quadratic(model: QuadraticModel, sol: QuadraticSolution, t_i
         y = g[:, t_index, :]
     _check_dense_memory("the quadratic control", CURVE_ARRAYS, n * d, max(len(g), n * model.n_state))
     _, z2 = _curve_reads(sol.factor, sol.disc.m1_band, sol.q_image, g, t_index)
-    alpha = feedback_control(y @ model.theta.T + z2 @ model.corr, x_t, xi_discounted)
-    return alpha[0] if single else alpha
+    premium = y @ model.theta.T + z2 @ model.corr
+    return feedback_control(premium[0] if single else premium, x_t, xi_discounted)
 
 
 def volatility_matrix(model: QuadraticModel, y: np.ndarray) -> np.ndarray:
@@ -729,11 +709,11 @@ def two_asset_model(hurst=(0.08, 0.4), eta=(1.0, 1.0), leverage=(-0.7, -0.7), st
     if not -1.0 < rho < 1.0:
         raise InvalidArgumentError("stock correlation must lie in (-1, 1)")
     sq = np.sqrt(1.0 - rho * rho)
-    h1, h2 = float(hurst[0]), float(hurst[1])
+    h1, h2 = coefficients(hurst, "hurst", (2,)).tolist()
+    c1, c2 = coefficients(leverage, "leverage", (2,)).tolist()
+    th1, th2 = coefficients(theta, "theta", (2,)).tolist()
     if not (0.0 < h1 <= 1.0 and 0.0 < h2 <= 1.0):
         raise InvalidArgumentError(f"hurst must be a pair of numbers in (0, 1], got ({h1}, {h2})")
-    c1, c2 = float(leverage[0]), float(leverage[1])
-    th1, th2 = float(theta[0]), float(theta[1])
     kernel = DiagonalKernel([
         FractionalKernel(h1, scale=math.sqrt(2.0 * h1) * math.gamma(h1 + 0.5)),
         FractionalKernel(h2, scale=math.sqrt(2.0 * h2) * math.gamma(h2 + 0.5)),
@@ -741,7 +721,7 @@ def two_asset_model(hurst=(0.08, 0.4), eta=(1.0, 1.0), leverage=(-0.7, -0.7), st
     beta = np.array([[1.0, 0.0], [rho, sq]])
     theta_mat = np.linalg.solve(beta, np.diag([th1, th2]))
     corr = np.array([[c1, 0.0], [c2 * rho, c2 * sq]])
-    eta_mat = np.diag(np.asarray(eta, dtype=float))
+    eta_mat = np.diag(coefficients(eta, "eta", (2,)))
     loadings = np.zeros((2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -762,12 +742,10 @@ def wishart_model(kernel_scalar: Kernel, theta: np.ndarray, eta: np.ndarray, rho
     through rho_i, the vol-of-vol acts by left multiplication, and the
     premium row i reads row i of the matrix state through theta[i, :].
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    theta = coefficients(theta, "theta", ("d", "d"), "square for the matrix-state variant")
     d = theta.shape[0]
-    if theta.shape != (d, d):
-        raise InvalidArgumentError("theta must be square for the matrix-state variant")
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (d,))
+    eta = coefficients(eta, "eta", (d, d))
+    rho = coefficients(rho, "rho", (d,))
     if np.any(np.abs(rho) > 1.0):
         raise InvalidArgumentError("row correlations must lie in [-1, 1]")
     N = d * d

@@ -1,6 +1,7 @@
 """Affine forward-variance models and their Riccati-Volterra solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from vmk import (
     solve_riccati_volterra,
     theta_condition_check_affine,
 )
+import vmk.montecarlo
 from vmk import affine
 from vmk.affine import (
     _band_diag,
@@ -185,6 +187,30 @@ class TestForwardVariance:
         for i, rho in enumerate((-0.6, 0.2)):
             want = rho * z[:, :, i] + math.sqrt(1.0 - rho * rho) * z[:, :, 2 + i]
             np.testing.assert_allclose(dw[:, :, i], want, rtol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 20), (2, 19, 1), (2, 20, 2)])
+    def test_malformed_increments_refused(self, shape):
+        model = AffineModel(kernels=(FractionalKernel(0.3),), drift=None, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
+        with pytest.raises(InvalidArgumentError, match=r"dw must have shape \(P, 20, 1\)"):
+            simulate_forward_variance(model, make_grid(1.0, 20), np.zeros(shape))
+
+    def test_stepper_holds_one_block_of_lag_indices(self):
+        """The stepper's traced peak is its padded drivers and curve, one slot block's lag indices and gathered
+        kernel rows (2 n floats per slot) and the kernel weights; the previous block's indices are freed first."""
+        n, paths = 1600, 2
+        model = AffineModel(kernels=(FractionalKernel(0.1),), drift=None, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
+        grid = make_grid(1.0, n)
+        dw = np.random.default_rng(0).standard_normal((paths, n, 1)) * math.sqrt(grid.dt)
+        simulate_forward_variance(model, grid, dw)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            simulate_forward_variance(model, grid, dw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = vmk.montecarlo._padded(paths)
+        arrays = 8 * (2 * (n + 1) * padded + 2 * vmk.montecarlo._SLOT_BLOCK * n + n)
+        assert peak <= arrays + 2**14, (peak, arrays)
 
 
 def stepper_forward_variance(model, grid, dw):
@@ -370,6 +396,22 @@ class TestGammaAndControls:
                                                for x in x_paths])
 
 
+    @pytest.mark.parametrize("v_t, x_t, message", [
+        ([math.nan, 0.04], 1.0, "curve samples contain non-finite values"),
+        ([0.04, 0.04, 0.04], 1.0, r"curve samples must be \(2,\) or \(P, 2\)"),
+        (np.full((5, 2), 0.04), np.ones(4), r"wealth must be one finite number or one per premium row, got shape \(4"),
+        (np.full((5, 2), 0.04), np.ones((5, 1)), r"wealth must be .* got shape \(5, 1\)"),
+        ([0.04, 0.04], math.inf, "wealth must be one finite number"),
+    ])
+    def test_control_inputs_refused(self, v_t, x_t, message):
+        model = AffineModel(kernels=(FractionalKernel(0.3), ExponentialKernel(1.0)), drift=None, nu=0.3, rho=-0.5,
+                            theta=0.4, g0=0.04)
+        grid = make_grid(1.0, 16)
+        psi = solve_riccati_volterra(model, grid)
+        with pytest.raises(InvalidArgumentError, match=message):
+            optimal_control_affine(model, psi, grid, 3, v_t, x_t, 1.3)
+
+
 class TestDiagnostics:
     def test_theta_condition_report(self):
         model = tanh_model()
@@ -419,6 +461,8 @@ class TestDiagnostics:
                 theta=0.5,
                 g0=0.1,
             )
+        with pytest.raises(InvalidArgumentError, match="affine kernels must be scalar"):
+            AffineModel(kernels=(ConstantKernel(np.eye(2)),), drift=None, nu=0.3, rho=0.0, theta=0.4, g0=0.04)
 
 
 class TestEvaluator:

@@ -1,4 +1,4 @@
-"""Time grid construction and kernel discretization."""
+"""Time grid construction, the coefficient rule and kernel discretization."""
 
 import math
 
@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from vmk import (
+    AffineModel,
     ConstantKernel,
     DiagonalKernel,
     ExponentialKernel,
     FractionalKernel,
     InvalidArgumentError,
     Kernel,
+    QuadraticModel,
     band_coefficients,
     folded_cells,
     kernel_l2_norm_sq,
     make_grid,
     two_asset_model,
+    wishart_model,
 )
+from vmk.grid import coefficients, g0_nodes
 from oracles import band_per_cell, first_arg_columns, fold_per_cell
 
 
@@ -37,6 +41,88 @@ class TestTimeGrid:
             make_grid(math.inf, 4)
         with pytest.raises(InvalidArgumentError):
             make_grid(1.0, 1)
+        for n in (2.5, math.nan, math.inf, "4", None):
+            with pytest.raises(InvalidArgumentError, match="grid cells must be an integer"):
+                make_grid(1.0, n)
+
+    def test_integral_sizes_accepted(self):
+        for n in (4, np.int32(4), np.int64(4), 4.0, np.float64(4.0)):
+            g = make_grid(1.0, n)
+            assert g.n == 4 and type(g.n) is int
+
+
+class TestCurveSamples:
+    @pytest.mark.parametrize("g0", [[0.1, math.nan], lambda t: [0.1, math.inf if t > 0.5 else 0.1]])
+    def test_non_finite_g0_refused(self, g0):
+        with pytest.raises(InvalidArgumentError, match="g0 contains non-finite values"):
+            g0_nodes(g0, make_grid(1.0, 4), 2)
+
+
+def affine_with(**change):
+    return AffineModel(**{**dict(kernels=(FractionalKernel(0.3),), drift=-0.5, nu=0.3, rho=-0.5, theta=0.4, g0=0.04),
+                          **change})
+
+
+def quadratic_with(**change):
+    return QuadraticModel(**{**dict(kernel=FractionalKernel(0.3), theta=0.5, eta=1.0, corr=-0.3, drift=-0.2, g0=0.3),
+                             **change})
+
+
+# (argument named in the refusal, constructor call): non-finite coefficients and a wrong-length rho, which
+# without the coefficient rule passed the constructor and came back from the solvers as a Riccati blow-up,
+# or raised numpy's broadcast ValueError or a correlation-row refusal
+BAD_COEFFICIENTS = {
+    **{f"affine-{key}-{bad}": (key, lambda key=key, bad=bad: affine_with(**{key: bad}))
+       for key in ("theta", "nu", "rho", "drift") for bad in (math.nan, math.inf, -math.inf)},
+    **{f"quadratic-{key}-{bad}": (key, lambda key=key, bad=bad: quadratic_with(**{key: bad}))
+       for key in ("theta", "eta", "corr", "drift") for bad in (math.nan, math.inf, -math.inf)},
+    "constant-kernel-nan": ("matrix", lambda: ConstantKernel(math.nan)),
+    "fractional-scale-nan": ("scale", lambda: FractionalKernel(0.3, scale=math.nan)),
+    "exponential-beta-nan": ("beta", lambda: ExponentialKernel(math.nan)),
+    "two-asset-theta-nan": ("theta", lambda: two_asset_model(theta=(math.nan, 0.65))),
+    "wishart-rho-length": ("rho", lambda: wishart_model(FractionalKernel(0.3), np.eye(2), np.eye(2), [0.1, 0.2, 0.3],
+                                                        np.ones((2, 2)))),
+}
+
+
+@pytest.mark.parametrize("name, build", BAD_COEFFICIENTS.values(), ids=BAD_COEFFICIENTS.keys())
+def test_bad_coefficient_refused_by_its_constructor(name, build):
+    with pytest.raises(InvalidArgumentError, match=name):
+        build()
+
+
+class TestCoefficients:
+    def test_numbers_and_rows_broadcast(self):
+        np.testing.assert_array_equal(coefficients(0.3, "nu", (3,)), [0.3, 0.3, 0.3])
+        np.testing.assert_array_equal(coefficients([0.3], "nu", (3,)), [0.3, 0.3, 0.3])
+        np.testing.assert_array_equal(coefficients(-0.5, "drift", (1, 1)), [[-0.5]])
+        np.testing.assert_array_equal(coefficients([1.0, 2.0], "theta", ("d", 2)), [[1.0, 2.0]])
+        assert type(coefficients(2, "scale")) is float
+
+    def test_result_is_a_copy(self):
+        given = np.eye(2)
+        read = coefficients(given, "eta", (2, 2))
+        given[0, 0] = 5.0
+        assert read[0, 0] == 1.0
+
+    @pytest.mark.parametrize("value, shape, shown, message", [
+        ([0.1, 0.2], (3,), None, r"nu must be a number or a length-3 list, got shape \(2,\)"),
+        (np.ones((2, 2)), (3,), None, r"nu must be a number or a length-3 list, got shape \(2, 2\)"),
+        (np.ones((2, 3)), (2, 2), None, r"nu must be \(2, 2\), got \(2, 3\)"),
+        (np.ones((2, 3)), ("N", "N"), "square", r"nu must be square, got \(2, 3\)"),
+        (np.ones((2, 2, 2)), ("N", "N"), "square", r"nu must be square, got \(2, 2, 2\)"),
+        (np.ones(2), (2, 2, 1), None, r"nu must be \(2, 2, 1\), got \(2,\)"),
+        ([1.0], (), None, r"nu must be a number, got \(1,\)"),
+    ])
+    def test_other_shapes_refused(self, value, shape, shown, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            coefficients(value, "nu", shape, shown)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2), ("d", "d")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, shape, bad):
+        with pytest.raises(InvalidArgumentError, match="^eta contains non-finite values$"):
+            coefficients(np.full((2,) * len(shape), bad), "eta", shape)
 
 
 class TestFractionalKernel:

@@ -595,6 +595,32 @@ class TestPathBlocks:
             correlate_into(np.zeros((5, 20, 2)), np.array([[0.5]]), np.empty(db_shape), np.empty(dw_shape))
 
 
+class TestStageRefusals:
+    """Each Monte Carlo stage refuses inputs of the wrong size before it writes anything."""
+
+    def test_buffer_too_small_refused(self):
+        with pytest.raises(InvalidArgumentError, match="a buffer of 12 floats cannot hold 12 from float 1 on"):
+            vmk.montecarlo.take_floats(np.empty(12), (3, 4), 1)
+
+    @pytest.mark.parametrize("n_factors, paths", [(0, 4), (2, 0)])
+    def test_empty_draws_refused(self, n_factors, paths):
+        with pytest.raises(InvalidArgumentError, match="paths and n_factors must be positive"):
+            simulate_drivers(make_grid(1.0, 4), n_factors, paths, 0)
+
+    def test_factor_count_must_match_the_correlation(self):
+        with pytest.raises(InvalidArgumentError, match="need 2 driving factors, got 3"):
+            correlate_into(np.zeros((5, 20, 3)), np.array([[0.5]]), np.empty((5, 20, 1)), np.empty((5, 20, 1)))
+
+    @pytest.mark.parametrize("lam_shape, grid_n, message", [
+        ((4, 6, 1), 6, "db, lam and prem must share a common shape"),
+        ((4, 5, 1), 6, "paths built for 5 steps, grid has 6"),
+    ])
+    def test_wealth_inputs_must_match(self, lam_shape, grid_n, message):
+        db, prem = np.zeros((4, 5, 1)), np.zeros((4, 5, 1))
+        with pytest.raises(InvalidArgumentError, match=message):
+            simulate_wealth(make_grid(1.0, grid_n), 0.0, 1.0, 1.5, db, np.zeros(lam_shape), prem)
+
+
 class TestOneChunkRoute:
     """Both evaluators run every chunk in the workspace run_mc takes before its first draw."""
 

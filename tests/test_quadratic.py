@@ -901,6 +901,41 @@ def test_non_finite_curve_samples_refused(reader, bad):
         call(curves)
 
 
+@pytest.mark.parametrize("curves, x_t, message", [
+    ((3,), np.ones(2), r"wealth must be one finite number or one per premium row, got shape \(2,\)"),
+    ((3,), np.ones((3, 1)), r"got shape \(3, 1\)"),
+    ((), [1.0, math.nan], "wealth must be one finite number"),
+])
+def test_quadratic_control_wealth_refused(curves, x_t, message):
+    m = mixed_model()
+    g = make_grid(0.8, 12)
+    sol = solve_operator_riccati(m, g)
+    with pytest.raises(InvalidArgumentError, match=message):
+        optimal_control_quadratic(m, sol, 2, np.broadcast_to(sol.g0s[: g.n], curves + (g.n, 2)), x_t, 1.5)
+
+
+def test_one_curve_serves_many_wealths():
+    """One curve with P wealths gives P rows, each the call with its own wealth, as the affine control does."""
+    m = mixed_model()
+    g = make_grid(0.8, 12)
+    sol = solve_operator_riccati(m, g)
+    x_paths = np.array([1.0, 1.2, 0.7])
+    rows = optimal_control_quadratic(m, sol, 5, sol.g0s[: g.n], x_paths, 1.5)
+    np.testing.assert_array_equal(rows, [optimal_control_quadratic(m, sol, 5, sol.g0s[: g.n], x, 1.5)
+                                         for x in x_paths])
+
+
+def test_control_at_the_horizon_reads_the_last_slot():
+    m = mixed_model()
+    g = make_grid(0.8, 24)
+    sol = solve_operator_riccati(m, g)
+    curves = sol.g0s[None, : g.n] + 0.1 * np.random.default_rng(1).standard_normal((3, g.n, 2))
+    with pytest.warns(RuntimeWarning, match="control requested at the horizon; using the last curve slot"):
+        alpha = optimal_control_quadratic(m, sol, g.n, curves, 1.2, 1.5)
+    # no volatility adjustment is left at the horizon: the amount is -Theta y (X - xi*) on the last slot
+    np.testing.assert_array_equal(alpha, -(curves[:, -1] @ m.theta.T) * (1.2 - 1.5))
+
+
 def dense_covariance_report(model, grid, a):
     """Oracle: the covariance operator of Z(s, u) = (Y_s / T, g_s(u)) assembled densely.
 
@@ -1164,7 +1199,34 @@ class TestModelConstruction:
         np.testing.assert_allclose(sol.p_path[0], sol.p_path[0].T, atol=1e-12)
 
 
+    def test_loadings_shape_refused(self):
+        with pytest.raises(InvalidArgumentError, match=r"loadings must be \(1, 1, 1\), got \(2, 2, 1\)"):
+            QuadraticModel(kernel=FractionalKernel(0.3), theta=0.5, eta=1.0, corr=-0.3, loadings=np.ones((2, 2, 1)))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(theta=np.ones((2, 3))), r"theta must be square for the matrix-state variant, got \(2, 3\)"),
+        (dict(rho=[0.5, -1.5]), r"row correlations must lie in \[-1, 1\]"),
+        (dict(kernel_scalar=ConstantKernel(np.eye(2))), "matrix-state variant expects a scalar base kernel"),
+    ])
+    def test_wishart_refusals(self, change, message):
+        args = dict(kernel_scalar=ExponentialKernel(beta=1.0), theta=0.4 * np.eye(2), eta=0.3 * np.eye(2),
+                    rho=[-0.3, -0.2], g0_mat=0.2 * np.eye(2))
+        with pytest.raises(InvalidArgumentError, match=message):
+            wishart_model(**{**args, **change})
+
+    def test_two_asset_pairs_take_one_number(self):
+        one, pair = two_asset_model(hurst=0.3, eta=0.8, leverage=-0.5, theta=0.6), two_asset_model(
+            hurst=(0.3, 0.3), eta=(0.8, 0.8), leverage=(-0.5, -0.5), theta=(0.6, 0.6))
+        assert one.kernel == pair.kernel
+        for name in ("theta", "eta", "corr", "loadings"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(pair, name))
+
+
 class TestAssetPositions:
+    def test_model_without_loadings_refused(self):
+        with pytest.raises(InvalidArgumentError, match="model has no stock loadings"):
+            asset_positions(mixed_model(), np.zeros((3, 2)), np.zeros((3, 1)))
+
     def test_batched_rows_equal_per_row_oracle_bit_for_bit(self):
         model = two_asset_model()
         rng = np.random.default_rng(5)
