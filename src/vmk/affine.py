@@ -279,6 +279,8 @@ def gamma0_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray) -> float:
 class AffineEvaluator:
     """Pathwise market price of risk and risk premium for the MC layer."""
 
+    max_chunk = np.inf  # the stepper's history GEMM couples all of a chunk's paths
+
     def __init__(self, model: AffineModel, grid: TimeGrid, psi: np.ndarray = None):
         self.model = model
         self.grid = grid

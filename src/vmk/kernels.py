@@ -52,9 +52,9 @@ class FractionalKernel(_ConvolutionScalar):
     scale: float = 1.0
 
     def __post_init__(self):
+        vars(self).update(h=coefficients(self.h, "h"), scale=coefficients(self.scale, "scale"))  # the fields are frozen
         if not 0.0 < self.h <= 1.0:
             raise InvalidArgumentError(f"fractional exponent h must lie in (0, 1], got {self.h}")
-        vars(self).update(scale=coefficients(self.scale, "scale"))  # the fields are frozen
 
     def _primitive(self, x):
         p = self.h + 0.5

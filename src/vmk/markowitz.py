@@ -13,7 +13,7 @@ from typing import Iterable, List
 import numpy as np
 
 from .errors import DegenerateMarketError, GammaUnderflowError, InternalConsistencyError, InvalidArgumentError
-from .grid import TimeGrid, g0_nodes
+from .grid import TimeGrid, coefficients, g0_nodes
 
 DEGENERACY_TOL = 1e-12
 GAMMA_BOUND_TOL = 1e-8
@@ -79,10 +79,10 @@ def gamma_from_log(log_gamma, tail, lenient: bool = False):
 def feedback_control(premium, x_t, xi_discounted):
     """Optimal amounts alpha = -premium (X - xi* e^{-int r}) for premium rows (P, d) or one row (d,);
     the wealth is one finite number, or one per premium row, or for one row any number of them."""
-    x = np.asarray(x_t, dtype=float)
+    x, xi = np.asarray(x_t, dtype=float), coefficients(xi_discounted, "xi_discounted")
     if x.ndim > 1 or (premium.ndim > 1 and x.shape not in ((), premium.shape[:-1])) or not np.all(np.isfinite(x)):
         raise InvalidArgumentError(f"wealth must be one finite number or one per premium row, got shape {x.shape}")
-    return -premium * (x - float(xi_discounted))[..., None]
+    return -premium * (x - xi)[..., None]
 
 
 def _check_gamma0(gamma0: float, int_r: float) -> float:

@@ -4,15 +4,10 @@ Drivers are generated per path from a counter-based generator keyed by
 (seed, global path index), so reruns are bit-for-bit reproducible and the
 draws do not depend on chunking.  Affine samples are chunk-invariant bit
 for bit as well, for any chunk size, number of factors and BLAS thread
-count (see ``affine.simulate_forward_variance``); quadratic samples
-agree across chunk sizes only to roundoff, because the quadratic premium
-map is applied to each chunk in blocks of ``_MAP_ROWS`` paths and BLAS
-results depend on the rows a product is given.
-
-Wealth under the optimal feedback control is advanced with the exact
-exponential step of the induced geometric dynamics of the discounted gap,
-so no additional discretization error enters beyond the premium
-evaluation itself.
+count (see ``affine.simulate_forward_variance``), and so are quadratic
+samples for every chunk of at least ``_MAP_ROWS`` paths, the most a
+quadratic chunk takes (one premium map product); smaller chunks move them
+by roundoff, as BLAS results depend on the rows a product is given.
 
 ``run_mc`` streams the paths in chunks through one workspace, which
 ``chunk_workspace`` allocates once it has checked the run's one budget,
@@ -25,9 +20,7 @@ of them; the drawing, the correlation and the evaluators' reads of lambda
 and the premium run over cache-sized ``path_blocks``.  Wealth is advanced
 in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and the
 (m, n, d) amounts never exist for the whole chunk; only the terminal
-wealth, the Gamma samples and the kept paths leave it.  BLAS's working
-memory, outside tracemalloc and ``chunk_bytes``, is bounded by the
-quadratic map's ``_MAP_ROWS``-row products, not by the chunk.
+wealth, the Gamma samples and the kept paths leave it.
 """
 
 import math
@@ -46,8 +39,8 @@ from .markowitz import tail_rate_integrals
 # 2-core Xeon), while the chunk's traced peak grows with the block:
 # 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
 _WEALTH_ROWS = 256
-# Paths per product of the quadratic premium map, whose OpenBLAS working memory grows with them: a 4096-path
-# quad-simulate chunk peaked at 75.5, 76.2, 77.2, 79.4 and 83.4 MB RSS at 256, 512, 1024, 2048 and 4096 rows,
+# Paths per quadratic chunk and premium map product, whose OpenBLAS working memory grows with them: a 4096-path
+# quad-simulate product peaked at 75.5, 76.2, 77.2, 79.4 and 83.4 MB RSS at 256, 512, 1024, 2048 and 4096 rows,
 # and 512 rows took 1 ms of 16 more there, 2-3% on the two-asset preset at n = 300 (256: 5%; 2-core Xeon).
 _MAP_ROWS = 512
 # Slots per block of the affine forward-variance stepper.  A block takes
@@ -117,11 +110,13 @@ def chunk_workspace(evaluator, width: int, keep: int = 0, paths: int = 0) -> Sim
     """The flat draws, drivers and dB buffers that every chunk of up to ``width`` paths reuses.
 
     Raises MemoryCapError, before allocating anything, when ``chunk_bytes``
-    of the run would not fit in physical memory.
+    of the run would not fit in physical memory; where ``max_chunk`` caps
+    the chunk, a smaller one hardly helps, so it asks for fewer paths.
     """
+    knob = "a smaller mc.chunk" if math.isinf(evaluator.max_chunk) else "fewer mc.paths"
     check_memory(f"a run of {max(paths, width, keep)} paths at n = {evaluator.grid.n} in Monte Carlo chunks of "
                  f"{width}, keeping {keep} paths", chunk_bytes(evaluator, width, keep, paths),
-                 "use a smaller mc.chunk" + (" or mc.dump_paths" if keep else ""))
+                 f"use {knob}" + (" or mc.dump_paths" if keep else ""))
     draws, drivers, db = (np.empty(size) for size in evaluator.workspace_floats(width))
     return SimpleNamespace(draws=draws, drivers=drivers, db=db)
 
@@ -292,13 +287,13 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
            antithetic: bool = False, chunk: int = 4096, keep_paths: int = 0) -> SimpleNamespace:
     """Stream the full pipeline and collect terminal-wealth and Gamma samples.
 
-    ``evaluator`` provides n_factors, what ``chunk_bytes`` reads and
+    ``evaluator`` provides n_factors, what ``chunk_bytes`` reads, max_chunk
+    (the most paths a chunk takes, whatever ``chunk``) and
     premium_paths(z, workspace) -> (dB, lambda, premium, state paths),
     views of the ``chunk_workspace`` every chunk's draws are written into;
     MemoryCapError is raised before the first draw when the run's budget
     would not fit in physical memory.  Chunking does not change any draw;
-    the samples are bit-for-bit chunk-invariant for the affine evaluator
-    and equal to roundoff for the quadratic one (see the module docstring).
+    the samples are bit-for-bit chunk-invariant (see the module docstring).
     The first ``keep_paths`` paths are returned in full (wealth, amounts,
     state) for dumping, copied block by block into arrays allocated once.
     With ``antithetic`` the path count must be even and at least 4, and the
@@ -309,13 +304,14 @@ def run_mc(evaluator, paths: int, seed: int, x0: float, xi_star_val: float,
     grid = evaluator.grid
     rate = evaluator.model.rate
     keep = min(max(keep_paths, 0), paths)
-    work = chunk_workspace(evaluator, min(chunk, paths), keep, paths)
+    width = min(chunk, paths, evaluator.max_chunk)
+    work = chunk_workspace(evaluator, width, keep, paths)
     terminal = np.empty(paths)
     gamma = np.empty(paths)
     kept = None
     done = 0
     while done < paths:
-        m = min(chunk, paths - done)
+        m = min(width, paths - done)
         z = simulate_drivers(grid, evaluator.n_factors, m, seed, antithetic=antithetic, start=done, out=work.draws)
         db, lam, prem, state = evaluator.premium_paths(z, work)
         gamma[done : done + m] = gamma_factors(grid, rate, prem)

@@ -35,8 +35,8 @@ blow-up.  No (N n)^2 operator is formed by the solve.
 Because the state is Gaussian, the state at every node and the risk
 premium Theta Y_t + C' Z2_t are affine in the driver increments.  The
 Monte Carlo evaluator assembles that map once per solution from the same
-lag bands and factor, with no fold, and applies it to a chunk of paths in
-products of ``_MAP_ROWS`` paths, which bound BLAS's working memory.
+lag bands and factor, with no fold, and applies it to a chunk of at most
+``_MAP_ROWS`` paths in one product, which bounds BLAS's working memory.
 """
 
 import math
@@ -551,6 +551,8 @@ class QuadraticEvaluator:
     fit in physical memory.
     """
 
+    max_chunk = _MAP_ROWS  # no path needs another, so run_mc's chunks are one product each
+
     def __init__(self, model: QuadraticModel, grid: TimeGrid, solution: QuadraticSolution = None):
         self.model = model
         self.grid = grid
@@ -760,8 +762,7 @@ def wishart_model(kernel_scalar: Kernel, theta: np.ndarray, eta: np.ndarray, rho
             theta_big[i, k] = theta[i, j]
             corr[k, j] = rho[i]
     eta_big = np.kron(np.eye(d), eta)
-    g0_flat = np.asarray(g0_mat, dtype=float).reshape(N, order="F")
     return QuadraticModel(
         kernel=kernel, theta=theta_big, eta=eta_big, corr=corr, drift=None,
-        g0=g0_flat, rate=rate, enforce_psd=True,
+        g0=coefficients(g0_mat, "g0", (d, d)).reshape(N, order="F"), rate=rate, enforce_psd=True,
     )

@@ -404,12 +404,20 @@ class TestGammaAndControls:
         ([0.04, 0.04], math.inf, "wealth must be one finite number"),
     ])
     def test_control_inputs_refused(self, v_t, x_t, message):
+        self.refused(v_t, x_t, 1.3, message)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_refused(self, xi):
+        self.refused([0.04, 0.04], 1.0, xi, "^xi_discounted contains non-finite values$")
+
+    @staticmethod
+    def refused(v_t, x_t, xi, message):
         model = AffineModel(kernels=(FractionalKernel(0.3), ExponentialKernel(1.0)), drift=None, nu=0.3, rho=-0.5,
                             theta=0.4, g0=0.04)
         grid = make_grid(1.0, 16)
         psi = solve_riccati_volterra(model, grid)
         with pytest.raises(InvalidArgumentError, match=message):
-            optimal_control_affine(model, psi, grid, 3, v_t, x_t, 1.3)
+            optimal_control_affine(model, psi, grid, 3, v_t, x_t, xi)
 
 
 class TestDiagnostics:

@@ -142,6 +142,18 @@ class TestFractionalKernel:
         with pytest.raises(InvalidArgumentError):
             FractionalKernel(1.5)
 
+    @pytest.mark.parametrize("h, message", [
+        ([0.3], r"^h must be a number, got \(1,\)$"),
+        (np.full((1, 1), 0.3), r"^h must be a number, got \(1, 1\)$"),
+        (math.nan, "^h contains non-finite values$"),
+        (0, r"^fractional exponent h must lie in \(0, 1\], got 0.0$"),
+        (1.5, r"^fractional exponent h must lie in \(0, 1\], got 1.5$"),
+    ])
+    def test_exponent_read_as_a_coefficient(self, h, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            FractionalKernel(h)
+        assert type(FractionalKernel(np.float32(0.25)).h) is float
+
 
 class TestExponentialKernel:
     def test_lag_integral(self):

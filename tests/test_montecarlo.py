@@ -211,7 +211,7 @@ class TestRunMC:
         np.testing.assert_array_equal(a.kept.state, b.kept.state)
 
     def test_quadratic_chunking_agrees_to_roundoff(self):
-        # one matrix product per chunk: BLAS sums depend on the row count
+        # chunks below _MAP_ROWS paths: BLAS sums depend on the row count
         ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 20))
         a = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=7, keep_paths=10)
         b = run_mc(ev, paths=50, seed=11, x0=1.0, xi_star_val=1.8, chunk=4096, keep_paths=10)
@@ -296,6 +296,43 @@ def route_evaluator(family, n):
     if family == "quadratic":
         return QuadraticEvaluator(quad_simulate_model(), g)
     return AffineEvaluator(gemm_models()[family], g)
+
+
+class TestQuadraticChunkWidth:
+    """Quadratic chunks take at most ``max_chunk`` = ``_MAP_ROWS`` paths, one premium map product each."""
+
+    PATHS = 1100  # two full products and a ragged one
+
+    @pytest.fixture(scope="class", params=["quad-simulate", "two-asset"])
+    def ev(self, request):
+        if request.param == "two-asset":
+            return QuadraticEvaluator(two_asset_model(), make_grid(0.5, 100))
+        return QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 250))
+
+    def run(self, ev, chunk, antithetic=False):
+        return run_mc(ev, paths=self.PATHS, seed=3, x0=1.0, xi_star_val=1.8, antithetic=antithetic, chunk=chunk,
+                      keep_paths=600)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_samples_bit_identical_from_one_product_up(self, ev, antithetic):
+        # a chunk of 700 paths took products of 512 and 188 rows, which round apart from 512-row ones
+        want = self.run(ev, _MAP_ROWS, antithetic)
+        for chunk in (700, 4096):
+            got = self.run(ev, chunk, antithetic)
+            np.testing.assert_array_equal(got.terminal, want.terminal)
+            np.testing.assert_array_equal(got.gamma_samples, want.gamma_samples)
+            for field in ("x", "alpha", "state"):
+                np.testing.assert_array_equal(getattr(got.kept, field), getattr(want.kept, field), err_msg=field)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_smaller_chunks_move_samples_by_roundoff(self, ev, chunk):
+        # quad-simulate: chunks of 256, 64, 7 and 1 moved 6, 38, 113 and 694 of the 1100 terminal samples, by up
+        # to 2.2e-16, 7.8e-16, 1.4e-13 and 1.5e-14 of themselves, and 1 to 184 Gamma samples by up to 4.4e-16;
+        # the kept state moved only in one-path chunks (3.1e-15), where BLAS takes gemv
+        want, got = self.run(ev, 4096), self.run(ev, chunk)
+        np.testing.assert_allclose(got.terminal, want.terminal, rtol=1e-12)
+        np.testing.assert_allclose(got.gamma_samples, want.gamma_samples, rtol=1e-14)
+        np.testing.assert_allclose(got.kept.state, want.kept.state, rtol=0, atol=1e-13)
 
 
 class TestAffineChunkInvariance:
@@ -400,11 +437,11 @@ class TestRunMCMemory:
         assert peak <= 4.3 * P * n * 8
 
     def test_quadratic_chunk_holds_its_workspace(self):
-        # N = d = 1: the workspace (4.0: the draws buffer, which later
-        # holds the premium map's product, the driver buffer, dW and then
-        # lambda, and dB) with one wealth block (4.22);
-        # allocating z, dW, the product and lambda as the chunk went read
-        # 5.01, with z held next to lambda 5.34
+        # N = d = 1: in 4096-path chunks, the workspace (4.0: the draws
+        # buffer, which later holds the premium map's product, the driver
+        # buffer, dW and then lambda, and dB) with one wealth block read
+        # 4.22; allocating z, dW, the product and lambda as the chunk went
+        # 5.01, with z held next to lambda 5.34; in _MAP_ROWS chunks 0.71
         P, n = 4096, 250
         ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, n))
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
@@ -415,6 +452,15 @@ class TestRunMCMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * P * n * 8
+
+    def test_quadratic_peak_does_not_grow_with_the_chunk(self):
+        # chunks of _MAP_ROWS paths: both peaks read 6.23 MB, where 4096-path chunks read 34.9 MB
+        P, K, n = 4096, 64, 250
+        ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, n))
+        run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
+        small, big = (traced_peak(run_mc, ev, paths=P, seed=1, x0=1.0, xi_star_val=1.5, chunk=chunk, keep_paths=K)
+                      for chunk in (_MAP_ROWS, 4096))
+        assert big <= small + 8 * (2 * P + K * (2 * (n + 1) + n))
 
     def test_dumped_rows_held_once(self):
         # the kept wealth, amounts and state are 3 floats per kept path and
@@ -442,9 +488,12 @@ class TestRunMCMemory:
         assert run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == paths
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
-        with pytest.raises(MemoryCapError, match="mc.chunk") as exc:
+        # a quadratic chunk is capped at _MAP_ROWS paths, so a smaller one is not the remedy there
+        hint = "use a smaller mc.chunk" if family == "affine" else "use fewer mc.paths"
+        with pytest.raises(MemoryCapError, match=hint) as exc:
             run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
         assert exc.value.limit == need - 1 and "mc.dump_paths" not in str(exc.value)
+        assert family == "affine" or "mc.chunk" not in str(exc.value)
 
     # A chunk is the affine-simulate benchmark's (n = 400, 4096 paths, one
     # rough factor) or the quad-simulate benchmark's (n = 250, 4096 paths).
@@ -467,13 +516,14 @@ class TestRunMCMemory:
 
     @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
     def test_premium_map_product_stays_near_its_workspace(self, env):
-        # BLAS working memory lies outside tracemalloc: one 4096-path chunk
-        # over a 64-path run read 9.4-9.6 MB above the workspace with the map
-        # applied to the chunk as one product, 2.3-2.5 MB in _MAP_ROWS blocks
+        # BLAS working memory lies outside tracemalloc: 4096 paths over 64
+        # read 5.7-6.6 MB in chunks of _MAP_ROWS paths (a 4.1 MB workspace);
+        # in one 4096-path chunk 35 MB, 2.3-2.5 MB above its workspace, and
+        # 9.4-9.6 MB above it with the map applied to the chunk as one product
         ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 250))
         one, small = (child_peak_rss(self.RSS_SCRIPT.format(evaluator=self.QUAD_SIMULATE, paths=paths), env=env)
                       for paths in (4096, 64))
-        assert one - small <= 8 * sum(ev.workspace_floats(4096)) + 4e6
+        assert one - small <= 8 * sum(ev.workspace_floats(ev.max_chunk)) + 4e6
 
     def test_later_chunks_do_not_raise_the_peak_rss(self):
         for evaluator, driver_floats in self.EVALUATORS.items():
@@ -529,7 +579,8 @@ class TestMemoryBudget:
         ("quadratic", 200, 2, 0), ("quadratic", 250, 4096, 0), ("quadratic", 50, 256, 20000),
         ("two-asset", 400, 1024, 0), ("two-asset", 20, 256, 20000), ("two-asset", 100, 64, 500),
         ("wishart", 100, 1024, 0), ("wishart", 20, 4096, 2383), ("wishart", 100, 7, 500),
-        ("quadratic", 40, 900, 0),  # one path block of 819 paths and a ragged one of 81
+        ("quadratic", 40, 900, 0),  # chunks of 512 and 388 paths, one path block each
+        ("quadratic", 100, 900, 0),  # the same chunks, each a path block of 327 paths and a ragged one
         ("one", 400, 2, 500), ("one", 1600, 2, 500), ("two", 400, 2, 500),
     ]
 
@@ -542,7 +593,7 @@ class TestMemoryBudget:
         paths = max(width, keep)
         run_mc(ev, paths=16, seed=1, x0=1.0, xi_star_val=1.5, chunk=8, keep_paths=8)  # first-call allocations
         peak = traced_peak(run_mc, ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=width, keep_paths=keep)
-        budget = chunk_bytes(ev, width, keep, paths)
+        budget = chunk_bytes(ev, min(width, ev.max_chunk), keep, paths)  # the width run_mc checks
         assert budget >= peak
 
 

@@ -914,6 +914,15 @@ def test_quadratic_control_wealth_refused(curves, x_t, message):
         optimal_control_quadratic(m, sol, 2, np.broadcast_to(sol.g0s[: g.n], curves + (g.n, 2)), x_t, 1.5)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_quadratic_control_target_refused(xi):
+    m = mixed_model()
+    g = make_grid(0.8, 12)
+    sol = solve_operator_riccati(m, g)
+    with pytest.raises(InvalidArgumentError, match="^xi_discounted contains non-finite values$"):
+        optimal_control_quadratic(m, sol, 2, sol.g0s[: g.n], 1.0, xi)
+
+
 def test_one_curve_serves_many_wealths():
     """One curve with P wealths gives P rows, each the call with its own wealth, as the affine control does."""
     m = mixed_model()
@@ -1207,6 +1216,9 @@ class TestModelConstruction:
         (dict(theta=np.ones((2, 3))), r"theta must be square for the matrix-state variant, got \(2, 3\)"),
         (dict(rho=[0.5, -1.5]), r"row correlations must lie in \[-1, 1\]"),
         (dict(kernel_scalar=ConstantKernel(np.eye(2))), "matrix-state variant expects a scalar base kernel"),
+        (dict(g0_mat=np.ones((3, 3))), r"^g0 must be \(2, 2\), got \(3, 3\)$"),
+        (dict(g0_mat=np.ones(4)), r"^g0 must be \(2, 2\), got \(1, 4\)$"),
+        (dict(g0_mat=[[0.2, math.inf], [0.0, 0.2]]), "^g0 contains non-finite values$"),
     ])
     def test_wishart_refusals(self, change, message):
         args = dict(kernel_scalar=ExponentialKernel(beta=1.0), theta=0.4 * np.eye(2), eta=0.3 * np.eye(2),
