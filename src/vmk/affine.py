@@ -26,7 +26,7 @@ from .errors import InvalidArgumentError, RiccatiBlowUpError
 from .grid import TimeGrid, coefficients, curve_rows, g0_nodes, node_index
 from .kernels import Kernel, band_coefficients
 from .markowitz import a_of_p, feedback_control, gamma_from_log, tail_rate_integrals
-from .montecarlo import _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, path_blocks, take_floats
+from .montecarlo import _HISTORY_BLOCK, _SLOT_BLOCK, _padded, chunk_workspace, correlate_into, path_blocks, take_floats
 
 RICCATI_CAP = 1e6
 
@@ -176,20 +176,20 @@ def simulate_forward_variance(model: AffineModel, grid: TimeGrid, dw: np.ndarray
     and the diffusion coefficients; the drift product D V^+ is summed over
     the columns of D in a fixed order, so no row count changes its value.
 
-    The slots are filled in blocks of ``_SLOT_BLOCK`` slots.  A block
-    [k0, k1) first adds the history of every earlier step as one matrix
-    product per factor i, W_i[k0:k1, :k0] @ u[:k0, i, :] with the Toeplitz
-    rows W_i[k, j] = w_i[k-1-j] gathered for this block only; it then steps
-    its own slots one by one, overwriting dW_j with u_j and adding it to the
-    rest of the block.  The history is the same P n^2 d / 2 multiply-adds
-    as stepping the whole curve, run by BLAS-3.
+    The slots are filled in blocks of ``_SLOT_BLOCK`` slots.  A block [k0, k1) first adds earlier
+    steps as one matrix product per factor i, W_i[k0:r1, c0:k0] @ u[c0:k0, i, :] with the Toeplitz
+    rows W_i[k, j] = w_i[k-1-j] copied for this product only: the first block of each
+    ``_HISTORY_BLOCK``-slot history block [h0, h1) adds the steps before h0 to all of it (c0 = 0,
+    r1 = h1), a later one the steps from h0 on to itself (c0 = h0, r1 = k1).  It then steps its own
+    slots one by one, overwriting dW_j with u_j and adding it to the rest of the block.  The history
+    is the same P n^2 d / 2 multiply-adds as stepping the whole curve, run by BLAS-3.
 
     The path axis is padded with zero paths to a multiple of
     ``montecarlo._PATH_PAD``, which makes every path's column of the
     product come from the same BLAS kernel.  Each path's values are
     therefore bit-for-bit independent of P, of the chunk a path falls in
-    and of the BLAS thread count; they do depend on the block size, which
-    sets the GEMM summation order.
+    and of the BLAS thread count; they do depend on the block sizes, which
+    set the summation order.
     """
     P = dw.shape[0]
     n, d = grid.n, model.dim
@@ -216,22 +216,26 @@ def _step_forward_variance(model: AffineModel, grid: TimeGrid, u: np.ndarray, v:
     u[:, :, P:] = 0.0
     v[:, :, P:] = 0.0
     v[:, :, :P] = g0_nodes(model.g0, grid, d)[:, :, None]
+    # one step's V+ (then its diffusion term), drift term and products with weights, and a history product's W_i
+    vplus, lin, prod = *np.empty((2, d, u.shape[2])), np.empty((_SLOT_BLOCK, d, u.shape[2]))
+    rows = np.empty((_HISTORY_BLOCK, n))
     for k0 in range(0, n + 1, _SLOT_BLOCK):
-        k1 = min(k0 + _SLOT_BLOCK, n + 1)
-        blk = v[k0:k1]
-        if k0:
-            lag = np.subtract.outer(np.arange(k0 - 1, k1 - 1), np.arange(k0))
-            for i in range(d):
-                blk[:, i, :] += w[lag, i] @ u[:k0, i, :]
-            del lag  # before the next block's indices are built
+        k1, h0 = min(k0 + _SLOT_BLOCK, n + 1), k0 - k0 % _HISTORY_BLOCK
+        r1, c0 = (min(h0 + _HISTORY_BLOCK, n + 1), 0) if k0 == h0 else (k1, h0)
+        for i in range(d if k0 > c0 else 0):
+            for k in range(k0, r1):
+                rows[k - k0, : k0 - c0] = w[k - k0 : k - c0, i][::-1]
+            v[k0:r1, i, :] += rows[: r1 - k0, : k0 - c0] @ u[c0:k0, i, :]
         for j in range(k0, min(k1, n)):
-            vplus = np.maximum(v[j], 0.0)
-            lin = drift[:, 0] * vplus[0]
+            np.maximum(v[j], 0.0, out=vplus)
+            np.multiply(drift[:, 0], vplus[0], out=lin)
             for i in range(1, d):
-                lin += drift[:, i] * vplus[i]
-            u[j] = lin * dt + nu * np.sqrt(vplus) * u[j]
-            rest = v[j + 1 : k1]
-            rest += w[: k1 - 1 - j, :, None] * u[j]
+                lin += np.multiply(drift[:, i], vplus[i], out=prod[0])
+            lin *= dt
+            np.multiply(nu, np.sqrt(vplus, out=vplus), out=vplus)
+            vplus *= u[j]
+            np.add(lin, vplus, out=u[j])
+            v[j + 1 : k1] += np.multiply(w[: k1 - 1 - j, :, None], u[j], out=prod[: k1 - 1 - j])
     return v[:, :, :P].transpose(2, 0, 1)
 
 
@@ -279,7 +283,8 @@ def gamma0_affine(model: AffineModel, grid: TimeGrid, psi: np.ndarray) -> float:
 class AffineEvaluator:
     """Pathwise market price of risk and risk premium for the MC layer."""
 
-    max_chunk = np.inf  # the stepper's history GEMM couples all of a chunk's paths
+    # paths per run_mc chunk: a path's samples are the same bits in any chunk, so the width sets only memory and speed
+    max_chunk = 1024
 
     def __init__(self, model: AffineModel, grid: TimeGrid, psi: np.ndarray = None):
         self.model = model

@@ -51,10 +51,13 @@ def coefficients(value, name: str, shape: tuple = (), shown: str = None):
     """A model or kernel coefficient as a float array of ``shape``, or as a float for shape ().
 
     A number or a one-element list fills a (d,) vector, and a number or a row reads as a matrix
-    (np.atleast_2d).  A letter in ``shape`` takes any length, the same at each of its axes.  Any other
-    shape ("<name> must be <shown>", by default the shape) and any non-finite entry is an InvalidArgumentError.
+    (np.atleast_2d).  A letter in ``shape`` takes any length, the same at each of its axes.  A non-number,
+    any other shape ("<name> must be <shown>", by default the shape) and a non-finite entry raise InvalidArgumentError.
     """
-    arr = np.array(value, dtype=float)
+    try:  # numpy reads None as NaN, so float() refuses it
+        arr = np.array(value, dtype=float) if value is not None else float(value)
+    except (TypeError, ValueError):  # None, a string, a ragged list
+        raise InvalidArgumentError(f"{name} must be {shown or str(shape or 'a number')}, got {value!r}") from None
     if len(shape) == 1:
         if arr.shape not in ((), (1,), shape):
             raise InvalidArgumentError(f"{name} must be a number or a length-{shape[0]} list, got shape {arr.shape}")

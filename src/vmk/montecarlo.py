@@ -5,22 +5,23 @@ Drivers are generated per path from a counter-based generator keyed by
 draws do not depend on chunking.  Affine samples are chunk-invariant bit
 for bit as well, for any chunk size, number of factors and BLAS thread
 count (see ``affine.simulate_forward_variance``), and so are quadratic
-samples for every chunk of at least ``_MAP_ROWS`` paths, the most a
-quadratic chunk takes (one premium map product); smaller chunks move them
-by roundoff, as BLAS results depend on the rows a product is given.
+samples for every chunk of at least ``_MAP_ROWS`` paths (one premium map
+product); smaller chunks move them by roundoff, as BLAS results depend on
+the rows a product is given.
 
-``run_mc`` streams the paths in chunks through one workspace, which
-``chunk_workspace`` allocates once it has checked the run's one budget,
-``chunk_bytes``, before the first draw, and which every chunk reuses: the
-raw drivers z (m, n, d + N) are drawn into its draws buffer and
-correlated into its dB and driver buffers (``correlate_into``), and the
-evaluator writes the state and premium paths over z and lambda over the
-drivers once it has read them, so no chunk after the first allocates any
-of them; the drawing, the correlation and the evaluators' reads of lambda
-and the premium run over cache-sized ``path_blocks``.  Wealth is advanced
-in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1) wealth and the
-(m, n, d) amounts never exist for the whole chunk; only the terminal
-wealth, the Gamma samples and the kept paths leave it.
+``run_mc`` streams the paths in chunks of at most the evaluator's
+``max_chunk`` paths (1024 affine, ``_MAP_ROWS`` quadratic) through one
+workspace, which ``chunk_workspace`` allocates once it has checked the
+run's one budget, ``chunk_bytes``, before the first draw, and which every
+chunk reuses: the raw drivers z (m, n, d + N) are drawn into its draws
+buffer and correlated into its dB and driver buffers (``correlate_into``),
+and the evaluator writes the state and premium paths over z and lambda
+over the drivers once it has read them, so no chunk after the first
+allocates any of them; the drawing, the correlation and the evaluators'
+reads of lambda and the premium run over cache-sized ``path_blocks``.
+Wealth is advanced in blocks of ``_WEALTH_ROWS`` paths, so the (m, n+1)
+wealth and the (m, n, d) amounts never exist for the whole chunk; only the
+terminal wealth, the Gamma samples and the kept paths leave it.
 """
 
 import math
@@ -33,24 +34,24 @@ from .errors import InvalidArgumentError, check_memory
 from .grid import TimeGrid, g0_nodes
 from .markowitz import tail_rate_integrals
 
-# Paths per block of the wealth stage in run_mc.  On one 4096-path chunk
-# the wealth stage took 31-39 ms (affine-simulate model) and 20-23 ms
-# (quad-simulate model) at every block from 64 to 4096 rows (median of 15,
-# 2-core Xeon), while the chunk's traced peak grows with the block:
-# 64.7, 66.6, 70.5 and 100.3 MiB at 128, 256, 512 and 4096 rows (affine).
-_WEALTH_ROWS = 256
+# Paths per block of the wealth stage in run_mc, whose arrays are allocated per block.  In a fresh process over
+# 8192 paths it took 44 ms (affine-simulate model) and 28-29 ms (quad-simulate) at 128 rows, and 70-73 and 37-39 ms
+# at 256, where glibc handed each block its 0.5-0.8 MB arrays as new pages (17529 and 9440 minor page faults against
+# 336 and 60; medians of 10 to 16, 2-core Xeon).  A warm 4096-path chunk read 31-39 ms from 64 to 4096 rows.
+_WEALTH_ROWS = 128
 # Paths per quadratic chunk and premium map product, whose OpenBLAS working memory grows with them: a 4096-path
 # quad-simulate product peaked at 75.5, 76.2, 77.2, 79.4 and 83.4 MB RSS at 256, 512, 1024, 2048 and 4096 rows,
 # and 512 rows took 1 ms of 16 more there, 2-3% on the two-asset preset at n = 300 (256: 5%; 2-core Xeon).
 _MAP_ROWS = 512
-# Slots per block of the affine forward-variance stepper.  A block takes
-# the history of all earlier steps as one GEMM per factor and then steps
-# its own slots elementwise: the elementwise work grows with the block,
-# and a GEMM with fewer rows runs further below BLAS speed.  The stepper
-# alone on one 4096-path chunk at n = 400 measured 16 -> 0.066 s, 24 ->
-# 0.070 s, 32 -> 0.075 s, 48 -> 0.090 s (median of 15, 2-core Xeon); run_mc
-# over two such chunks read the same at 16 and 32, and 32 halves the GEMM calls.
-_SLOT_BLOCK = 32
+# Slots per block of the affine forward-variance stepper, and per history block.  A block adds earlier steps as one
+# GEMM per factor (at a history block's first block, the steps before it for the whole history block) and then steps
+# its own slots elementwise, work that grows with the block.  On 1024-path chunks the stepper took 12.4 ms at n = 400
+# and 122 at n = 1600 in 8-slot blocks alone, 10.4 and 82 with 16-slot history blocks (32 and 64: 9.7-10.7 and 66-67,
+# but a GEMM's copied kernel rows take n floats per row), and 13.1-15.3 and 87 in 32-slot blocks (medians of 15,
+# 2-core Xeon).  Blocks of 12 to 24 slots moved a truncating test path 1.6e-10 off the whole-curve stepper, past its
+# 1e-10 bound, where 8-slot blocks moved it 2.8e-11.
+_SLOT_BLOCK = 8
+_HISTORY_BLOCK = 16
 # The affine stepper pads the path axis with zero paths to a multiple of this, so OpenBLAS computes
 # each path's GEMM column with one kernel whatever the chunk size (other column counts reach its
 # edge kernels or, for one path, gemv, whose sums round differently).
@@ -87,36 +88,31 @@ def chunk_bytes(evaluator, width: int, keep: int = 0, paths: int = 0) -> int:
     In floats: the evaluator's ``workspace_floats(width)``; 2 samples per path; (n + 1)(1 + S) + n d
     per kept path, with d = ``n_assets`` and S = ``n_state``; and the largest temporaries: two
     ``path_blocks`` of raw draws (dW and dB C', or the quadratic state lambda is read off, with
-    numpy's ufunc buffers), two ``_SLOT_BLOCK``-slot blocks of the S state drivers with the affine
-    stepper's history gather (its lag indices and gathered kernel rows, 2 n per slot, and its n S
-    kernel weights and n lag offsets), two ``_WEALTH_ROWS``-row wealth blocks, or the sample
-    statistics' 3 per path (traced at 2, 2.5 with antithetic pairs); and two ufunc buffers of
-    ``np.getbufsize()`` floats, which numpy adds to a small ufunc's result (up to 0.108 MB traced at
-    chunks of under 256 paths).  README reads it against traced peaks.  BLAS working memory is
-    outside it and tracemalloc (see ``_MAP_ROWS``).
+    numpy's ufunc buffers), the affine stepper's step buffers (``_SLOT_BLOCK`` + 2 slots of the S state
+    drivers), a ``_HISTORY_BLOCK``-slot history product with its copied kernel rows (n per slot) and the
+    n S kernel weights, two ``_WEALTH_ROWS``-row wealth blocks, or the sample statistics' 3 per path
+    (traced at 2, 2.5 with antithetic pairs); and two ufunc buffers of ``np.getbufsize()`` floats,
+    which numpy adds to a small ufunc's result (up to 0.108 MB traced at chunks of under 256 paths).
+    README reads it against traced peaks.  BLAS working memory is outside it and tracemalloc (see
+    ``_MAP_ROWS``).
     """
     n, d, S = evaluator.grid.n, evaluator.n_assets, evaluator.n_state
     total = max(paths, width, keep)
     kept = keep * ((n + 1) * (1 + S) + n * d)
     first = path_blocks(width, n * evaluator.n_factors)[0]
     path_floats = 2 * (first.stop - first.start) * n * evaluator.n_factors
-    slot_blocks = _SLOT_BLOCK * (2 * S * _padded(width) + 2 * n) + (S + 1) * n
+    slot_blocks = (_SLOT_BLOCK + 2) * S * _padded(width) + _HISTORY_BLOCK * (_padded(width) + n) + S * n
     wealth_blocks = 2 * min(width, _WEALTH_ROWS) * (n + 1) * (d + 2)
     temporaries = max(path_floats, slot_blocks, wealth_blocks, 3 * total)
     return 8 * (sum(evaluator.workspace_floats(width)) + 2 * total + kept + temporaries + 2 * np.getbufsize())
 
 
 def chunk_workspace(evaluator, width: int, keep: int = 0, paths: int = 0) -> SimpleNamespace:
-    """The flat draws, drivers and dB buffers that every chunk of up to ``width`` paths reuses.
-
-    Raises MemoryCapError, before allocating anything, when ``chunk_bytes``
-    of the run would not fit in physical memory; where ``max_chunk`` caps
-    the chunk, a smaller one hardly helps, so it asks for fewer paths.
-    """
-    knob = "a smaller mc.chunk" if math.isinf(evaluator.max_chunk) else "fewer mc.paths"
+    """The flat draws, drivers and dB buffers that every chunk of up to ``width`` paths reuses; raises MemoryCapError,
+    before allocating anything, when ``chunk_bytes`` of the run would not fit in physical memory."""
     check_memory(f"a run of {max(paths, width, keep)} paths at n = {evaluator.grid.n} in Monte Carlo chunks of "
                  f"{width}, keeping {keep} paths", chunk_bytes(evaluator, width, keep, paths),
-                 f"use {knob}" + (" or mc.dump_paths" if keep else ""))
+                 "use a smaller mc.chunk or fewer mc.paths" + (" or mc.dump_paths" if keep else ""))
     draws, drivers, db = (np.empty(size) for size in evaluator.workspace_floats(width))
     return SimpleNamespace(draws=draws, drivers=drivers, db=db)
 

@@ -195,8 +195,9 @@ class TestForwardVariance:
             simulate_forward_variance(model, make_grid(1.0, 20), np.zeros(shape))
 
     def test_stepper_holds_one_block_of_lag_indices(self):
-        """The stepper's traced peak is its padded drivers and curve, one slot block's lag indices and gathered
-        kernel rows (2 n floats per slot) and the kernel weights; the previous block's indices are freed first."""
+        """The stepper's traced peak is its padded drivers and curve, one slot block's copied kernel rows and the
+        kernel weights: under 2 n floats per slot.  Lag indices built beside the rows (with numpy's ufunc buffers)
+        read 43 KB over it in 8-slot blocks at n = 1600, and two blocks' indices held at once read more."""
         n, paths = 1600, 2
         model = AffineModel(kernels=(FractionalKernel(0.1),), drift=None, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
         grid = make_grid(1.0, n)
@@ -248,8 +249,8 @@ class TestStepperOracle:
         nu=[0.2, 0.1], rho=[-0.5, 0.2], theta=[0.5, 0.4], g0=[0.2, 0.1],
     )
 
-    # n on and off the edges of the old 16-slot and the current 32-slot block
-    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 65, 100])
+    # n on and off the edges of the current 8-slot block and the old 16- and 32-slot ones
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 65, 100])
     @pytest.mark.parametrize("paths", [1, 5, 64])
     @pytest.mark.parametrize("which", ["TRUNCATING", "CURVED"])
     def test_one_factor_bit_identical(self, which, n, paths):
@@ -277,7 +278,7 @@ class TestStepperOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_workload_size_to_roundoff(self):
-        # the benchmark's affine model and grid: 13 blocks, the last of 17 slots
+        # the benchmark's affine model and grid: 51 blocks, the last of one slot
         model = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5,
                             theta=0.8, g0=0.16, rate=0.02)
         got, want = oracle_case(model, 400, 64, seed=3)

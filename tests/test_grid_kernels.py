@@ -1,6 +1,7 @@
 """Time grid construction, the coefficient rule and kernel discretization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,12 @@ class TestCoefficients:
     def test_non_finite_refused(self, shape, bad):
         with pytest.raises(InvalidArgumentError, match="^eta contains non-finite values$"):
             coefficients(np.full((2,) * len(shape), bad), "eta", shape)
+
+    # numpy raised its own ValueError for a string or a ragged list, and read None as NaN, refused as non-finite
+    @pytest.mark.parametrize("scale", ["x", [[0.1], [0.2, 0.3]], None])
+    def test_non_numbers_refused(self, scale):
+        with pytest.raises(InvalidArgumentError, match=f"^scale must be a number, got {re.escape(repr(scale))}$"):
+            FractionalKernel(0.3, scale=scale)
 
 
 class TestFractionalKernel:

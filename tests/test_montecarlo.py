@@ -1,5 +1,6 @@
 """Monte Carlo driver generation, wealth simulation, and estimators."""
 
+import copy
 import math
 import os
 import subprocess
@@ -280,7 +281,7 @@ def test_standard_errors_calibrated(family, antithetic):
 
 
 def gemm_models():
-    """One- and two-factor affine models on a grid of four 32-slot stepper blocks."""
+    """One- and two-factor affine models, which the tests step on grids of many stepper blocks."""
     one = AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8, g0=0.16)
     two = AffineModel(
         kernels=(ExponentialKernel(beta=2.0), FractionalKernel(0.75)),
@@ -358,6 +359,19 @@ class TestAffineChunkInvariance:
         np.testing.assert_array_equal(got.kept.state, full.kept.state)
         np.testing.assert_array_equal(got.kept.x, full.kept.x)
 
+    # at and above the cap, against the same chunks uncapped (one 4096-path chunk, or 1031-path ones)
+    @pytest.mark.parametrize("chunk", [AffineEvaluator.max_chunk, AffineEvaluator.max_chunk + 7, FULL])
+    def test_capped_chunks_match_uncapped_ones(self, case, chunk):
+        ev, _ = case
+        uncapped = copy.copy(ev)
+        uncapped.max_chunk = np.inf
+        want, got = (run_mc(e, paths=self.FULL, seed=7, x0=1.0, xi_star_val=1.8, chunk=chunk, keep_paths=self.PREFIX)
+                     for e in (uncapped, ev))
+        np.testing.assert_array_equal(got.terminal, want.terminal)
+        np.testing.assert_array_equal(got.gamma_samples, want.gamma_samples)
+        for field in ("x", "alpha", "state"):
+            np.testing.assert_array_equal(getattr(got.kept, field), getattr(want.kept, field), err_msg=field)
+
     @pytest.mark.parametrize("factors", ["one", "two"])
     def test_stale_workspace_steps_as_a_fresh_one(self, factors):
         # 20 paths padded to 24 in a 24-path workspace holding infinities:
@@ -421,12 +435,13 @@ class TestRunMCMemory:
     def test_one_chunk_holds_under_five_variance_arrays(self):
         # the workspace (4.0: the draws buffer, which later holds the
         # curve and premium, the driver buffer, which later holds lambda,
-        # and dB) and one wealth block (4.25).  With the stages' own
+        # and dB) and one wealth block (4.16; 4.25 in 256-row blocks).  With the stages' own
         # arrays and z dropped once correlated it read 4.38, with z held
         # for the whole chunk 5.38, with whole-chunk wealth, dW and
-        # sqrt(V+) 8.1
+        # sqrt(V+) 8.1.  The evaluator's cap is lifted to run one P-path chunk
         P, n = 4096, 400
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, n))
+        ev.max_chunk = np.inf
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         tracemalloc.start()
         try:
@@ -440,8 +455,8 @@ class TestRunMCMemory:
         # N = d = 1: in 4096-path chunks, the workspace (4.0: the draws
         # buffer, which later holds the premium map's product, the driver
         # buffer, dW and then lambda, and dB) with one wealth block read
-        # 4.22; allocating z, dW, the product and lambda as the chunk went
-        # 5.01, with z held next to lambda 5.34; in _MAP_ROWS chunks 0.71
+        # 4.12 (4.22 in 256-row blocks); allocating z, dW, the product and lambda as the chunk went
+        # 5.01, with z held next to lambda 5.34; in _MAP_ROWS chunks 0.62
         P, n = 4096, 250
         ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, n))
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
@@ -453,14 +468,23 @@ class TestRunMCMemory:
             tracemalloc.stop()
         assert peak <= 4.5 * P * n * 8
 
-    def test_quadratic_peak_does_not_grow_with_the_chunk(self):
-        # chunks of _MAP_ROWS paths: both peaks read 6.23 MB, where 4096-path chunks read 34.9 MB
-        P, K, n = 4096, 64, 250
-        ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, n))
+    @staticmethod
+    def assert_peak_flat(ev, cap):
+        """4096 paths at ``mc.chunk`` 4096 trace at most 2 P samples and the kept rows above ``mc.chunk`` ``cap``."""
+        P, K, n = 4096, 64, ev.grid.n
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         small, big = (traced_peak(run_mc, ev, paths=P, seed=1, x0=1.0, xi_star_val=1.5, chunk=chunk, keep_paths=K)
-                      for chunk in (_MAP_ROWS, 4096))
+                      for chunk in (cap, 4096))
         assert big <= small + 8 * (2 * P + K * (2 * (n + 1) + n))
+
+    def test_quadratic_peak_does_not_grow_with_the_chunk(self):
+        # chunks of _MAP_ROWS paths: both peaks read 5.46 MB (6.23 in 256-row wealth blocks), where 4096-path
+        # chunks read 34.9 MB
+        self.assert_peak_flat(QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 250)), _MAP_ROWS)
+
+    def test_affine_peak_does_not_grow_with_the_chunk(self):
+        # chunks of 1024 paths, the affine cap: both peaks read 15.2 MB at n = 400, where 4096-path chunks read 55.7 MB
+        self.assert_peak_flat(AffineEvaluator(gemm_models()["one"], make_grid(1.0, 400)), 1024)
 
     def test_dumped_rows_held_once(self):
         # the kept wealth, amounts and state are 3 floats per kept path and
@@ -488,12 +512,10 @@ class TestRunMCMemory:
         assert run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64).wealth.paths == paths
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", need - 1)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
-        # a quadratic chunk is capped at _MAP_ROWS paths, so a smaller one is not the remedy there
-        hint = "use a smaller mc.chunk" if family == "affine" else "use fewer mc.paths"
-        with pytest.raises(MemoryCapError, match=hint) as exc:
+        # both families are told both remedies: their chunks are capped, so fewer paths may be the one that helps
+        with pytest.raises(MemoryCapError, match="use a smaller mc.chunk or fewer mc.paths$") as exc:
             run_mc(ev, paths=paths, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)
         assert exc.value.limit == need - 1 and "mc.dump_paths" not in str(exc.value)
-        assert family == "affine" or "mc.chunk" not in str(exc.value)
 
     # A chunk is the affine-simulate benchmark's (n = 400, 4096 paths, one
     # rough factor) or the quad-simulate benchmark's (n = 250, 4096 paths).
@@ -508,20 +530,28 @@ class TestRunMCMemory:
     )
     QUAD_SIMULATE = ("QuadraticEvaluator(QuadraticModel(kernel=FractionalKernel(0.25), theta=0.7, eta=1.0,"
                      " corr=-0.5, drift=-0.3, g0=0.3), make_grid(0.5, 250))")
-    EVALUATORS = {
-        "AffineEvaluator(AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5, theta=0.8,"
-        " g0=0.16), make_grid(1.0, 400))": 4096 * 400 * 2,
-        QUAD_SIMULATE: 4096 * 250 * 2,
-    }
+    AFFINE_SIMULATE = ("AffineEvaluator(AffineModel(kernels=(FractionalKernel(0.1),), drift=-1.0, nu=0.4, rho=-0.5,"
+                       " theta=0.8, g0=0.16), make_grid(1.0, 400))")
+    EVALUATORS = {AFFINE_SIMULATE: 4096 * 400 * 2, QUAD_SIMULATE: 4096 * 250 * 2}
 
     @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
     def test_premium_map_product_stays_near_its_workspace(self, env):
         # BLAS working memory lies outside tracemalloc: 4096 paths over 64
-        # read 5.7-6.6 MB in chunks of _MAP_ROWS paths (a 4.1 MB workspace);
+        # read 5.3-5.5 MB in chunks of _MAP_ROWS paths (a 4.1 MB workspace);
         # in one 4096-path chunk 35 MB, 2.3-2.5 MB above its workspace, and
         # 9.4-9.6 MB above it with the map applied to the chunk as one product
         ev = QuadraticEvaluator(quad_simulate_model(), make_grid(0.5, 250))
         one, small = (child_peak_rss(self.RSS_SCRIPT.format(evaluator=self.QUAD_SIMULATE, paths=paths), env=env)
+                      for paths in (4096, 64))
+        assert one - small <= 8 * sum(ev.workspace_floats(ev.max_chunk)) + 4e6
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+    def test_affine_chunk_stays_near_its_workspace(self, env):
+        # the affine-simulate model: 4096 paths over 64 read 14.5-15.0 MB in chunks of max_chunk paths (a 13.1 MB
+        # workspace), and 54.9-55.0 MB in one 4096-path chunk
+        ev = route_evaluator("one", 400)  # the model AFFINE_SIMULATE builds
+        assert ev.max_chunk < 4096
+        one, small = (child_peak_rss(self.RSS_SCRIPT.format(evaluator=self.AFFINE_SIMULATE, paths=paths), env=env)
                       for paths in (4096, 64))
         assert one - small <= 8 * sum(ev.workspace_floats(ev.max_chunk)) + 4e6
 
@@ -556,20 +586,21 @@ class TestMemoryBudget:
     """One budget, ``chunk_bytes``, holds a run's chunk workspace and its kept paths together."""
 
     def test_chunk_and_kept_paths_checked_together(self, monkeypatch):
-        # 4096-path chunks of 8192 paths at n = 100 count 15419392 bytes,
-        # under the limit, and 3200 kept paths 7731200 bytes of kept floats.
-        # Checked apart, each fits that limit, while run_mc traces at 22.2 MB
-        limit = 17516544
+        # 8192 paths at n = 100 and mc.chunk 4096 run in chunks of max_chunk
+        # = 1024 paths, which count 4593536 bytes, under the limit, and 3200
+        # kept paths 7731200 bytes of kept floats.  Checked apart, each fits
+        # that limit, while run_mc traces at 11.7 MB
+        limit = 2**23
         ev = AffineEvaluator(gemm_models()["one"], make_grid(1.0, 100))
         args = dict(paths=8192, seed=1, x0=1.0, xi_star_val=1.5, chunk=4096, keep_paths=3200)
-        assert chunk_bytes(ev, 4096, 0, 8192) <= limit and 8 * 3200 * (101 * 2 + 100) <= limit
+        assert chunk_bytes(ev, ev.max_chunk, 0, 8192) <= limit and 8 * 3200 * (101 * 2 + 100) <= limit
         run_mc(ev, paths=64, seed=1, x0=1.0, xi_star_val=1.5, chunk=64)  # first-call allocations
         assert traced_peak(run_mc, ev, **args) > 1.2 * limit
         monkeypatch.setattr(vmk.errors, "PHYS_MEM_BYTES", limit)
         monkeypatch.setattr(vmk.montecarlo, "simulate_drivers", lambda *a, **k: pytest.fail("drew over the limit"))
-        with pytest.raises(MemoryCapError, match="mc.chunk or mc.dump_paths") as exc:
+        with pytest.raises(MemoryCapError, match="mc.paths or mc.dump_paths") as exc:
             run_mc(ev, **args)
-        assert str(chunk_bytes(ev, 4096, 3200, 8192)) in str(exc.value)
+        assert str(chunk_bytes(ev, ev.max_chunk, 3200, 8192)) in str(exc.value)
 
     # (model, n, chunk W, kept paths K): one- and two-factor affine, the
     # quad-simulate model, the two-asset preset and a d = 2 Wishart model
@@ -582,6 +613,8 @@ class TestMemoryBudget:
         ("quadratic", 40, 900, 0),  # chunks of 512 and 388 paths, one path block each
         ("quadratic", 100, 900, 0),  # the same chunks, each a path block of 327 paths and a ragged one
         ("one", 400, 2, 500), ("one", 1600, 2, 500), ("two", 400, 2, 500),
+        # affine mc.chunk above the 1024-path cap: the stepper's step buffers at full width
+        ("one", 400, 4096, 0), ("one", 100, 1031, 64), ("two", 200, 2048, 0),
     ]
 
     @pytest.mark.parametrize("name, n, width, keep", SWEEP)
