@@ -195,9 +195,9 @@ class TestForwardVariance:
             simulate_forward_variance(model, make_grid(1.0, 20), np.zeros(shape))
 
     def test_stepper_holds_one_block_of_lag_indices(self):
-        """The stepper's traced peak is its padded drivers and curve, one slot block's copied kernel rows and the
-        kernel weights: under 2 n floats per slot.  Lag indices built beside the rows (with numpy's ufunc buffers)
-        read 43 KB over it in 8-slot blocks at n = 1600, and two blocks' indices held at once read more."""
+        """The stepper's traced peak is its padded drivers and curve, one history product's copied kernel rows
+        (``_HISTORY_BLOCK``, two slot blocks, of n floats) and the kernel weights.  Lag indices built beside the
+        rows, with numpy's ufunc buffers, read 43 KB over this bound in 8-slot blocks at n = 1600."""
         n, paths = 1600, 2
         model = AffineModel(kernels=(FractionalKernel(0.1),), drift=None, nu=0.3, rho=-0.5, theta=0.4, g0=0.04)
         grid = make_grid(1.0, n)
